@@ -73,6 +73,13 @@ class SolveInfo:
 
 
 @dataclass(frozen=True)
+class AdaptedInfo(SolveInfo):
+    """Tallies of one adapted index, with its fixed point alpha_n (mean added)."""
+
+    alpha: complex
+
+
+@dataclass(frozen=True)
 class BlockDiagnostics:
     solver_iters: int
     newton_iters: int
@@ -376,7 +383,7 @@ def gap_roots(q: FourierPotential, n: int,
 def adapted_map(q: FourierPotential, m: int | None = None,
                 M_thresh: int | None = None, tol: float = 1e-12, *,
                 K_out: int | None = None,
-                diagnostics: dict[int, SolveInfo] | None = None) -> FourierPotential:
+                diagnostics: dict[int, AdaptedInfo] | None = None) -> FourierPotential:
     """Replace the Fourier modes |n| >= M_thresh by adapted coefficients.
 
     Returns p with p_n = q_n for |n| < M_thresh and p_{+-n} = c_{-+n}(alpha_n)
@@ -384,7 +391,7 @@ def adapted_map(q: FourierPotential, m: int | None = None,
     must sit past the ball; both default from ||q||.  K_out widens the output
     window past the support of q, so the adapted band is present even for
     trigonometric polynomials; pass ``diagnostics`` a dict to collect per-index
-    solver tallies.
+    solver tallies and the fixed points alpha_n.
     """
     q0 = q.without_mean()
     nq = q0.l2()
@@ -412,8 +419,8 @@ def adapted_map(q: FourierPotential, m: int | None = None,
         coeffs[nn] = c_minus
         coeffs[-nn] = c_plus
         if diagnostics is not None:
-            diagnostics[nn] = SolveInfo(tally.iters, tally.resid, tally.rate,
-                                        tally.lost)
+            diagnostics[nn] = AdaptedInfo(tally.iters, tally.resid, tally.rate,
+                                          tally.lost, alpha + complex(q.mean))
     return make_fourier(coeffs, mean=q.mean, K=K_out)
 
 

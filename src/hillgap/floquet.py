@@ -17,10 +17,26 @@ Three integrator paths share the fixed-step, reproducible design:
 
 Both double paths build the 2x2 propagator of every step at once with numpy
 (each step is linear in the state) and multiply the propagators out pairwise.
-The arbitrary-precision path takes its Taylor coefficients of q from mpmath,
-then runs the recurrence on complex fixed-point numbers, pairs of Python ints
-scaled by 2^bits with bits ~ 3.33 dps plus guard bits, and hands the
-monodromy back as mpmath numbers at the working precision.
+The arbitrary-precision path runs the recurrence on fixed-point numbers,
+Python ints scaled by 2^bits with bits ~ 3.33 dps plus guard bits, and hands
+the monodromy back as mpmath numbers at the working precision.  Its Taylor
+coefficients of q are integer dot products as well: (2 pi i k)^i / i! is
+built once per mode and q_k e^(2 pi i k x) once per step point; only 2 pi
+and the roots of unity come from mpmath.  Its step count covers the
+potential's bandwidth as well as lambda: the Taylor series of q itself must
+converge to the noise floor within each step.
+
+A potential whose coefficients are exactly conjugate-symmetric (q_-k equal
+to conj(q_k) bit for bit and a real mean; the 1e-14 slack of ``is_real``
+does not count) gets real coefficient tables on both Taylor paths, summed
+from the pairs 2 Re(q_k e^(2 pi i k x) (2 pi i k)^i / i!).  At real lambda
+such a table keeps every imaginary part at zero: the double path returns
+entries with zero imaginary part, and the fixed-point kernel runs a real
+loop, one integer product sum per order where the complex loop needs three,
+giving the same integers.  Any other potential or lambda runs the complex
+loop.  So the double critical point of a real potential is exactly real, the
+high-precision solve it seeds stays on the real loop, and the eigenvalue
+pairs come back with imaginary parts exactly 0.
 
 Near a spectral gap the discriminant is almost a parabola touching +-2, so the
 eigenvalue solver first locates the critical point by Newton on Delta', then
@@ -41,7 +57,7 @@ from operator import mul
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_float, to_fixed
 
 from .seqspace import FourierPotential
 
@@ -185,6 +201,33 @@ def _key(q: FourierPotential):
     return (q.K, q.data.tobytes(), complex(q.mean))
 
 
+def _exactly_real(coeffs, mean: complex) -> bool:
+    # exact conjugate symmetry q_{-k} = conj(q_k) with a real mean, not the
+    # 1e-14 tolerance of FourierPotential.is_real: only then do the pairs
+    # k, -k of a Taylor table sum to 2 Re(...) exactly
+    return mean.imag == 0 and bool(np.array_equal(coeffs, np.conj(coeffs[::-1])))
+
+
+def _series_steps(key, order: int, eps: float) -> int:
+    """Fewest steps over which the potential's own Taylor series converges.
+
+    At least two steps per period of the highest mode, and enough that the
+    first term past ``order``, sum_k |q_k| (2 pi |k| h)^(order+1)/(order+1)!
+    at h = 1/steps, stays under eps: the solution's series inherits that
+    remainder, whatever lam is.
+    """
+    K, data_bytes, _ = key
+    coeffs = np.frombuffer(data_bytes, dtype=np.complex128)
+    k = np.flatnonzero(coeffs) - K
+    if not len(k):
+        return 0
+    logs = np.log(np.abs(coeffs[k + K])) + (order + 1) * np.log(2 * np.pi * np.abs(k))
+    top = float(logs.max())
+    log_a = top + math.log(float(np.exp(logs - top).sum())) - math.lgamma(order + 2)
+    return max(2 * int(np.abs(k).max()),
+               math.ceil(math.exp((log_a - math.log(eps)) / (order + 1))))
+
+
 @lru_cache(maxsize=32)
 def _rk4_samples(key, steps):
     # potential sampled at the step points and midpoints, mean included
@@ -198,17 +241,22 @@ def _rk4_samples(key, steps):
 
 @lru_cache(maxsize=32)
 def _taylor_table(key, steps, order):
-    # C[j, i] = i-th Taylor coefficient of q at x = j/steps
+    # C[j, i] = i-th Taylor coefficient of q at x = j/steps; an exactly real
+    # q sums the pairs k, -k as 2 Re(...) over k > 0 and gets a real table
     K, data_bytes, mean = key
     coeffs = np.frombuffer(data_bytes, dtype=np.complex128)
-    modes = np.arange(-K, K + 1)
+    real = _exactly_real(coeffs, mean)
+    modes = np.arange(1 if real else -K, K + 1)
     x = np.arange(steps) / steps
-    phases = np.exp(2j * np.pi * np.outer(x, modes)) * coeffs  # (steps, modes)
+    phases = np.exp(2j * np.pi * np.outer(x, modes)) * coeffs[K + modes]  # (steps, modes)
     z = 2j * np.pi * modes
     powers = np.ones((order + 1, len(modes)), dtype=np.complex128)
     for i in range(1, order + 1):
         powers[i] = powers[i - 1] * z / i
-    C = np.ascontiguousarray(phases @ powers.T)
+    C = phases @ powers.T
+    if real:
+        C, mean = 2.0 * C.real, mean.real
+    C = np.ascontiguousarray(C)
     C[:, 0] += mean
     return C
 
@@ -223,9 +271,7 @@ def _monodromy_rk4(q: FourierPotential, lam: complex, steps: int) -> MonodromyMa
 
 def _monodromy_taylor(q: FourierPotential, lam: complex,
                       steps: int | None = None) -> MonodromyMatrix:
-    if steps is None:
-        steps = _taylor_steps(lam)
-    C = _taylor_table(_key(q), steps, _TAYLOR_ORDER)
+    C = _taylor_table(_key(q), steps or _taylor_steps(lam), _TAYLOR_ORDER)
     return MonodromyMatrix(*_taylor_kernel(C, complex(lam)))
 
 
@@ -248,9 +294,15 @@ def _mp_factor(dps: int) -> float:
     return min(4.0, max(0.5, math.exp(-log_c)))
 
 
-def _mp_steps(lam, dps: int) -> int:
+def _mp_noise(dps: int) -> float:
+    # trace noise floor the solvers assume at dps digits
+    return 10.0 ** (-(dps - 3))
+
+
+def _mp_steps(key, lam, dps: int) -> int:
     factor = _mp_factor(dps)
-    return max(16, int(math.ceil(factor * math.sqrt(abs(complex(lam))))) + 8)
+    return max(16, int(math.ceil(factor * math.sqrt(abs(complex(lam))))) + 8,
+               _series_steps(key, _mp_order(dps), _mp_noise(dps)))
 
 
 def _fixed_bits(dps: int) -> int:
@@ -261,33 +313,67 @@ def _fixed_bits(dps: int) -> int:
 def _mp_table(key, steps, order, dps):
     """Taylor coefficients of q at the step points, in fixed point.
 
-    Built with mpmath at ``dps`` digits, then stored per step as three int
-    lists scaled by 2^_fixed_bits(dps): the real parts, the imaginary parts
-    and their sums (the last feed the three-product complex dot product).
+    C[j][i] = sum_k E[j][k] P[k][i] with E[j][k] = q_k e^(2 pi i k j/steps)
+    and P[k][i] = (2 pi i k)^i / i! = i^i p[k][i], p real.  p is built once
+    per mode and E once per step, both as ints; E carries guard bits sized
+    to max |p| and the mode count, so every entry is an integer dot product
+    exact to about one unit of 2^-_fixed_bits(dps).
+
+    Returns (real, rows).  Each row holds three int lists scaled by
+    2^_fixed_bits(dps): the real parts, the imaginary parts and their sums
+    (the last feed the three-product complex dot product).  An exactly real
+    q sums its pairs k, -k as 2 Re(E P) over k > 0, so its imaginary parts
+    are zero by construction and ``real`` is set.
     """
     K, data_bytes, mean = key
     coeffs = np.frombuffer(data_bytes, dtype=np.complex128)
+    real = _exactly_real(coeffs, mean)
     bits = _fixed_bits(dps)
-    table = []
-    with mp.workdps(dps):
-        two_pi_i = 2j * mp.pi
-        for j in range(steps):
-            x0 = mp.mpf(j) / steps
-            row = [mp.mpc(0)] * (order + 1)
-            for idx, qk in enumerate(coeffs):
-                if qk == 0:
-                    continue
-                k = idx - K
-                term = mp.mpc(complex(qk)) * mp.e ** (two_pi_i * k * x0)
-                zk = two_pi_i * k
-                for i in range(order + 1):
-                    row[i] += term
-                    term = term * zk / (i + 1)
-            row[0] += mp.mpc(complex(mean))
-            re = [to_fixed(c.real._mpf_, bits) for c in row]
-            im = [to_fixed(c.imag._mpf_, bits) for c in row]
-            table.append((re, im, [a + b for a, b in zip(re, im)]))
-    return table
+    modes = [k for k in range(1 if real else -K, K + 1) if coeffs[K + k] != 0]
+    top = max((abs(k) for k in modes), default=1)
+    big = max(i * math.log2(2 * math.pi * top) - math.lgamma(i + 1) / math.log(2)
+              for i in range(order + 1))
+    hi = bits + max(0, math.ceil(big)) + len(modes).bit_length() + 1
+    # p[i][k] = (2 pi k)^i / i!, run at 2^(hi + 8) so the error the
+    # recurrence amplifies stays under 2^-bits, stored at 2^bits
+    with mp.workprec(hi + 16):
+        two_pi = to_fixed((2 * mp.pi)._mpf_, hi + 8)
+        w = [(to_fixed(mp.cospi(mp.mpf(2 * r) / steps)._mpf_, hi),
+              to_fixed(mp.sinpi(mp.mpf(2 * r) / steps)._mpf_, hi)) for r in range(steps)]
+    p = []
+    vals = [1 << (hi + 8)] * len(modes)
+    for i in range(order + 1):
+        p.append([v >> (hi + 8 - bits) for v in vals])
+        vals = [v * (two_pi * k) // ((i + 1) << (hi + 8)) for v, k in zip(vals, modes)]
+    q = [(to_fixed(from_float(z.real), hi), to_fixed(from_float(z.imag), hi))
+         for z in (complex(coeffs[K + k]) for k in modes)]
+    m_re, m_im = to_fixed(from_float(mean.real), bits), to_fixed(from_float(mean.imag), bits)
+    rows = []
+    for j in range(steps):
+        er, ei = [], []
+        for k, (qr, qi) in zip(modes, q):
+            wr, wi = w[k * j % steps]
+            er.append((qr * wr - qi * wi) >> hi)
+            ei.append((qr * wi + qi * wr) >> hi)
+        if real:
+            # 2 Re(i^i E p): even orders need only Re E, odd ones only Im E
+            re = []
+            for i in range(order + 1):
+                d = sum(map(mul, ei if i % 2 else er, p[i])) >> (hi - 1)
+                re.append((d, -d, -d, d)[i % 4])
+            re[0] += m_re
+            rows.append((re, [0] * len(re), re))
+            continue
+        re, im = [], []
+        for i in range(order + 1):
+            dr, di = sum(map(mul, er, p[i])) >> hi, sum(map(mul, ei, p[i])) >> hi
+            # multiply dr + i di by i^i
+            re.append((dr, -di, -dr, di)[i % 4])
+            im.append((di, dr, -di, -dr)[i % 4])
+        re[0] += m_re
+        im[0] += m_im
+        rows.append((re, im, [a + b for a, b in zip(re, im)]))
+    return real, rows
 
 
 def _fixed_step(row, lr, li, state, steps, bits):
@@ -325,15 +411,40 @@ def _fixed_step(row, lr, li, state, steps, bits):
     return yr // steps + ar[0], yi // steps + ai[0], dyr, dyi
 
 
+def _fixed_step_real(cr, lr, state, steps, bits):
+    """_fixed_step for a real row at real lam: one product sum per order."""
+    y, dy = state
+    a = [y, dy]
+    r = [y]  # a[m], ..., a[0], newest first
+    for m in range(len(cr)):
+        a.append((sum(map(mul, cr, r)) - lr * r[0]) // (((m + 1) * (m + 2)) << bits))
+        r.insert(0, a[m + 1])
+    top = len(a) - 1
+    y = a[top]
+    dy = top * y
+    for m in range(top - 1, 0, -1):
+        y = y // steps + a[m]
+        dy = dy // steps + m * a[m]
+    return y // steps + a[0], dy
+
+
 def _fixed_kernel(table, lam, bits):
     # caller holds the working precision; lam enters and the entries leave
-    # at it, so mpmath Newton iterates keep their digits
-    steps = len(table)
+    # at it, so mpmath Newton iterates keep their digits.  A real table at
+    # real lam keeps every imaginary part at zero, so it runs the real loop,
+    # which gives the same integers as the complex one
+    real, rows = table
+    steps = len(rows)
     lam = mp.mpc(lam)
     lr, li = to_fixed(lam.real._mpf_, bits), to_fixed(lam.imag._mpf_, bits)
     one = 1 << bits
+    if real and lam.imag == 0:
+        cols = ((one, 0), (0, one))
+        for row in rows:
+            cols = tuple(_fixed_step_real(row[0], lr, c, steps, bits) for c in cols)
+        return tuple(mp.mpc(mp.mpf((v, -bits))) for c in cols for v in c)
     cols = ((one, 0, 0, 0), (0, 0, one, 0))
-    for row in table:
+    for row in rows:
         cols = tuple(_fixed_step(row, lr, li, c, steps, bits) for c in cols)
     return tuple(mp.mpc(mp.mpf((re, -bits)), mp.mpf((im, -bits)))
                  for c in cols for re, im in ((c[0], c[1]), (c[2], c[3])))
@@ -363,7 +474,7 @@ def monodromy(q: FourierPotential, lam: complex, steps: int | None = None,
         dps: if set, run the Taylor scheme in mpmath at that precision.
     """
     if dps is not None:
-        y11, y12, y21, y22 = _monodromy_mp(q, lam, steps or _mp_steps(lam, dps), dps)
+        y11, y12, y21, y22 = _monodromy_mp(q, lam, steps or _mp_steps(_key(q), lam, dps), dps)
         return MonodromyMatrix(complex(y11), complex(y12), complex(y21), complex(y22))
     if method == "taylor":
         return _monodromy_taylor(q, lam, steps)
@@ -394,21 +505,22 @@ class _Disc:
                  center: complex, steps: int | None = None):
         self.method = method
         self.dps = 0
+        key = _key(q)
         if method == "mp":
             self.dps = dps or _DEFAULT_DPS
-            n_steps = steps or _mp_steps(center, self.dps)
-            table = _mp_table(_key(q), n_steps, _mp_order(self.dps), self.dps)
+            n_steps = steps or _mp_steps(key, center, self.dps)
+            table = _mp_table(key, n_steps, _mp_order(self.dps), self.dps)
             bits = _fixed_bits(self.dps)
             self.fn = lambda lam: _fixed_kernel(table, lam, bits)
-            self.noise = 10.0 ** (-(self.dps - 3))
+            self.noise = _mp_noise(self.dps)
         elif method == "taylor":
             n_steps = steps or _taylor_steps(center)
-            table = _taylor_table(_key(q), n_steps, _TAYLOR_ORDER)
+            table = _taylor_table(key, n_steps, _TAYLOR_ORDER)
             self.fn = lambda lam: _taylor_kernel(table, complex(lam))
             self.noise = _TAYLOR_NOISE
         elif method == "rk4":
             n_steps = steps or default_steps(center)
-            qs = _rk4_samples(_key(q), n_steps)
+            qs = _rk4_samples(key, n_steps)
             self.fn = lambda lam: _rk4_kernel(qs, complex(lam))
             # RK4 error is truncation bias, not roundoff
             self.noise = 1e-9
@@ -442,8 +554,12 @@ class _Disc:
         return 1e-6 * scale
 
 
-def _lex_pair(a: complex, b: complex):
-    if (a.real, a.imag) <= (b.real, b.imag):
+def _lex_pair(a, b):
+    # lexicographic on the rounded values, ties broken at working precision
+    def order(z):
+        r = complex(z)
+        return r.real, r.imag, z.real, z.imag
+    if order(a) <= order(b):
         return a, b
     return b, a
 
@@ -556,6 +672,7 @@ def _solve_pair_inner(disc: _Disc, n: int, center: complex, target: float,
     # complex direction; the critical point itself stays accurate, so report
     # the gap as closed and leave the floor in the diagnostics
     if not resolved or abs(gamma_model) <= tol_lam:
+        info["gamma"] = 0j
         return complex(lam_star), complex(lam_star), info
     scale = max(1.0, float(n))
     fun = lambda lam: disc.trace(lam) - target
@@ -567,8 +684,10 @@ def _solve_pair_inner(disc: _Disc, n: int, center: complex, target: float,
             raise RootSearchError(f"gap root {r} escaped the strip around {center}")
     info["iters"] = its + it1 + it2
     info["resid"] = float(max(res1, res2 * abs(complex(r2) - complex(r1))))
-    lm, lp = _lex_pair(complex(r1), complex(r2))
-    return lm, lp, info
+    # order and subtract at the working precision, then round
+    lm, lp = _lex_pair(r1, r2)
+    info["gamma"] = complex(lp - lm)
+    return complex(lm), complex(lp), info
 
 
 def periodic_eigs(q: FourierPotential, n: int, tol: float = 1e-12,

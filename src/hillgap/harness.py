@@ -409,7 +409,7 @@ def _oracle_gap(q: FourierPotential, n: int, config: ExperimentConfig):
     lm, lp, info = floquet.periodic_eigs_info(
         q, n, config.tol, method=config.oracle_method,
         dps=config.oracle_dps, steps=config.oracle_steps)
-    gamma = lp - lm
+    gamma = info["gamma"]
     if info["resolved"]:
         ceiling = abs(gamma)
     else:
@@ -526,7 +526,7 @@ def run_adapted(config: ExperimentConfig):
     The map always runs over its full window; n_range selects the reported
     rows and is clamped to the window edge."""
     q = config.potential
-    diag: dict[int, blockdecomp.SolveInfo] = {}
+    diag: dict[int, blockdecomp.AdaptedInfo] = {}
     try:
         p = blockdecomp.adapted_map(q, config.m, config.M_thresh, config.tol,
                                     K_out=config.K_out, diagnostics=diag)
@@ -540,9 +540,9 @@ def run_adapted(config: ExperimentConfig):
         row.update(re_pp=p.coeff(n).real, im_pp=p.coeff(n).imag,
                    re_pm=p.coeff(-n).real, im_pm=p.coeff(-n).imag)
         if n in diag:
-            alpha = blockdecomp.alpha_fixed_point(q, n, config.tol)
-            row.update(re_alpha=alpha.real, im_alpha=alpha.imag,
-                       resid=diag[n].resid, iters=diag[n].iters)
+            info = diag[n]
+            row.update(re_alpha=info.alpha.real, im_alpha=info.alpha.imag,
+                       resid=info.resid, iters=info.iters)
         rows.append(row)
     return rows, False
 

@@ -17,11 +17,15 @@ from hillgap.floquet import (
     periodic_eigs_info,
     sturm_liouville_eig,
 )
-from hillgap.seqspace import make_fourier, make_gasymov, make_mathieu
+from hillgap.seqspace import make_fourier, make_gasymov, make_mathieu, make_random
+from hillgap.weights import gevrey
 
 PI2 = math.pi ** 2
 
 FREE = make_fourier({}, K=1)
+
+# real K = 16 draw whose top modes the default step counts once under-resolved
+WIDE = make_random(gevrey(0, 1, 0.5), seed=202, K=16)
 
 
 def _free_entries(lam):
@@ -146,6 +150,18 @@ def test_batched_kernels_match_step_loops():
         assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-12 * scale
 
 
+def _mp_step_coeffs(q, x0, order):
+    # Taylor coefficients of q at x0, one mpmath series per mode
+    c = [mp.mpc(q.mean)] + [mp.mpc(0)] * order
+    for k, qk in q.modes():
+        z = 2j * mp.pi * k
+        term = mp.mpc(qk) * mp.exp(z * x0)
+        for i in range(order + 1):
+            c[i] += term
+            term = term * z / (i + 1)
+    return c
+
+
 def _mp_taylor_monodromy(q, lam, steps, order):
     # the Taylor scheme in plain mpmath arithmetic at the caller's precision:
     # coefficients of q at each step point, the series recurrence for both
@@ -153,13 +169,7 @@ def _mp_taylor_monodromy(q, lam, steps, order):
     h = mp.mpf(1) / steps
     cols = [[mp.mpc(1), mp.mpc(0)], [mp.mpc(0), mp.mpc(1)]]
     for j in range(steps):
-        c = [mp.mpc(q.mean)] + [mp.mpc(0)] * order
-        for k, qk in q.modes():
-            z = 2j * mp.pi * k
-            term = mp.mpc(qk) * mp.exp(z * j * h)
-            for i in range(order + 1):
-                c[i] += term
-                term = term * z / (i + 1)
+        c = _mp_step_coeffs(q, j * h, order)
         for col in cols:
             a = col + [mp.mpc(0)] * (order + 1)
             for m in range(order + 1):
@@ -179,10 +189,100 @@ def test_fixed_point_ladder_matches_mpmath():
         order = floquet._mp_order(dps)
         with mp.workdps(dps):
             lam = mp.mpc(88 + mp.pi, 7 / mp.e)
-            steps = floquet._mp_steps(lam, dps)
+            steps = floquet._mp_steps(floquet._key(g), lam, dps)
             got = floquet._monodromy_mp(g, lam, steps, dps)
             ref = _mp_taylor_monodromy(g, lam, steps, order)
             assert max(abs(a - b) for a, b in zip(got, ref)) <= mp.mpf(10) ** -(dps - 3)
+
+
+def _mp_table_reference(q, steps, order, dps):
+    # the coefficient table from per-step mpmath series, in the row layout
+    # of floquet._mp_table and flagged complex
+    bits = floquet._fixed_bits(dps)
+    rows = []
+    with mp.workdps(dps):
+        for j in range(steps):
+            c = _mp_step_coeffs(q, mp.mpf(j) / steps, order)
+            re = [mp.libmp.to_fixed(v.real._mpf_, bits) for v in c]
+            im = [mp.libmp.to_fixed(v.imag._mpf_, bits) for v in c]
+            rows.append((re, im, [a + b for a, b in zip(re, im)]))
+    return False, rows
+
+
+def test_integer_table_matches_mpmath_build():
+    # the integer build against the per-step mpmath series it replaced; the
+    # real draw at real lam runs the real loop on the integer table
+    cases = [(make_gasymov([1.0, 0.5j]), 30), (make_gasymov([1.0, 0.5j]), 60), (WIDE, 30)]
+    for q, dps in cases:
+        order, bits = floquet._mp_order(dps), floquet._fixed_bits(dps)
+        with mp.workdps(dps):
+            lam = mp.mpf(88) + mp.pi if q is WIDE else mp.mpc(88 + mp.pi, 7 / mp.e)
+            steps = floquet._mp_steps(floquet._key(q), lam, dps)
+            table = floquet._mp_table(floquet._key(q), steps, order, dps)
+            assert table[0] == (q is WIDE)
+            got = floquet._fixed_kernel(table, lam, bits)
+            ref = floquet._fixed_kernel(_mp_table_reference(q, steps, order, dps), lam, bits)
+            assert max(abs(a - b) for a, b in zip(got, ref)) <= mp.mpf(10) ** -(dps - 3)
+
+
+def test_real_loop_matches_complex_loop_bitwise():
+    for q in (make_mathieu(1.0), WIDE):
+        key = floquet._key(q)
+        for dps in (30, 60):
+            with mp.workdps(dps):
+                lam = mp.mpf(64) * mp.pi ** 2 + mp.mpf(1) / 3
+                steps = floquet._mp_steps(key, lam, dps)
+                real, rows = floquet._mp_table(key, steps, floquet._mp_order(dps), dps)
+                assert real
+                bits = floquet._fixed_bits(dps)
+                fast = floquet._fixed_kernel((True, rows), lam, bits)
+                assert fast == floquet._fixed_kernel((False, rows), lam, bits)
+                assert all(v.imag == 0 for v in fast)
+
+
+def test_real_potentials_give_exactly_real_pairs():
+    # the real tables keep every imaginary part at zero, on the double path
+    # and on the fixed-point ladder alike
+    for q, ns in ((make_mathieu(1.0), (1, 2, 3)), (WIDE, (1, 2))):
+        for n in ns:
+            for kw in ({"method": "taylor"}, {"dps": 30}):
+                lm, lp, info = periodic_eigs_info(q, n, **kw)
+                assert info["method"] == kw.get("method", "mp30")
+                assert lm.imag == lp.imag == info["gamma"].imag == info["critical"].imag == 0
+                assert lm.real < lp.real
+
+
+def test_near_real_potential_takes_complex_loop(monkeypatch):
+    # within the is_real tolerance yet not exactly conjugate-symmetric: the
+    # tables stay complex and the real loop never runs
+    near = make_fourier({1: 0.5, -1: 0.5 + 1e-16j})
+    assert near.is_real
+    calls = []
+    real_step = floquet._fixed_step_real
+
+    def spy(*args):
+        calls.append(1)
+        return real_step(*args)
+
+    monkeypatch.setattr(floquet, "_fixed_step_real", spy)
+    lam = 4 * PI2 + 0.5
+    assert floquet._taylor_table(floquet._key(near), 16, floquet._TAYLOR_ORDER).dtype.kind == "c"
+    m = monodromy(near, lam, dps=30)
+    assert not calls and m.y1.imag != 0
+    exact = monodromy(make_mathieu(1.0), lam, dps=30)
+    assert calls and exact.y1.imag == 0
+    assert m.trace() == pytest.approx(exact.trace(), abs=1e-14)
+
+
+def test_mp_steps_resolve_the_top_mode():
+    # at lam = 4 pi^2 + 0.5 the lam rule alone asks for 16 steps, under which
+    # mode 16 turns a full period per step; the bandwidth term must lift the
+    # default to the 64-step value at the working precision
+    lam = 4 * PI2 + 0.5
+    with mp.workdps(30):
+        ref = floquet._monodromy_mp(WIDE, lam, 64, 30)
+        got = floquet._monodromy_mp(WIDE, lam, floquet._mp_steps(floquet._key(WIDE), lam, 30), 30)
+        assert abs((got[0] + got[3]) - (ref[0] + ref[3])) <= mp.mpf(10) ** -26
 
 
 def test_monodromy_validation():
@@ -247,6 +347,16 @@ def test_mathieu_deep_gaps_frozen():
         assert _model_gamma(info) == pytest.approx(gamma, rel=1e-9)
     # pair subtraction still carries the leading digits of the widest one
     assert (lp - lm).real == pytest.approx(frozen[5], rel=1e-2)
+
+
+def test_gamma_at_working_precision():
+    # gamma_8 ~ 2.1e-21 sits under the ulp of 64 pi^2, so the rounded pair
+    # coincides; info["gamma"] is taken before rounding
+    q = make_mathieu(1.0)
+    lm, lp, info = periodic_eigs_info(q, 8, tol=1e-26, dps=60)
+    assert info["resolved"] and lp == lm
+    assert info["gamma"] == pytest.approx(_model_gamma(info), rel=1e-6)
+    assert info["gamma"].real > 0 and info["gamma"].imag == 0
 
 
 def test_collapse_below_tolerance():

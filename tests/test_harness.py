@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from hillgap import cli
+from hillgap import blockdecomp, cli
 from hillgap.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -136,6 +136,21 @@ def test_adapted_table_band_layout():
     assert isinstance(rows[8]["resid"], float) and rows[8]["iters"] >= 1
 
 
+def test_adapted_rows_carry_the_map_fixed_points():
+    # the alpha cells come from adapted_map itself and must equal a separate
+    # fixed-point solve bit for bit, mean included
+    potential = {"type": "fourier", "coeffs": [[1, 0.25, 0.1], [-1, 0.2, -0.05]],
+                 "mean": [0.75, 0.0]}
+    config = parse_config({"kind": "adapted", "potential": potential, "n_range": [1, 12]})
+    rows, failed = run_table(config)
+    assert not failed
+    band = [row for row in rows if row["re_alpha"] != ""]
+    assert len(band) >= 4
+    for row in band:
+        alpha = blockdecomp.alpha_fixed_point(config.potential, row["n"], config.tol)
+        assert (row["re_alpha"], row["im_alpha"]) == (alpha.real, alpha.imag)
+
+
 def test_verify_weights_report():
     report = run_verify(parse_config({
         "kind": "weights_check", "N": 60, "eps_list": [0.2],
@@ -212,6 +227,15 @@ def test_cli_verify_summary_and_report_file(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["pass"] and report["kind"] == "weights_check"
     assert "PASS" in capsys.readouterr().out
+
+
+def test_cli_verify_mathieu_resolves_gaps_below_double_ulp(tmp_path):
+    # gamma_6..8 fall under the ulp of n^2 pi^2; the 60-digit solve still
+    # resolves them, and the verify ratio must use that gamma
+    cfg = _write(tmp_path / "m.json",
+                 {"potential": {"type": "mathieu", "mu": 1.0}, "n_range": [3, 8],
+                  "oracle": {"method": "mp", "dps": 60}, "tol": 1e-26})
+    assert cli.main(["verify", "mathieu", "-c", cfg]) == 0
 
 
 def test_cli_config_errors_exit_2(tmp_path):
