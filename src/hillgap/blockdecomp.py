@@ -13,6 +13,13 @@ resolvent turns the eigenvalue condition into the singularity of a 2x2 matrix
 with diagonal lam - sigma_n - a_n(lam) (sigma_n = n^2 pi^2) and off-diagonal
 entries c_{+-n}(lam).
 
+The Neumann series is summed on a mode window that grows with the iterate:
+each application of V moves a mode by at most 2K (K the bandwidth of q), so
+after nu rounds the iterate lives on the support of the right-hand side
+widened by 2K nu, and the rounds convolve only that.  mode_cutoff is the hard
+cap on this window, not its working size; once the window reaches it, the
+mass pushed past the edge is tallied as ``lost``.
+
 Everything downstream lives at the point alpha_n where the diagonal vanishes:
 the adapted coefficients p_{+-n} = c_{-+n}(alpha_n), the gap roots xi_-+
 obtained by Newton on lam - sigma_n - a_n -+ phi_n with phi_n = sqrt(c_n
@@ -44,7 +51,7 @@ from .seqspace import (
 
 PI2 = math.pi ** 2
 STRIP_HALF_WIDTH = 12.0   # |Re lam - n^2 pi^2| <= 12 n admits lam
-NU_CAP = 128              # Neumann iteration cap; also sizes the mode window
+NU_CAP = 128              # Neumann iteration cap; also sizes the window cap
 COLLAPSE_PRODUCT = 1e-24  # |c_+ c_-| below this counts as a collapsed gap
 _SINGULAR_TOL = 1e-12
 
@@ -123,7 +130,9 @@ def mode_cutoff(q: FourierPotential, n: int, nu_cap: int = NU_CAP) -> int:
     """Window cap for the resolvent iteration at index n.
 
     Each application of T_n widens the support by 2K, so nu_cap rounds need
-    this much room before truncation loss can appear.
+    this much room before truncation loss can appear.  It is the cap, not the
+    working size: resolve_hat_Tn runs each round on the iterate's support
+    widened by 2K and reaches this window only after about nu_cap rounds.
     """
     return 2 * q.K * nu_cap + n + 8
 
@@ -173,6 +182,11 @@ def resolve_hat_Tn(q: FourierPotential, n: int, lam: complex, rhs: ParityVector,
     The residual in SolveInfo comes from a final direct application of
     I - T_n, so the contract ||(I - T_n) g - rhs|| <= tol ||rhs|| is checked,
     not inferred.
+
+    The iteration runs on a window that grows with the iterate: it starts at
+    the support of rhs and widens by 2K before each application of T_n, so
+    nothing is dropped until it reaches rhs.mcut, the hard cap, where edge
+    mass goes into ``lost``.  The result comes back on rhs's window.
     """
     _require_zero_mean(q)
     nq = q.l2()
@@ -182,12 +196,16 @@ def resolve_hat_Tn(q: FourierPotential, n: int, lam: complex, rhs: ParityVector,
     rhs_norm = rhs.l2()
     if rhs_norm == 0.0:
         return rhs, SolveInfo(0, 0.0, 0.0, rhs.lost)
+    cap = rhs.mcut
+    rhs = rhs.resized(_support_cut(rhs))
     g = rhs
     rate = 2.0 * nq / n
     d_prev = None
     for it in range(1, max_iter + 1):
+        g = g.resized(min(cap, g.mcut + 2 * q.K))
         tg = apply_Tn(q, n, lam, g)
-        g_new = ParityVector(g.parity, g.mcut, rhs.data + tg.data, tg.lost)
+        g_new = ParityVector(g.parity, g.mcut,
+                             rhs.resized(g.mcut).data + tg.data, tg.lost)
         d = float(np.linalg.norm(g_new.data - g.data))
         rate = d / d_prev if d_prev is not None else d / rhs_norm
         g = g_new
@@ -197,9 +215,18 @@ def resolve_hat_Tn(q: FourierPotential, n: int, lam: complex, rhs: ParityVector,
     else:
         raise IterationError(f"resolvent at n = {n} not converged after "
                              f"{max_iter} rounds; last ratio {rate:.3g}")
+    g = g.resized(min(cap, g.mcut + 2 * q.K))
     tg = apply_Tn(q, n, lam, g)
-    resid = float(np.linalg.norm(g.data - tg.data - rhs.data))
-    return g, SolveInfo(it, resid, rate, g.lost)
+    resid = float(np.linalg.norm(g.data - tg.data - rhs.resized(g.mcut).data))
+    return g.resized(cap), SolveInfo(it, resid, rate, g.lost)
+
+
+def _support_cut(f: ParityVector) -> int:
+    """Smallest window cap of f's parity that holds every nonzero entry."""
+    nz = np.flatnonzero(f.data)
+    if nz.size == 0:
+        return f.parity
+    return max(f.mcut - 2 * int(nz[0]), 2 * int(nz[-1]) - f.mcut)
 
 
 def coeff_an_cn(q: FourierPotential, n: int, lam: complex,
@@ -217,10 +244,8 @@ def coeff_an_cn(q: FourierPotential, n: int, lam: complex,
 
 def _reduced_entries(q: FourierPotential, n: int, lam: complex, tol: float):
     mcut = mode_cutoff(q, n)
-    h, info_p = resolve_hat_Tn(
-        q, n, lam, multiply_by_potential(q, unit_vector(n, mcut)), tol)
-    g, info_m = resolve_hat_Tn(
-        q, n, lam, multiply_by_potential(q, unit_vector(-n, mcut)), tol)
+    h, info_p = resolve_hat_Tn(q, n, lam, _potential_column(q, n, mcut), tol)
+    g, info_m = resolve_hat_Tn(q, n, lam, _potential_column(q, -n, mcut), tol)
     info = SolveInfo(info_p.iters + info_m.iters,
                      max(info_p.resid, info_m.resid),
                      max(info_p.rate, info_m.rate),
@@ -229,10 +254,15 @@ def _reduced_entries(q: FourierPotential, n: int, lam: complex, tol: float):
 
 
 def _diagonal_entry(q: FourierPotential, n: int, lam: complex, tol: float):
-    mcut = mode_cutoff(q, n)
-    h, info = resolve_hat_Tn(
-        q, n, lam, multiply_by_potential(q, unit_vector(n, mcut)), tol)
+    h, info = resolve_hat_Tn(q, n, lam,
+                             _potential_column(q, n, mode_cutoff(q, n)), tol)
     return h.coeff(n), info
+
+
+def _potential_column(q: FourierPotential, m: int, mcut: int) -> ParityVector:
+    """V e_m on the window of cap mcut, convolved on its support only."""
+    col = multiply_by_potential(q, unit_vector(m, min(mcut, abs(m) + 2 * q.K)))
+    return col.resized(mcut)
 
 
 class _Tally:

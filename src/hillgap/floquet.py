@@ -98,10 +98,12 @@ class MonodromyMatrix:
 class GapRecord:
     """Oracle-level spectral data at one index n.
 
-    gamma = lam_plus - lam_minus, tau is the gap midpoint, sigma the
-    Sturm-Liouville eigenvalue of the requested boundary angle, delta =
-    sigma - tau, and triangle = |gamma| + |delta| measures the whole spectral
-    triangle in the complex case.
+    gamma = lam_plus - lam_minus, taken at the working precision before the
+    pair is rounded (``info["gamma"]`` of periodic_eigs_info), so gaps below
+    the spacing of doubles near n^2 pi^2 stay resolved.  tau is the gap
+    midpoint, sigma the Sturm-Liouville eigenvalue of the requested boundary
+    angle, delta = sigma - tau, and triangle = |gamma| + |delta| measures the
+    whole spectral triangle in the complex case.
     """
 
     n: int
@@ -760,11 +762,11 @@ def gap_record(q: FourierPotential, n: int, alpha: float = 0.0,
                tol: float = 1e-12, *, method: str = "auto",
                dps: int | None = None) -> GapRecord:
     """Assemble the full oracle record (gap pair, midpoint, delta, triangle)."""
-    lm, lp, _ = periodic_eigs_info(q, n, tol, method=method, dps=dps)
+    lm, lp, info = periodic_eigs_info(q, n, tol, method=method, dps=dps)
     sl_method = "mp" if (method == "mp" or dps is not None) else "taylor"
     sigma = sturm_liouville_eig(q, n, alpha, tol, method=sl_method, dps=dps)
     tau = (lm + lp) / 2
-    gamma = lp - lm
+    gamma = info["gamma"]
     delta = sigma - tau
     return GapRecord(n, lm, lp, gamma, tau, sigma, delta, abs(gamma) + abs(delta))
 

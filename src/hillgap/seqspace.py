@@ -216,6 +216,26 @@ class ParityVector:
     def l2(self) -> float:
         return float(np.linalg.norm(self.data))
 
+    def resized(self, mcut: int) -> "ParityVector":
+        """The same coefficients on the window of cap mcut (parity-fitted).
+
+        Widening pads zeros at both ends; narrowing drops edge modes and adds
+        their l2 mass to ``lost``, like a convolution at the window edge.
+        """
+        mcut = _fit_parity(self.parity, mcut)
+        if mcut == self.mcut:
+            return self
+        if mcut > self.mcut:
+            pad = (mcut - self.mcut) // 2
+            data = np.zeros(mcut + 1, dtype=self.data.dtype)
+            data[pad:pad + self.mcut + 1] = self.data
+            return ParityVector(self.parity, mcut, data, self.lost)
+        cut = (self.mcut - mcut) // 2
+        dropped = float(np.linalg.norm(self.data[:cut]) ** 2
+                        + np.linalg.norm(self.data[cut + mcut + 1:]) ** 2)
+        return ParityVector(self.parity, mcut, self.data[cut:cut + mcut + 1].copy(),
+                            self.lost + math.sqrt(dropped))
+
 
 def zero_vector(parity: int, mcut: int) -> ParityVector:
     mcut = _fit_parity(parity, mcut)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hillgap import blockdecomp
 from hillgap.blockdecomp import (
     ContractionError,
     DomainError,
@@ -19,9 +20,12 @@ from hillgap.blockdecomp import (
     mode_cutoff,
     n_gap_approximant,
     resolve_hat_Tn,
+    _support_cut,
 )
 from hillgap.floquet import periodic_eigs
 from hillgap.seqspace import (
+    FourierPotential,
+    ParityVector,
     make_fourier,
     make_gasymov,
     make_mathieu,
@@ -271,3 +275,91 @@ def test_truncate_respects_threshold():
     for n in range(1, 10):
         assert t.coeff(n) == p.coeff(n)
     assert t.coeff(10) == 0.0
+
+
+# The Neumann loop as it ran before the window grew with the iterate: every
+# round on the full window of rhs.  Reference for the growing-window solver.
+def _full_window_resolve(q, n, lam, rhs, tol=1e-12):
+    rhs_norm = rhs.l2()
+    g = rhs
+    for it in range(1, 129):
+        tg = apply_Tn(q, n, lam, g)
+        g_new = ParityVector(g.parity, g.mcut, rhs.data + tg.data, tg.lost)
+        d = float(np.linalg.norm(g_new.data - g.data))
+        g = g_new
+        if d <= tol * rhs_norm:
+            break
+    resid = float(np.linalg.norm(g.data - apply_Tn(q, n, lam, g).data - rhs.data))
+    return g, it, resid
+
+
+WIDE = make_random(gevrey(0, 1, 0.5), seed=5, K=64, real=False)
+
+
+@pytest.mark.parametrize("q, n", [(WIDE, 8), (make_mathieu(1.0), 4)],
+                         ids=["gevrey_K64", "mathieu"])
+def test_growing_window_matches_full_window(q, n):
+    lam = n * n * PI2 + 0.3 + 0.1j
+    for s in (n, -n):
+        rhs = multiply_by_potential(q, unit_vector(s, mode_cutoff(q, n)))
+        ref, ref_iters, ref_resid = _full_window_resolve(q, n, lam, rhs)
+        g, info = resolve_hat_Tn(q, n, lam, rhs)
+        assert g.mcut == rhs.mcut
+        # the far edge of the iterate is summed in another order by the
+        # shorter convolutions; the resonant entries are interior and exact
+        assert np.max(np.abs(g.data - ref.data)) <= 1e-15 * ref.l2()
+        assert (g.coeff(n), g.coeff(-n)) == (ref.coeff(n), ref.coeff(-n))
+        assert info.iters == ref_iters
+        assert info.lost == 0.0
+        assert info.resid == pytest.approx(ref_resid, rel=1e-6, abs=1e-15 * ref.l2())
+    # the reduced entries, built from columns convolved on their support only
+    mcut = mode_cutoff(q, n)
+    h, _, _ = _full_window_resolve(
+        q, n, lam, multiply_by_potential(q, unit_vector(n, mcut)))
+    g, _, _ = _full_window_resolve(
+        q, n, lam, multiply_by_potential(q, unit_vector(-n, mcut)))
+    assert coeff_an_cn(q, n, lam) == (h.coeff(n), h.coeff(-n), g.coeff(n))
+
+
+def test_growing_window_at_the_cap():
+    # a window three rounds wide for a solve that needs more: the growing
+    # window reaches the cap and from there drops edge mass like the full one
+    q = make_mathieu(2.5)
+    n, lam = 4, 16 * PI2 + 0.5
+    rhs = multiply_by_potential(q, unit_vector(n, n + 2 * q.K * 3))
+    ref, ref_iters, _ = _full_window_resolve(q, n, lam, rhs)
+    g, info = resolve_hat_Tn(q, n, lam, rhs)
+    assert info.iters == ref_iters > 3
+    assert info.lost > 0.0
+    assert info.lost == ref.lost
+    assert np.array_equal(g.data, ref.data)
+    strong = FourierPotential(WIDE.K, 5.0 * WIDE.data)   # 2 ||q|| / n = 0.68
+    n, lam = 8, 64 * PI2 + 0.3
+    rhs = multiply_by_potential(strong, unit_vector(n, n + 2 * strong.K * 3))
+    ref, ref_iters, _ = _full_window_resolve(strong, n, lam, rhs)
+    g, info = resolve_hat_Tn(strong, n, lam, rhs)
+    assert info.iters == ref_iters > 3
+    assert info.lost > 0.0
+    assert info.lost == pytest.approx(ref.lost, rel=1e-12)
+    assert np.max(np.abs(g.data - ref.data)) <= 1e-15 * ref.l2()
+
+
+def test_growing_window_work(monkeypatch):
+    # every convolution runs on its input's support widened by 2K, and the
+    # whole reduced-entry solve costs a small part of cap-sized rounds
+    q, n = WIDE, 8
+    cap = mode_cutoff(q, n)
+    calls = []
+    spied = blockdecomp.multiply_by_potential
+
+    def spy(q_, f):
+        calls.append((f.mcut, _support_cut(f), len(q_.data) * len(f.data)))
+        return spied(q_, f)
+
+    monkeypatch.setattr(blockdecomp, "multiply_by_potential", spy)
+    blockdecomp._reduced_entries(q, n, n * n * PI2 + 0.3, 1e-12)
+    assert len(calls) >= 6
+    for mcut, support, _ in calls:
+        assert mcut <= min(cap, support + 2 * q.K)
+    full = len(calls) * len(q.data) * (cap + 1)
+    assert sum(madds for _, _, madds in calls) <= full / 4

@@ -415,13 +415,27 @@ def test_gap_record_consistency():
     q = make_mathieu(0.5)
     for n in (1, 2):
         rec = gap_record(q, n)
-        assert rec.gamma == rec.lam_plus - rec.lam_minus
+        _, _, info = periodic_eigs_info(q, n)
+        # gamma is the difference taken before rounding; it agrees with the
+        # difference of the rounded endpoints to a few ulps of n^2 pi^2
+        assert rec.gamma == info["gamma"]
+        assert abs(rec.gamma - (rec.lam_plus - rec.lam_minus)) <= (
+            4 * math.ulp(n * n * math.pi ** 2))
         assert rec.tau == (rec.lam_plus + rec.lam_minus) / 2
         assert rec.delta == rec.sigma - rec.tau
         assert rec.triangle == abs(rec.gamma) + abs(rec.delta)
         # real potential: the Dirichlet eigenvalue sits inside the closed gap
         assert rec.lam_minus.real - 1e-9 <= rec.sigma.real <= rec.lam_plus.real + 1e-9
         assert abs(rec.sigma.imag) < 1e-9
+
+
+def test_gap_record_keeps_gaps_below_double_spacing():
+    # at n = 7 the gap, 7.96e-18, is far below the spacing of doubles near
+    # 49 pi^2 (5.7e-14): both endpoints round to the same double
+    rec = gap_record(make_mathieu(1.0), 7, tol=1e-26, method="mp", dps=60)
+    assert rec.lam_plus == rec.lam_minus
+    assert rec.gamma.real == pytest.approx(7.96e-18, rel=1e-2)
+    assert rec.triangle == abs(rec.gamma) + abs(rec.delta)
 
 
 def test_delta_linear_model():

@@ -119,6 +119,21 @@ def test_parity_vector_layout():
     assert zero_vector(0, 8).l2() == 0.0
 
 
+def test_resized_pads_and_crops():
+    f = ParityVector(1, 3, np.array([1.0, 2.0, 3.0, 4.0], dtype=complex), lost=0.5)
+    wide = f.resized(8)              # fitted to the odd cap 7
+    assert wide.mcut == 7
+    assert [wide.coeff(m) for m in (-7, -5, -3, -1, 1, 3, 5, 7)] == [0, 0, 1, 2, 3, 4, 0, 0]
+    assert wide.lost == 0.5
+    assert f.resized(3) is f
+    back = wide.resized(3)
+    assert np.array_equal(back.data, f.data) and back.lost == 0.5
+    # cropping real entries tallies their l2 mass, like a convolution edge
+    narrow = f.resized(1)
+    assert [narrow.coeff(m) for m in (-1, 1)] == [2, 3]
+    assert narrow.lost == pytest.approx(0.5 + math.sqrt(1 + 16), rel=1e-15)
+
+
 def test_shifted_wnorm_examples():
     w = polynomial(1)
     f = unit_vector(4, 8)
