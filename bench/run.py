@@ -1,0 +1,152 @@
+"""Layer timings of hillgap, written to BENCH_<label>.json at the repo root.
+
+    python3 bench/run.py --label NAME [--repeat R]
+
+Run from anywhere; hillgap is imported from this checkout's ``src``.  The
+file records:
+
+  * machine facts: CPU count, platform, Python, numpy and mpmath versions,
+    mpmath's arithmetic backend, and whether numba and gmpy2 import;
+  * one monodromy evaluation per backend (taylor, rk4, mp30, mp60) on the
+    Mathieu potential cos(2 pi x) at lam = n^2 pi^2, n = 3 and 10: the
+    first call (which builds the coefficient table) and the median of R
+    warm calls, in ms;
+  * one ``periodic_eigs_info`` solve (method "auto") on that potential at
+    n = 3 and 10 and on the complex K = 16 Gevrey draw of the
+    wideband_complex workload at n = 15: first and median warm wall time,
+    with the path taken, the Newton iterations, and the solve ledger
+    (transports and summed jet order per path) when the code reports one;
+  * the CLI, ``hillgap gaps -c CONFIG``, as a process of its own on each
+    config under perfbench/configs (read only): median wall time of R runs.
+
+Each number is a single-machine measurement; compare files written on the
+same machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+SRC = os.path.join(ROOT, "src")
+CONFIGS = os.path.join(ROOT, "perfbench", "configs")
+sys.path.insert(0, SRC)
+
+import mpmath  # noqa: E402
+import numpy as np  # noqa: E402
+
+from hillgap import floquet, make_mathieu, make_random  # noqa: E402
+from hillgap.weights import gevrey  # noqa: E402
+
+
+def machine() -> dict:
+    return {
+        "nproc": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "mpmath": mpmath.__version__,
+        "mpmath_backend": mpmath.libmp.BACKEND,
+        "numba": importlib.util.find_spec("numba") is not None,
+        "gmpy2": importlib.util.find_spec("gmpy2") is not None,
+    }
+
+
+def _timed(fn) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def _first_and_warm(fn, repeat: int) -> tuple[float, float]:
+    first = _timed(fn)
+    return first, statistics.median(_timed(fn) for _ in range(repeat))
+
+
+def monodromy_times(repeat: int) -> dict:
+    q = make_mathieu(1.0)
+    out = {}
+    for n in (3, 10):
+        lam = n * n * math.pi ** 2
+        for name, kw in (("taylor", {"method": "taylor"}), ("rk4", {"method": "rk4"}),
+                         ("mp30", {"dps": 30}), ("mp60", {"dps": 60})):
+            first, warm = _first_and_warm(lambda: floquet.monodromy(q, lam, **kw), repeat)
+            out[f"{name}_n{n}"] = {"first_ms": 1e3 * first, "warm_ms": 1e3 * warm}
+    return out
+
+
+def solve_times(repeat: int) -> dict:
+    cosine = make_mathieu(1.0)
+    wide = make_random(gevrey(0, 1, 0.5), seed=11, K=16, real=False)
+    out = {}
+    for name, q, n in (("cosine_n3", cosine, 3), ("cosine_n10", cosine, 10),
+                       ("wideband_n15", wide, 15)):
+        result = []
+
+        def solve():
+            result[:] = [floquet.periodic_eigs_info(q, n)[2]]
+
+        first, warm = _first_and_warm(solve, repeat)
+        info = result[0]
+        out[name] = {"first_s": first, "warm_s": warm, "method": info["method"],
+                     "iters": info["iters"], "kernels": info.get("kernels"),
+                     "escalated": info.get("escalated")}
+    return out
+
+
+def cli_times(repeat: int) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    argv = [sys.executable, "-c",
+            "import sys; from hillgap import cli; sys.exit(cli.main(sys.argv[1:]))"]
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(os.listdir(CONFIGS)):
+            if not name.endswith(".json"):
+                continue
+            cmd = argv + ["gaps", "-c", os.path.join(CONFIGS, name),
+                          "--out", os.path.join(tmp, "table.csv")]
+            walls = []
+            for _ in range(repeat):
+                start = time.perf_counter()
+                code = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode
+                walls.append(time.perf_counter() - start)
+            out[name[:-len(".json")]] = {"wall_s": statistics.median(walls), "exit": code}
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
+    parser.add_argument("--repeat", type=int, default=5,
+                        help="warm calls per layer timing, runs per CLI config")
+    args = parser.parse_args(argv)
+    report = {
+        "label": args.label,
+        "date": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "machine": machine(),
+        "monodromy": monodromy_times(args.repeat),
+        "periodic_eigs_info": solve_times(args.repeat),
+        "cli_gaps": cli_times(max(1, args.repeat // 2)),
+    }
+    path = os.path.join(ROOT, f"BENCH_{args.label}.json")
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

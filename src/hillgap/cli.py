@@ -6,9 +6,7 @@
                    -c config.json [--out report.json] [--json]
 
 Exit status: 0 on success, 1 when a check fails or a table row records a
-numerical error, 2 on config errors.  HILLGAP_THREADS sets the worker count
-for index sweeps; results are collected in index order, so the output does
-not depend on it.
+numerical error, 2 on config errors.
 """
 
 from __future__ import annotations

@@ -38,10 +38,27 @@ loop.  So the double critical point of a real potential is exactly real, the
 high-precision solve it seeds stays on the real loop, and the eigenvalue
 pairs come back with imaginary parts exactly 0.
 
+The fixed-point step also carries a jet in lambda: for each column it
+transports t_0..t_D, t_k = (1/k!) d^k/dlambda^k of the solution, whose Taylor
+coefficients in x obey the variational recurrence
+
+    a_k[m+2] = (sum_i C_i a_k[m-i] - lambda a_k[m] - a_(k-1)[m]) / ((m+1)(m+2))
+
+in the same integer arithmetic (Taylor integration with variational
+equations, Jorba & Zou, Experimental Math. 14 (2005)).  Order 0 is the plain
+transport, bit for bit; an order-D jet costs about D + 1 transports and
+gives the monodromy as a polynomial in lambda around its centre.
+
 Near a spectral gap the discriminant is almost a parabola touching +-2, so the
 eigenvalue solver first locates the critical point by Newton on Delta', then
 uses the quadratic model gamma = 2 sqrt(-2 D*/Delta'') to seed and polish the
-two roots (the second deflated by the first).  A gap is reported collapsed
+two roots (the second deflated by the first).  The double paths take Delta'
+and Delta'' by central differences; the high-precision path reads them off
+the jet by Horner, within a radius the jet's own highest coefficients set,
+and builds a new jet only for a point outside it.  Its order is chosen from
+the span the solve will visit: the error of the double critical point that
+seeds an escalation, plus half the gap when the double solve resolved it,
+so one jet usually serves the whole solve.  A gap is reported collapsed
 when the model separation falls under the tolerance; when the dip D* drowns in
 integrator noise the pair is returned at the model positions and flagged
 unresolved in the diagnostics, which the "auto" method escalates to mpmath.
@@ -50,6 +67,7 @@ unresolved in the diagnostics, which the "auto" method escalates to mpmath.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -378,78 +396,105 @@ def _mp_table(key, steps, order, dps):
     return real, rows
 
 
-def _fixed_step(row, lr, li, state, steps, bits):
-    """One Taylor step of one column (y, y') in complex fixed point.
+def _fixed_step(row, lr, li, jet, steps, bits):
+    """One Taylor step of one column's lam-jet in complex fixed point.
 
-    Numbers are (re, im) pairs of ints scaled by 2^bits.  The convolution
-    sum C_i a[m-i] runs in C through sum(map(mul, ...)) at scale 2^(2 bits);
-    the division by (m+1)(m+2) folds one scale back out, and the Horner sum
-    in h = 1/steps divides by the integer step count.
+    ``jet`` holds, for k = 0..D, the state (y, y') of t_k = (1/k!) d^k/dlam^k
+    of the column, as (re, im) pairs of ints scaled by 2^bits.  Order k
+    obeys t_k'' = (q - lam) t_k - t_(k-1), so its Taylor coefficients are
+    a_k[m+2] = (sum_i C_i a_k[m-i] - lam a_k[m] - a_(k-1)[m]) / ((m+1)(m+2)).
+    The convolution sum runs in C through sum(map(mul, ...)) at scale
+    2^(2 bits); the division by (m+1)(m+2) folds one scale back out, and the
+    Horner sum in h = 1/steps divides by the integer step count.
     """
     cr, ci, cs = row
-    yr, yi, dyr, dyi = state
-    ar, ai = [yr, dyr], [yi, dyi]
-    # a[m], a[m-1], ..., a[0], newest first, lined up against C_0, C_1, ...
-    rr, ri, rs = [yr], [yi], [yr + yi]
-    for m in range(len(cr)):
-        t1 = sum(map(mul, cr, rr))
-        t2 = sum(map(mul, ci, ri))
-        t3 = sum(map(mul, cs, rs))
-        xr, xi = rr[0], ri[0]
-        d = ((m + 1) * (m + 2)) << bits
-        ar.append((t1 - t2 - lr * xr + li * xi) // d)
-        ai.append((t3 - t1 - t2 - lr * xi - li * xr) // d)
-        rr.insert(0, ar[m + 1])
-        ri.insert(0, ai[m + 1])
-        rs.insert(0, ar[m + 1] + ai[m + 1])
-    top = len(ar) - 1
-    yr, yi = ar[top], ai[top]
-    dyr, dyi = top * yr, top * yi
-    for m in range(top - 1, 0, -1):
-        yr = yr // steps + ar[m]
-        yi = yi // steps + ai[m]
-        dyr = dyr // steps + m * ar[m]
-        dyi = dyi // steps + m * ai[m]
-    return yr // steps + ar[0], yi // steps + ai[0], dyr, dyi
+    out = []
+    pr = pi = None  # a_(k-1), real and imaginary parts
+    for yr, yi, dyr, dyi in jet:
+        ar, ai = [yr, dyr], [yi, dyi]
+        # a[m], a[m-1], ..., a[0], newest first, lined up against C_0, C_1, ...
+        rr, ri, rs = [yr], [yi], [yr + yi]
+        for m in range(len(cr)):
+            t1 = sum(map(mul, cr, rr))
+            t2 = sum(map(mul, ci, ri))
+            t3 = sum(map(mul, cs, rs))
+            xr, xi = rr[0], ri[0]
+            nr = t1 - t2 - lr * xr + li * xi
+            ni = t3 - t1 - t2 - lr * xi - li * xr
+            if pr is not None:
+                nr -= pr[m] << bits
+                ni -= pi[m] << bits
+            d = ((m + 1) * (m + 2)) << bits
+            ar.append(nr // d)
+            ai.append(ni // d)
+            rr.insert(0, ar[m + 1])
+            ri.insert(0, ai[m + 1])
+            rs.insert(0, ar[m + 1] + ai[m + 1])
+        top = len(ar) - 1
+        yr, yi = ar[top], ai[top]
+        dyr, dyi = top * yr, top * yi
+        for m in range(top - 1, 0, -1):
+            yr = yr // steps + ar[m]
+            yi = yi // steps + ai[m]
+            dyr = dyr // steps + m * ar[m]
+            dyi = dyi // steps + m * ai[m]
+        out.append((yr // steps + ar[0], yi // steps + ai[0], dyr, dyi))
+        pr, pi = ar, ai
+    return out
 
 
-def _fixed_step_real(cr, lr, state, steps, bits):
+def _fixed_step_real(cr, lr, jet, steps, bits):
     """_fixed_step for a real row at real lam: one product sum per order."""
-    y, dy = state
-    a = [y, dy]
-    r = [y]  # a[m], ..., a[0], newest first
-    for m in range(len(cr)):
-        a.append((sum(map(mul, cr, r)) - lr * r[0]) // (((m + 1) * (m + 2)) << bits))
-        r.insert(0, a[m + 1])
-    top = len(a) - 1
-    y = a[top]
-    dy = top * y
-    for m in range(top - 1, 0, -1):
-        y = y // steps + a[m]
-        dy = dy // steps + m * a[m]
-    return y // steps + a[0], dy
+    out = []
+    prev = None  # a_(k-1)
+    for y, dy in jet:
+        a = [y, dy]
+        r = [y]  # a[m], ..., a[0], newest first
+        for m in range(len(cr)):
+            s = sum(map(mul, cr, r)) - lr * r[0]
+            if prev is not None:
+                s -= prev[m] << bits
+            a.append(s // (((m + 1) * (m + 2)) << bits))
+            r.insert(0, a[m + 1])
+        top = len(a) - 1
+        y = a[top]
+        dy = top * y
+        for m in range(top - 1, 0, -1):
+            y = y // steps + a[m]
+            dy = dy // steps + m * a[m]
+        out.append((y // steps + a[0], dy))
+        prev = a
+    return out
 
 
-def _fixed_kernel(table, lam, bits):
-    # caller holds the working precision; lam enters and the entries leave
-    # at it, so mpmath Newton iterates keep their digits.  A real table at
-    # real lam keeps every imaginary part at zero, so it runs the real loop,
-    # which gives the same integers as the complex one
+def _fixed_kernel(table, lam, bits, order=0):
+    """Monodromy entries and their lam-jet up to ``order`` at lam.
+
+    Returns 4 (order + 1) mpmath numbers, order by order: t_k of
+    (y1, y1', y2, y2'), t_k being (1/k!) d^k/dlam^k at lam.  The caller
+    holds the working precision; lam enters and the entries leave at it, so
+    mpmath Newton iterates keep their digits.  A real table at real lam
+    keeps every imaginary part at zero, so it runs the real loop, which
+    gives the same integers as the complex one.
+    """
     real, rows = table
     steps = len(rows)
     lam = mp.mpc(lam)
     lr, li = to_fixed(lam.real._mpf_, bits), to_fixed(lam.imag._mpf_, bits)
     one = 1 << bits
     if real and lam.imag == 0:
-        cols = ((one, 0), (0, one))
+        cols = [[(one, 0)] + [(0, 0)] * order, [(0, one)] + [(0, 0)] * order]
         for row in rows:
-            cols = tuple(_fixed_step_real(row[0], lr, c, steps, bits) for c in cols)
-        return tuple(mp.mpc(mp.mpf((v, -bits))) for c in cols for v in c)
-    cols = ((one, 0, 0, 0), (0, 0, one, 0))
+            cols = [_fixed_step_real(row[0], lr, c, steps, bits) for c in cols]
+        return tuple(mp.mpc(mp.mpf((v, -bits)))
+                     for k in range(order + 1) for c in cols for v in c[k])
+    cols = [[(one, 0, 0, 0)] + [(0, 0, 0, 0)] * order,
+            [(0, 0, one, 0)] + [(0, 0, 0, 0)] * order]
     for row in rows:
-        cols = tuple(_fixed_step(row, lr, li, c, steps, bits) for c in cols)
+        cols = [_fixed_step(row, lr, li, c, steps, bits) for c in cols]
     return tuple(mp.mpc(mp.mpf((re, -bits)), mp.mpf((im, -bits)))
-                 for c in cols for re, im in ((c[0], c[1]), (c[2], c[3])))
+                 for k in range(order + 1) for c in cols
+                 for re, im in ((c[k][0], c[k][1]), (c[k][2], c[k][3])))
 
 
 def _monodromy_mp(q: FourierPotential, lam, steps: int, dps: int):
@@ -498,62 +543,207 @@ def discriminant(q: FourierPotential, lam: complex, steps: int | None = None,
 
 # ---------------------------------------------------------------------------
 # eigenvalue machinery
+#
+# A discriminant backend serves one linear functional ``form`` of the
+# monodromy entries (the trace, or a boundary form).  The solvers ask it for
+# g = (form(M(lam)) - const) / (lam - deflate) and its first lam-derivatives
+# at a point; without deflate there is no division.  The double backends
+# take the derivatives by central differences, the fixed-point ladder reads
+# them off a lam-jet of the form.
+
+_JET_MIN_ORDER = 3          # Delta'' and one coefficient past it for the radius
+_JET_MAX_ORDER = 20
 
 
-class _Disc:
-    """One discriminant evaluation path, with its noise floor, for the solvers."""
+def _trace(e):
+    return e[0] + e[3]
 
-    def __init__(self, q: FourierPotential, method: str, dps: int | None,
-                 center: complex, steps: int | None = None):
-        self.method = method
-        self.dps = 0
+
+def _boundary_form(alpha: float):
+    # u solves the ODE with (u, u')(0) = (-sin a, cos a); the form
+    # u(1) cos a + u'(1) sin a vanishes at the eigenvalue
+    sa, ca = math.sin(alpha), math.cos(alpha)
+
+    def form(e):
+        y11, y12, y21, y22 = e
+        u1 = -sa * y11 + ca * y21
+        du1 = -sa * y12 + ca * y22
+        return u1 * ca + du1 * sa
+
+    return form
+
+
+class _FdDisc:
+    """Double-precision discriminant: one kernel call per value, derivatives
+    by central differences (step ``h_curv`` for Delta'', ``h_slope`` for
+    Newton slopes, both scaled by n)."""
+
+    def __init__(self, q: FourierPotential, method: str, center: complex, n: int,
+                 steps: int | None = None, form=_trace):
         key = _key(q)
-        if method == "mp":
-            self.dps = dps or _DEFAULT_DPS
-            n_steps = steps or _mp_steps(key, center, self.dps)
-            table = _mp_table(key, n_steps, _mp_order(self.dps), self.dps)
-            bits = _fixed_bits(self.dps)
-            self.fn = lambda lam: _fixed_kernel(table, lam, bits)
-            self.noise = _mp_noise(self.dps)
-        elif method == "taylor":
-            n_steps = steps or _taylor_steps(center)
-            table = _taylor_table(key, n_steps, _TAYLOR_ORDER)
+        self.form = form
+        if method == "taylor":
+            table = _taylor_table(key, steps or _taylor_steps(center), _TAYLOR_ORDER)
             self.fn = lambda lam: _taylor_kernel(table, complex(lam))
             self.noise = _TAYLOR_NOISE
         elif method == "rk4":
-            n_steps = steps or default_steps(center)
-            qs = _rk4_samples(key, n_steps)
+            qs = _rk4_samples(key, steps or default_steps(center))
             self.fn = lambda lam: _rk4_kernel(qs, complex(lam))
             # RK4 error is truncation bias, not roundoff
             self.noise = 1e-9
         else:
             raise ValueError(f"unknown oracle method {method!r}")
+        self.name = method
+        scale = max(1.0, float(n))
+        self.h_curv = max(1e-5, 2e-4 * scale)
+        self.h_slope = 1e-6 * scale
+        # a slope differenced over h_curv carries noise / h_curv
+        self.slope_noise = self.noise / self.h_curv
+        self.transports = 0
 
-    def trace(self, lam) -> complex:
-        y11, _, _, y22 = self.fn(lam)
-        return y11 + y22
-
-    def boundary(self, lam, alpha: float) -> complex:
-        # u solves the ODE with (u, u')(0) = (-sin a, cos a); the form
-        # u(1) cos a + u'(1) sin a vanishes at the eigenvalue
-        y11, y12, y21, y22 = self.fn(lam)
-        sa, ca = math.sin(alpha), math.cos(alpha)
-        u1 = -sa * y11 + ca * y21
-        du1 = -sa * y12 + ca * y22
-        return u1 * ca + du1 * sa
+    def precision(self):
+        return contextlib.nullcontext()
 
     def sqrt(self, z):
-        return mp.sqrt(z) if self.method == "mp" else cmath.sqrt(z)
+        return cmath.sqrt(z)
 
-    def fd_curvature_step(self, scale: float):
-        if self.method == "mp":
-            return mp.mpf(10) ** (-(self.dps // 4)) * scale
-        return max(1e-5, 2e-4 * scale)
+    def cover(self, lam, span) -> None:
+        """Nothing to prepare: every value is a kernel call of its own."""
 
-    def fd_slope_step(self, scale: float):
-        if self.method == "mp":
-            return mp.mpf(10) ** (-(self.dps // 3)) * scale
-        return 1e-6 * scale
+    def derivs(self, lam, order: int, const=0.0, deflate=None, value=None):
+        # value: g(lam) from an earlier call, which saves its kernel call
+        h = self.h_curv if order == 2 else self.h_slope
+
+        def g(x):
+            self.transports += 1
+            f = self.form(self.fn(x))
+            if const:
+                f = f - const
+            if deflate is None:
+                return f
+            denom = x - deflate
+            return f / (denom if denom != 0 else self.h_slope)
+
+        f0 = g(lam) if value is None else value
+        if order == 0:
+            return (f0,)
+        fp, fm = g(lam + h), g(lam - h)
+        if order == 1:
+            return f0, (fp - fm) / (2 * h)
+        return f0, (fp - fm) / (2 * h), (fp - 2 * f0 + fm) / (h * h)
+
+    def kernels(self) -> dict:
+        return {self.name: {"transports": self.transports, "jet_order": 0}}
+
+
+def _jet_order(span: float, lam, eps: float) -> int:
+    """Lowest jet order whose radius should reach ``span``.
+
+    An order-D jet reports the radius rho eps^(1/(D+1)) (see _JetDisc).
+    rho is modelled as 0.75 (D-1) s with s = sqrt|lam|: the free
+    discriminant's coefficients (2s)^-k / k! give rho ~ 2 s (k!)^(1/k), and
+    the trace jets of the cosine and of the complex K = 16 Gevrey draw report
+    rho between 0.9 (D-1) s and 1.25 (D-1) s at D = 3..8, n = 3..24.  An
+    optimistic model costs one re-centred jet, never accuracy.
+    """
+    s = max(1.0, math.sqrt(abs(complex(lam))))
+    for order in range(_JET_MIN_ORDER, _JET_MAX_ORDER):
+        if 0.75 * (order - 1) * s * eps ** (1.0 / (order + 1)) >= span:
+            return order
+    return _JET_MAX_ORDER
+
+
+def _jet_radius(coeffs, eps: float):
+    """(rho, radius) of a jet f_0..f_D by the rule _JetDisc states."""
+    order = len(coeffs) - 1
+    top = [float(abs(c)) for c in coeffs[-2:]]
+    rho = min((t ** (-1.0 / k) for k, t in zip((order - 1, order), top) if t > 0),
+              default=0.0)
+    return rho, rho * eps ** (1.0 / (order + 1))
+
+
+class _JetDisc:
+    """Fixed-point discriminant serving values and derivatives from a lam-jet.
+
+    It holds one jet of its form: the centre, the coefficients f_0..f_D of
+    form(M) in powers of lam - centre, and a radius.  Within the radius the
+    value and the first two derivatives come from the jet polynomial by
+    Horner; a point outside it gets a new jet centred there.  The radius is
+    Jorba & Zou's step rule (Experimental Math. 14 (2005)): rho = min over
+    k = D-1, D of |f_k|^(-1/k), the minimum over the two highest
+    coefficients guarding against a vanishing last one; at distance
+    rho eps^(1/(D+1)) the tail the jet drops stays near eps, a thousandth of
+    the noise floor.
+    """
+
+    def __init__(self, q: FourierPotential, dps: int | None, center: complex,
+                 steps: int | None = None, form=_trace):
+        self.form = form
+        self.dps = dps or _DEFAULT_DPS
+        key = _key(q)
+        self.table = _mp_table(key, steps or _mp_steps(key, center, self.dps),
+                               _mp_order(self.dps), self.dps)
+        self.bits = _fixed_bits(self.dps)
+        self.noise = self.slope_noise = _mp_noise(self.dps)
+        self.eps = self.noise / 1000.0
+        self.name = f"mp{self.dps}"
+        self.center = None
+        self.transports = self.jet_order = 0
+
+    def precision(self):
+        return mp.workdps(self.dps)
+
+    def sqrt(self, z):
+        return mp.sqrt(z)
+
+    def cover(self, lam, span) -> None:
+        """Make the jet serve every point within ``span`` of lam."""
+        if self.center is None or abs(lam - self.center) + span > self.radius:
+            self._build(lam, span)
+
+    def _build(self, lam, span) -> None:
+        order = _jet_order(float(span), lam, self.eps)
+        flat = _fixed_kernel(self.table, lam, self.bits, order)
+        self.center = mp.mpc(lam)
+        self.coeffs = [self.form(flat[4 * k:4 * k + 4]) for k in range(order + 1)]
+        self.rho, self.radius = _jet_radius(self.coeffs, self.eps)
+        self.transports += 1
+        self.jet_order += order
+
+    def derivs(self, lam, order: int, const=0.0, deflate=None, value=None):
+        # value is not needed: the jet serves g(lam) by Horner anyway
+        if self.center is None:
+            self._build(lam, 0.0)
+        elif abs(lam - self.center) > self.radius:
+            # a Newton step of length d on exact derivatives lands within
+            # about d^2 / rho of its target, rho being the coefficient scale
+            d = float(abs(lam - self.center))
+            self._build(lam, min(d, d * d / self.rho) if self.rho > 0 else d)
+        e = lam - self.center
+        p, d1, d2 = self.coeffs[-1], 0, 0
+        for c in reversed(self.coeffs[:-1]):
+            d2 = d2 * e + d1
+            d1 = d1 * e + p
+            p = p * e + c
+        out = [p - const, d1, 2 * d2][:order + 1]
+        if deflate is not None:
+            # Leibniz on g (lam - deflate) = f
+            denom = lam - deflate
+            if denom == 0:
+                denom = self.noise
+            for j in range(order + 1):
+                out[j] = (out[j] - j * out[j - 1]) / denom if j else out[0] / denom
+        return tuple(out)
+
+    def kernels(self) -> dict:
+        return {self.name: {"transports": self.transports, "jet_order": self.jet_order}}
+
+
+def _disc(q: FourierPotential, method: str, dps: int | None, center: complex, n: int,
+          steps: int | None = None, form=_trace):
+    if method == "mp":
+        return _JetDisc(q, dps, center, steps, form)
+    return _FdDisc(q, method, center, n, steps, form)
 
 
 def _lex_pair(a, b):
@@ -566,19 +756,14 @@ def _lex_pair(a, b):
     return b, a
 
 
-def _newton_critical(disc: _Disc, lam0, n: int, tol: float, max_iter: int = 40):
+def _newton_critical(disc, lam0, n: int, tol: float, max_iter: int = 40):
     """Newton on Delta' = 0 from lam0; returns (lam*, Delta(lam*), Delta'', iters)."""
     scale = max(1.0, float(n))
-    h = disc.fd_curvature_step(scale)
     clip = 6.0 * scale
     lam = lam0
     prev_step = None
     for it in range(1, max_iter + 1):
-        f0 = disc.trace(lam)
-        fp = disc.trace(lam + h)
-        fm = disc.trace(lam - h)
-        d1 = (fp - fm) / (2 * h)
-        d2 = (fp - 2 * f0 + fm) / (h * h)
+        _, d1, d2 = disc.derivs(lam, 2)
         if d2 == 0:
             raise RootSearchError("flat discriminant curvature in critical-point search")
         step = d1 / d2
@@ -589,42 +774,33 @@ def _newton_critical(disc: _Disc, lam0, n: int, tol: float, max_iter: int = 40):
             raise RootSearchError("critical point escaped the search strip")
         a = abs(step)
         if a <= tol:
-            return lam, disc.trace(lam), d2, it
+            return lam, disc.derivs(lam, 0)[0], d2, it
         # finite-difference slopes bottom out above tol; a small step that
         # has stopped halving means we sit in the noise ball around lam*
         if prev_step is not None and 2.0 * a >= prev_step and a <= 1e-5 * scale:
-            return lam, disc.trace(lam), d2, it
+            return lam, disc.derivs(lam, 0)[0], d2, it
         prev_step = a
     raise RootSearchError("critical-point Newton did not converge")
 
 
-def _newton_root(disc: _Disc, fun, seed, tol: float, scale: float,
+def _newton_root(disc, const, seed, tol: float, scale: float,
                  deflate=None, max_iter: int = 30):
-    """Damped Newton with finite-difference slope; keeps the best residual seen.
+    """Damped Newton on disc.form(M(lam)) = const; keeps the best residual seen.
 
-    With ``deflate`` set, iterates on fun(lam)/(lam - deflate) so the second
-    root of a nearly-double pair does not slide back into the first.
+    With ``deflate`` set, iterates on (form - const)/(lam - deflate) so the
+    second root of a nearly-double pair does not slide back into the first.
     """
-    h = disc.fd_slope_step(scale)
-
-    def g(lam):
-        f = fun(lam)
-        if deflate is None:
-            return f
-        denom = lam - deflate
-        return f / (denom if denom != 0 else h)
-
     lam = seed
     best = None
     floor = 10.0 * disc.noise
     for it in range(1, max_iter + 1):
-        f = g(lam)
+        f = disc.derivs(lam, 0, const, deflate)[0]
         af = abs(f)
         if best is None or af < best[0]:
             best = (af, lam, it)
         if af <= floor:
             break
-        d = (g(lam + h) - g(lam - h)) / (2 * h)
+        d = disc.derivs(lam, 1, const, deflate, value=f)[1]
         if d == 0:
             break
         step = f / d
@@ -632,7 +808,7 @@ def _newton_root(disc: _Disc, fun, seed, tol: float, scale: float,
             step = step / abs(step) * scale
         lam = lam - step
         if abs(step) <= tol * 1e-2:
-            f = g(lam)
+            f = disc.derivs(lam, 0, const, deflate)[0]
             if abs(f) < best[0]:
                 best = (abs(f), lam, it)
             break
@@ -640,46 +816,53 @@ def _newton_root(disc: _Disc, fun, seed, tol: float, scale: float,
 
 
 def _solve_pair(q: FourierPotential, n: int, tol: float, method: str,
-                dps: int | None, steps: int | None = None, seed=None):
-    """One gap: critical point, quadratic model, polished roots, diagnostics."""
+                dps: int | None, steps: int | None = None, seed=None, span: float = 0.0):
+    """One gap: critical point, quadratic model, polished roots, diagnostics.
+
+    The pair comes back at the working precision.  ``seed`` starts the
+    critical-point search and ``span`` bounds how far the search and the
+    roots are expected to move from it (the jet is sized to cover it).
+    """
     center = n * n * math.pi ** 2 + complex(q.mean)
     target = 2.0 if n % 2 == 0 else -2.0
-    disc = _Disc(q, method, dps, center, steps)
-    if method == "mp":
-        with mp.workdps(disc.dps):
-            return _solve_pair_inner(disc, n, center, target, tol, seed)
-    return _solve_pair_inner(disc, n, center, target, tol, seed)
+    disc = _disc(q, method, dps, center, n, steps)
+    with disc.precision():
+        return _solve_pair_inner(disc, n, center, target, tol, seed, span)
 
 
-def _solve_pair_inner(disc: _Disc, n: int, center: complex, target: float,
-                      tol: float, seed=None):
+def _solve_pair_inner(disc, n: int, center: complex, target: float,
+                      tol: float, seed, span: float):
     tol_lam = tol * max(1, n * n)
     start = center if seed is None else seed
+    disc.cover(start, span)
     lam_star, f_star, d2, its = _newton_critical(disc, start, n, tol_lam)
     dip = f_star - target
     resolved = abs(dip) >= _RESOLVE_MARGIN * disc.noise
     gamma_model = 2 * disc.sqrt(-2 * dip / d2)
     info = {
-        "method": disc.method if disc.method != "mp" else f"mp{disc.dps}",
+        "method": disc.name,
         "resolved": bool(resolved),
         "critical": complex(lam_star),
+        "critical_err": float(disc.slope_noise / abs(complex(d2))),
         "dip": complex(dip),
         "curvature": complex(d2),
         "gamma_floor": 2.0 * math.sqrt(abs(2.0 * _RESOLVE_MARGIN * disc.noise
                                            / complex(d2))),
         "iters": its,
         "resid": float(abs(complex(dip))),
+        "escalated": None,
     }
     # an unresolved dip is pure noise and would split the pair in a random
     # complex direction; the critical point itself stays accurate, so report
     # the gap as closed and leave the floor in the diagnostics
     if not resolved or abs(gamma_model) <= tol_lam:
         info["gamma"] = 0j
-        return complex(lam_star), complex(lam_star), info
+        info["kernels"] = disc.kernels()
+        return lam_star, lam_star, info
     scale = max(1.0, float(n))
-    fun = lambda lam: disc.trace(lam) - target
-    r1, res1, it1 = _newton_root(disc, fun, lam_star - gamma_model / 2, tol_lam, scale)
-    r2, res2, it2 = _newton_root(disc, fun, lam_star + gamma_model / 2, tol_lam, scale,
+    disc.cover(lam_star, abs(gamma_model) / 2)
+    r1, res1, it1 = _newton_root(disc, target, lam_star - gamma_model / 2, tol_lam, scale)
+    r2, res2, it2 = _newton_root(disc, target, lam_star + gamma_model / 2, tol_lam, scale,
                                  deflate=r1)
     for r in (complex(r1), complex(r2)):
         if abs(r - center) > 12.0 * scale + 1.0:
@@ -689,7 +872,8 @@ def _solve_pair_inner(disc: _Disc, n: int, center: complex, target: float,
     # order and subtract at the working precision, then round
     lm, lp = _lex_pair(r1, r2)
     info["gamma"] = complex(lp - lm)
-    return complex(lm), complex(lp), info
+    info["kernels"] = disc.kernels()
+    return lm, lp, info
 
 
 def periodic_eigs(q: FourierPotential, n: int, tol: float = 1e-12,
@@ -715,19 +899,41 @@ def periodic_eigs(q: FourierPotential, n: int, tol: float = 1e-12,
 def periodic_eigs_info(q: FourierPotential, n: int, tol: float = 1e-12,
                        *, method: str = "auto", dps: int | None = None,
                        steps: int | None = None):
+    """periodic_eigs with its diagnostics.
+
+    Besides the critical point (with ``critical_err``, its error estimate:
+    the slope's noise over the curvature), dip, curvature, noise floors,
+    Newton iterations and residual, the info dict records ``kernels``: per path
+    ("taylor", "rk4", "mp30", ...) the monodromy transports it ran and their
+    summed jet order, the double attempt of an escalated solve included;
+    and ``escalated``: why "auto" left the double path, or None.
+    """
+    lm, lp, info = _periodic_pair(q, n, tol, method, dps, steps)
+    return complex(lm), complex(lp), info
+
+
+def _periodic_pair(q: FourierPotential, n: int, tol: float, method: str,
+                   dps: int | None, steps: int | None):
+    # periodic_eigs_info with the pair at the working precision
     if n < 1:
         raise ValueError("gap index n must be >= 1")
     if dps is not None and method in ("auto", "mp"):
         return _solve_pair(q, n, tol, "mp", dps, steps)
-    if method == "auto":
-        lm, lp, info = _solve_pair(q, n, tol, "taylor", None, steps)
-        # a dip barely above the resolve margin still costs relative accuracy
-        # in the split; keep the double result only when it is comfortable
-        if info["resolved"] and abs(info["dip"]) >= _AUTO_DIP_FACTOR * _TAYLOR_NOISE:
-            return lm, lp, info
-        # the double critical point seeds the high-precision run
-        return _solve_pair(q, n, tol, "mp", _AUTO_DPS, None, seed=info["critical"])
-    return _solve_pair(q, n, tol, method, dps, steps)
+    if method != "auto":
+        return _solve_pair(q, n, tol, method, dps, steps)
+    lm, lp, info = _solve_pair(q, n, tol, "taylor", None, steps)
+    # a dip barely above the resolve margin still costs relative accuracy
+    # in the split; keep the double result only when it is comfortable
+    floor = _AUTO_DIP_FACTOR * _TAYLOR_NOISE
+    if info["resolved"] and abs(info["dip"]) >= floor:
+        return lm, lp, info
+    # the double critical point seeds the high-precision run; one jet covers
+    # its error and, when the double gap is resolved, both roots as well
+    span = info["critical_err"] + (abs(info["gamma"]) / 2 if info["resolved"] else 0.0)
+    lm, lp, hi = _solve_pair(q, n, tol, "mp", _AUTO_DPS, None, seed=info["critical"], span=span)
+    hi["kernels"] = {**info["kernels"], **hi["kernels"]}
+    hi["escalated"] = f"dip {abs(info['dip']):.1g} < auto threshold {floor:.1g}"
+    return lm, lp, hi
 
 
 def sturm_liouville_eig(q: FourierPotential, n: int, alpha: float = 0.0,
@@ -739,36 +945,44 @@ def sturm_liouville_eig(q: FourierPotential, n: int, alpha: float = 0.0,
     so a plain Newton run from the asymptotic center converges without any
     critical-point preparation.
     """
+    return complex(_sturm_liouville_root(q, n, alpha, tol, method, dps))
+
+
+def _sturm_liouville_root(q: FourierPotential, n: int, alpha: float, tol: float,
+                          method: str, dps: int | None):
+    # sturm_liouville_eig at the working precision
     if n < 1:
         raise ValueError("index n must be >= 1")
     center = n * n * math.pi ** 2 + complex(q.mean)
     if dps is not None:
         method = "mp"
-    disc = _Disc(q, method, dps, center)
+    disc = _disc(q, method, dps, center, n, form=_boundary_form(alpha))
     scale = max(1.0, float(n))
-    fun = lambda lam: disc.boundary(lam, alpha)
-    if method == "mp":
-        with mp.workdps(disc.dps):
-            root, _, _ = _newton_root(disc, fun, mp.mpc(center), tol * max(1, n * n), scale)
-    else:
-        root, _, _ = _newton_root(disc, fun, complex(center), tol * max(1, n * n), scale)
-    root = complex(root)
-    if abs(root - center) > 12.0 * scale + 1.0:
-        raise RootSearchError(f"boundary eigenvalue {root} escaped the strip")
+    with disc.precision():
+        root, _, _ = _newton_root(disc, 0.0, center, tol * max(1, n * n), scale)
+    if abs(complex(root) - center) > 12.0 * scale + 1.0:
+        raise RootSearchError(f"boundary eigenvalue {complex(root)} escaped the strip")
     return root
 
 
 def gap_record(q: FourierPotential, n: int, alpha: float = 0.0,
                tol: float = 1e-12, *, method: str = "auto",
                dps: int | None = None) -> GapRecord:
-    """Assemble the full oracle record (gap pair, midpoint, delta, triangle)."""
-    lm, lp, info = periodic_eigs_info(q, n, tol, method=method, dps=dps)
+    """Assemble the full oracle record (gap pair, midpoint, delta, triangle).
+
+    tau and delta = sigma - tau are formed at the working precision before
+    rounding, so delta keeps its digits when it falls below the spacing of
+    doubles near n^2 pi^2.
+    """
+    lm, lp, info = _periodic_pair(q, n, tol, method, dps, None)
     sl_method = "mp" if (method == "mp" or dps is not None) else "taylor"
-    sigma = sturm_liouville_eig(q, n, alpha, tol, method=sl_method, dps=dps)
-    tau = (lm + lp) / 2
+    sigma = _sturm_liouville_root(q, n, alpha, tol, sl_method, dps)
+    with mp.workdps(dps or _DEFAULT_DPS):
+        tau = (lm + lp) / 2
+        delta = complex(sigma - tau)
     gamma = info["gamma"]
-    delta = sigma - tau
-    return GapRecord(n, lm, lp, gamma, tau, sigma, delta, abs(gamma) + abs(delta))
+    return GapRecord(n, complex(lm), complex(lp), gamma, complex(tau), complex(sigma),
+                     delta, abs(gamma) + abs(delta))
 
 
 def delta_linear_model(q: FourierPotential, n_range: tuple[int, int],

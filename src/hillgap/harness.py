@@ -26,8 +26,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
@@ -385,24 +383,6 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
 # shared machinery
 
 
-def _threads() -> int:
-    try:
-        t = int(os.environ.get("HILLGAP_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, t)
-
-
-def _map_ordered(fn, items):
-    """Apply fn over items, possibly concurrently, results in input order."""
-    items = list(items)
-    t = _threads()
-    if t == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=t) as pool:
-        return list(pool.map(fn, items))
-
-
 def _oracle_gap(q: FourierPotential, n: int, config: ExperimentConfig):
     """Gap pair with a noise ceiling: |gamma| when resolved, else the
     integrator's resolution floor."""
@@ -506,7 +486,7 @@ def run_gaps(config: ExperimentConfig):
             rows.append(_block_row(q, n, config))
         return rows
 
-    nested = _map_ordered(one, range(lo, hi + 1))
+    nested = [one(n) for n in range(lo, hi + 1)]
     rows = [row for sub in nested for row in sub]
     return rows, any(row["method"].endswith("!") for row in rows)
 
@@ -515,7 +495,7 @@ def run_oracle(config: ExperimentConfig):
     """Oracle-only rows over the index range."""
     q = config.potential
     lo, hi = config.n_range
-    rows = _map_ordered(lambda n: _oracle_row(q, n, config), range(lo, hi + 1))
+    rows = [_oracle_row(q, n, config) for n in range(lo, hi + 1)]
     return rows, any(row["method"].endswith("!") for row in rows)
 
 
@@ -591,7 +571,7 @@ def _report(config: ExperimentConfig, ok: bool, preconditions: dict,
 
 def _gap_sweep(q, lo, hi, config):
     """Gap ceilings over an index range, in order; notes unresolved indices."""
-    results = _map_ordered(lambda n: _oracle_gap(q, n, config), range(lo, hi + 1))
+    results = [_oracle_gap(q, n, config) for n in range(lo, hi + 1)]
     ceilings = {}
     unresolved = []
     for n, (_, _, _, ceiling, info) in zip(range(lo, hi + 1), results):
@@ -649,7 +629,7 @@ def verify_theorem4(config: ExperimentConfig) -> dict:
                                  dps=config.oracle_dps)
         return abs(rec.delta)
 
-    deltas = dict(zip(range(lo, hi + 1), _map_ordered(one, range(lo, hi + 1))))
+    deltas = {n: one(n) for n in range(lo, hi + 1)}
     items = []
     onset = None
     ok_from_onset = True
@@ -753,7 +733,7 @@ def verify_mathieu(config: ExperimentConfig) -> dict:
             ok = ok and ceilings[n] <= COLLAPSED_GAP_TOL
         return _report(config, ok, _preconditions(q, w, nw), items, notes)
     eight = 8.0 * math.pi ** 2
-    results = _map_ordered(lambda n: _oracle_gap(q, n, config), range(lo, hi + 1))
+    results = [_oracle_gap(q, n, config) for n in range(lo, hi + 1)]
     for n, (lm, lp, gamma, ceiling, info) in zip(range(lo, hi + 1), results):
         formula = eight * (mu / eight) ** n / math.factorial(n - 1) ** 2
         ratio = abs(gamma) / formula

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from operator import mul
 
 import mpmath as mp
 import pytest
@@ -235,9 +236,147 @@ def test_real_loop_matches_complex_loop_bitwise():
                 real, rows = floquet._mp_table(key, steps, floquet._mp_order(dps), dps)
                 assert real
                 bits = floquet._fixed_bits(dps)
-                fast = floquet._fixed_kernel((True, rows), lam, bits)
-                assert fast == floquet._fixed_kernel((False, rows), lam, bits)
+                # an order-1 jet: the plain transport and its lam-derivative
+                fast = floquet._fixed_kernel((True, rows), lam, bits, 1)
+                assert fast == floquet._fixed_kernel((False, rows), lam, bits, 1)
                 assert all(v.imag == 0 for v in fast)
+
+
+def _plain_step(row, lr, li, state, steps, bits):
+    # the fixed-point Taylor step as it stood before it carried a lam-jet:
+    # one column (y, y') in complex fixed point, order 0 only
+    cr, ci, cs = row
+    yr, yi, dyr, dyi = state
+    ar, ai = [yr, dyr], [yi, dyi]
+    rr, ri, rs = [yr], [yi], [yr + yi]
+    for m in range(len(cr)):
+        t1 = sum(map(mul, cr, rr))
+        t2 = sum(map(mul, ci, ri))
+        t3 = sum(map(mul, cs, rs))
+        xr, xi = rr[0], ri[0]
+        d = ((m + 1) * (m + 2)) << bits
+        ar.append((t1 - t2 - lr * xr + li * xi) // d)
+        ai.append((t3 - t1 - t2 - lr * xi - li * xr) // d)
+        rr.insert(0, ar[m + 1])
+        ri.insert(0, ai[m + 1])
+        rs.insert(0, ar[m + 1] + ai[m + 1])
+    top = len(ar) - 1
+    yr, yi = ar[top], ai[top]
+    dyr, dyi = top * yr, top * yi
+    for m in range(top - 1, 0, -1):
+        yr = yr // steps + ar[m]
+        yi = yi // steps + ai[m]
+        dyr = dyr // steps + m * ar[m]
+        dyi = dyi // steps + m * ai[m]
+    return yr // steps + ar[0], yi // steps + ai[0], dyr, dyi
+
+
+def _plain_step_real(cr, lr, state, steps, bits):
+    y, dy = state
+    a = [y, dy]
+    r = [y]
+    for m in range(len(cr)):
+        a.append((sum(map(mul, cr, r)) - lr * r[0]) // (((m + 1) * (m + 2)) << bits))
+        r.insert(0, a[m + 1])
+    top = len(a) - 1
+    y = a[top]
+    dy = top * y
+    for m in range(top - 1, 0, -1):
+        y = y // steps + a[m]
+        dy = dy // steps + m * a[m]
+    return y // steps + a[0], dy
+
+
+def test_jet_order_zero_is_the_plain_step():
+    # order 0 of the jet step runs the plain step's integer arithmetic, and
+    # the order-0 part of a higher jet is the plain transport, bit for bit
+    dps = 30
+    bits = floquet._fixed_bits(dps)
+    for q, lam in ((make_gasymov([1.0, 0.5j]), 88.5 + 2.25j), (WIDE, 4 * PI2 + 0.5)):
+        key = floquet._key(q)
+        steps = floquet._mp_steps(key, lam, dps)
+        real, rows = floquet._mp_table(key, steps, floquet._mp_order(dps), dps)
+        lr, li = (round(v * 2 ** 40) << (bits - 40) for v in (lam.real, lam.imag))
+        cols = ((1 << bits, 0, 0, 0), (0, 0, 1 << bits, 0))
+        ref = cols
+        for row in rows:
+            cols = tuple(floquet._fixed_step(row, lr, li, [c], steps, bits)[0] for c in cols)
+            ref = tuple(_plain_step(row, lr, li, c, steps, bits) for c in ref)
+        assert cols == ref
+        if real:
+            cols = ref = ((1 << bits, 0), (0, 1 << bits))
+            for row in rows:
+                cols = tuple(floquet._fixed_step_real(row[0], lr, [c], steps, bits)[0]
+                             for c in cols)
+                ref = tuple(_plain_step_real(row[0], lr, c, steps, bits) for c in ref)
+            assert cols == ref
+        with mp.workdps(dps):
+            plain = floquet._fixed_kernel((real, rows), lam, bits)
+            assert floquet._fixed_kernel((real, rows), lam, bits, 3)[:4] == plain
+
+
+def test_jet_matches_central_differences():
+    # t_1 and t_2 of the 30-digit jet against central differences of
+    # 60-digit transports; with h = 1e-12 the differences are good to 1e-27
+    for q, lam in ((make_gasymov([1.0, 0.5j]), mp.mpc(88.5, 2.25)), (WIDE, mp.mpf(4 * PI2 + 0.5))):
+        key = floquet._key(q)
+        steps = floquet._mp_steps(key, 90.0, 60)
+        with mp.workdps(30):
+            table = floquet._mp_table(key, steps, floquet._mp_order(30), 30)
+            jet = floquet._fixed_kernel(table, lam, floquet._fixed_bits(30), 2)
+        with mp.workdps(60):
+            h = mp.mpf(10) ** -12
+            fp, f0, fm = (floquet._monodromy_mp(q, lam + s * h, steps, 60) for s in (1, 0, -1))
+            for i in range(4):
+                assert abs(jet[4 + i] - (fp[i] - fm[i]) / (2 * h)) <= 1e-26
+                assert abs(jet[8 + i] - (fp[i] - 2 * f0[i] + fm[i]) / (2 * h * h)) <= 1e-26
+
+
+def test_jet_polynomial_at_its_radius_edge():
+    # a jet sized for a span serves points out to its radius: there the
+    # polynomial must match a direct transport to the noise floor
+    for q, dps in ((make_mathieu(1.0), 30), (make_mathieu(1.0), 60),
+                   (make_gasymov([1.0, 0.5j]), 30)):
+        center = 25 * PI2
+        disc = floquet._JetDisc(q, dps, center)
+        with mp.workdps(dps):
+            disc.cover(mp.mpf(center) + mp.mpf(1) / 7, 1e-4)
+            assert disc.transports == 1 and disc.radius >= 1e-4
+            for direction in (1, -1, 1j):
+                lam = disc.center + direction * disc.radius * (1 - 1e-9)
+                got = disc.derivs(lam, 0)[0]
+                assert disc.transports == 1
+                m = floquet._monodromy_mp(q, lam, len(disc.table[1]), dps)
+                assert abs(got - (m[0] + m[3])) <= mp.mpf(10) ** -(dps - 3)
+
+
+def test_jet_radius_guards_a_vanishing_last_coefficient():
+    # a last coefficient that happens to sit near zero must not stretch the
+    # radius: the one before it bounds rho
+    eps = 1e-30
+    rho, radius = floquet._jet_radius([1.0, 0.5, 0.25, 1e-40], eps)
+    assert rho == pytest.approx(2.0, rel=1e-12)
+    assert radius == pytest.approx(2.0 * eps ** 0.25, rel=1e-12)
+    assert floquet._jet_radius([1.0, 0.5, 0.0, 0.0], eps) == (0.0, 0.0)
+
+
+def test_solve_ledger_counts_transports():
+    # a collapsed cosine gap escalates and is served by one 30-digit jet;
+    # the complex K = 16 draw at n = 15 needs one jet covering both roots
+    _, _, info = periodic_eigs_info(make_mathieu(1.0), 10)
+    assert info["method"] == "mp30"
+    assert info["kernels"]["taylor"]["transports"] > 0
+    assert info["kernels"]["mp30"]["transports"] == 1
+    assert info["escalated"].startswith("dip ")
+    assert info["escalated"].endswith(" < auto threshold 1e-08")
+    wide = make_random(gevrey(0, 1, 0.5), seed=11, K=16, real=False)
+    _, _, info = periodic_eigs_info(wide, 15)
+    mp30 = info["kernels"]["mp30"]
+    assert info["resolved"]
+    assert mp30["transports"] <= 2
+    assert mp30["transports"] + mp30["jet_order"] <= 12
+    _, _, info = periodic_eigs_info(make_mathieu(1.0), 1)
+    assert info["escalated"] is None and list(info["kernels"]) == ["taylor"]
 
 
 def test_real_potentials_give_exactly_real_pairs():
@@ -431,11 +570,16 @@ def test_gap_record_consistency():
 
 def test_gap_record_keeps_gaps_below_double_spacing():
     # at n = 7 the gap, 7.96e-18, is far below the spacing of doubles near
-    # 49 pi^2 (5.7e-14): both endpoints round to the same double
-    rec = gap_record(make_mathieu(1.0), 7, tol=1e-26, method="mp", dps=60)
-    assert rec.lam_plus == rec.lam_minus
-    assert rec.gamma.real == pytest.approx(7.96e-18, rel=1e-2)
-    assert rec.triangle == abs(rec.gamma) + abs(rec.delta)
+    # 49 pi^2 (5.7e-14): both endpoints round to the same double.  For an
+    # even potential the Dirichlet eigenvalue is a gap edge, so |delta| is
+    # gamma / 2, which needs sigma - tau taken before rounding
+    for n, gamma in ((6, 2.263e-14), (7, 7.96e-18), (8, 2.058e-21)):
+        rec = gap_record(make_mathieu(1.0), n, tol=1e-26, method="mp", dps=60)
+        if n > 6:
+            assert rec.lam_plus == rec.lam_minus
+        assert rec.gamma.real == pytest.approx(gamma, rel=1e-2)
+        assert abs(rec.delta) == pytest.approx(abs(rec.gamma) / 2, rel=1e-3)
+        assert rec.triangle == abs(rec.gamma) + abs(rec.delta)
 
 
 def test_delta_linear_model():

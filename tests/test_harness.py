@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -123,6 +124,25 @@ def test_csv_deterministic_across_threads(monkeypatch):
     monkeypatch.setenv("HILLGAP_THREADS", "3")
     third = rows_to_csv(run_table(parse_config(raw))[0])
     assert first == third
+
+
+def test_escalating_csv_ignores_thread_setting(monkeypatch):
+    # n = 3..5 escalate to the fixed-point ladder, whose mpmath precision is
+    # process-wide state; a thread pool over these solves once changed the
+    # digits of the n = 3, 4 rows from run to run
+    raw = {"kind": "oracle", "potential": {"type": "mathieu", "mu": 1.0},
+           "n_range": [3, 5]}
+    rows, failed = run_table(parse_config(raw))
+    assert not failed and all(row["method"] == "oracle" for row in rows)
+    first = rows_to_csv(rows)
+    monkeypatch.setenv("HILLGAP_THREADS", "3")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(2):
+            assert rows_to_csv(run_table(parse_config(raw))[0]) == first
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_adapted_table_band_layout():
