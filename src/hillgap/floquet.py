@@ -38,27 +38,29 @@ loop.  So the double critical point of a real potential is exactly real, the
 high-precision solve it seeds stays on the real loop, and the eigenvalue
 pairs come back with imaginary parts exactly 0.
 
-The fixed-point step also carries a jet in lambda: for each column it
-transports t_0..t_D, t_k = (1/k!) d^k/dlambda^k of the solution, whose Taylor
-coefficients in x obey the variational recurrence
+Every kernel also carries a jet in lambda: for each column it transports
+t_0..t_D, t_k = (1/k!) d^k/dlambda^k of the solution.  On the Taylor paths,
+double and fixed point, the Taylor coefficients in x obey the variational
+recurrence
 
     a_k[m+2] = (sum_i C_i a_k[m-i] - lambda a_k[m] - a_(k-1)[m]) / ((m+1)(m+2))
 
-in the same integer arithmetic (Taylor integration with variational
-equations, Jorba & Zou, Experimental Math. 14 (2005)).  Order 0 is the plain
-transport, bit for bit; an order-D jet costs about D + 1 transports and
+(Taylor integration with variational equations, Jorba & Zou, Experimental
+Math. 14 (2005)).  An RK4 step is a polynomial in lambda already, since each
+stage multiplies by q - lambda, so its jet is that polynomial, truncated.
+The step propagators are then multiplied out as 2x2 matrices of truncated
+polynomials in lambda.  Order 0 is the plain transport; an order-D jet
 gives the monodromy as a polynomial in lambda around its centre.
 
 Near a spectral gap the discriminant is almost a parabola touching +-2, so the
 eigenvalue solver first locates the critical point by Newton on Delta', then
 uses the quadratic model gamma = 2 sqrt(-2 D*/Delta'') to seed and polish the
-two roots (the second deflated by the first).  The double paths take Delta'
-and Delta'' by central differences; the high-precision path reads them off
-the jet by Horner, within a radius the jet's own highest coefficients set,
-and builds a new jet only for a point outside it.  Its order is chosen from
-the span the solve will visit: the error of the double critical point that
-seeds an escalation, plus half the gap when the double solve resolved it,
-so one jet usually serves the whole solve.  A gap is reported collapsed
+two roots (the second deflated by the first).  Every path reads Delta,
+Delta' and Delta'' off a jet by Horner, within a radius the jet's own
+highest coefficients set, and builds a new jet only for a point outside it.
+The jet's order is chosen from the span the solve will visit: the error of
+the double critical point that seeds an escalation, plus half the gap when
+the double solve resolved it, so one jet usually serves the whole solve.  A gap is reported collapsed
 when the model separation falls under the tolerance; when the dip D* drowns in
 integrator noise the pair is returned at the model positions and flagged
 unresolved in the diagnostics, which the "auto" method escalates to mpmath.
@@ -153,68 +155,93 @@ def default_steps(lam: complex, factor: int = RK4_STEP_FACTOR) -> int:
 #
 # Each fixed step is linear in the state, so both kernels build the 2x2 step
 # propagators for all steps at once, column by column from the unit states
-# (1, 0) and (0, 1), and multiply them out.  A propagator is stored as the four
-# rows (y, y') of the first column and (y, y') of the second, the same order
-# in which the kernels return the monodromy entries.
+# (1, 0) and (0, 1), and multiply them out.  Each kernel carries a lam-jet of
+# order D: the propagator entries are truncated polynomials in lam - lam0,
+# stored as P[k, c, r, j], the lam^k coefficient of row r (y or y') of
+# column c of step j.  Flattened per k this is the order the kernels return
+# the monodromy entries in: y1, y1', y2, y2'.
+
+
+@lru_cache(maxsize=None)
+def _toeplitz(terms: int):
+    # index k - i and mask i <= k that lay a truncated polynomial L out as
+    # T[k, i] = L[k - i], so that (L R)[k] = sum_i T[k, i] R[i]
+    k, i = np.indices((terms, terms))
+    return np.maximum(k - i, 0), (i <= k)[..., None, None, None]
 
 
 def _chain(P):
-    """Ordered product P[:, -1] ... P[:, 1] P[:, 0] of step propagators.
+    """Ordered product P[..., -1] ... P[..., 1] P[..., 0] of step propagators.
 
-    Neighbours are multiplied pairwise, so the depth is log2(steps); the
-    products are written out on the four rows, which numpy runs far faster
-    than a stacked matmul over 2x2 blocks.
+    Neighbours are multiplied pairwise, so the depth is log2(steps); each
+    level is one einsum over the 2x2 entries and the Cauchy product of their
+    lam-polynomials.  Returns the 4 (D + 1) entries of the product, order by
+    order.
     """
-    while P.shape[1] > 1:
-        k = P.shape[1] - P.shape[1] % 2
-        r00, r10, r01, r11 = P[:, 0:k:2]
-        l00, l10, l01, l11 = P[:, 1:k:2]
-        Q = np.stack((l00 * r00 + l01 * r10, l10 * r00 + l11 * r10,
-                      l00 * r01 + l01 * r11, l10 * r01 + l11 * r11))
-        P = np.concatenate((Q, P[:, k:]), axis=1) if k < P.shape[1] else Q
-    return tuple(P[:, 0].tolist())
+    index, mask = _toeplitz(P.shape[0])
+    while P.shape[-1] > 1:
+        k = P.shape[-1] - P.shape[-1] % 2
+        # (L R)[r, c] = sum_m L[r, m] R[m, c], stored column first
+        Q = np.einsum("kimrp,icmp->kcrp", P[..., 1:k:2][index] * mask, P[..., 0:k:2])
+        P = np.concatenate((Q, P[..., k:]), axis=-1) if k < P.shape[-1] else Q
+    return tuple(P[..., 0].ravel().tolist())
 
 
-def _rk4_kernel(qs, lam):
-    # qs samples q at the step points and midpoints
-    h = 2.0 / (len(qs) - 1)
+def _rk4_kernel(qs, lam, order=0):
+    # qs samples q at the step points and midpoints.  Every stage multiplies
+    # by q - lam, which is linear in lam: on a truncated polynomial in
+    # lam - lam0 that is a scale by q - lam0 and a shift up one degree, so
+    # the jet needs no recurrence of its own
+    steps = (len(qs) - 1) // 2
+    h = 1.0 / steps
     a0 = qs[0:-1:2] - lam
     am = qs[1::2] - lam
     a1 = qs[2::2] - lam
 
+    def times(a, f):
+        g = a * f
+        g[1:] -= f[:-1]
+        return g
+
     def step(y, p):
         k1y = p
-        k1p = a0 * y
+        k1p = times(a0, y)
         k2y = p + 0.5 * h * k1p
-        k2p = am * (y + 0.5 * h * k1y)
+        k2p = times(am, y + 0.5 * h * k1y)
         k3y = p + 0.5 * h * k2p
-        k3p = am * (y + 0.5 * h * k2y)
+        k3p = times(am, y + 0.5 * h * k2y)
         k4y = p + h * k3p
-        k4p = a1 * (y + h * k3y)
+        k4p = times(a1, y + h * k3y)
         return (y + h / 6.0 * (k1y + 2.0 * k2y + 2.0 * k3y + k4y),
                 p + h / 6.0 * (k1p + 2.0 * k2p + 2.0 * k3p + k4p))
 
-    return _chain(np.stack(step(1.0, 0.0) + step(0.0, 1.0)))
+    one = np.zeros((order + 1, steps), dtype=np.complex128)
+    one[0] = 1.0
+    zero = np.zeros_like(one)
+    return _chain(np.stack((np.stack(step(one, zero), 1), np.stack(step(zero, one), 1)), 1))
 
 
-def _taylor_kernel(C, lam):
-    # a[m, col, j]: m-th Taylor coefficient at x = j/steps of the solution
-    # that starts there from unit state col
-    steps, order = C.shape[0], C.shape[1] - 1
+def _taylor_kernel(C, lam, order=0):
+    # a[m, k, col, j]: m-th Taylor coefficient at x = j/steps of t_k, the
+    # (1/k!) d^k/dlam^k of the solution that starts there from unit state
+    # col; t_k'' = (q - lam) t_k - t_(k-1) gives
+    # a_k[m+2] = (sum_i C_i a_k[m-i] - lam a_k[m] - a_(k-1)[m]) / ((m+1)(m+2))
+    steps, terms = C.shape[0], C.shape[1] - 1
     h = 1.0 / steps
-    a = np.zeros((order + 3, 2, steps), dtype=np.complex128)
-    a[0, 0] = 1.0
-    a[1, 1] = 1.0
-    for m in range(order + 1):
-        s = np.einsum("ji,icj->cj", C[:, :m + 1], a[m::-1])
-        a[m + 2] = (s - lam * a[m]) / ((m + 1.0) * (m + 2.0))
-    y = a[order + 2]
-    yp = (order + 2.0) * a[order + 2]
-    for m in range(order + 1, 0, -1):
+    a = np.zeros((terms + 3, order + 1, 2, steps), dtype=np.complex128)
+    a[0, 0, 0] = 1.0
+    a[1, 0, 1] = 1.0
+    for m in range(terms + 1):
+        s = np.einsum("ji,ikcj->kcj", C[:, :m + 1], a[m::-1]) - lam * a[m]
+        s[1:] -= a[m, :-1]
+        a[m + 2] = s / ((m + 1.0) * (m + 2.0))
+    y = a[terms + 2]
+    yp = (terms + 2.0) * a[terms + 2]
+    for m in range(terms + 1, 0, -1):
         y = y * h + a[m]
         yp = yp * h + m * a[m]
     y = y * h + a[0]
-    return _chain(np.stack((y[0], yp[0], y[1], yp[1])))
+    return _chain(np.stack((y, yp), 2))
 
 
 def _key(q: FourierPotential):
@@ -544,12 +571,13 @@ def discriminant(q: FourierPotential, lam: complex, steps: int | None = None,
 # ---------------------------------------------------------------------------
 # eigenvalue machinery
 #
-# A discriminant backend serves one linear functional ``form`` of the
-# monodromy entries (the trace, or a boundary form).  The solvers ask it for
+# A discriminant serves one linear functional ``form`` of the monodromy
+# entries (the trace, or a boundary form).  The solvers ask it for
 # g = (form(M(lam)) - const) / (lam - deflate) and its first lam-derivatives
-# at a point; without deflate there is no division.  The double backends
-# take the derivatives by central differences, the fixed-point ladder reads
-# them off a lam-jet of the form.
+# at a point; without deflate there is no division.  Every backend answers
+# from a lam-jet of the form; the backends differ only in the kernel that
+# transports the jet, the noise floor, and the arithmetic (doubles, or
+# mpmath at the working precision).
 
 _JET_MIN_ORDER = 3          # Delta'' and one coefficient past it for the radius
 _JET_MAX_ORDER = 20
@@ -571,69 +599,6 @@ def _boundary_form(alpha: float):
         return u1 * ca + du1 * sa
 
     return form
-
-
-class _FdDisc:
-    """Double-precision discriminant: one kernel call per value, derivatives
-    by central differences (step ``h_curv`` for Delta'', ``h_slope`` for
-    Newton slopes, both scaled by n)."""
-
-    def __init__(self, q: FourierPotential, method: str, center: complex, n: int,
-                 steps: int | None = None, form=_trace):
-        key = _key(q)
-        self.form = form
-        if method == "taylor":
-            table = _taylor_table(key, steps or _taylor_steps(center), _TAYLOR_ORDER)
-            self.fn = lambda lam: _taylor_kernel(table, complex(lam))
-            self.noise = _TAYLOR_NOISE
-        elif method == "rk4":
-            qs = _rk4_samples(key, steps or default_steps(center))
-            self.fn = lambda lam: _rk4_kernel(qs, complex(lam))
-            # RK4 error is truncation bias, not roundoff
-            self.noise = 1e-9
-        else:
-            raise ValueError(f"unknown oracle method {method!r}")
-        self.name = method
-        scale = max(1.0, float(n))
-        self.h_curv = max(1e-5, 2e-4 * scale)
-        self.h_slope = 1e-6 * scale
-        # a slope differenced over h_curv carries noise / h_curv
-        self.slope_noise = self.noise / self.h_curv
-        self.transports = 0
-
-    def precision(self):
-        return contextlib.nullcontext()
-
-    def sqrt(self, z):
-        return cmath.sqrt(z)
-
-    def cover(self, lam, span) -> None:
-        """Nothing to prepare: every value is a kernel call of its own."""
-
-    def derivs(self, lam, order: int, const=0.0, deflate=None, value=None):
-        # value: g(lam) from an earlier call, which saves its kernel call
-        h = self.h_curv if order == 2 else self.h_slope
-
-        def g(x):
-            self.transports += 1
-            f = self.form(self.fn(x))
-            if const:
-                f = f - const
-            if deflate is None:
-                return f
-            denom = x - deflate
-            return f / (denom if denom != 0 else self.h_slope)
-
-        f0 = g(lam) if value is None else value
-        if order == 0:
-            return (f0,)
-        fp, fm = g(lam + h), g(lam - h)
-        if order == 1:
-            return f0, (fp - fm) / (2 * h)
-        return f0, (fp - fm) / (2 * h), (fp - 2 * f0 + fm) / (h * h)
-
-    def kernels(self) -> dict:
-        return {self.name: {"transports": self.transports, "jet_order": 0}}
 
 
 def _jet_order(span: float, lam, eps: float) -> int:
@@ -663,38 +628,37 @@ def _jet_radius(coeffs, eps: float):
 
 
 class _JetDisc:
-    """Fixed-point discriminant serving values and derivatives from a lam-jet.
+    """Discriminant serving values and derivatives from a lam-jet.
 
-    It holds one jet of its form: the centre, the coefficients f_0..f_D of
-    form(M) in powers of lam - centre, and a radius.  Within the radius the
-    value and the first two derivatives come from the jet polynomial by
-    Horner; a point outside it gets a new jet centred there.  The radius is
-    Jorba & Zou's step rule (Experimental Math. 14 (2005)): rho = min over
+    ``jet(lam, order)`` transports the monodromy entries and their
+    lam-derivatives, 4 (order + 1) numbers order by order.  The disc holds
+    one jet of its form: the centre, the coefficients f_0..f_D of form(M) in
+    powers of lam - centre, and a radius.  Within the radius the value and
+    the first two derivatives come from the jet polynomial by Horner; a
+    point outside it gets a new jet centred there.  The radius is Jorba &
+    Zou's step rule (Experimental Math. 14 (2005)): rho = min over
     k = D-1, D of |f_k|^(-1/k), the minimum over the two highest
     coefficients guarding against a vanishing last one; at distance
     rho eps^(1/(D+1)) the tail the jet drops stays near eps, a thousandth of
-    the noise floor.
+    the noise floor.  With ``dps`` set the arithmetic is mpmath at that
+    precision, otherwise complex doubles.
     """
 
-    def __init__(self, q: FourierPotential, dps: int | None, center: complex,
-                 steps: int | None = None, form=_trace):
+    def __init__(self, jet, noise: float, name: str, dps: int | None = None, form=_trace):
+        self.jet = jet
+        self.noise = noise
+        self.eps = noise / 1000.0
+        self.name = name
+        self.dps = dps
         self.form = form
-        self.dps = dps or _DEFAULT_DPS
-        key = _key(q)
-        self.table = _mp_table(key, steps or _mp_steps(key, center, self.dps),
-                               _mp_order(self.dps), self.dps)
-        self.bits = _fixed_bits(self.dps)
-        self.noise = self.slope_noise = _mp_noise(self.dps)
-        self.eps = self.noise / 1000.0
-        self.name = f"mp{self.dps}"
         self.center = None
         self.transports = self.jet_order = 0
 
     def precision(self):
-        return mp.workdps(self.dps)
+        return mp.workdps(self.dps) if self.dps else contextlib.nullcontext()
 
     def sqrt(self, z):
-        return mp.sqrt(z)
+        return mp.sqrt(z) if self.dps else cmath.sqrt(z)
 
     def cover(self, lam, span) -> None:
         """Make the jet serve every point within ``span`` of lam."""
@@ -703,15 +667,14 @@ class _JetDisc:
 
     def _build(self, lam, span) -> None:
         order = _jet_order(float(span), lam, self.eps)
-        flat = _fixed_kernel(self.table, lam, self.bits, order)
-        self.center = mp.mpc(lam)
+        flat = self.jet(lam, order)
+        self.center = mp.mpc(lam) if self.dps else complex(lam)
         self.coeffs = [self.form(flat[4 * k:4 * k + 4]) for k in range(order + 1)]
         self.rho, self.radius = _jet_radius(self.coeffs, self.eps)
         self.transports += 1
         self.jet_order += order
 
-    def derivs(self, lam, order: int, const=0.0, deflate=None, value=None):
-        # value is not needed: the jet serves g(lam) by Horner anyway
+    def derivs(self, lam, order: int, const=0.0, deflate=None):
         if self.center is None:
             self._build(lam, 0.0)
         elif abs(lam - self.center) > self.radius:
@@ -739,11 +702,25 @@ class _JetDisc:
         return {self.name: {"transports": self.transports, "jet_order": self.jet_order}}
 
 
-def _disc(q: FourierPotential, method: str, dps: int | None, center: complex, n: int,
-          steps: int | None = None, form=_trace):
-    if method == "mp":
-        return _JetDisc(q, dps, center, steps, form)
-    return _FdDisc(q, method, center, n, steps, form)
+def _disc(q: FourierPotential, method: str, dps: int | None, center: complex,
+          steps: int | None = None, form=_trace) -> _JetDisc:
+    key = _key(q)
+    if method == "taylor":
+        C = _taylor_table(key, steps or _taylor_steps(center), _TAYLOR_ORDER)
+        return _JetDisc(lambda lam, order: _taylor_kernel(C, complex(lam), order),
+                        _TAYLOR_NOISE, method, form=form)
+    if method == "rk4":
+        qs = _rk4_samples(key, steps or default_steps(center))
+        # RK4 error is truncation bias, not roundoff
+        return _JetDisc(lambda lam, order: _rk4_kernel(qs, complex(lam), order),
+                        1e-9, method, form=form)
+    if method != "mp":
+        raise ValueError(f"unknown oracle method {method!r}")
+    dps = dps or _DEFAULT_DPS
+    table = _mp_table(key, steps or _mp_steps(key, center, dps), _mp_order(dps), dps)
+    bits = _fixed_bits(dps)
+    return _JetDisc(lambda lam, order: _fixed_kernel(table, lam, bits, order),
+                    _mp_noise(dps), f"mp{dps}", dps, form)
 
 
 def _lex_pair(a, b):
@@ -757,11 +734,14 @@ def _lex_pair(a, b):
 
 
 def _newton_critical(disc, lam0, n: int, tol: float, max_iter: int = 40):
-    """Newton on Delta' = 0 from lam0; returns (lam*, Delta(lam*), Delta'', iters)."""
+    """Newton on Delta' = 0 from lam0; returns (lam*, Delta(lam*), Delta'', iters).
+
+    It stops once a step falls under tol or under the critical point's own
+    error, noise / |Delta''|, below which the steps only follow the noise.
+    """
     scale = max(1.0, float(n))
     clip = 6.0 * scale
     lam = lam0
-    prev_step = None
     for it in range(1, max_iter + 1):
         _, d1, d2 = disc.derivs(lam, 2)
         if d2 == 0:
@@ -772,14 +752,8 @@ def _newton_critical(disc, lam0, n: int, tol: float, max_iter: int = 40):
         lam = lam - step
         if abs(lam - lam0) > 12.0 * scale:
             raise RootSearchError("critical point escaped the search strip")
-        a = abs(step)
-        if a <= tol:
+        if abs(step) <= max(tol, disc.noise / abs(d2)):
             return lam, disc.derivs(lam, 0)[0], d2, it
-        # finite-difference slopes bottom out above tol; a small step that
-        # has stopped halving means we sit in the noise ball around lam*
-        if prev_step is not None and 2.0 * a >= prev_step and a <= 1e-5 * scale:
-            return lam, disc.derivs(lam, 0)[0], d2, it
-        prev_step = a
     raise RootSearchError("critical-point Newton did not converge")
 
 
@@ -794,13 +768,12 @@ def _newton_root(disc, const, seed, tol: float, scale: float,
     best = None
     floor = 10.0 * disc.noise
     for it in range(1, max_iter + 1):
-        f = disc.derivs(lam, 0, const, deflate)[0]
+        f, d = disc.derivs(lam, 1, const, deflate)
         af = abs(f)
         if best is None or af < best[0]:
             best = (af, lam, it)
         if af <= floor:
             break
-        d = disc.derivs(lam, 1, const, deflate, value=f)[1]
         if d == 0:
             break
         step = f / d
@@ -825,7 +798,7 @@ def _solve_pair(q: FourierPotential, n: int, tol: float, method: str,
     """
     center = n * n * math.pi ** 2 + complex(q.mean)
     target = 2.0 if n % 2 == 0 else -2.0
-    disc = _disc(q, method, dps, center, n, steps)
+    disc = _disc(q, method, dps, center, steps)
     with disc.precision():
         return _solve_pair_inner(disc, n, center, target, tol, seed, span)
 
@@ -843,7 +816,7 @@ def _solve_pair_inner(disc, n: int, center: complex, target: float,
         "method": disc.name,
         "resolved": bool(resolved),
         "critical": complex(lam_star),
-        "critical_err": float(disc.slope_noise / abs(complex(d2))),
+        "critical_err": float(disc.noise / abs(complex(d2))),
         "dip": complex(dip),
         "curvature": complex(d2),
         "gamma_floor": 2.0 * math.sqrt(abs(2.0 * _RESOLVE_MARGIN * disc.noise
@@ -902,10 +875,10 @@ def periodic_eigs_info(q: FourierPotential, n: int, tol: float = 1e-12,
     """periodic_eigs with its diagnostics.
 
     Besides the critical point (with ``critical_err``, its error estimate:
-    the slope's noise over the curvature), dip, curvature, noise floors,
+    the path's noise floor over |Delta''|), dip, curvature, noise floors,
     Newton iterations and residual, the info dict records ``kernels``: per path
-    ("taylor", "rk4", "mp30", ...) the monodromy transports it ran and their
-    summed jet order, the double attempt of an escalated solve included;
+    ("taylor", "rk4", "mp30", ...) the lam-jets it transported and their
+    summed order, the double attempt of an escalated solve included;
     and ``escalated``: why "auto" left the double path, or None.
     """
     lm, lp, info = _periodic_pair(q, n, tol, method, dps, steps)
@@ -956,7 +929,7 @@ def _sturm_liouville_root(q: FourierPotential, n: int, alpha: float, tol: float,
     center = n * n * math.pi ** 2 + complex(q.mean)
     if dps is not None:
         method = "mp"
-    disc = _disc(q, method, dps, center, n, form=_boundary_form(alpha))
+    disc = _disc(q, method, dps, center, form=_boundary_form(alpha))
     scale = max(1.0, float(n))
     with disc.precision():
         root, _, _ = _newton_root(disc, 0.0, center, tol * max(1, n * n), scale)

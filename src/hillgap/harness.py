@@ -480,14 +480,11 @@ def run_gaps(config: ExperimentConfig):
     lo, hi = config.n_range
     floor = 4.0 * q.without_mean().l2()
 
-    def one(n: int) -> list[dict]:
-        rows = [_oracle_row(q, n, config)]
+    rows = []
+    for n in range(lo, hi + 1):
+        rows.append(_oracle_row(q, n, config))
         if n >= floor:
             rows.append(_block_row(q, n, config))
-        return rows
-
-    nested = [one(n) for n in range(lo, hi + 1)]
-    rows = [row for sub in nested for row in sub]
     return rows, any(row["method"].endswith("!") for row in rows)
 
 
@@ -623,13 +620,12 @@ def verify_theorem4(config: ExperimentConfig) -> dict:
     lo, hi = config.n_range
     nw = _finite_wnorm(q, w, "potential")
 
-    def one(n):
+    deltas = {}
+    for n in range(lo, hi + 1):
         rec = floquet.gap_record(q, n, 0.0, config.tol,
                                  method=config.oracle_method,
                                  dps=config.oracle_dps)
-        return abs(rec.delta)
-
-    deltas = {n: one(n) for n in range(lo, hi + 1)}
+        deltas[n] = abs(rec.delta)
     items = []
     onset = None
     ok_from_onset = True

@@ -338,7 +338,8 @@ def test_jet_polynomial_at_its_radius_edge():
     for q, dps in ((make_mathieu(1.0), 30), (make_mathieu(1.0), 60),
                    (make_gasymov([1.0, 0.5j]), 30)):
         center = 25 * PI2
-        disc = floquet._JetDisc(q, dps, center)
+        disc = floquet._disc(q, "mp", dps, center)
+        steps = floquet._mp_steps(floquet._key(q), center, dps)
         with mp.workdps(dps):
             disc.cover(mp.mpf(center) + mp.mpf(1) / 7, 1e-4)
             assert disc.transports == 1 and disc.radius >= 1e-4
@@ -346,8 +347,51 @@ def test_jet_polynomial_at_its_radius_edge():
                 lam = disc.center + direction * disc.radius * (1 - 1e-9)
                 got = disc.derivs(lam, 0)[0]
                 assert disc.transports == 1
-                m = floquet._monodromy_mp(q, lam, len(disc.table[1]), dps)
+                m = floquet._monodromy_mp(q, lam, steps, dps)
                 assert abs(got - (m[0] + m[3])) <= mp.mpf(10) ** -(dps - 3)
+
+
+def test_double_jets_match_the_fixed_point_jet():
+    # t_1 and t_2 of the double Taylor jet against the 30-digit jet, to a
+    # roundoff allowance relative to the largest entry of each order, and of
+    # the RK4 jet to its truncation bias; then the RK4 jet, truncated by the
+    # disc's radius rule, against a direct RK4 transport at its radius edge,
+    # where the dropped tail is about eps
+    for q, lam in ((make_gasymov([1.0, 0.5j]), 88.5 + 2.25j), (make_mathieu(1.0), 4 * PI2 + 0.5)):
+        key = floquet._key(q)
+        C = floquet._taylor_table(key, floquet._taylor_steps(lam), floquet._TAYLOR_ORDER)
+        qs = floquet._rk4_samples(key, default_steps(lam))
+        with mp.workdps(30):
+            table = floquet._mp_table(key, floquet._mp_steps(key, lam, 30), floquet._mp_order(30), 30)
+            ref = [complex(v) for v in floquet._fixed_kernel(table, lam, floquet._fixed_bits(30), 2)]
+        for jet, rel in ((floquet._taylor_kernel(C, lam, 2), 1e-12),
+                         (floquet._rk4_kernel(qs, lam, 2), 1e-8)):
+            for k in (1, 2):
+                scale = max(abs(v) for v in ref[4 * k:4 * k + 4])
+                assert max(abs(a - b) for a, b in zip(jet[4 * k:4 * k + 4], ref[4 * k:4 * k + 4])) \
+                    <= rel * scale
+        disc = floquet._disc(q, "rk4", None, lam)
+        disc.cover(lam, 0.0)
+        assert disc.radius >= 1e-3
+        for direction in (1, -1, 1j):
+            edge = disc.center + direction * disc.radius * (1 - 1e-9)
+            m = floquet._rk4_kernel(qs, edge)
+            assert abs(disc.derivs(edge, 0)[0] - (m[0] + m[3])) <= 10 * disc.eps
+        assert disc.transports == 1
+
+
+def test_double_critical_point_is_exact_to_the_integrator():
+    # Newton on exact lam-derivatives converges to the RK4 critical point of
+    # the free potential, which sits at the RK4 truncation bias from n^2 pi^2
+    # (about 1.6e-10 relative); and a tolerance under the double noise floor
+    # still ends the critical search, at the floor
+    for n in (4, 5):
+        lm, lp = periodic_eigs(FREE, n, method="rk4")
+        assert lm == lp
+        assert abs(lm - n * n * PI2) <= 3e-10 * n * n * PI2
+    for n in (1, 2):
+        _, _, info = periodic_eigs_info(make_mathieu(1.0), n, 1e-26, method="taylor")
+        assert info["resolved"]
 
 
 def test_jet_radius_guards_a_vanishing_last_coefficient():
