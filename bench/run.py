@@ -16,6 +16,10 @@ file records:
     wideband_complex workload at n = 15: first and median warm wall time,
     with the path taken, the Newton iterations, and the solve ledger
     (transports and summed jet order per path) when the code reports one;
+  * one ``gap_block`` on that potential at n = 3 and on the real K = 16
+    Gevrey draw (seed 202) at n = 4 and 15: first and median warm wall
+    time, the resolvent rounds (``solver_iters``) and the root-loop
+    iterations (``newton_iters``);
   * the CLI, ``hillgap gaps -c CONFIG``, as a process of its own on each
     config under perfbench/configs (read only): median wall time of R runs.
 
@@ -46,7 +50,7 @@ sys.path.insert(0, SRC)
 import mpmath  # noqa: E402
 import numpy as np  # noqa: E402
 
-from hillgap import floquet, make_mathieu, make_random  # noqa: E402
+from hillgap import blockdecomp, floquet, make_mathieu, make_random  # noqa: E402
 from hillgap.weights import gevrey  # noqa: E402
 
 
@@ -105,6 +109,24 @@ def solve_times(repeat: int) -> dict:
     return out
 
 
+def block_times(repeat: int) -> dict:
+    cosine = make_mathieu(1.0)
+    wide = make_random(gevrey(0, 1, 0.5), seed=202, K=16)
+    out = {}
+    for name, q, n in (("cosine_n3", cosine, 3), ("gevrey202_n4", wide, 4),
+                       ("gevrey202_n15", wide, 15)):
+        result = []
+
+        def solve():
+            result[:] = [blockdecomp.gap_block(q, n).diagnostics]
+
+        first, warm = _first_and_warm(solve, repeat)
+        diag = result[0]
+        out[name] = {"first_s": first, "warm_s": warm,
+                     "solver_iters": diag.solver_iters, "newton_iters": diag.newton_iters}
+    return out
+
+
 def cli_times(repeat: int) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
@@ -138,6 +160,7 @@ def main(argv=None) -> int:
         "machine": machine(),
         "monodromy": monodromy_times(args.repeat),
         "periodic_eigs_info": solve_times(args.repeat),
+        "gap_block": block_times(args.repeat),
         "cli_gaps": cli_times(max(1, args.repeat // 2)),
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")

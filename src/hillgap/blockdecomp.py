@@ -21,12 +21,18 @@ cap on this window, not its working size; once the window reaches it, the
 mass pushed past the edge is tallied as ``lost``.
 
 Everything downstream lives at the point alpha_n where the diagonal vanishes:
-the adapted coefficients p_{+-n} = c_{-+n}(alpha_n), the gap roots xi_-+
-obtained by Newton on lam - sigma_n - a_n -+ phi_n with phi_n = sqrt(c_n
-c_{-n}), and the map q -> Phi(q) that replaces high Fourier modes by adapted
-coefficients.  Phi is a near-identity diffeomorphism on a ball, inverted here
-by direct iteration, which also yields potentials with collapsed gaps beyond
-a prescribed index (N-gap approximants).
+the adapted coefficients p_{+-n} = c_{-+n}(alpha_n), the gap roots xi_-+, and
+the map q -> Phi(q) that replaces high Fourier modes by adapted coefficients.
+alpha_n and both roots are fixed points of one contraction,
+
+    lam <- sigma_n + a_n(lam) + s phi_n(lam),   phi_n = sqrt(c_n c_{-n}),
+
+with s = 0 for alpha_n and s = +-1 for xi_+-.  a_n and phi_n change slowly
+in lam (|a_n'| <= 1/4; Djakov & Mityagin, Russian Math. Surveys 61 (2006)),
+so the map contracts and no lam-derivative is needed.  Phi is a
+near-identity diffeomorphism on a ball, inverted here by direct iteration,
+which also yields potentials with collapsed gaps beyond a prescribed index
+(N-gap approximants).
 
 All operators act on zero-mean potentials; the public entry points strip the
 mean and add it back to every returned spectral quantity.
@@ -78,6 +84,12 @@ class SolveInfo:
     rate: float
     lost: float
 
+    def __add__(self, other: SolveInfo) -> SolveInfo:
+        """Tallies of both solves: iterations and loss summed, residual and
+        ratio maxed."""
+        return SolveInfo(self.iters + other.iters, max(self.resid, other.resid),
+                         max(self.rate, other.rate), self.lost + other.lost)
+
 
 @dataclass(frozen=True)
 class AdaptedInfo(SolveInfo):
@@ -88,6 +100,11 @@ class AdaptedInfo(SolveInfo):
 
 @dataclass(frozen=True)
 class BlockDiagnostics:
+    """Tallies of one gap block: resolvent rounds over every solve, the
+    iterations of the two root loops (``newton_iters``; the loops are
+    fixed-point iterations, the name is kept for existing readers), the
+    SolveInfo maxima and loss, and whether the roots collapsed onto alpha_n."""
+
     solver_iters: int
     newton_iters: int
     resid: float
@@ -246,11 +263,7 @@ def _reduced_entries(q: FourierPotential, n: int, lam: complex, tol: float):
     mcut = mode_cutoff(q, n)
     h, info_p = resolve_hat_Tn(q, n, lam, _potential_column(q, n, mcut), tol)
     g, info_m = resolve_hat_Tn(q, n, lam, _potential_column(q, -n, mcut), tol)
-    info = SolveInfo(info_p.iters + info_m.iters,
-                     max(info_p.resid, info_m.resid),
-                     max(info_p.rate, info_m.rate),
-                     info_p.lost + info_m.lost)
-    return h.coeff(n), h.coeff(-n), g.coeff(n), info
+    return h.coeff(n), h.coeff(-n), g.coeff(n), info_p + info_m
 
 
 def _diagonal_entry(q: FourierPotential, n: int, lam: complex, tol: float):
@@ -265,22 +278,6 @@ def _potential_column(q: FourierPotential, m: int, mcut: int) -> ParityVector:
     return col.resized(mcut)
 
 
-class _Tally:
-    """Accumulates SolveInfo across the solves of one gap computation."""
-
-    def __init__(self) -> None:
-        self.iters = 0
-        self.resid = 0.0
-        self.rate = 0.0
-        self.lost = 0.0
-
-    def add(self, info: SolveInfo) -> None:
-        self.iters += info.iters
-        self.resid = max(self.resid, info.resid)
-        self.rate = max(self.rate, info.rate)
-        self.lost += info.lost
-
-
 def alpha_fixed_point(q: FourierPotential, n: int, tol: float = 1e-12) -> complex:
     """The point alpha_n where the reduced diagonal lam - sigma_n - a_n vanishes.
 
@@ -289,23 +286,37 @@ def alpha_fixed_point(q: FourierPotential, n: int, tol: float = 1e-12) -> comple
     n >= ceil(4 ||q||) the sharper radius m^2 / 4n with m = ceil(4 ||q||) is
     checked after convergence.  The mean of q shifts the returned value.
     """
-    alpha, _, _ = _alpha_zero_mean(q.without_mean(), n, tol)
+    alpha, _, _ = _fixed_point(q.without_mean(), n, tol)
     return alpha + complex(q.mean)
 
 
-def _alpha_zero_mean(q0: FourierPotential, n: int, tol: float):
-    """Fixed point in the zero-mean frame; returns (alpha, a_n, tally)."""
+def _fixed_point(q0: FourierPotential, n: int, tol: float, sign: int = 0,
+                 seed: complex | None = None, phi: complex = 0j):
+    """Fixed point of lam <- sigma_n + a_n(lam) + sign phi_n(lam) in the
+    zero-mean frame; returns (lam, iterations, tally).
+
+    sign = 0 gives alpha_n from sigma_n, solving only the e_n column, and
+    checks the certified radius; sign = +-1 gives a gap root from ``seed``,
+    the branch of phi_n following ``phi`` by continuity.  Leaving the disc
+    |lam - sigma_n| <= n or missing tol n^2 in 48 steps raises.
+    """
     sigma = n * n * PI2
     tol_lam = tol * max(1, n * n)
-    alpha = complex(sigma)
-    tally = _Tally()
-    a_n = 0j
-    for _ in range(48):
-        a_n, info = _diagonal_entry(q0, n, alpha, tol)
-        tally.add(info)
-        step = sigma + a_n - alpha
-        alpha = sigma + a_n
-        if abs(alpha - sigma) > n:
+    lam = complex(sigma) if seed is None else seed
+    tally = None
+    for it in range(1, 49):
+        if sign:
+            a_n, c_plus, c_minus, info = _reduced_entries(q0, n, lam, tol)
+            root = cmath.sqrt(c_plus * c_minus)
+            phi = root if abs(root - phi) <= abs(root + phi) else -root
+            new = sigma + a_n + sign * phi
+        else:
+            a_n, info = _diagonal_entry(q0, n, lam, tol)
+            new = sigma + a_n
+        tally = info if tally is None else tally + info
+        step = new - lam
+        lam = new
+        if abs(lam - sigma) > n:
             raise IterationError(f"fixed point left the disc |lam - {sigma:.6g}|"
                                  f" <= {n}")
         if abs(step) <= tol_lam:
@@ -313,9 +324,16 @@ def _alpha_zero_mean(q0: FourierPotential, n: int, tol: float):
     else:
         raise IterationError(f"fixed-point iteration at n = {n} not converged")
     m = math.ceil(4.0 * q0.l2())
-    if n >= m and abs(alpha - sigma) > m * m / (4.0 * n) + tol_lam:
+    if not sign and n >= m and abs(lam - sigma) > m * m / (4.0 * n) + tol_lam:
         raise IterationError(f"fixed point outside the certified radius at n = {n}")
-    return alpha, a_n, tally
+    return lam, it, tally
+
+
+def _at_alpha(q0: FourierPotential, n: int, tol: float):
+    """alpha_n and the reduced entries there: (alpha, a_n, c_+, c_-, tally)."""
+    alpha, _, tally = _fixed_point(q0, n, tol)
+    a_n, c_plus, c_minus, info = _reduced_entries(q0, n, alpha, tol)
+    return alpha, a_n, c_plus, c_minus, tally + info
 
 
 def _lex_order(a: complex, b: complex) -> tuple[complex, complex]:
@@ -324,79 +342,37 @@ def _lex_order(a: complex, b: complex) -> tuple[complex, complex]:
     return b, a
 
 
-def _g_value(q0: FourierPotential, n: int, sigma: float, lam: complex,
-             sign: float, phi_ref: complex, tol: float, tally: _Tally):
-    """One factor of the reduced determinant, with the square-root branch
-    picked by continuity against phi_ref."""
-    a_n, c_plus, c_minus, info = _reduced_entries(q0, n, lam, tol)
-    tally.add(info)
-    phi = cmath.sqrt(c_plus * c_minus)
-    if abs(phi - phi_ref) > abs(phi + phi_ref):
-        phi = -phi
-    return lam - sigma - a_n - sign * phi, phi
-
-
-def _gap_root_newton(q0: FourierPotential, n: int, sigma: float, seed: complex,
-                     sign: float, phi_ref: complex, tol: float, tol_lam: float,
-                     tally: _Tally, max_iter: int = 24):
-    # slope is 1 + O(1/n) (|da_n/dlam| <= 1/4 by a Cauchy estimate), so an
-    # undamped finite-difference Newton is safe; the clip is a parachute
-    h = 1e-6 * n
-    lam = seed
-    phi_prev = phi_ref
-    for it in range(1, max_iter + 1):
-        g0, phi_prev = _g_value(q0, n, sigma, lam, sign, phi_prev, tol, tally)
-        gp, _ = _g_value(q0, n, sigma, lam + h, sign, phi_prev, tol, tally)
-        gm, _ = _g_value(q0, n, sigma, lam - h, sign, phi_prev, tol, tally)
-        d = (gp - gm) / (2.0 * h)
-        if d == 0:
-            raise IterationError(f"flat determinant factor at n = {n}")
-        step = g0 / d
-        if abs(step) > n / 4.0:
-            step *= (n / 4.0) / abs(step)
-        lam = lam - step
-        if abs(lam - sigma) > n:
-            raise IterationError(f"gap root left the disc at n = {n}")
-        if abs(step) <= tol_lam:
-            return lam, it
-    raise IterationError(f"gap-root Newton at n = {n} did not converge")
-
-
 def gap_block(q: FourierPotential, n: int, tol: float = 1e-12) -> BlockData:
     """Assemble the reduced data and gap roots at index n.
 
-    Two Newton runs on lam - sigma_n - a_n(lam) -+ phi_n(lam), seeded at
-    alpha_n +- phi_n(alpha_n), locate the roots; when |c_n c_{-n}| falls
-    under COLLAPSE_PRODUCT both collapse onto alpha_n instead (the branch of
-    the square root stops being trackable there, and the roots agree to far
-    better than solver tolerance anyway).
+    The roots are the fixed points of the alpha_n map plus -+phi_n,
+    lam <- sigma_n + a_n(lam) -+ phi_n(lam), iterated from
+    alpha_n -+ phi_n(alpha_n); when |c_n c_{-n}| falls under COLLAPSE_PRODUCT
+    both collapse onto alpha_n instead (the branch of the square root stops
+    being trackable there, and the roots agree to far better than solver
+    tolerance anyway).
     """
     q0 = q.without_mean()
     mean = complex(q.mean)
-    sigma = n * n * PI2
-    tol_lam = tol * max(1, n * n)
-    alpha, _, tally = _alpha_zero_mean(q0, n, tol)
-    a_alpha, c_plus, c_minus, info = _reduced_entries(q0, n, alpha, tol)
-    tally.add(info)
+    alpha, a_alpha, c_plus, c_minus, tally = _at_alpha(q0, n, tol)
     # V e_{-n} carries the ascending coefficient ladder, so its solve holds
     # the mode +n entry whose leading term is q_{+n}; the e_n solve leads
     # with q_{-n}.  p_{+-n} must lead with q_{+-n} or the map below would
     # not be near-identity.
     p_plus, p_minus = c_minus, c_plus
     prod = c_plus * c_minus
-    newton_iters = 0
+    root_iters = 0
     collapsed = abs(prod) < COLLAPSE_PRODUCT
     if collapsed:
         xi_a = xi_b = alpha
     else:
         phi0 = cmath.sqrt(prod)
-        xi_a, it_a = _gap_root_newton(q0, n, sigma, alpha + phi0, 1.0, phi0,
-                                      tol, tol_lam, tally)
-        xi_b, it_b = _gap_root_newton(q0, n, sigma, alpha - phi0, -1.0, phi0,
-                                      tol, tol_lam, tally)
-        newton_iters = it_a + it_b
+        xi_a, it_a, info_a = _fixed_point(q0, n, tol, 1, alpha + phi0, phi0)
+        xi_b, it_b, info_b = _fixed_point(q0, n, tol, -1, alpha - phi0, phi0)
+        root_iters = it_a + it_b
+        tally = tally + info_a + info_b
     xi_minus, xi_plus = _lex_order(xi_a, xi_b)
-    diag = BlockDiagnostics(tally.iters, newton_iters, tally.resid,
+    diag = BlockDiagnostics(tally.iters, root_iters, tally.resid,
                             tally.rate, tally.lost, collapsed)
     return BlockData(n, alpha + mean, a_alpha, p_plus, p_minus,
                      xi_minus + mean, xi_plus + mean, xi_plus - xi_minus, diag)
@@ -442,15 +418,13 @@ def adapted_map(q: FourierPotential, m: int | None = None,
             if z != 0:
                 coeffs[s] = z
     for nn in range(M_thresh, K_out + 1):
-        alpha, _, tally = _alpha_zero_mean(q0, nn, tol)
-        _, c_plus, c_minus, info = _reduced_entries(q0, nn, alpha, tol)
-        tally.add(info)
+        alpha, _, c_plus, c_minus, info = _at_alpha(q0, nn, tol)
         # same ladder fact as in gap_block: the e_{-n} solve leads with q_{+n}
         coeffs[nn] = c_minus
         coeffs[-nn] = c_plus
         if diagnostics is not None:
-            diagnostics[nn] = AdaptedInfo(tally.iters, tally.resid, tally.rate,
-                                          tally.lost, alpha + complex(q.mean))
+            diagnostics[nn] = AdaptedInfo(info.iters, info.resid, info.rate,
+                                          info.lost, alpha + complex(q.mean))
     return make_fourier(coeffs, mean=q.mean, K=K_out)
 
 

@@ -922,8 +922,9 @@ def sturm_liouville_eig(q: FourierPotential, n: int, alpha: float = 0.0,
 
 
 def _sturm_liouville_root(q: FourierPotential, n: int, alpha: float, tol: float,
-                          method: str, dps: int | None):
-    # sturm_liouville_eig at the working precision
+                          method: str, dps: int | None, seed=None):
+    # sturm_liouville_eig at the working precision; Newton starts at ``seed``
+    # when given, else at the asymptotic center
     if n < 1:
         raise ValueError("index n must be >= 1")
     center = n * n * math.pi ** 2 + complex(q.mean)
@@ -932,7 +933,8 @@ def _sturm_liouville_root(q: FourierPotential, n: int, alpha: float, tol: float,
     disc = _disc(q, method, dps, center, form=_boundary_form(alpha))
     scale = max(1.0, float(n))
     with disc.precision():
-        root, _, _ = _newton_root(disc, 0.0, center, tol * max(1, n * n), scale)
+        root, _, _ = _newton_root(disc, 0.0, center if seed is None else seed,
+                                  tol * max(1, n * n), scale)
     if abs(complex(root) - center) > 12.0 * scale + 1.0:
         raise RootSearchError(f"boundary eigenvalue {complex(root)} escaped the strip")
     return root
@@ -945,11 +947,14 @@ def gap_record(q: FourierPotential, n: int, alpha: float = 0.0,
 
     tau and delta = sigma - tau are formed at the working precision before
     rounding, so delta keeps its digits when it falls below the spacing of
-    doubles near n^2 pi^2.
+    doubles near n^2 pi^2.  When "auto" escalates the pair, sigma follows it:
+    the double boundary root seeds a Newton run at the pair's precision.
     """
     lm, lp, info = _periodic_pair(q, n, tol, method, dps, None)
     sl_method = "mp" if (method == "mp" or dps is not None) else "taylor"
     sigma = _sturm_liouville_root(q, n, alpha, tol, sl_method, dps)
+    if info["escalated"]:
+        sigma = _sturm_liouville_root(q, n, alpha, tol, "mp", _AUTO_DPS, seed=sigma)
     with mp.workdps(dps or _DEFAULT_DPS):
         tau = (lm + lp) / 2
         delta = complex(sigma - tau)

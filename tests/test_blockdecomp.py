@@ -1,5 +1,6 @@
 """Reduced 2x2 block: resolvent solves, adapted coefficients, the map Phi."""
 
+import cmath
 import math
 
 import numpy as np
@@ -179,6 +180,35 @@ def test_real_potential_symmetry():
         ratio = abs(b.gamma_n) ** 2 / abs(b.p_plus * b.p_minus)
         assert 1.0 < ratio < 9.0
         assert ratio == pytest.approx(4.0, rel=0.01)
+
+
+@pytest.mark.parametrize("q, ns", [
+    (make_mathieu(1.0), range(3, 6)),
+    (make_random(gevrey(0, 1, 0.5), seed=202, K=16), range(2, 9)),
+    (make_random(gevrey(0, 1, 0.5), seed=202, K=16, real=False), range(2, 9)),
+], ids=["cosine", "gevrey_K16_real", "gevrey_K16_complex"])
+def test_gap_roots_zero_the_reduced_factors(q, ns):
+    # each root is a fixed point of lam <- sigma_n + a_n(lam) + s phi_n(lam),
+    # one for s = +1 and one for s = -1, with phi_n on one continuous branch
+    tol = 1e-12
+    q0 = q.without_mean()
+    mean = complex(q.mean)
+    for n in ns:
+        b = gap_block(q, n, tol)
+        assert not b.diagnostics.collapsed
+        signs = []
+        phi_ref = None
+        for xi in (b.xi_minus - mean, b.xi_plus - mean):
+            a_n, c_plus, c_minus = coeff_an_cn(q0, n, xi, tol)
+            phi = cmath.sqrt(c_plus * c_minus)
+            if phi_ref is not None and abs(phi - phi_ref) > abs(phi + phi_ref):
+                phi = -phi
+            phi_ref = phi
+            factors = {s: abs(xi - n * n * PI2 - a_n - s * phi) for s in (1, -1)}
+            s = min(factors, key=factors.get)
+            assert factors[s] <= tol * n * n, (n, factors)
+            signs.append(s)
+        assert sorted(signs) == [-1, 1], n
 
 
 def test_block_mean_shift():

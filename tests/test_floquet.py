@@ -626,6 +626,16 @@ def test_gap_record_keeps_gaps_below_double_spacing():
         assert rec.triangle == abs(rec.gamma) + abs(rec.delta)
 
 
+@pytest.mark.parametrize("n", range(5, 9))
+def test_auto_gap_record_takes_sigma_at_the_pair_precision(n):
+    # these pairs escalate; a double Dirichlet root would put |delta| at its
+    # own error, about 1e-13 / |f'|, far above the true |delta| (1e-21 at n = 8)
+    q = make_mathieu(1.0)
+    rec = gap_record(q, n)
+    ref = gap_record(q, n, tol=1e-26, method="mp", dps=60)
+    assert abs(rec.delta) == pytest.approx(abs(ref.delta), rel=1e-2, abs=0)
+
+
 def test_delta_linear_model():
     fit = delta_linear_model(make_mathieu(0.5), (2, 4))
     assert not fit.degenerate
