@@ -20,6 +20,9 @@ file records:
     Gevrey draw (seed 202) at n = 4 and 15: first and median warm wall
     time, the resolvent rounds (``solver_iters``) and the root-loop
     iterations (``newton_iters``);
+  * the high-precision solves on that potential at n = 8 with tol = 1e-26,
+    method "mp" and dps = 60: ``periodic_eigs_info`` and ``gap_record``,
+    first and median warm wall time, and the pair's solve ledger;
   * the CLI, ``hillgap gaps -c CONFIG``, as a process of its own on each
     config under perfbench/configs (read only): median wall time of R runs.
 
@@ -127,6 +130,19 @@ def block_times(repeat: int) -> dict:
     return out
 
 
+def high_precision_times(repeat: int) -> dict:
+    q = make_mathieu(1.0)
+    kw = {"tol": 1e-26, "method": "mp", "dps": 60}
+    out = {}
+    for name, fn in (("periodic_eigs_info_n8", floquet.periodic_eigs_info),
+                     ("gap_record_n8", floquet.gap_record)):
+        first, warm = _first_and_warm(lambda: fn(q, 8, **kw), repeat)
+        out[name] = {"first_s": first, "warm_s": warm}
+    # gap_record solves the same pair, so one ledger serves both entries
+    out["kernels"] = floquet.periodic_eigs_info(q, 8, **kw)[2].get("kernels")
+    return out
+
+
 def cli_times(repeat: int) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
@@ -161,6 +177,7 @@ def main(argv=None) -> int:
         "monodromy": monodromy_times(args.repeat),
         "periodic_eigs_info": solve_times(args.repeat),
         "gap_block": block_times(args.repeat),
+        "high_precision": high_precision_times(args.repeat),
         "cli_gaps": cli_times(max(1, args.repeat // 2)),
     }
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")

@@ -386,6 +386,25 @@ def gap_roots(q: FourierPotential, n: int,
     return block.xi_minus, block.xi_plus, block.gamma_n
 
 
+def adapted_defaults(q: FourierPotential, m: int | None = None,
+                     M_thresh: int | None = None,
+                     K_out: int | None = None) -> tuple[int, int, int]:
+    """The adapted map's (m, M_thresh, K_out), each one not given defaulted.
+
+    From ||q|| with the mean removed: the ball size m = max(1, ceil(4 ||q||)),
+    the threshold M_thresh = max(m + 1, 8) just past the ball, and the output
+    window K_out = max(K, M_thresh + 7), which keeps an adapted band present
+    for trigonometric polynomials.
+    """
+    if m is None:
+        m = max(1, math.ceil(4.0 * q.without_mean().l2()))
+    if M_thresh is None:
+        M_thresh = max(m + 1, 8)
+    if K_out is None:
+        K_out = max(q.K, M_thresh + 7)
+    return m, M_thresh, K_out
+
+
 def adapted_map(q: FourierPotential, m: int | None = None,
                 M_thresh: int | None = None, tol: float = 1e-12, *,
                 K_out: int | None = None,
@@ -394,23 +413,18 @@ def adapted_map(q: FourierPotential, m: int | None = None,
 
     Returns p with p_n = q_n for |n| < M_thresh and p_{+-n} = c_{-+n}(alpha_n)
     above.  m is the ball parameter (4 ||q|| <= m required) and the threshold
-    must sit past the ball; both default from ||q||.  K_out widens the output
-    window past the support of q, so the adapted band is present even for
-    trigonometric polynomials; pass ``diagnostics`` a dict to collect per-index
-    solver tallies and the fixed points alpha_n.
+    must sit past the ball.  K_out widens the output window past the support
+    of q, so the adapted band is present even for trigonometric polynomials.
+    All three default as adapted_defaults says.  Pass ``diagnostics`` a dict
+    to collect per-index solver tallies and the fixed points alpha_n.
     """
     q0 = q.without_mean()
     nq = q0.l2()
-    if m is None:
-        m = max(1, math.ceil(4.0 * nq))
+    m, M_thresh, K_out = adapted_defaults(q, m, M_thresh, K_out)
     if 4.0 * nq > m:
         raise ContractionError(f"4 ||q|| = {4 * nq:.6g} exceeds the ball size m = {m}")
-    if M_thresh is None:
-        M_thresh = max(m + 1, 8)
     if M_thresh < m + 1:
         raise DomainError(f"threshold {M_thresh} sits inside the ball of size {m}")
-    if K_out is None:
-        K_out = max(q.K, M_thresh + 7)
     coeffs: dict[int, complex] = {}
     for nn in range(1, M_thresh):
         for s in (nn, -nn):
@@ -435,13 +449,10 @@ def invert_adapted_map(p: FourierPotential, m: int | None = None,
 
     The derivative of Phi stays within 1/8 of the identity on the admissible
     ball, so the iteration contracts at about that rate; a measured rate above
-    0.9 aborts.  m and M_thresh must match the forward map; by default they
-    come from ||p|| through the same formulas.
+    0.9 aborts.  m and M_thresh must match the forward map; by default
+    adapted_defaults takes them from ||p||.
     """
-    if m is None:
-        m = max(1, math.ceil(4.0 * p.without_mean().l2()))
-    if M_thresh is None:
-        M_thresh = max(m + 1, 8)
+    m, M_thresh, _ = adapted_defaults(p, m, M_thresh)
     q = p
     prev = None
     rate = 0.0
@@ -470,11 +481,7 @@ def n_gap_approximant(q: FourierPotential, N: int, m: int | None = None,
     N must reach the adapted threshold; below it the map keeps plain Fourier
     modes and truncating there would not close any gap.
     """
-    nq = q.without_mean().l2()
-    if m is None:
-        m = max(1, math.ceil(4.0 * nq))
-    if M_thresh is None:
-        M_thresh = max(m + 1, 8)
+    m, M_thresh, K_out = adapted_defaults(q, m, M_thresh, K_out)
     if N < M_thresh:
         raise DomainError(f"N = {N} below the adapted threshold {M_thresh}")
     p = adapted_map(q, m, M_thresh, tol, K_out=K_out)

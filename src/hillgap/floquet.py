@@ -58,12 +58,15 @@ uses the quadratic model gamma = 2 sqrt(-2 D*/Delta'') to seed and polish the
 two roots (the second deflated by the first).  Every path reads Delta,
 Delta' and Delta'' off a jet by Horner, within a radius the jet's own
 highest coefficients set, and builds a new jet only for a point outside it.
-The jet's order is chosen from the span the solve will visit: the error of
-the double critical point that seeds an escalation, plus half the gap when
-the double solve resolved it, so one jet usually serves the whole solve.  A gap is reported collapsed
-when the model separation falls under the tolerance; when the dip D* drowns in
-integrator noise the pair is returned at the model positions and flagged
-unresolved in the diagnostics, which the "auto" method escalates to mpmath.
+Every solve first finds the critical point (or a Sturm-Liouville root) in
+doubles; an arbitrary-precision solve ("mp", a pinned dps, or an "auto"
+escalation, decided there before any root is polished) continues from it.
+Its jet's order is chosen from the span the solve will visit: the error of
+the double critical point plus half the model gap when the double dip is
+resolved, so one jet usually serves the whole solve.  A gap is reported
+collapsed when the model separation falls under the tolerance; when the dip
+D* drowns in integrator noise the pair is returned at the model positions
+and flagged unresolved in the diagnostics.
 """
 
 from __future__ import annotations
@@ -661,7 +664,7 @@ class _JetDisc:
         return mp.sqrt(z) if self.dps else cmath.sqrt(z)
 
     def cover(self, lam, span) -> None:
-        """Make the jet serve every point within ``span`` of lam."""
+        """Make the jet serve every point within ``span`` of lam; call before derivs."""
         if self.center is None or abs(lam - self.center) + span > self.radius:
             self._build(lam, span)
 
@@ -675,9 +678,7 @@ class _JetDisc:
         self.jet_order += order
 
     def derivs(self, lam, order: int, const=0.0, deflate=None):
-        if self.center is None:
-            self._build(lam, 0.0)
-        elif abs(lam - self.center) > self.radius:
+        if abs(lam - self.center) > self.radius:
             # a Newton step of length d on exact derivatives lands within
             # about d^2 / rho of its target, rho being the coefficient scale
             d = float(abs(lam - self.center))
@@ -733,15 +734,18 @@ def _lex_pair(a, b):
     return b, a
 
 
-def _newton_critical(disc, lam0, n: int, tol: float, max_iter: int = 40):
-    """Newton on Delta' = 0 from lam0; returns (lam*, Delta(lam*), Delta'', iters).
+def _newton_critical(disc, lam0, span: float, n: int, target: float, tol: float,
+                     max_iter: int = 40):
+    """Newton on Delta' = 0 from lam0; returns (lam*, Delta(lam*) - target, Delta'', iters).
 
-    It stops once a step falls under tol or under the critical point's own
-    error, noise / |Delta''|, below which the steps only follow the noise.
+    The first jet is sized to cover ``span`` around lam0.  It stops once a
+    step falls under tol or under the critical point's own error,
+    noise / |Delta''|, below which the steps only follow the noise.
     """
     scale = max(1.0, float(n))
     clip = 6.0 * scale
     lam = lam0
+    disc.cover(lam0, span)
     for it in range(1, max_iter + 1):
         _, d1, d2 = disc.derivs(lam, 2)
         if d2 == 0:
@@ -753,7 +757,7 @@ def _newton_critical(disc, lam0, n: int, tol: float, max_iter: int = 40):
         if abs(lam - lam0) > 12.0 * scale:
             raise RootSearchError("critical point escaped the search strip")
         if abs(step) <= max(tol, disc.noise / abs(d2)):
-            return lam, disc.derivs(lam, 0)[0], d2, it
+            return lam, disc.derivs(lam, 0, target)[0], d2, it
     raise RootSearchError("critical-point Newton did not converge")
 
 
@@ -789,64 +793,77 @@ def _newton_root(disc, const, seed, tol: float, scale: float,
 
 
 def _solve_pair(q: FourierPotential, n: int, tol: float, method: str,
-                dps: int | None, steps: int | None = None, seed=None, span: float = 0.0):
+                dps: int | None, steps: int | None):
     """One gap: critical point, quadratic model, polished roots, diagnostics.
 
-    The pair comes back at the working precision.  ``seed`` starts the
-    critical-point search and ``span`` bounds how far the search and the
-    roots are expected to move from it (the jet is sized to cover it).
+    The critical point is always found in doubles first.  "mp", a pinned
+    ``dps`` and an "auto" run whose dip is too shallow to trust continue from
+    it at the working precision, with one jet sized to cover its error and
+    half the model gap; the pair comes back at the precision of the last run.
     """
+    if n < 1:
+        raise ValueError("gap index n must be >= 1")
     center = n * n * math.pi ** 2 + complex(q.mean)
     target = 2.0 if n % 2 == 0 else -2.0
-    disc = _disc(q, method, dps, center, steps)
-    with disc.precision():
-        return _solve_pair_inner(disc, n, center, target, tol, seed, span)
-
-
-def _solve_pair_inner(disc, n: int, center: complex, target: float,
-                      tol: float, seed, span: float):
     tol_lam = tol * max(1, n * n)
-    start = center if seed is None else seed
-    disc.cover(start, span)
-    lam_star, f_star, d2, its = _newton_critical(disc, start, n, tol_lam)
-    dip = f_star - target
-    resolved = abs(dip) >= _RESOLVE_MARGIN * disc.noise
-    gamma_model = 2 * disc.sqrt(-2 * dip / d2)
-    info = {
-        "method": disc.name,
-        "resolved": bool(resolved),
-        "critical": complex(lam_star),
-        "critical_err": float(disc.noise / abs(complex(d2))),
-        "dip": complex(dip),
-        "curvature": complex(d2),
-        "gamma_floor": 2.0 * math.sqrt(abs(2.0 * _RESOLVE_MARGIN * disc.noise
-                                           / complex(d2))),
-        "iters": its,
-        "resid": float(abs(complex(dip))),
-        "escalated": None,
-    }
-    # an unresolved dip is pure noise and would split the pair in a random
-    # complex direction; the critical point itself stays accurate, so report
-    # the gap as closed and leave the floor in the diagnostics
-    if not resolved or abs(gamma_model) <= tol_lam:
-        info["gamma"] = 0j
-        info["kernels"] = disc.kernels()
-        return lam_star, lam_star, info
-    scale = max(1.0, float(n))
-    disc.cover(lam_star, abs(gamma_model) / 2)
-    r1, res1, it1 = _newton_root(disc, target, lam_star - gamma_model / 2, tol_lam, scale)
-    r2, res2, it2 = _newton_root(disc, target, lam_star + gamma_model / 2, tol_lam, scale,
-                                 deflate=r1)
-    for r in (complex(r1), complex(r2)):
-        if abs(r - center) > 12.0 * scale + 1.0:
-            raise RootSearchError(f"gap root {r} escaped the strip around {center}")
-    info["iters"] = its + it1 + it2
-    info["resid"] = float(max(res1, res2 * abs(complex(r2) - complex(r1))))
-    # order and subtract at the working precision, then round
-    lm, lp = _lex_pair(r1, r2)
-    info["gamma"] = complex(lp - lm)
-    info["kernels"] = disc.kernels()
-    return lm, lp, info
+    pinned = method == "mp" or (method == "auto" and dps is not None)
+    disc = _disc(q, "taylor" if method in ("auto", "mp") else method, None, center,
+                 None if pinned else steps)
+    lam_star, dip, d2, its = _newton_critical(disc, center, 0.0, n, target, tol_lam)
+    kernels = disc.kernels()
+    # a dip barely above the resolve margin still costs relative accuracy
+    # in the split; auto keeps the double result only when it is comfortable
+    floor = _AUTO_DIP_FACTOR * _TAYLOR_NOISE
+    escalated = None
+    if method == "auto" and not pinned and abs(dip) < floor:
+        escalated = f"dip {abs(dip):.1g} < auto threshold {floor:.1g}"
+    if pinned or escalated:
+        # one jet covers the double critical point's error and, when the
+        # double dip is resolved, both model roots as well
+        span = float(disc.noise / abs(d2))
+        if abs(dip) >= _RESOLVE_MARGIN * disc.noise:
+            span += math.sqrt(abs(2 * dip / d2))
+        disc = _disc(q, "mp", dps if pinned else _AUTO_DPS, center, steps if pinned else None)
+        with disc.precision():
+            lam_star, dip, d2, its = _newton_critical(disc, lam_star, span, n, target, tol_lam)
+    with disc.precision():
+        resolved = abs(dip) >= _RESOLVE_MARGIN * disc.noise
+        gamma_model = 2 * disc.sqrt(-2 * dip / d2)
+        info = {
+            "method": disc.name,
+            "resolved": bool(resolved),
+            "critical": complex(lam_star),
+            "critical_err": float(disc.noise / abs(complex(d2))),
+            "dip": complex(dip),
+            "curvature": complex(d2),
+            "gamma_floor": 2.0 * math.sqrt(abs(2.0 * _RESOLVE_MARGIN * disc.noise
+                                               / complex(d2))),
+            "iters": its,
+            "resid": float(abs(complex(dip))),
+            "escalated": escalated,
+        }
+        # an unresolved dip is pure noise and would split the pair in a random
+        # complex direction; the critical point itself stays accurate, so report
+        # the gap as closed and leave the floor in the diagnostics
+        if not resolved or abs(gamma_model) <= tol_lam:
+            info["gamma"] = 0j
+            info["kernels"] = {**kernels, **disc.kernels()}
+            return lam_star, lam_star, info
+        scale = max(1.0, float(n))
+        disc.cover(lam_star, abs(gamma_model) / 2)
+        r1, res1, it1 = _newton_root(disc, target, lam_star - gamma_model / 2, tol_lam, scale)
+        r2, res2, it2 = _newton_root(disc, target, lam_star + gamma_model / 2, tol_lam, scale,
+                                     deflate=r1)
+        for r in (complex(r1), complex(r2)):
+            if abs(r - center) > 12.0 * scale + 1.0:
+                raise RootSearchError(f"gap root {r} escaped the strip around {center}")
+        info["iters"] = its + it1 + it2
+        info["resid"] = float(max(res1, res2 * abs(complex(r2) - complex(r1))))
+        # order and subtract at the working precision, then round
+        lm, lp = _lex_pair(r1, r2)
+        info["gamma"] = complex(lp - lm)
+        info["kernels"] = {**kernels, **disc.kernels()}
+        return lm, lp, info
 
 
 def periodic_eigs(q: FourierPotential, n: int, tol: float = 1e-12,
@@ -863,7 +880,8 @@ def periodic_eigs(q: FourierPotential, n: int, tol: float = 1e-12,
     arbitrary-precision integrator (30 digits) unless the discriminant dip
     stands far enough above the double roundoff floor to trust the split;
     "rk4", "taylor", "mp" force one path.  ``dps`` pins the mpmath precision
-    (and with method "auto" jumps straight to mpmath).
+    for methods "auto" and "mp".  Every arbitrary-precision solve, escalated
+    or pinned, starts from the double critical point.
     """
     lm, lp, _ = periodic_eigs_info(q, n, tol, method=method, dps=dps, steps=steps)
     return lm, lp
@@ -878,35 +896,12 @@ def periodic_eigs_info(q: FourierPotential, n: int, tol: float = 1e-12,
     the path's noise floor over |Delta''|), dip, curvature, noise floors,
     Newton iterations and residual, the info dict records ``kernels``: per path
     ("taylor", "rk4", "mp30", ...) the lam-jets it transported and their
-    summed order, the double attempt of an escalated solve included;
-    and ``escalated``: why "auto" left the double path, or None.
+    summed order, the double critical search that seeds every
+    arbitrary-precision solve included; and ``escalated``: why "auto" left
+    the double path, or None (also when ``dps`` or "mp" pinned the precision).
     """
-    lm, lp, info = _periodic_pair(q, n, tol, method, dps, steps)
+    lm, lp, info = _solve_pair(q, n, tol, method, dps, steps)
     return complex(lm), complex(lp), info
-
-
-def _periodic_pair(q: FourierPotential, n: int, tol: float, method: str,
-                   dps: int | None, steps: int | None):
-    # periodic_eigs_info with the pair at the working precision
-    if n < 1:
-        raise ValueError("gap index n must be >= 1")
-    if dps is not None and method in ("auto", "mp"):
-        return _solve_pair(q, n, tol, "mp", dps, steps)
-    if method != "auto":
-        return _solve_pair(q, n, tol, method, dps, steps)
-    lm, lp, info = _solve_pair(q, n, tol, "taylor", None, steps)
-    # a dip barely above the resolve margin still costs relative accuracy
-    # in the split; keep the double result only when it is comfortable
-    floor = _AUTO_DIP_FACTOR * _TAYLOR_NOISE
-    if info["resolved"] and abs(info["dip"]) >= floor:
-        return lm, lp, info
-    # the double critical point seeds the high-precision run; one jet covers
-    # its error and, when the double gap is resolved, both roots as well
-    span = info["critical_err"] + (abs(info["gamma"]) / 2 if info["resolved"] else 0.0)
-    lm, lp, hi = _solve_pair(q, n, tol, "mp", _AUTO_DPS, None, seed=info["critical"], span=span)
-    hi["kernels"] = {**info["kernels"], **hi["kernels"]}
-    hi["escalated"] = f"dip {abs(info['dip']):.1g} < auto threshold {floor:.1g}"
-    return lm, lp, hi
 
 
 def sturm_liouville_eig(q: FourierPotential, n: int, alpha: float = 0.0,
@@ -916,25 +911,29 @@ def sturm_liouville_eig(q: FourierPotential, n: int, alpha: float = 0.0,
 
     alpha = 0 is Dirichlet, alpha = pi/2 is Neumann.  These roots are simple,
     so a plain Newton run from the asymptotic center converges without any
-    critical-point preparation.
+    critical-point preparation.  With method "mp" or ``dps`` set, the double
+    Taylor root seeds a Newton run at that precision.
     """
     return complex(_sturm_liouville_root(q, n, alpha, tol, method, dps))
 
 
 def _sturm_liouville_root(q: FourierPotential, n: int, alpha: float, tol: float,
-                          method: str, dps: int | None, seed=None):
-    # sturm_liouville_eig at the working precision; Newton starts at ``seed``
-    # when given, else at the asymptotic center
+                          method: str, dps: int | None):
+    # sturm_liouville_eig at the working precision: Newton in doubles from
+    # the asymptotic center, then at dps digits from the double root
     if n < 1:
         raise ValueError("index n must be >= 1")
     center = n * n * math.pi ** 2 + complex(q.mean)
-    if dps is not None:
-        method = "mp"
-    disc = _disc(q, method, dps, center, form=_boundary_form(alpha))
+    form = _boundary_form(alpha)
+    discs = [_disc(q, "taylor" if method == "mp" else method, None, center, form=form)]
+    if method == "mp" or dps is not None:
+        discs.append(_disc(q, "mp", dps, center, form=form))
     scale = max(1.0, float(n))
-    with disc.precision():
-        root, _, _ = _newton_root(disc, 0.0, center if seed is None else seed,
-                                  tol * max(1, n * n), scale)
+    root = center
+    for disc in discs:
+        with disc.precision():
+            disc.cover(root, 0.0)
+            root, _, _ = _newton_root(disc, 0.0, root, tol * max(1, n * n), scale)
     if abs(complex(root) - center) > 12.0 * scale + 1.0:
         raise RootSearchError(f"boundary eigenvalue {complex(root)} escaped the strip")
     return root
@@ -947,14 +946,13 @@ def gap_record(q: FourierPotential, n: int, alpha: float = 0.0,
 
     tau and delta = sigma - tau are formed at the working precision before
     rounding, so delta keeps its digits when it falls below the spacing of
-    doubles near n^2 pi^2.  When "auto" escalates the pair, sigma follows it:
-    the double boundary root seeds a Newton run at the pair's precision.
+    doubles near n^2 pi^2.  sigma follows the pair's precision: whenever the
+    pair left doubles, by "mp", a pinned ``dps`` or an "auto" escalation, the
+    double boundary root seeds a Newton run at that precision.
     """
-    lm, lp, info = _periodic_pair(q, n, tol, method, dps, None)
-    sl_method = "mp" if (method == "mp" or dps is not None) else "taylor"
-    sigma = _sturm_liouville_root(q, n, alpha, tol, sl_method, dps)
-    if info["escalated"]:
-        sigma = _sturm_liouville_root(q, n, alpha, tol, "mp", _AUTO_DPS, seed=sigma)
+    lm, lp, info = _solve_pair(q, n, tol, method, dps, None)
+    sigma = _sturm_liouville_root(q, n, alpha, tol, "mp" if method == "mp" else "taylor",
+                                  _AUTO_DPS if info["escalated"] else dps)
     with mp.workdps(dps or _DEFAULT_DPS):
         tau = (lm + lp) / 2
         delta = complex(sigma - tau)

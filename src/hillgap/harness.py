@@ -43,7 +43,6 @@ from .weights import Weight
 
 KINDS = ("gaps", "adapted", "oracle", "theorem1", "theorem4", "theorem5",
          "mathieu", "gasymov", "dense", "weights_check")
-TABLE_KINDS = ("gaps", "adapted", "oracle")
 
 CSV_COLUMNS = ("n", "method", "re_lm", "im_lm", "re_lp", "im_lp",
                "re_gamma", "im_gamma", "re_alpha", "im_alpha",
@@ -325,19 +324,13 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
     N_values: list[int] = []
     span = 4
     if kind in ("adapted", "dense"):
-        q0 = potential.without_mean()
         if "m" in work:
             m = _integer(work.pop("m"), "m")
-        else:
-            m = max(1, math.ceil(4.0 * q0.l2()))
         if "M_thresh" in work:
             M_thresh = _integer(work.pop("M_thresh"), "M_thresh")
-        else:
-            M_thresh = max(m + 1, 8)
         if "K_out" in work:
             K_out = _integer(work.pop("K_out"), "K_out")
-        else:
-            K_out = max(potential.K, M_thresh + 7)
+        m, M_thresh, K_out = blockdecomp.adapted_defaults(potential, m, M_thresh, K_out)
     if kind == "dense":
         raw_n = work.pop("N_values", None)
         if raw_n is None:

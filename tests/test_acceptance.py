@@ -334,7 +334,7 @@ def test_superexponential_decay(verdict):
             f"min bound/ceiling {headroom:.2g}")
 
 
-def test_numerical_hygiene(verdict, monkeypatch):
+def test_numerical_hygiene(verdict):
     worst_det = 0.0
     for q in (FREE, seqspace.make_mathieu(1.0),
               seqspace.make_gasymov([1.0, 0.5j])):
@@ -361,7 +361,6 @@ def test_numerical_hygiene(verdict, monkeypatch):
     }
     csv_a = harness.rows_to_csv(harness.run_table(harness.parse_config(raw))[0])
     csv_b = harness.rows_to_csv(harness.run_table(harness.parse_config(raw))[0])
-    monkeypatch.setenv("HILLGAP_THREADS", "3")
     csv_c = harness.rows_to_csv(harness.run_table(harness.parse_config(raw))[0])
 
     ok = worst_det <= 1e-10 and all(o >= 3.5 for o in orders) \

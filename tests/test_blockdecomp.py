@@ -10,6 +10,7 @@ from hillgap import blockdecomp
 from hillgap.blockdecomp import (
     ContractionError,
     DomainError,
+    adapted_defaults,
     adapted_map,
     alpha_fixed_point,
     apply_Tn,
@@ -251,6 +252,17 @@ def test_adapted_map_guards_and_diagnostics():
     assert p2.K == 14
     assert p2.coeff(9) != 0.0
     assert p2.coeff(13) != 0.0
+
+
+def test_adapted_defaults_fill_only_what_is_missing():
+    # ||q|| = 1 / sqrt(2) for the unit cosine: m = ceil(2.83) = 3, the
+    # threshold is the floor 8, and the window reaches 8 + 7
+    q = make_mathieu(1.0)
+    assert adapted_defaults(q) == (3, 8, 15)
+    assert adapted_defaults(q, 9) == (9, 10, 17)
+    assert adapted_defaults(q, 5, 12, 40) == (5, 12, 40)
+    wide = make_random(polynomial(2), seed=11, K=40)
+    assert adapted_defaults(wide)[2] == 40
 
 
 def test_deep_ladder_needs_tight_tolerance():
