@@ -59,14 +59,13 @@ two roots (the second deflated by the first).  Every path reads Delta,
 Delta' and Delta'' off a jet by Horner, within a radius the jet's own
 highest coefficients set, and builds a new jet only for a point outside it.
 Every solve first finds the critical point (or a Sturm-Liouville root) in
-doubles; an arbitrary-precision solve ("mp", a pinned dps, or an "auto"
-escalation, decided there before any root is polished) continues from it.
-Its jet's order is chosen from the span the solve will visit: the error of
-the double critical point plus half the model gap when the double dip is
-resolved, so one jet usually serves the whole solve.  A gap is reported
-collapsed when the model separation falls under the tolerance; when the dip
-D* drowns in integrator noise the pair is returned at the model positions
-and flagged unresolved in the diagnostics.
+doubles; a solve at a dps pinned under any method, or after an "auto"
+escalation decided there before any root is polished, continues from it.
+Its jet covers the double result's error, plus half the model gap when the
+double dip is resolved, so one jet usually serves the whole solve.  A gap
+is reported collapsed when the model separation falls under the tolerance;
+when the dip D* drowns in integrator noise the pair is returned at the
+model positions and flagged unresolved in the diagnostics.
 """
 
 from __future__ import annotations
@@ -315,16 +314,6 @@ def _taylor_steps(lam: complex) -> int:
     return max(16, int(math.ceil(math.sqrt(abs(lam)))) + 8)
 
 
-def _monodromy_rk4(q: FourierPotential, lam: complex, steps: int) -> MonodromyMatrix:
-    return MonodromyMatrix(*_rk4_kernel(_rk4_samples(_key(q), steps), complex(lam)))
-
-
-def _monodromy_taylor(q: FourierPotential, lam: complex,
-                      steps: int | None = None) -> MonodromyMatrix:
-    C = _taylor_table(_key(q), steps or _taylor_steps(lam), _TAYLOR_ORDER)
-    return MonodromyMatrix(*_taylor_kernel(C, complex(lam)))
-
-
 # ---------------------------------------------------------------------------
 # arbitrary-precision kernel
 
@@ -527,14 +516,21 @@ def _fixed_kernel(table, lam, bits, order=0):
                  for re, im in ((c[k][0], c[k][1]), (c[k][2], c[k][3])))
 
 
-def _monodromy_mp(q: FourierPotential, lam, steps: int, dps: int):
-    table = _mp_table(_key(q), steps, _mp_order(dps), dps)
-    with mp.workdps(dps):
-        return _fixed_kernel(table, lam, _fixed_bits(dps))
-
-
 # ---------------------------------------------------------------------------
 # public integrator surface
+
+
+def _path(method: str, dps: int | None):
+    """(double path, finishing dps or None) by the rule periodic_eigs states.
+
+    The one home of the method list; None means doubles, unless "auto"
+    escalates a pair solve.
+    """
+    if method not in ("auto", "taylor", "rk4", "mp"):
+        raise ValueError(f"unknown oracle method {method!r}")
+    if method == "mp" and not dps:
+        dps = _DEFAULT_DPS
+    return ("rk4" if method == "rk4" else "taylor"), dps
 
 
 def monodromy(q: FourierPotential, lam: complex, steps: int | None = None,
@@ -544,25 +540,20 @@ def monodromy(q: FourierPotential, lam: complex, steps: int | None = None,
     Args:
         q: potential; the mean participates in the integration.
         lam: spectral parameter, complex allowed.
-        steps: fixed step count; defaults to the RK4 rule (320 per pi of
-            oscillation) and must respect the 64-per-pi minimum.
-        method: "rk4" (default, classical 4th order) or "taylor" (series
-            integrator at the double roundoff floor).
-        dps: if set, run the Taylor scheme in mpmath at that precision.
+        steps: fixed step count, by default chosen per path; RK4 steps must
+            respect the 64-per-pi minimum.
+        method, dps: read as in periodic_eigs.  "rk4" (default) is classical
+            4th order, "taylor" and "auto" the series integrator at the
+            double roundoff floor; ``dps`` or "mp" runs the series in mpmath.
     """
-    if dps is not None:
-        y11, y12, y21, y22 = _monodromy_mp(q, lam, steps or _mp_steps(_key(q), lam, dps), dps)
-        return MonodromyMatrix(complex(y11), complex(y12), complex(y21), complex(y22))
-    if method == "taylor":
-        return _monodromy_taylor(q, lam, steps)
-    if method != "rk4":
-        raise ValueError(f"unknown integrator {method!r}")
-    if steps is None:
-        steps = default_steps(lam)
-    elif steps < default_steps(lam, MIN_STEP_FACTOR):
+    path, dps = _path(method, dps)
+    if (path == "rk4" and not dps and steps is not None
+            and steps < default_steps(lam, MIN_STEP_FACTOR)):
         raise ValueError(f"steps = {steps} under-resolves the oscillation "
                          f"at |lam| = {abs(lam):.3g}")
-    return _monodromy_rk4(q, lam, steps)
+    disc = _disc(q, method, dps, lam, steps)
+    with disc.precision():
+        return MonodromyMatrix(*map(complex, disc.jet(lam, 0)))
 
 
 def discriminant(q: FourierPotential, lam: complex, steps: int | None = None,
@@ -705,23 +696,22 @@ class _JetDisc:
 
 def _disc(q: FourierPotential, method: str, dps: int | None, center: complex,
           steps: int | None = None, form=_trace) -> _JetDisc:
+    # the path _path picks: mpmath when it pins a precision, else doubles
+    path, dps = _path(method, dps)
     key = _key(q)
-    if method == "taylor":
+    if dps:
+        table = _mp_table(key, steps or _mp_steps(key, center, dps), _mp_order(dps), dps)
+        bits = _fixed_bits(dps)
+        return _JetDisc(lambda lam, order: _fixed_kernel(table, lam, bits, order),
+                        _mp_noise(dps), f"mp{dps}", dps, form)
+    if path == "taylor":
         C = _taylor_table(key, steps or _taylor_steps(center), _TAYLOR_ORDER)
         return _JetDisc(lambda lam, order: _taylor_kernel(C, complex(lam), order),
-                        _TAYLOR_NOISE, method, form=form)
-    if method == "rk4":
-        qs = _rk4_samples(key, steps or default_steps(center))
-        # RK4 error is truncation bias, not roundoff
-        return _JetDisc(lambda lam, order: _rk4_kernel(qs, complex(lam), order),
-                        1e-9, method, form=form)
-    if method != "mp":
-        raise ValueError(f"unknown oracle method {method!r}")
-    dps = dps or _DEFAULT_DPS
-    table = _mp_table(key, steps or _mp_steps(key, center, dps), _mp_order(dps), dps)
-    bits = _fixed_bits(dps)
-    return _JetDisc(lambda lam, order: _fixed_kernel(table, lam, bits, order),
-                    _mp_noise(dps), f"mp{dps}", dps, form)
+                        _TAYLOR_NOISE, path, form=form)
+    qs = _rk4_samples(key, steps or default_steps(center))
+    # RK4 error is truncation bias, not roundoff
+    return _JetDisc(lambda lam, order: _rk4_kernel(qs, complex(lam), order),
+                    1e-9, path, form=form)
 
 
 def _lex_pair(a, b):
@@ -796,34 +786,33 @@ def _solve_pair(q: FourierPotential, n: int, tol: float, method: str,
                 dps: int | None, steps: int | None):
     """One gap: critical point, quadratic model, polished roots, diagnostics.
 
-    The critical point is always found in doubles first.  "mp", a pinned
-    ``dps`` and an "auto" run whose dip is too shallow to trust continue from
-    it at the working precision, with one jet sized to cover its error and
-    half the model gap; the pair comes back at the precision of the last run.
+    The critical point is always found in doubles first, on _path's double
+    path.  A pinned dps, or an "auto" run whose dip is too shallow to trust,
+    continues from it at the working precision, with one jet sized to cover
+    its error and half the model gap; ``info["dps"]`` is where it finished.
     """
+    path, dps = _path(method, dps)
     if n < 1:
         raise ValueError("gap index n must be >= 1")
     center = n * n * math.pi ** 2 + complex(q.mean)
     target = 2.0 if n % 2 == 0 else -2.0
     tol_lam = tol * max(1, n * n)
-    pinned = method == "mp" or (method == "auto" and dps is not None)
-    disc = _disc(q, "taylor" if method in ("auto", "mp") else method, None, center,
-                 None if pinned else steps)
+    disc = _disc(q, path, None, center, None if dps else steps)
     lam_star, dip, d2, its = _newton_critical(disc, center, 0.0, n, target, tol_lam)
     kernels = disc.kernels()
     # a dip barely above the resolve margin still costs relative accuracy
     # in the split; auto keeps the double result only when it is comfortable
     floor = _AUTO_DIP_FACTOR * _TAYLOR_NOISE
     escalated = None
-    if method == "auto" and not pinned and abs(dip) < floor:
+    if method == "auto" and not dps and abs(dip) < floor:
         escalated = f"dip {abs(dip):.1g} < auto threshold {floor:.1g}"
-    if pinned or escalated:
+    if dps or escalated:
         # one jet covers the double critical point's error and, when the
         # double dip is resolved, both model roots as well
         span = float(disc.noise / abs(d2))
         if abs(dip) >= _RESOLVE_MARGIN * disc.noise:
             span += math.sqrt(abs(2 * dip / d2))
-        disc = _disc(q, "mp", dps if pinned else _AUTO_DPS, center, steps if pinned else None)
+        disc = _disc(q, path, dps or _AUTO_DPS, center, steps if dps else None)
         with disc.precision():
             lam_star, dip, d2, its = _newton_critical(disc, lam_star, span, n, target, tol_lam)
     with disc.precision():
@@ -831,6 +820,7 @@ def _solve_pair(q: FourierPotential, n: int, tol: float, method: str,
         gamma_model = 2 * disc.sqrt(-2 * dip / d2)
         info = {
             "method": disc.name,
+            "dps": disc.dps,
             "resolved": bool(resolved),
             "critical": complex(lam_star),
             "critical_err": float(disc.noise / abs(complex(d2))),
@@ -876,12 +866,13 @@ def periodic_eigs(q: FourierPotential, n: int, tol: float = 1e-12,
     and coincides when the gap is collapsed below tol * max(1, n^2) or not
     resolved above the integrator's noise floor.
 
-    method "auto" runs the double Taylor path first and escalates to the
-    arbitrary-precision integrator (30 digits) unless the discriminant dip
-    stands far enough above the double roundoff floor to trust the split;
-    "rk4", "taylor", "mp" force one path.  ``dps`` pins the mpmath precision
-    for methods "auto" and "mp".  Every arbitrary-precision solve, escalated
-    or pinned, starts from the double critical point.
+    Every oracle entry point reads (method, dps) by one rule.  The double
+    path is RK4 for "rk4" and Taylor for "taylor", "auto" and "mp".  ``dps``
+    pins the precision the solve finishes at, for every method, and "mp"
+    without it pins 45 digits.  Otherwise the solve ends in doubles, unless
+    "auto" escalates to 30 digits because the dip is too close to the double
+    roundoff floor to trust the split.  Other methods raise ValueError.
+    Every arbitrary-precision solve starts from the double critical point.
     """
     lm, lp, _ = periodic_eigs_info(q, n, tol, method=method, dps=dps, steps=steps)
     return lm, lp
@@ -897,8 +888,9 @@ def periodic_eigs_info(q: FourierPotential, n: int, tol: float = 1e-12,
     Newton iterations and residual, the info dict records ``kernels``: per path
     ("taylor", "rk4", "mp30", ...) the lam-jets it transported and their
     summed order, the double critical search that seeds every
-    arbitrary-precision solve included; and ``escalated``: why "auto" left
-    the double path, or None (also when ``dps`` or "mp" pinned the precision).
+    arbitrary-precision solve included; ``dps``: the precision the pair
+    finished at, None for doubles; and ``escalated``: why "auto" left the
+    double path, or None (also when ``dps`` or "mp" pinned the precision).
     """
     lm, lp, info = _solve_pair(q, n, tol, method, dps, steps)
     return complex(lm), complex(lp), info
@@ -911,8 +903,9 @@ def sturm_liouville_eig(q: FourierPotential, n: int, alpha: float = 0.0,
 
     alpha = 0 is Dirichlet, alpha = pi/2 is Neumann.  These roots are simple,
     so a plain Newton run from the asymptotic center converges without any
-    critical-point preparation.  With method "mp" or ``dps`` set, the double
-    Taylor root seeds a Newton run at that precision.
+    critical-point preparation.  (method, dps) read as in periodic_eigs, but
+    "auto" never escalates: the root on the double path seeds a Newton run
+    at the precision ``dps`` or "mp" pins.
     """
     return complex(_sturm_liouville_root(q, n, alpha, tol, method, dps))
 
@@ -920,20 +913,25 @@ def sturm_liouville_eig(q: FourierPotential, n: int, alpha: float = 0.0,
 def _sturm_liouville_root(q: FourierPotential, n: int, alpha: float, tol: float,
                           method: str, dps: int | None):
     # sturm_liouville_eig at the working precision: Newton in doubles from
-    # the asymptotic center, then at dps digits from the double root
+    # the asymptotic center, then at the pinned dps from the double root
+    path, dps = _path(method, dps)
     if n < 1:
         raise ValueError("index n must be >= 1")
     center = n * n * math.pi ** 2 + complex(q.mean)
     form = _boundary_form(alpha)
-    discs = [_disc(q, "taylor" if method == "mp" else method, None, center, form=form)]
-    if method == "mp" or dps is not None:
-        discs.append(_disc(q, "mp", dps, center, form=form))
     scale = max(1.0, float(n))
-    root = center
-    for disc in discs:
+    tol_lam = tol * max(1, n * n)
+    disc = _disc(q, path, None, center, form=form)
+    disc.cover(center, 0.0)
+    root, _, _ = _newton_root(disc, 0.0, center, tol_lam, scale)
+    if dps:
+        # one jet covers the double root's own error, noise / |f'|, as
+        # critical_err does for the pair
+        span = float(disc.noise / abs(disc.derivs(root, 1)[1]))
+        disc = _disc(q, path, dps, center, form=form)
         with disc.precision():
-            disc.cover(root, 0.0)
-            root, _, _ = _newton_root(disc, 0.0, root, tol * max(1, n * n), scale)
+            disc.cover(root, span)
+            root, _, _ = _newton_root(disc, 0.0, root, tol_lam, scale)
     if abs(complex(root) - center) > 12.0 * scale + 1.0:
         raise RootSearchError(f"boundary eigenvalue {complex(root)} escaped the strip")
     return root
@@ -946,13 +944,12 @@ def gap_record(q: FourierPotential, n: int, alpha: float = 0.0,
 
     tau and delta = sigma - tau are formed at the working precision before
     rounding, so delta keeps its digits when it falls below the spacing of
-    doubles near n^2 pi^2.  sigma follows the pair's precision: whenever the
-    pair left doubles, by "mp", a pinned ``dps`` or an "auto" escalation, the
-    double boundary root seeds a Newton run at that precision.
+    doubles near n^2 pi^2.  (method, dps) read as in periodic_eigs, and
+    sigma follows the pair: its double path, then a Newton run at the
+    precision the pair finished at, if any (escalated, pinned or "mp").
     """
     lm, lp, info = _solve_pair(q, n, tol, method, dps, None)
-    sigma = _sturm_liouville_root(q, n, alpha, tol, "mp" if method == "mp" else "taylor",
-                                  _AUTO_DPS if info["escalated"] else dps)
+    sigma = _sturm_liouville_root(q, n, alpha, tol, method, info["dps"])
     with mp.workdps(dps or _DEFAULT_DPS):
         tau = (lm + lp) / 2
         delta = complex(sigma - tau)

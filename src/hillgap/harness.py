@@ -306,8 +306,10 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
         raise ConfigError("'oracle' must be an object")
     osub = dict(oracle)
     method = osub.pop("method", "auto")
-    if method not in ("auto", "taylor", "rk4", "mp"):
-        raise ConfigError(f"unknown oracle method {method!r}")
+    try:
+        floquet._path(method, None)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     dps = osub.pop("dps", None)
     if dps is not None:
         dps = _integer(dps, "oracle.dps")

@@ -191,7 +191,7 @@ def test_fixed_point_ladder_matches_mpmath():
         with mp.workdps(dps):
             lam = mp.mpc(88 + mp.pi, 7 / mp.e)
             steps = floquet._mp_steps(floquet._key(g), lam, dps)
-            got = floquet._monodromy_mp(g, lam, steps, dps)
+            got = floquet._disc(g, "mp", dps, lam, steps).jet(lam, 0)
             ref = _mp_taylor_monodromy(g, lam, steps, order)
             assert max(abs(a - b) for a, b in zip(got, ref)) <= mp.mpf(10) ** -(dps - 3)
 
@@ -326,7 +326,8 @@ def test_jet_matches_central_differences():
             jet = floquet._fixed_kernel(table, lam, floquet._fixed_bits(30), 2)
         with mp.workdps(60):
             h = mp.mpf(10) ** -12
-            fp, f0, fm = (floquet._monodromy_mp(q, lam + s * h, steps, 60) for s in (1, 0, -1))
+            transport = floquet._disc(q, "mp", 60, lam, steps).jet
+            fp, f0, fm = (transport(lam + s * h, 0) for s in (1, 0, -1))
             for i in range(4):
                 assert abs(jet[4 + i] - (fp[i] - fm[i]) / (2 * h)) <= 1e-26
                 assert abs(jet[8 + i] - (fp[i] - 2 * f0[i] + fm[i]) / (2 * h * h)) <= 1e-26
@@ -347,7 +348,7 @@ def test_jet_polynomial_at_its_radius_edge():
                 lam = disc.center + direction * disc.radius * (1 - 1e-9)
                 got = disc.derivs(lam, 0)[0]
                 assert disc.transports == 1
-                m = floquet._monodromy_mp(q, lam, steps, dps)
+                m = floquet._disc(q, "mp", dps, lam, steps).jet(lam, 0)
                 assert abs(got - (m[0] + m[3])) <= mp.mpf(10) ** -(dps - 3)
 
 
@@ -433,6 +434,18 @@ def test_pinned_precision_continues_from_the_double_critical_point(n):
     assert info["escalated"] is None
 
 
+@pytest.mark.parametrize("method", ["taylor", "rk4"])
+def test_dps_pins_the_precision_for_every_method(method):
+    # dps pins the precision the solve finishes at whatever the method; the
+    # double path only seeds it, so the 2e-21 gap at n = 8 stays resolved
+    q = make_mathieu(1.0)
+    _, _, ref = periodic_eigs_info(q, 8, tol=1e-26, method="mp", dps=60)
+    _, _, info = periodic_eigs_info(q, 8, tol=1e-26, method=method, dps=60)
+    assert info["method"] == "mp60" and info["dps"] == ref["dps"] == 60
+    assert info["gamma"] == pytest.approx(ref["gamma"], rel=1e-12, abs=0)
+    assert periodic_eigs_info(q, 8, method=method)[2]["dps"] is None
+
+
 # Dirichlet eigenvalues of the cosine at 45 digits, rounded to doubles, as a
 # Newton run started cold at n^2 pi^2 finds them
 SIGMA_45 = {3: 88.82800274480948, 4: 157.9145147367753, 5: 246.7406377426335,
@@ -444,6 +457,35 @@ def test_seeded_boundary_root_keeps_every_bit(n):
     # the 45-digit Newton run starts from the double Taylor root; seeding
     # must not move the rounded eigenvalue off the cold-start value
     assert sturm_liouville_eig(make_mathieu(1.0), n, dps=45) == complex(SIGMA_45[n], 0.0)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_boundary_root_takes_one_high_precision_jet(monkeypatch, n):
+    # the 60-digit jet is sized to the double root's own error, noise / |f'|,
+    # so the Newton run stays inside it; a jet of span 0 needed two at n = 8
+    built = []
+    build = floquet._JetDisc._build
+
+    def spy(self, lam, span):
+        build(self, lam, span)
+        built.append(self.name)
+
+    monkeypatch.setattr(floquet._JetDisc, "_build", spy)
+    sturm_liouville_eig(make_mathieu(1.0), n, dps=60)
+    assert built.count("mp60") == 1
+
+
+def test_boundary_eigenvalue_reads_the_method_rule():
+    # "auto" never escalates a boundary root, so it is the Taylor value; an
+    # unknown method raises before any solve
+    q = make_mathieu(1.0)
+    for n in (2, 5):
+        taylor = sturm_liouville_eig(q, n, method="taylor")
+        assert sturm_liouville_eig(q, n, method="auto") == taylor
+    with pytest.raises(ValueError, match="unknown oracle method"):
+        sturm_liouville_eig(q, 4, method="midpoint")
+    with pytest.raises(ValueError, match="unknown oracle method"):
+        gap_record(q, 4, method="midpoint")
 
 
 def test_real_potentials_give_exactly_real_pairs():
@@ -486,14 +528,16 @@ def test_mp_steps_resolve_the_top_mode():
     # default to the 64-step value at the working precision
     lam = 4 * PI2 + 0.5
     with mp.workdps(30):
-        ref = floquet._monodromy_mp(WIDE, lam, 64, 30)
-        got = floquet._monodromy_mp(WIDE, lam, floquet._mp_steps(floquet._key(WIDE), lam, 30), 30)
+        ref = floquet._disc(WIDE, "mp", 30, lam, 64).jet(lam, 0)
+        steps = floquet._mp_steps(floquet._key(WIDE), lam, 30)
+        got = floquet._disc(WIDE, "mp", 30, lam, steps).jet(lam, 0)
         assert abs((got[0] + got[3]) - (ref[0] + ref[3])) <= mp.mpf(10) ** -26
 
 
 def test_monodromy_validation():
-    with pytest.raises(ValueError):
-        monodromy(FREE, 10.0, method="midpoint")
+    for dps in (None, 30):
+        with pytest.raises(ValueError):
+            monodromy(FREE, 10.0, method="midpoint", dps=dps)
     with pytest.raises(ValueError):
         # 16 steps under-resolve the oscillation at lam = 400
         monodromy(FREE, 400.0, 16, method="rk4")
@@ -657,6 +701,14 @@ def test_auto_gap_record_takes_sigma_at_the_pair_precision(n):
     rec = gap_record(q, n)
     ref = gap_record(q, n, tol=1e-26, method="mp", dps=60)
     assert abs(rec.delta) == pytest.approx(abs(ref.delta), rel=1e-2, abs=0)
+
+
+def test_gap_record_takes_sigma_and_tau_at_the_pinned_precision():
+    # "taylor" with dps = 60 runs the same solves as "mp"; a double pair
+    # against a 60-digit sigma put delta at -4.7e-14 here, not -1.13e-14
+    q = make_mathieu(1.0)
+    ref = gap_record(q, 6, tol=1e-26, method="mp", dps=60)
+    assert gap_record(q, 6, tol=1e-26, method="taylor", dps=60).delta == ref.delta
 
 
 def test_delta_linear_model():
