@@ -10,7 +10,8 @@ file records:
   * one monodromy evaluation per backend (taylor, rk4, mp30, mp60) on the
     Mathieu potential cos(2 pi x) at lam = n^2 pi^2, n = 3 and 10: the
     first call (which builds the coefficient table) and the median of R
-    warm calls, in ms;
+    warm calls, in ms; next to them, the order-3 mp30 jet at n = 10, the jet
+    an escalated solve builds (``mp30_jet3_n10``);
   * one ``periodic_eigs_info`` solve (method "auto") on that potential at
     n = 3 and 10 and on the complex K = 16 Gevrey draw of the
     wideband_complex workload at n = 15: first and median warm wall time,
@@ -90,6 +91,15 @@ def monodromy_times(repeat: int) -> dict:
                          ("mp30", {"dps": 30}), ("mp60", {"dps": 60})):
             first, warm = _first_and_warm(lambda: floquet.monodromy(q, lam, **kw), repeat)
             out[f"{name}_n{n}"] = {"first_ms": 1e3 * first, "warm_ms": 1e3 * warm}
+    lam = 10 * 10 * math.pi ** 2
+    disc = floquet._disc(q, "mp", 30, lam)
+
+    def jet():
+        with disc.precision():
+            disc.jet(lam, 3)
+
+    first, warm = _first_and_warm(jet, repeat)
+    out["mp30_jet3_n10"] = {"first_ms": 1e3 * first, "warm_ms": 1e3 * warm}
     return out
 
 

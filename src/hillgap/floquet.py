@@ -19,12 +19,17 @@ Both double paths build the 2x2 propagator of every step at once with numpy
 (each step is linear in the state) and multiply the propagators out pairwise.
 The arbitrary-precision path runs the recurrence on fixed-point numbers,
 Python ints scaled by 2^bits with bits ~ 3.33 dps plus guard bits, and hands
-the monodromy back as mpmath numbers at the working precision.  Its Taylor
-coefficients of q are integer dot products as well: (2 pi i k)^i / i! is
-built once per mode and q_k e^(2 pi i k x) once per step point; only 2 pi
-and the roots of unity come from mpmath.  Its step count covers the
-potential's bandwidth as well as lambda: the Taylor series of q itself must
-converge to the noise floor within each step.
+the monodromy back as mpmath numbers at the working precision.  It runs on
+step-scaled coefficients a[m] h^m, so every number stays near 2^bits, and
+packs all lanes of a step (each column of each jet order) into one int at a
+fixed bit stride: one integer dot product per Taylor order serves every
+lane, and the division by (m+1)(m+2) is a multiply and a shift whose spill
+between lanes is masked off exactly.  Its Taylor coefficients of q are
+integer dot products as well: (2 pi i k)^i / i! is built once per mode and
+q_k e^(2 pi i k x) once per step point; only 2 pi and the roots of unity
+come from mpmath.  Its step count covers the potential's bandwidth as well
+as lambda: the Taylor series of q itself must converge to the noise floor
+within each step.
 
 A potential whose coefficients are exactly conjugate-symmetric (q_-k equal
 to conj(q_k) bit for bit and a real mean; the 1e-14 slack of ``is_real``
@@ -358,11 +363,15 @@ def _mp_table(key, steps, order, dps):
     to max |p| and the mode count, so every entry is an integer dot product
     exact to about one unit of 2^-_fixed_bits(dps).
 
-    Returns (real, rows).  Each row holds three int lists scaled by
-    2^_fixed_bits(dps): the real parts, the imaginary parts and their sums
-    (the last feed the three-product complex dot product).  An exactly real
-    q sums its pairs k, -k as 2 Re(E P) over k > 0, so its imaginary parts
-    are zero by construction and ``real`` is set.
+    Returns (real, rows).  Row j holds the step-scaled C[j][i] h^(i+2),
+    h = 1/steps, that _fixed_kernel's recurrence on a[m] h^m runs on; the
+    scaling divides the sums before they are rounded, so the high orders,
+    small after scaling, keep a unit of 2^-_fixed_bits(dps).  Each row
+    holds three int lists scaled by 2^_fixed_bits(dps): the real parts, the
+    imaginary parts and their sums (the last feed the three-product complex
+    dot product).  An exactly real q sums its pairs k, -k as 2 Re(E P) over
+    k > 0, so its imaginary parts are zero by construction and ``real`` is
+    set.
     """
     K, data_bytes, mean = key
     coeffs = np.frombuffer(data_bytes, dtype=np.complex128)
@@ -386,7 +395,9 @@ def _mp_table(key, steps, order, dps):
         vals = [v * (two_pi * k) // ((i + 1) << (hi + 8)) for v, k in zip(vals, modes)]
     q = [(to_fixed(from_float(z.real), hi), to_fixed(from_float(z.imag), hi))
          for z in (complex(coeffs[K + k]) for k in modes)]
-    m_re, m_im = to_fixed(from_float(mean.real), bits), to_fixed(from_float(mean.imag), bits)
+    # h^(i+2) = steps^-(i+2) scales the mean and order i
+    m_re, m_im = (to_fixed(from_float(v), bits) // (steps * steps) for v in (mean.real, mean.imag))
+    scales = [steps ** (i + 2) << hi for i in range(order + 1)]
     rows = []
     for j in range(steps):
         er, ei = [], []
@@ -398,14 +409,14 @@ def _mp_table(key, steps, order, dps):
             # 2 Re(i^i E p): even orders need only Re E, odd ones only Im E
             re = []
             for i in range(order + 1):
-                d = sum(map(mul, ei if i % 2 else er, p[i])) >> (hi - 1)
+                d = 2 * sum(map(mul, ei if i % 2 else er, p[i])) // scales[i]
                 re.append((d, -d, -d, d)[i % 4])
             re[0] += m_re
             rows.append((re, [0] * len(re), re))
             continue
         re, im = [], []
         for i in range(order + 1):
-            dr, di = sum(map(mul, er, p[i])) >> hi, sum(map(mul, ei, p[i])) >> hi
+            dr, di = sum(map(mul, er, p[i])) // scales[i], sum(map(mul, ei, p[i])) // scales[i]
             # multiply dr + i di by i^i
             re.append((dr, -di, -dr, di)[i % 4])
             im.append((di, dr, -di, -dr)[i % 4])
@@ -415,75 +426,95 @@ def _mp_table(key, steps, order, dps):
     return real, rows
 
 
-def _fixed_step(row, lr, li, jet, steps, bits):
-    """One Taylor step of one column's lam-jet in complex fixed point.
+def _lane_growth(rows, lam_h2, h2, bits) -> int:
+    """Bits by which one Taylor step can outgrow the largest lane of its state.
 
-    ``jet`` holds, for k = 0..D, the state (y, y') of t_k = (1/k!) d^k/dlam^k
-    of the column, as (re, im) pairs of ints scaled by 2^bits.  Order k
-    obeys t_k'' = (q - lam) t_k - t_(k-1), so its Taylor coefficients are
-    a_k[m+2] = (sum_i C_i a_k[m-i] - lam a_k[m] - a_(k-1)[m]) / ((m+1)(m+2)).
-    The convolution sum runs in C through sum(map(mul, ...)) at scale
-    2^(2 bits); the division by (m+1)(m+2) folds one scale back out, and the
-    Horner sum in h = 1/steps divides by the integer step count.
+    With A the largest sum of |C_i h^(i+2)| over a row, plus |lam h^2| and
+    h^2, every lane obeys |b[m+2]| <= A max_(j<=m) |b[j]| / ((m+1)(m+2)),
+    the order coupling included.  So the majorant u[0] = u[1] = 1,
+    u[m+2] = A max(u[:m+1]) / ((m+1)(m+2)) bounds every coefficient of the
+    step and its new state, y = sum b[m] and h y' = sum m b[m], in units of
+    the state's largest lane; one bit more covers the rounding.
     """
-    cr, ci, cs = row
-    out = []
-    pr = pi = None  # a_(k-1), real and imaginary parts
-    for yr, yi, dyr, dyi in jet:
-        ar, ai = [yr, dyr], [yi, dyi]
-        # a[m], a[m-1], ..., a[0], newest first, lined up against C_0, C_1, ...
-        rr, ri, rs = [yr], [yi], [yr + yi]
-        for m in range(len(cr)):
-            t1 = sum(map(mul, cr, rr))
-            t2 = sum(map(mul, ci, ri))
-            t3 = sum(map(mul, cs, rs))
-            xr, xi = rr[0], ri[0]
-            nr = t1 - t2 - lr * xr + li * xi
-            ni = t3 - t1 - t2 - lr * xi - li * xr
-            if pr is not None:
-                nr -= pr[m] << bits
-                ni -= pi[m] << bits
-            d = ((m + 1) * (m + 2)) << bits
-            ar.append(nr // d)
-            ai.append(ni // d)
-            rr.insert(0, ar[m + 1])
-            ri.insert(0, ai[m + 1])
-            rs.insert(0, ar[m + 1] + ai[m + 1])
-        top = len(ar) - 1
-        yr, yi = ar[top], ai[top]
-        dyr, dyi = top * yr, top * yi
-        for m in range(top - 1, 0, -1):
-            yr = yr // steps + ar[m]
-            yi = yi // steps + ai[m]
-            dyr = dyr // steps + m * ar[m]
-            dyi = dyi // steps + m * ai[m]
-        out.append((yr // steps + ar[0], yi // steps + ai[0], dyr, dyi))
-        pr, pi = ar, ai
-    return out
+    A = (max(sum(map(abs, row[0])) + sum(map(abs, row[1])) for row in rows)
+         + lam_h2 + h2) / (1 << bits)
+    u = [1.0, 1.0]
+    for m in range(len(rows[0][0])):
+        u.append(A * max(u[:m + 1]) / ((m + 1) * (m + 2)))
+    return math.ceil(math.log2(max(sum(u), sum(map(mul, range(len(u)), u))))) + 1
 
 
-def _fixed_step_real(cr, lr, jet, steps, bits):
-    """_fixed_step for a real row at real lam: one product sum per order."""
-    out = []
-    prev = None  # a_(k-1)
-    for y, dy in jet:
-        a = [y, dy]
-        r = [y]  # a[m], ..., a[0], newest first
-        for m in range(len(cr)):
-            s = sum(map(mul, cr, r)) - lr * r[0]
-            if prev is not None:
-                s -= prev[m] << bits
-            a.append(s // (((m + 1) * (m + 2)) << bits))
-            r.insert(0, a[m + 1])
-        top = len(a) - 1
-        y = a[top]
-        dy = top * y
-        for m in range(top - 1, 0, -1):
-            y = y // steps + a[m]
-            dy = dy // steps + m * a[m]
-        out.append((y // steps + a[0], dy))
-        prev = a
-    return out
+class _Lanes:
+    """``count`` signed lanes of ``width`` bits packed into one Python int.
+
+    Lane l holds v_l at bit l * width, so a sum of packed ints, or one times
+    an int, acts on every lane at once.  The width holds state lanes under
+    2^top, one step's growth ``grow`` on top of them, and the ``shift`` of
+    the division: shifting a packed numerator right by ``shift`` leaves
+    each lane's quotient in its low bits and the lane's remainder in the
+    top ``shift`` bits of the lane below, a nonnegative multiple of
+    2^(width - shift) under 2^width.  ``clear`` removes it exactly,
+    provided every quotient's magnitude stays under 2^(width - shift - 1),
+    which the width guarantees for a state that ``fits``.
+    """
+
+    def __init__(self, count: int, shift: int, grow: int, top: int):
+        self.count, self.shift = count, shift
+        self.width = w = shift + top + grow + 1
+        self.unit = unit = ((1 << (count * w)) - 1) // ((1 << w) - 1)   # a 1 in every lane
+        keep = w - shift
+        self.bias, self.mask = unit << (keep - 1), unit * ((1 << keep) - 1)
+        # (x + low) & high == 0 iff every lane lies in [-2^top, 2^top): only
+        # then does no lane borrow from, or carry into, the bits above top
+        self.low, self.high = unit << top, unit * ((1 << w) - (2 << top))
+
+    def clear(self, x) -> int:
+        return ((x + self.bias) & self.mask) - self.bias
+
+    def fits(self, state) -> bool:
+        return not any((x + self.low) & self.high for x in state)
+
+    def pack(self, values) -> int:
+        return sum(v << (l * self.width) for l, v in enumerate(values))
+
+    def unpack(self, x) -> list:
+        half, mask = 1 << (self.width - 1), (1 << self.width) - 1
+        x += self.unit * half
+        return [((x >> (l * self.width)) & mask) - half for l in range(self.count)]
+
+
+def _lane_step_real(row, lam_h2, state, h2, recips, lanes):
+    """One Taylor step of every lane: real table at real lam, one product per order."""
+    c = [row[0][0] - lam_h2] + row[0][1:]
+    couple, shift, clear = 2 * lanes.width, lanes.shift, lanes.clear
+    b = list(state)               # y, h y'
+    window = [b[0]]               # b[m], ..., b[0], newest first
+    for m, r in enumerate(recips):
+        s = sum(map(mul, c, window)) - (h2 * window[0] << couple)
+        b.append(clear(s * r >> shift))
+        window.insert(0, b[m + 1])
+    return sum(b), sum(map(mul, range(len(b)), b))
+
+
+def _lane_step(row, lam_h2, state, h2, recips, lanes):
+    """_lane_step_real in complex fixed point: three products per order."""
+    c0r, c0i = row[0][0] - lam_h2[0], row[1][0] - lam_h2[1]
+    cr, ci, cs = ([c0] + r[1:] for c0, r in zip((c0r, c0i, c0r + c0i), row))
+    couple, shift, clear = 2 * lanes.width, lanes.shift, lanes.clear
+    yr, yi, pr, pi = state
+    br, bi = [yr, pr], [yi, pi]
+    wr, wi, ws = [yr], [yi], [yr + yi]
+    for m, r in enumerate(recips):
+        t1 = sum(map(mul, cr, wr))
+        t2 = sum(map(mul, ci, wi))
+        t3 = sum(map(mul, cs, ws))
+        br.append(clear((t1 - t2 - (h2 * wr[0] << couple)) * r >> shift))
+        bi.append(clear((t3 - t1 - t2 - (h2 * wi[0] << couple)) * r >> shift))
+        wr.insert(0, br[m + 1])
+        wi.insert(0, bi[m + 1])
+        ws.insert(0, br[m + 1] + bi[m + 1])
+    ms = range(len(br))
+    return sum(br), sum(bi), sum(map(mul, ms, br)), sum(map(mul, ms, bi))
 
 
 def _fixed_kernel(table, lam, bits, order=0):
@@ -492,28 +523,62 @@ def _fixed_kernel(table, lam, bits, order=0):
     Returns 4 (order + 1) mpmath numbers, order by order: t_k of
     (y1, y1', y2, y2'), t_k being (1/k!) d^k/dlam^k at lam.  The caller
     holds the working precision; lam enters and the entries leave at it, so
-    mpmath Newton iterates keep their digits.  A real table at real lam
-    keeps every imaginary part at zero, so it runs the real loop, which
-    gives the same integers as the complex one.
+    mpmath Newton iterates keep their digits.
+
+    On the step-scaled table (_mp_table) the recurrence runs on
+    b[m] = a[m] h^m,
+
+        b_k[m+2] = (sum_i C_i h^(i+2) b_k[m-i] - lam h^2 b_k[m] - h^2 b_(k-1)[m])
+                   / ((m+1)(m+2)),
+
+    and a step ends at y = sum b[m], h y' = sum m b[m], so every lane stays
+    near 2^bits.  The 2 (order + 1) lanes, lane l = 2k + c for jet order k
+    and column c, share one packed int (_Lanes), and one integer dot
+    product per Taylor order serves them all.  The order coupling is b[m]
+    shifted up two lanes; the division is a multiply by
+    floor(2^G / ((m+1)(m+2))) and a right shift by bits + G, with
+    G = bits + bit_length(terms (terms + 1)), whose relative error stays
+    under 2^-bits beyond the floor.  The lanes stay packed from step to step;
+    before each step the state is checked against the lane width, which
+    widens when the solution outgrows it.  No lane's integers depend on the
+    width or on the lanes above it, so the order-0 lanes of a jet are the
+    plain transport bit for bit.  A real table at real lam keeps every
+    imaginary part at zero, so it runs the real loop, which gives the same
+    integers as the complex one.
     """
     real, rows = table
-    steps = len(rows)
+    steps, terms = len(rows), len(rows[0][0])
     lam = mp.mpc(lam)
-    lr, li = to_fixed(lam.real._mpf_, bits), to_fixed(lam.imag._mpf_, bits)
+    real = real and lam.imag == 0
+    h2 = (1 << bits) // (steps * steps)
+    lr, li = (to_fixed(v._mpf_, bits) // (steps * steps) for v in (lam.real, lam.imag))
+    g = bits + (terms * (terms + 1)).bit_length()
+    recips = [(1 << g) // ((m + 1) * (m + 2)) for m in range(terms)]
+    grow = _lane_growth(rows, abs(lr) + abs(li), h2, bits)
+    count = 2 * (order + 1)
     one = 1 << bits
-    if real and lam.imag == 0:
-        cols = [[(one, 0)] + [(0, 0)] * order, [(0, one)] + [(0, 0)] * order]
-        for row in rows:
-            cols = [_fixed_step_real(row[0], lr, c, steps, bits) for c in cols]
-        return tuple(mp.mpc(mp.mpf((v, -bits)))
-                     for k in range(order + 1) for c in cols for v in c[k])
-    cols = [[(one, 0, 0, 0)] + [(0, 0, 0, 0)] * order,
-            [(0, 0, one, 0)] + [(0, 0, 0, 0)] * order]
+    lanes = _Lanes(count, bits + g, grow, one.bit_length() + grow)
+    # y and h y' of every lane; column 0 starts at (1, 0), column 1 at (0, 1)
+    state = [lanes.pack([one]), lanes.pack([0, one // steps])]
+    if real:
+        step, lam_h2 = _lane_step_real, lr
+    else:
+        step, lam_h2 = _lane_step, (lr, li)
+        state = [state[0], 0, state[1], 0]
     for row in rows:
-        cols = [_fixed_step(row, lr, li, c, steps, bits) for c in cols]
+        if not lanes.fits(state):
+            values = [lanes.unpack(x) for x in state]
+            top = max(abs(v) for vs in values for v in vs).bit_length()
+            lanes = _Lanes(count, lanes.shift, grow, top + grow)
+            state = [lanes.pack(vs) for vs in values]
+        state = step(row, lam_h2, state, h2, recips, lanes)
+    values = [lanes.unpack(x) for x in state]
+    if real:
+        values = [values[0], [0] * count, values[1], [0] * count]
+    yr, yi, pr, pi = values
     return tuple(mp.mpc(mp.mpf((re, -bits)), mp.mpf((im, -bits)))
-                 for k in range(order + 1) for c in cols
-                 for re, im in ((c[k][0], c[k][1]), (c[k][2], c[k][3])))
+                 for k in range(order + 1) for l in (2 * k, 2 * k + 1)
+                 for re, im in ((yr[l], yi[l]), (pr[l] * steps, pi[l] * steps)))
 
 
 # ---------------------------------------------------------------------------

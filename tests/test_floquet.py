@@ -196,14 +196,17 @@ def test_fixed_point_ladder_matches_mpmath():
             assert max(abs(a - b) for a, b in zip(got, ref)) <= mp.mpf(10) ** -(dps - 3)
 
 
-def _mp_table_reference(q, steps, order, dps):
+def _mp_table_reference(q, steps, order, dps, scaled=True):
     # the coefficient table from per-step mpmath series, in the row layout
-    # of floquet._mp_table and flagged complex
+    # of floquet._mp_table, step-scaled (C_i h^(i+2)) unless asked for the
+    # plain C_i, and flagged complex
     bits = floquet._fixed_bits(dps)
     rows = []
     with mp.workdps(dps):
         for j in range(steps):
             c = _mp_step_coeffs(q, mp.mpf(j) / steps, order)
+            if scaled:
+                c = [v / mp.mpf(steps) ** (i + 2) for i, v in enumerate(c)]
             re = [mp.libmp.to_fixed(v.real._mpf_, bits) for v in c]
             im = [mp.libmp.to_fixed(v.imag._mpf_, bits) for v in c]
             rows.append((re, im, [a + b for a, b in zip(re, im)]))
@@ -288,31 +291,110 @@ def _plain_step_real(cr, lr, state, steps, bits):
 
 
 def test_jet_order_zero_is_the_plain_step():
-    # order 0 of the jet step runs the plain step's integer arithmetic, and
-    # the order-0 part of a higher jet is the plain transport, bit for bit
+    # the packed kernel against the per-lane steps it replaced, which run the
+    # unscaled recurrence on the unscaled table, to the noise floor; and the
+    # order-0 part of a higher jet is the plain transport, bit for bit
     dps = 30
-    bits = floquet._fixed_bits(dps)
+    bits, order = floquet._fixed_bits(dps), floquet._mp_order(dps)
     for q, lam in ((make_gasymov([1.0, 0.5j]), 88.5 + 2.25j), (WIDE, 4 * PI2 + 0.5)):
         key = floquet._key(q)
         steps = floquet._mp_steps(key, lam, dps)
-        real, rows = floquet._mp_table(key, steps, floquet._mp_order(dps), dps)
-        lr, li = (round(v * 2 ** 40) << (bits - 40) for v in (lam.real, lam.imag))
-        cols = ((1 << bits, 0, 0, 0), (0, 0, 1 << bits, 0))
-        ref = cols
-        for row in rows:
-            cols = tuple(floquet._fixed_step(row, lr, li, [c], steps, bits)[0] for c in cols)
+        real, rows = floquet._mp_table(key, steps, order, dps)
+        plain_rows = _mp_table_reference(q, steps, order, dps, scaled=False)[1]
+        lr, li = (mp.libmp.to_fixed(mp.mpf(v)._mpf_, bits) for v in (lam.real, lam.imag))
+        ref = ((1 << bits, 0, 0, 0), (0, 0, 1 << bits, 0))
+        for row in plain_rows:
             ref = tuple(_plain_step(row, lr, li, c, steps, bits) for c in ref)
-        assert cols == ref
+        refs = [ref]
         if real:
-            cols = ref = ((1 << bits, 0), (0, 1 << bits))
-            for row in rows:
-                cols = tuple(floquet._fixed_step_real(row[0], lr, [c], steps, bits)[0]
-                             for c in cols)
+            ref = ((1 << bits, 0), (0, 1 << bits))
+            for row in plain_rows:
                 ref = tuple(_plain_step_real(row[0], lr, c, steps, bits) for c in ref)
-            assert cols == ref
+            refs.append(tuple((y, 0, dy, 0) for y, dy in ref))
         with mp.workdps(dps):
             plain = floquet._fixed_kernel((real, rows), lam, bits)
+            for ref in refs:
+                want = [mp.mpc(mp.mpf((re, -bits)), mp.mpf((im, -bits)))
+                        for c in ref for re, im in (c[:2], c[2:])]
+                assert max(abs(a - b) for a, b in zip(plain, want)) <= mp.mpf(10) ** -(dps - 3)
             assert floquet._fixed_kernel((real, rows), lam, bits, 3)[:4] == plain
+
+
+def _lane_transcription(table, lam, bits, order):
+    # _fixed_kernel's step-scaled arithmetic one lane at a time, in the
+    # direct complex form, without packing: lane l = 2k + c is jet order k
+    # of column c, and lane l - 2 feeds it through the order coupling
+    steps, terms = len(table[1]), len(table[1][0][0])
+    lam = mp.mpc(lam)
+    lr, li = (mp.libmp.to_fixed(v._mpf_, bits) // steps ** 2 for v in (lam.real, lam.imag))
+    h2 = (1 << bits) // steps ** 2
+    g = bits + (terms * (terms + 1)).bit_length()
+    one = 1 << bits
+    state = [(one, 0, 0, 0), (0, 0, one // steps, 0)] + [(0, 0, 0, 0)] * (2 * order)
+    for cr, ci, _ in table[1]:
+        series = []
+        for lane, (yr, yi, pr, pi) in enumerate(state):
+            br, bi = [yr, pr], [yi, pi]
+            for m in range(terms):
+                sr = sum(cr[i] * br[m - i] - ci[i] * bi[m - i] for i in range(m + 1))
+                si = sum(cr[i] * bi[m - i] + ci[i] * br[m - i] for i in range(m + 1))
+                sr -= lr * br[m] - li * bi[m]
+                si -= lr * bi[m] + li * br[m]
+                if lane >= 2:
+                    sr -= h2 * series[lane - 2][0][m]
+                    si -= h2 * series[lane - 2][1][m]
+                r = (1 << g) // ((m + 1) * (m + 2))
+                br.append(sr * r >> (bits + g))
+                bi.append(si * r >> (bits + g))
+            series.append((br, bi))
+        state = [(sum(br), sum(bi), sum(map(mul, range(len(br)), br)),
+                  sum(map(mul, range(len(bi)), bi))) for br, bi in series]
+    return tuple(mp.mpc(mp.mpf((re, -bits)), mp.mpf((im, -bits)))
+                 for yr, yi, pr, pi in state
+                 for re, im in ((yr, yi), (pr * steps, pi * steps)))
+
+
+def test_packed_lanes_match_the_lane_transcription_bitwise():
+    # an order-4 jet: ten lanes in one int, on the real loop (real table at
+    # real lam) and on the complex one
+    dps = 30
+    bits = floquet._fixed_bits(dps)
+    for q, lam in ((make_mathieu(1.0), mp.mpf(4 * PI2 + 0.5)),
+                   (make_gasymov([1.0, 0.5j]), mp.mpc(4 * PI2 + 0.5, 2.25))):
+        key = floquet._key(q)
+        with mp.workdps(dps):
+            table = floquet._mp_table(key, floquet._mp_steps(key, lam, dps),
+                                      floquet._mp_order(dps), dps)
+            got = floquet._fixed_kernel(table, lam, bits, 4)
+            want = _lane_transcription(table, lam, bits, 4)
+            assert got == want
+
+
+def test_lanes_widen_for_a_growing_solution(monkeypatch):
+    # at lam = 1e4 i the solution grows like e^(Im sqrt(lam)) ~ 2^102 over
+    # the period, past the headroom the first lane width leaves; the lanes
+    # must widen instead of wrapping, and the transport still match plain
+    # mpmath to the noise floor relative to its largest entry
+    widths = []
+    lanes = floquet._Lanes
+
+    def spy(*args):
+        out = lanes(*args)
+        widths.append(out.width)
+        return out
+
+    monkeypatch.setattr(floquet, "_Lanes", spy)
+    g = make_gasymov([1.0, 0.5j])
+    dps = 30
+    with mp.workdps(dps):
+        lam = mp.mpc(0, 10 ** 4)
+        steps = floquet._mp_steps(floquet._key(g), lam, dps)
+        got = floquet._disc(g, "mp", dps, lam).jet(lam, 0)
+        ref = _mp_taylor_monodromy(g, lam, steps, floquet._mp_order(dps))
+        big = max(abs(v) for v in ref)
+        assert big > 2 ** 100
+        assert max(abs(a - b) for a, b in zip(got, ref)) <= mp.mpf(10) ** -(dps - 3) * big
+    assert len(widths) > 1 and widths == sorted(widths)
 
 
 def test_jet_matches_central_differences():
@@ -506,13 +588,13 @@ def test_near_real_potential_takes_complex_loop(monkeypatch):
     near = make_fourier({1: 0.5, -1: 0.5 + 1e-16j})
     assert near.is_real
     calls = []
-    real_step = floquet._fixed_step_real
+    real_step = floquet._lane_step_real
 
     def spy(*args):
         calls.append(1)
         return real_step(*args)
 
-    monkeypatch.setattr(floquet, "_fixed_step_real", spy)
+    monkeypatch.setattr(floquet, "_lane_step_real", spy)
     lam = 4 * PI2 + 0.5
     assert floquet._taylor_table(floquet._key(near), 16, floquet._TAYLOR_ORDER).dtype.kind == "c"
     m = monodromy(near, lam, dps=30)
