@@ -10,7 +10,8 @@ file records:
   * one monodromy evaluation per backend (taylor, rk4, mp30, mp60) on the
     Mathieu potential cos(2 pi x) at lam = n^2 pi^2, n = 3 and 10: the
     first call (which builds the coefficient table) and the median of R
-    warm calls, in ms; next to them, the order-3 mp30 jet at n = 10, the jet
+    warm calls, in ms, and for mp30 and mp60 the ladder's plan, its
+    (order, steps); next to them, the order-3 mp30 jet at n = 10, the jet
     an escalated solve builds (``mp30_jet3_n10``);
   * one ``periodic_eigs_info`` solve (method "auto") on that potential at
     n = 3 and 10 and on the complex K = 16 Gevrey draw of the
@@ -24,6 +25,9 @@ file records:
   * the high-precision solves on that potential at n = 8 with tol = 1e-26,
     method "mp" and dps = 60: ``periodic_eigs_info`` and ``gap_record``,
     first and median warm wall time, and the pair's solve ledger;
+  * the pinned-precision sweep: ``gap_record`` on that potential at
+    n = 3..8 with the same settings, first and median warm wall time of the
+    whole sweep, and the pair's solve ledger at each n;
   * the CLI, ``hillgap gaps -c CONFIG``, as a process of its own on each
     config under perfbench/configs (read only): median wall time of R runs.
 
@@ -82,6 +86,15 @@ def _first_and_warm(fn, repeat: int) -> tuple[float, float]:
     return first, statistics.median(_timed(fn) for _ in range(repeat))
 
 
+def _plan(q, lam, dps: int) -> list:
+    # (order, steps) of the ladder at lam; checkouts without a planner run
+    # the fixed rule
+    key = floquet._key(q)
+    if hasattr(floquet, "_mp_plan"):
+        return list(floquet._mp_plan(key, lam, dps))
+    return [floquet._mp_order(dps), floquet._mp_steps(key, lam, dps)]
+
+
 def monodromy_times(repeat: int) -> dict:
     q = make_mathieu(1.0)
     out = {}
@@ -91,6 +104,8 @@ def monodromy_times(repeat: int) -> dict:
                          ("mp30", {"dps": 30}), ("mp60", {"dps": 60})):
             first, warm = _first_and_warm(lambda: floquet.monodromy(q, lam, **kw), repeat)
             out[f"{name}_n{n}"] = {"first_ms": 1e3 * first, "warm_ms": 1e3 * warm}
+            if "dps" in kw:
+                out[f"{name}_n{n}"]["plan"] = _plan(q, lam, kw["dps"])
     lam = 10 * 10 * math.pi ** 2
     disc = floquet._disc(q, "mp", 30, lam)
 
@@ -150,6 +165,12 @@ def high_precision_times(repeat: int) -> dict:
         out[name] = {"first_s": first, "warm_s": warm}
     # gap_record solves the same pair, so one ledger serves both entries
     out["kernels"] = floquet.periodic_eigs_info(q, 8, **kw)[2].get("kernels")
+    sweep = range(3, 9)
+    first, warm = _first_and_warm(lambda: [floquet.gap_record(q, n, **kw) for n in sweep],
+                                  repeat)
+    out["gap_record_sweep_n3_8"] = {
+        "first_s": first, "warm_s": warm,
+        "kernels": {n: floquet.periodic_eigs_info(q, n, **kw)[2].get("kernels") for n in sweep}}
     return out
 
 

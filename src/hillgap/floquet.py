@@ -27,9 +27,9 @@ lane, and the division by (m+1)(m+2) is a multiply and a shift whose spill
 between lanes is masked off exactly.  Its Taylor coefficients of q are
 integer dot products as well: (2 pi i k)^i / i! is built once per mode and
 q_k e^(2 pi i k x) once per step point; only 2 pi and the roots of unity
-come from mpmath.  Its step count covers the potential's bandwidth as well
-as lambda: the Taylor series of q itself must converge to the noise floor
-within each step.
+come from mpmath.  Its plan, the Taylor order and step count, is the
+cheaper of a fixed rule covering lambda and the bandwidth of q, and a higher
+order whose computed series certifies fewer, longer steps (_mp_plan).
 
 A potential whose coefficients are exactly conjugate-symmetric (q_-k equal
 to conj(q_k) bit for bit and a real mean; the 1e-14 slack of ``is_real``
@@ -228,20 +228,25 @@ def _rk4_kernel(qs, lam, order=0):
     return _chain(np.stack((np.stack(step(one, zero), 1), np.stack(step(zero, one), 1)), 1))
 
 
-def _taylor_kernel(C, lam, order=0):
-    # a[m, k, col, j]: m-th Taylor coefficient at x = j/steps of t_k, the
-    # (1/k!) d^k/dlam^k of the solution that starts there from unit state
-    # col; t_k'' = (q - lam) t_k - t_(k-1) gives
+def _taylor_series(C, lam, order=0):
+    # a[m, k, col, j], m <= C.shape[1] + 1 (real for real C and lam): m-th
+    # Taylor coefficient at x = j/steps of t_k, the (1/k!) d^k/dlam^k of the
+    # solution from unit state col there; t_k'' = (q - lam) t_k - t_(k-1) gives
     # a_k[m+2] = (sum_i C_i a_k[m-i] - lam a_k[m] - a_(k-1)[m]) / ((m+1)(m+2))
     steps, terms = C.shape[0], C.shape[1] - 1
-    h = 1.0 / steps
-    a = np.zeros((terms + 3, order + 1, 2, steps), dtype=np.complex128)
+    a = np.zeros((terms + 3, order + 1, 2, steps), dtype=np.result_type(C, lam))
     a[0, 0, 0] = 1.0
     a[1, 0, 1] = 1.0
     for m in range(terms + 1):
         s = np.einsum("ji,ikcj->kcj", C[:, :m + 1], a[m::-1]) - lam * a[m]
         s[1:] -= a[m, :-1]
         a[m + 2] = s / ((m + 1.0) * (m + 2.0))
+    return a
+
+
+def _taylor_kernel(C, lam, order=0):
+    a, h = _taylor_series(C, lam, order), 1.0 / C.shape[0]
+    terms = len(a) - 3
     y = a[terms + 2]
     yp = (terms + 2.0) * a[terms + 2]
     for m in range(terms + 1, 0, -1):
@@ -347,6 +352,37 @@ def _mp_steps(key, lam, dps: int) -> int:
     factor = _mp_factor(dps)
     return max(16, int(math.ceil(factor * math.sqrt(abs(complex(lam))))) + 8,
                _series_steps(key, _mp_order(dps), _mp_noise(dps)))
+
+
+@lru_cache(maxsize=32)
+def _mp_plan(key, lam, dps: int) -> tuple[int, int]:
+    """(order, steps) of the ladder at lam: the cheapest plan the series certifies.
+
+    A plan costs (order + 2)^2 steps, one dot product per order per step.
+    Each order p = 4, 8, ..., 48 above _mp_order takes the fewest steps S
+    whose tail, the last two terms the kernel keeps (Jorba & Zou, Experimental
+    Math. 14 (2005)), is under a hundredth of the noise floor: S times the
+    grid mean of max over columns of sum_(m=p+1,p+2) m |a[m]| (s/S)^m, a[m]
+    being the double series of both unit-state solutions at max(32, 8K)
+    points in units of s = sqrt|lam|.  S also keeps the series' peak, near
+    e^(s/S), 4 bits inside the _FIXED_GUARD_BITS.  The fixed rule (_mp_order,
+    _mp_steps) holds unless a higher order is strictly cheaper.
+    """
+    order, steps = plan = _mp_order(dps), _mp_steps(key, lam, dps)
+    cost, top = (order + 2) ** 2 * steps, order + 48
+    s = max(1.0, math.sqrt(abs(complex(lam))))
+    z = complex(lam) / (s * s)
+    C = _taylor_table(key, max(32, 8 * key[0]), top) / s ** np.arange(2.0, top + 3)
+    w = np.abs(_taylor_series(C, z.real if z.imag == 0 else z)[:, 0])
+    w *= np.arange(top + 3)[:, None, None]
+    fewest = math.ceil(s / ((_FIXED_GUARD_BITS - 4) * math.log(2.0)))
+    for p in range(order + 4, top + 1, 4):
+        S = np.arange(fewest, (cost - 1) // (p + 2) ** 2 + 1)[:, None, None]
+        tail = (S * (w[p + 1] * (s / S) ** (p + 1) + w[p + 2] * (s / S) ** (p + 2))).max(1).mean(1)
+        fits = S.ravel()[tail <= _mp_noise(dps) / 100]
+        if len(fits):
+            cost, plan = (p + 2) ** 2 * int(fits[0]), (p, int(fits[0]))
+    return plan
 
 
 def _fixed_bits(dps: int) -> int:
@@ -703,11 +739,11 @@ class _JetDisc:
     precision, otherwise complex doubles.
     """
 
-    def __init__(self, jet, noise: float, name: str, dps: int | None = None, form=_trace):
+    def __init__(self, jet, noise: float, name: str, plan, dps: int | None = None, form=_trace):
         self.jet = jet
         self.noise = noise
         self.eps = noise / 1000.0
-        self.name = name
+        self.name, self.plan = name, plan
         self.dps = dps
         self.form = form
         self.center = None
@@ -756,7 +792,8 @@ class _JetDisc:
         return tuple(out)
 
     def kernels(self) -> dict:
-        return {self.name: {"transports": self.transports, "jet_order": self.jet_order}}
+        return {self.name: {"transports": self.transports, "jet_order": self.jet_order,
+                            "order": self.plan[0], "steps": self.plan[1]}}
 
 
 def _disc(q: FourierPotential, method: str, dps: int | None, center: complex,
@@ -765,18 +802,21 @@ def _disc(q: FourierPotential, method: str, dps: int | None, center: complex,
     path, dps = _path(method, dps)
     key = _key(q)
     if dps:
-        table = _mp_table(key, steps or _mp_steps(key, center, dps), _mp_order(dps), dps)
+        plan = (_mp_order(dps), steps) if steps else _mp_plan(key, center, dps)
+        table = _mp_table(key, plan[1], plan[0], dps)
         bits = _fixed_bits(dps)
         return _JetDisc(lambda lam, order: _fixed_kernel(table, lam, bits, order),
-                        _mp_noise(dps), f"mp{dps}", dps, form)
+                        _mp_noise(dps), f"mp{dps}", plan, dps, form)
     if path == "taylor":
-        C = _taylor_table(key, steps or _taylor_steps(center), _TAYLOR_ORDER)
+        plan = (_TAYLOR_ORDER, steps or _taylor_steps(center))
+        C = _taylor_table(key, plan[1], plan[0])
         return _JetDisc(lambda lam, order: _taylor_kernel(C, complex(lam), order),
-                        _TAYLOR_NOISE, path, form=form)
-    qs = _rk4_samples(key, steps or default_steps(center))
+                        _TAYLOR_NOISE, path, plan, form=form)
+    plan = (4, steps or default_steps(center))
+    qs = _rk4_samples(key, plan[1])
     # RK4 error is truncation bias, not roundoff
     return _JetDisc(lambda lam, order: _rk4_kernel(qs, complex(lam), order),
-                    1e-9, path, form=form)
+                    1e-9, path, plan, form=form)
 
 
 def _lex_pair(a, b):
@@ -951,10 +991,10 @@ def periodic_eigs_info(q: FourierPotential, n: int, tol: float = 1e-12,
     Besides the critical point (with ``critical_err``, its error estimate:
     the path's noise floor over |Delta''|), dip, curvature, noise floors,
     Newton iterations and residual, the info dict records ``kernels``: per path
-    ("taylor", "rk4", "mp30", ...) the lam-jets it transported and their
-    summed order, the double critical search that seeds every
-    arbitrary-precision solve included; ``dps``: the precision the pair
-    finished at, None for doubles; and ``escalated``: why "auto" left the
+    ("taylor", "rk4", "mp30", ...) the lam-jets it transported, their summed
+    order and the path's ``order`` and ``steps``, the double critical search
+    that seeds every arbitrary-precision solve included; ``dps``: the pair's
+    finishing precision, None for doubles; and ``escalated``: why "auto" left the
     double path, or None (also when ``dps`` or "mp" pinned the precision).
     """
     lm, lp, info = _solve_pair(q, n, tol, method, dps, steps)

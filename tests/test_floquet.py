@@ -616,6 +616,55 @@ def test_mp_steps_resolve_the_top_mode():
         assert abs((got[0] + got[3]) - (ref[0] + ref[3])) <= mp.mpf(10) ** -26
 
 
+def test_default_plan_matches_a_higher_precision_transport():
+    # the ladder's default plan, a higher order than the fixed rule in every
+    # case, against a transport 30 digits finer on the fixed rule; with
+    # s = sqrt|lam|, y1' (about s) is divided by s and y2 (about 1/s)
+    # multiplied by it
+    cases = ([(make_mathieu(1.0), n * n * PI2, 30) for n in (1, 3, 12, 24)]
+             + [(make_mathieu(1.0), n * n * PI2, 60) for n in (3, 12)]
+             + [(make_gasymov([1.0, 0.5j]), complex(25 * PI2, 3.0), 60)])
+    for q, lam, dps in cases:
+        key = floquet._key(q)
+        s = math.sqrt(abs(lam))
+        order, steps = floquet._mp_plan(key, lam, dps)
+        assert order > floquet._mp_order(dps)
+        # the series peaks near e^(h s), which the guard bits must absorb
+        assert s / steps * math.log2(math.e) < floquet._FIXED_GUARD_BITS
+        with mp.workdps(dps):
+            got = floquet._disc(q, "mp", dps, lam).jet(lam, 0)
+        with mp.workdps(dps + 30):
+            ref = floquet._disc(q, "mp", dps + 30, lam,
+                                floquet._mp_steps(key, lam, dps + 30)).jet(lam, 0)
+            err = max(abs(g - r) * w for g, r, w in zip(got, ref, (1, 1 / s, s, 1)))
+        assert err <= floquet._mp_noise(dps)
+
+
+def test_ladder_plan_never_costs_more_than_the_fixed_rule():
+    # cost is one dot product per order per step, (order + 2)^2 steps
+    wide = make_random(gevrey(0, 1, 0.5), seed=11, K=16, real=False)
+    for q, ns in ((make_mathieu(1.0), range(1, 25)), (WIDE, range(1, 17)), (wide, range(1, 17))):
+        key = floquet._key(q)
+        for dps in (30, 60):
+            fixed = (floquet._mp_order(dps) + 2) ** 2
+            for n in ns:
+                lam = n * n * PI2 + complex(q.mean)
+                order, steps = floquet._mp_plan(key, lam, dps)
+                assert (order + 2) ** 2 * steps <= fixed * floquet._mp_steps(key, lam, dps)
+
+
+def test_solve_ledger_reports_the_ladder_plan():
+    # the cosine's escalated n = 12 solve runs a higher order on fewer steps;
+    # the complex K = 16 draw keeps the fixed rule's plan
+    _, _, info = periodic_eigs_info(make_mathieu(1.0), 12)
+    mp30 = info["kernels"]["mp30"]
+    assert mp30["order"] > 28 and mp30["steps"] < 46
+    assert info["kernels"]["taylor"]["order"] == floquet._TAYLOR_ORDER
+    wide = make_random(gevrey(0, 1, 0.5), seed=11, K=16, real=False)
+    _, _, info = periodic_eigs_info(wide, 15)
+    assert (info["kernels"]["mp30"]["order"], info["kernels"]["mp30"]["steps"]) == (28, 65)
+
+
 def test_monodromy_validation():
     for dps in (None, 30):
         with pytest.raises(ValueError):
