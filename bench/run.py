@@ -18,10 +18,13 @@ file records:
     wideband_complex workload at n = 15: first and median warm wall time,
     with the path taken, the Newton iterations, and the solve ledger
     (transports and summed jet order per path) when the code reports one;
-  * one ``gap_block`` on that potential at n = 3 and on the real K = 16
-    Gevrey draw (seed 202) at n = 4 and 15: first and median warm wall
-    time, the resolvent rounds (``solver_iters``) and the root-loop
-    iterations (``newton_iters``);
+  * one ``gap_block`` on that potential at n = 3, on the real K = 16
+    Gevrey draw (seed 202) at n = 4 and 15, and on the complex K = 64 draw
+    of the adapted_wide workload at n = 8 and 32: first and median warm
+    wall time, the resolvent rounds (``solver_iters``) and the root-loop
+    iterations (``newton_iters``); next to them, ``adapted_map`` with its
+    defaults on the K = 64 draw (``adapted_map_K64``), with the resolvent
+    rounds summed over its indices;
   * the high-precision solves on that potential at n = 8 with tol = 1e-26,
     method "mp" and dps = 60: ``periodic_eigs_info`` and ``gap_record``,
     first and median warm wall time, and the pair's solve ledger;
@@ -140,9 +143,11 @@ def solve_times(repeat: int) -> dict:
 def block_times(repeat: int) -> dict:
     cosine = make_mathieu(1.0)
     wide = make_random(gevrey(0, 1, 0.5), seed=202, K=16)
+    k64 = make_random(gevrey(0, 1, 0.5), seed=11, K=64, real=False)
     out = {}
     for name, q, n in (("cosine_n3", cosine, 3), ("gevrey202_n4", wide, 4),
-                       ("gevrey202_n15", wide, 15)):
+                       ("gevrey202_n15", wide, 15), ("gevrey11_K64_n8", k64, 8),
+                       ("gevrey11_K64_n32", k64, 32)):
         result = []
 
         def solve():
@@ -152,6 +157,11 @@ def block_times(repeat: int) -> dict:
         diag = result[0]
         out[name] = {"first_s": first, "warm_s": warm,
                      "solver_iters": diag.solver_iters, "newton_iters": diag.newton_iters}
+    diag = {}
+    first, warm = _first_and_warm(lambda: blockdecomp.adapted_map(k64, diagnostics=diag),
+                                  repeat)
+    out["adapted_map_K64"] = {"first_s": first, "warm_s": warm,
+                              "solver_iters": sum(info.iters for info in diag.values())}
     return out
 
 

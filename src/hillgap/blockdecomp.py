@@ -16,9 +16,11 @@ entries c_{+-n}(lam).
 The Neumann series is summed on a mode window that grows with the iterate:
 each application of V moves a mode by at most 2K (K the bandwidth of q), so
 after nu rounds the iterate lives on the support of the right-hand side
-widened by 2K nu, and the rounds convolve only that.  mode_cutoff is the hard
-cap on this window, not its working size; once the window reaches it, the
-mass pushed past the edge is tallied as ``lost``.
+widened by 2K nu, and the rounds convolve only that.  mode_cutoff bounds
+this window and is never allocated; once the window reaches it, the mass
+pushed past the edge is tallied as ``lost``.  Each index n builds its columns
+V e_{+-n} once, and each lam one table of denominators lam - m^2 pi^2, which
+the solves of both columns share.
 
 Everything downstream lives at the point alpha_n where the diagonal vanishes:
 the adapted coefficients p_{+-n} = c_{-+n}(alpha_n), the gap roots xi_-+, and
@@ -147,22 +149,53 @@ def mode_cutoff(q: FourierPotential, n: int, nu_cap: int = NU_CAP) -> int:
     """Window cap for the resolvent iteration at index n.
 
     Each application of T_n widens the support by 2K, so nu_cap rounds need
-    this much room before truncation loss can appear.  It is the cap, not the
-    working size: resolve_hat_Tn runs each round on the iterate's support
-    widened by 2K and reaches this window only after about nu_cap rounds.
+    this much room before truncation loss can appear.  It is a bound, never
+    an array: the iterate and its denominators live on the iterate's support
+    widened by 2K, which reaches the cap only after about nu_cap rounds.
     """
     return 2 * q.K * nu_cap + n + 8
 
 
-def _require_zero_mean(q: FourierPotential) -> None:
+def _require_admissible(q: FourierPotential, n: int, lam: complex,
+                        parity: int) -> None:
+    """Domain of T_n: zero-mean q, n >= 1, lam in the strip, parity n mod 2."""
     if q.mean != 0:
         raise DomainError("operator requires a zero-mean potential; "
                           "use q.without_mean() and shift eigenvalues")
-
-
-def _require_in_strip(n: int, lam: complex) -> None:
+    if n < 1:
+        raise DomainError("gap index n must be >= 1")
     if abs(lam.real - n * n * PI2) > STRIP_HALF_WIDTH * n:
         raise DomainError(f"lam = {lam} outside the admissible strip at n = {n}")
+    if parity != n % 2:
+        raise DomainError(f"parity {parity} vector at gap index {n}")
+
+
+class _Denominators:
+    """lam - m^2 pi^2 on the modes of n's parity at one lam, shared by every
+    solve there.  The table doubles when a window outgrows it, never past the
+    cap; the resonant pair +-n holds 1 and quotient() zeroes its entries."""
+
+    def __init__(self, n: int, lam: complex, cap: int):
+        self.n, self.lam, self.cap = n, lam, cap - (cap - n) % 2
+        self.mcut, self.table = -1, None
+
+    def quotient(self, f: ParityVector) -> np.ndarray:
+        """Q_n A_lam^{-1} f on f's window: f_m / (lam - m^2 pi^2), 0 at +-n."""
+        if f.mcut > self.mcut:
+            self.mcut = min(self.cap, 2 * f.mcut - f.parity)
+            m = np.arange(-self.mcut, self.mcut + 1, 2)
+            self.table = self.lam - PI2 * m.astype(np.float64) ** 2
+            resonant = np.abs(m) == self.n
+            # cannot trip for admissible lam (the gap to the nearest
+            # off-resonant mode exceeds the strip width), but guard anyway
+            if np.any((np.abs(self.table) < _SINGULAR_TOL) & ~resonant):
+                raise DomainError(f"lam = {self.lam} is near-singular off +-n")
+            self.table[resonant] = 1.0
+        cut = (self.mcut - f.mcut) // 2
+        g = f.data / self.table[cut:cut + f.mcut + 1]
+        if self.n <= f.mcut:
+            g[(f.mcut - self.n) // 2] = g[(f.mcut + self.n) // 2] = 0
+        return g
 
 
 def apply_Tn(q: FourierPotential, n: int, lam: complex,
@@ -172,20 +205,8 @@ def apply_Tn(q: FourierPotential, n: int, lam: complex,
 
     Requires mean(q) = 0, lam in the admissible strip, and parity(f) = n mod 2.
     """
-    _require_zero_mean(q)
-    if n < 1:
-        raise DomainError("gap index n must be >= 1")
-    _require_in_strip(n, lam)
-    if f.parity != n % 2:
-        raise DomainError(f"parity {f.parity} vector at gap index {n}")
-    m = f.modes()
-    denom = lam - PI2 * m.astype(np.float64) ** 2
-    resonant = np.abs(m) == n
-    # cannot trip for admissible lam (the gap to the nearest off-resonant
-    # mode exceeds the strip width), but guard the division anyway
-    if np.any((np.abs(denom) < _SINGULAR_TOL) & ~resonant):
-        raise DomainError(f"lam = {lam} is near-singular off the resonant modes")
-    g = np.where(resonant, 0, f.data / np.where(resonant, 1.0, denom))
+    _require_admissible(q, n, lam, f.parity)
+    g = _Denominators(n, lam, f.mcut).quotient(f)
     return multiply_by_potential(q, ParityVector(f.parity, f.mcut, g, f.lost))
 
 
@@ -194,7 +215,8 @@ def resolve_hat_Tn(q: FourierPotential, n: int, lam: complex, rhs: ParityVector,
                    max_iter: int = NU_CAP) -> tuple[ParityVector, SolveInfo]:
     """Solve (I - T_n) g = rhs by the Neumann iteration g <- rhs + T_n g.
 
-    Refuses when 2 ||q|| >= n, where the operator-norm bound gives no
+    Refuses arguments outside the domain of T_n whatever rhs holds, and
+    refuses when 2 ||q|| >= n, where the operator-norm bound gives no
     contraction at all; below that the measured ratio decides convergence.
     The residual in SolveInfo comes from a final direct application of
     I - T_n, so the contract ||(I - T_n) g - rhs|| <= tol ||rhs|| is checked,
@@ -202,10 +224,19 @@ def resolve_hat_Tn(q: FourierPotential, n: int, lam: complex, rhs: ParityVector,
 
     The iteration runs on a window that grows with the iterate: it starts at
     the support of rhs and widens by 2K before each application of T_n, so
-    nothing is dropped until it reaches rhs.mcut, the hard cap, where edge
-    mass goes into ``lost``.  The result comes back on rhs's window.
+    nothing is dropped until it reaches rhs.mcut, the cap, where edge mass
+    goes into ``lost``.  The cap is only a bound: nothing is allocated past
+    the windows the iterate reaches.  The result comes back on rhs's window.
     """
-    _require_zero_mean(q)
+    _require_admissible(q, n, lam, rhs.parity)
+    g, info = _neumann(q, n, rhs.resized(_support_cut(rhs)),
+                       _Denominators(n, lam, rhs.mcut), tol, max_iter)
+    return g.resized(rhs.mcut), info
+
+
+def _neumann(q: FourierPotential, n: int, rhs: ParityVector, den: _Denominators,
+             tol: float, max_iter: int = NU_CAP) -> tuple[ParityVector, SolveInfo]:
+    """The rounds past the domain guards: rhs on its support, g on its last window."""
     nq = q.l2()
     if 2.0 * nq >= n:
         raise ContractionError(f"2 ||q|| = {2 * nq:.6g} >= n = {n}: "
@@ -213,29 +244,23 @@ def resolve_hat_Tn(q: FourierPotential, n: int, lam: complex, rhs: ParityVector,
     rhs_norm = rhs.l2()
     if rhs_norm == 0.0:
         return rhs, SolveInfo(0, 0.0, 0.0, rhs.lost)
-    cap = rhs.mcut
-    rhs = rhs.resized(_support_cut(rhs))
-    g = rhs
-    rate = 2.0 * nq / n
-    d_prev = None
-    for it in range(1, max_iter + 1):
-        g = g.resized(min(cap, g.mcut + 2 * q.K))
-        tg = apply_Tn(q, n, lam, g)
-        g_new = ParityVector(g.parity, g.mcut,
-                             rhs.resized(g.mcut).data + tg.data, tg.lost)
-        d = float(np.linalg.norm(g_new.data - g.data))
-        rate = d / d_prev if d_prev is not None else d / rhs_norm
-        g = g_new
+    g, d, rate = rhs, math.inf, 2.0 * nq / n
+    # one application of T_n per pass; the pass after the converging round
+    # checks the residual instead of making a new iterate
+    for it in range(max_iter + 1):
+        g = g.resized(min(den.cap, g.mcut + 2 * q.K))
+        tg = multiply_by_potential(
+            q, ParityVector(g.parity, g.mcut, den.quotient(g), g.lost))
+        padded = rhs.resized(g.mcut).data
         if d <= tol * rhs_norm:
-            break
-        d_prev = d
-    else:
-        raise IterationError(f"resolvent at n = {n} not converged after "
-                             f"{max_iter} rounds; last ratio {rate:.3g}")
-    g = g.resized(min(cap, g.mcut + 2 * q.K))
-    tg = apply_Tn(q, n, lam, g)
-    resid = float(np.linalg.norm(g.data - tg.data - rhs.resized(g.mcut).data))
-    return g.resized(cap), SolveInfo(it, resid, rate, g.lost)
+            resid = float(np.linalg.norm(g.data - tg.data - padded))
+            return g, SolveInfo(it, resid, rate, g.lost)
+        if it == max_iter:
+            raise IterationError(f"resolvent at n = {n} not converged after "
+                                 f"{max_iter} rounds; last ratio {rate:.3g}")
+        new = ParityVector(g.parity, g.mcut, padded + tg.data, tg.lost)
+        d_prev, d = d, float(np.linalg.norm(new.data - g.data))
+        g, rate = new, d / (d_prev if it else rhs_norm)
 
 
 def _support_cut(f: ParityVector) -> int:
@@ -259,23 +284,24 @@ def coeff_an_cn(q: FourierPotential, n: int, lam: complex,
     return a_n, c_plus, c_minus
 
 
-def _reduced_entries(q: FourierPotential, n: int, lam: complex, tol: float):
-    mcut = mode_cutoff(q, n)
-    h, info_p = resolve_hat_Tn(q, n, lam, _potential_column(q, n, mcut), tol)
-    g, info_m = resolve_hat_Tn(q, n, lam, _potential_column(q, -n, mcut), tol)
+def _columns(q: FourierPotential, n: int):
+    """(cap, V e_n, V e_{-n}), each column on its own support; built once per
+    n and reused at every lam of the alpha_n and root loops."""
+    cap = mode_cutoff(q, n)
+    cols = (multiply_by_potential(q, unit_vector(m, min(cap, n + 2 * q.K)))
+            for m in (n, -n))
+    return (cap, *(col.resized(_support_cut(col)) for col in cols))
+
+
+def _reduced_entries(q: FourierPotential, n: int, lam: complex, tol: float,
+                     cols=None):
+    """(a_n, c_+, c_-, tally) at lam; both solves share one denominator table."""
+    cap, col_plus, col_minus = cols or _columns(q, n)
+    _require_admissible(q, n, lam, n % 2)
+    den = _Denominators(n, lam, cap)
+    h, info_p = _neumann(q, n, col_plus, den, tol)
+    g, info_m = _neumann(q, n, col_minus, den, tol)
     return h.coeff(n), h.coeff(-n), g.coeff(n), info_p + info_m
-
-
-def _diagonal_entry(q: FourierPotential, n: int, lam: complex, tol: float):
-    h, info = resolve_hat_Tn(q, n, lam,
-                             _potential_column(q, n, mode_cutoff(q, n)), tol)
-    return h.coeff(n), info
-
-
-def _potential_column(q: FourierPotential, m: int, mcut: int) -> ParityVector:
-    """V e_m on the window of cap mcut, convolved on its support only."""
-    col = multiply_by_potential(q, unit_vector(m, min(mcut, abs(m) + 2 * q.K)))
-    return col.resized(mcut)
 
 
 def alpha_fixed_point(q: FourierPotential, n: int, tol: float = 1e-12) -> complex:
@@ -286,14 +312,16 @@ def alpha_fixed_point(q: FourierPotential, n: int, tol: float = 1e-12) -> comple
     n >= ceil(4 ||q||) the sharper radius m^2 / 4n with m = ceil(4 ||q||) is
     checked after convergence.  The mean of q shifts the returned value.
     """
-    alpha, _, _ = _fixed_point(q.without_mean(), n, tol)
+    q0 = q.without_mean()
+    alpha, _, _ = _fixed_point(q0, n, tol, _columns(q0, n))
     return alpha + complex(q.mean)
 
 
-def _fixed_point(q0: FourierPotential, n: int, tol: float, sign: int = 0,
+def _fixed_point(q0: FourierPotential, n: int, tol: float, cols, sign: int = 0,
                  seed: complex | None = None, phi: complex = 0j):
     """Fixed point of lam <- sigma_n + a_n(lam) + sign phi_n(lam) in the
-    zero-mean frame; returns (lam, iterations, tally).
+    zero-mean frame, from the columns ``cols`` of _columns; returns
+    (lam, iterations, tally).
 
     sign = 0 gives alpha_n from sigma_n, solving only the e_n column, and
     checks the certified radius; sign = +-1 gives a gap root from ``seed``,
@@ -306,13 +334,14 @@ def _fixed_point(q0: FourierPotential, n: int, tol: float, sign: int = 0,
     tally = None
     for it in range(1, 49):
         if sign:
-            a_n, c_plus, c_minus, info = _reduced_entries(q0, n, lam, tol)
+            a_n, c_plus, c_minus, info = _reduced_entries(q0, n, lam, tol, cols)
             root = cmath.sqrt(c_plus * c_minus)
             phi = root if abs(root - phi) <= abs(root + phi) else -root
             new = sigma + a_n + sign * phi
         else:
-            a_n, info = _diagonal_entry(q0, n, lam, tol)
-            new = sigma + a_n
+            _require_admissible(q0, n, lam, n % 2)
+            h, info = _neumann(q0, n, cols[1], _Denominators(n, lam, cols[0]), tol)
+            new = sigma + h.coeff(n)
         tally = info if tally is None else tally + info
         step = new - lam
         lam = new
@@ -329,10 +358,10 @@ def _fixed_point(q0: FourierPotential, n: int, tol: float, sign: int = 0,
     return lam, it, tally
 
 
-def _at_alpha(q0: FourierPotential, n: int, tol: float):
+def _at_alpha(q0: FourierPotential, n: int, tol: float, cols):
     """alpha_n and the reduced entries there: (alpha, a_n, c_+, c_-, tally)."""
-    alpha, _, tally = _fixed_point(q0, n, tol)
-    a_n, c_plus, c_minus, info = _reduced_entries(q0, n, alpha, tol)
+    alpha, _, tally = _fixed_point(q0, n, tol, cols)
+    a_n, c_plus, c_minus, info = _reduced_entries(q0, n, alpha, tol, cols)
     return alpha, a_n, c_plus, c_minus, tally + info
 
 
@@ -354,7 +383,8 @@ def gap_block(q: FourierPotential, n: int, tol: float = 1e-12) -> BlockData:
     """
     q0 = q.without_mean()
     mean = complex(q.mean)
-    alpha, a_alpha, c_plus, c_minus, tally = _at_alpha(q0, n, tol)
+    cols = _columns(q0, n)
+    alpha, a_alpha, c_plus, c_minus, tally = _at_alpha(q0, n, tol, cols)
     # V e_{-n} carries the ascending coefficient ladder, so its solve holds
     # the mode +n entry whose leading term is q_{+n}; the e_n solve leads
     # with q_{-n}.  p_{+-n} must lead with q_{+-n} or the map below would
@@ -367,8 +397,8 @@ def gap_block(q: FourierPotential, n: int, tol: float = 1e-12) -> BlockData:
         xi_a = xi_b = alpha
     else:
         phi0 = cmath.sqrt(prod)
-        xi_a, it_a, info_a = _fixed_point(q0, n, tol, 1, alpha + phi0, phi0)
-        xi_b, it_b, info_b = _fixed_point(q0, n, tol, -1, alpha - phi0, phi0)
+        xi_a, it_a, info_a = _fixed_point(q0, n, tol, cols, 1, alpha + phi0, phi0)
+        xi_b, it_b, info_b = _fixed_point(q0, n, tol, cols, -1, alpha - phi0, phi0)
         root_iters = it_a + it_b
         tally = tally + info_a + info_b
     xi_minus, xi_plus = _lex_order(xi_a, xi_b)
@@ -432,7 +462,7 @@ def adapted_map(q: FourierPotential, m: int | None = None,
             if z != 0:
                 coeffs[s] = z
     for nn in range(M_thresh, K_out + 1):
-        alpha, _, c_plus, c_minus, info = _at_alpha(q0, nn, tol)
+        alpha, _, c_plus, c_minus, info = _at_alpha(q0, nn, tol, _columns(q0, nn))
         # same ladder fact as in gap_block: the e_{-n} solve leads with q_{+n}
         coeffs[nn] = c_minus
         coeffs[-nn] = c_plus
@@ -496,10 +526,9 @@ def c_series_terms(q: FourierPotential, n: int, lam: complex,
     Partial sums approach the resolvent value c_plus geometrically in the
     contraction factor.  The window is sized so every term is held exactly.
     """
-    _require_zero_mean(q)
+    _require_admissible(q, n, lam, n % 2)
     if nu_max < 0:
         raise DomainError("nu_max must be >= 0")
-    _require_in_strip(n, lam)
     mcut = n + 2 * q.K * (nu_max + 1) + 8
     f = multiply_by_potential(q, unit_vector(n, mcut))
     terms = [f.coeff(-n)]

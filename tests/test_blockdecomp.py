@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hillgap import blockdecomp
 from hillgap.blockdecomp import (
     ContractionError,
     DomainError,
+    SolveInfo,
     adapted_defaults,
     adapted_map,
     alpha_fixed_point,
@@ -36,6 +38,7 @@ from hillgap.seqspace import (
     truncate,
     unit_vector,
     wnorm,
+    zero_vector,
 )
 from hillgap.weights import gevrey, polynomial, trivial
 
@@ -107,6 +110,22 @@ def test_resolve_refuses_without_margin():
     rhs = multiply_by_potential(q, unit_vector(5, mode_cutoff(q, 5)))
     with pytest.raises(ContractionError):
         resolve_hat_Tn(q, 5, 25 * PI2, rhs)
+
+
+def test_resolve_guards_precede_the_zero_shortcut():
+    # a zero rhs returns at once, but only inside the domain of T_n: outside
+    # the strip or at the wrong parity it is refused like any other rhs
+    q = make_mathieu(1.0).without_mean()
+    outside = 16 * PI2 + 500.0
+    for rhs in (zero_vector(0, 40), unit_vector(4, 40)):
+        with pytest.raises(DomainError):
+            resolve_hat_Tn(q, 4, outside, rhs)
+    for rhs in (zero_vector(1, 41), unit_vector(3, 41)):
+        with pytest.raises(DomainError):
+            resolve_hat_Tn(q, 4, 16 * PI2, rhs)
+    g, info = resolve_hat_Tn(q, 4, 16 * PI2 + 0.1, zero_vector(0, 40))
+    assert info == SolveInfo(0, 0.0, 0.0, 0.0)
+    assert g.mcut == 40 and not g.data.any()
 
 
 def test_c_series_terms_mathieu():
@@ -405,3 +424,38 @@ def test_growing_window_work(monkeypatch):
         assert mcut <= min(cap, support + 2 * q.K)
     full = len(calls) * len(q.data) * (cap + 1)
     assert sum(madds for _, _, madds in calls) <= full / 4
+
+
+def test_the_cap_is_a_bound_not_work(monkeypatch):
+    # a cap of ten million modes changes nothing but the bound: the same
+    # entries bit for bit, the same tallies and convolutions, and no array
+    # anywhere near the cap's size (one cap-sized vector would take 80 MB)
+    q, n, lam = WIDE, 8, 64 * PI2 + 0.3
+    spied = blockdecomp.multiply_by_potential
+
+    def run():
+        madds = []
+
+        def spy(q_, f):
+            madds.append(len(q_.data) * len(f.data))
+            return spied(q_, f)
+
+        monkeypatch.setattr(blockdecomp, "multiply_by_potential", spy)
+        tracemalloc.start()
+        try:
+            entries = coeff_an_cn(q, n, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        calls = list(madds)
+        info = blockdecomp._reduced_entries(q, n, lam, 1e-12)[3]
+        return np.array(entries).tobytes(), info, calls, peak
+
+    entries, info, madds, _ = run()
+    monkeypatch.setattr(blockdecomp, "mode_cutoff",
+                        lambda q, n, nu_cap=blockdecomp.NU_CAP: 10 ** 7 + n)
+    wide_entries, wide_info, wide_madds, peak = run()
+    assert wide_entries == entries
+    assert wide_info == info and info.lost == 0.0
+    assert wide_madds == madds
+    assert peak < 1 << 20
