@@ -2,8 +2,11 @@
 
     hillgap gaps   -c config.json [--out table.csv] [--json]
     hillgap oracle -c config.json [--out table.csv] [--json]
-    hillgap verify {theorem1,theorem4,theorem5,mathieu,gasymov,dense,weights}
-                   -c config.json [--out report.json] [--json]
+    hillgap verify SUITE -c config.json [--out report.json] [--json]
+
+``gaps`` runs every kind of harness.TABLE_KINDS and ``oracle`` only its own.
+SUITE names one of the other kinds of harness.KINDS; the suite "weights"
+runs the kind "weights_check".
 
 Exit status: 0 on success, 1 when a check fails or a table row records a
 numerical error, 2 on config errors.
@@ -15,11 +18,11 @@ import argparse
 import json
 import sys
 
-from . import blockdecomp, floquet, harness
+from . import blockdecomp, floquet, harness, weights
 
-_TABLE_OK = {"gaps": {"gaps", "adapted", "oracle"}, "oracle": {"oracle"}}
-_SUITES = ("theorem1", "theorem4", "theorem5", "mathieu", "gasymov",
-           "dense", "weights")
+_WEIGHTS_SUITE, _WEIGHTS_KIND = "weights", "weights_check"
+_SUITES = [_WEIGHTS_SUITE if kind == _WEIGHTS_KIND else kind
+           for kind in harness.KINDS if kind not in harness.TABLE_KINDS]
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -51,21 +54,21 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "verify":
-            kind = "weights_check" if args.suite == "weights" else args.suite
-            config = harness.parse_config(raw, kind)
-            if config.kind != kind:
-                raise harness.ConfigError(
-                    f"config kind {config.kind!r} does not match suite "
-                    f"{args.suite!r}")
+            kind = _WEIGHTS_KIND if args.suite == _WEIGHTS_SUITE else args.suite
+            fits, misfit = (kind,), f"does not match suite {args.suite!r}"
+        else:
+            kind = args.command
+            fits = harness.TABLE_KINDS if args.command == "gaps" else (kind,)
+            misfit = f"does not fit subcommand {args.command!r}"
+        config = harness.parse_config(raw, kind)
+        if config.kind not in fits:
+            raise harness.ConfigError(f"config kind {config.kind!r} {misfit}")
+        if args.command == "verify":
             return _run_verify(config, args)
-        config = harness.parse_config(raw, args.command)
-        if config.kind not in _TABLE_OK[args.command]:
-            raise harness.ConfigError(
-                f"config kind {config.kind!r} does not fit subcommand "
-                f"{args.command!r}")
         return _run_table(config, args)
-    except harness.ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (harness.ConfigError, weights.TableDomainError) as exc:
+        # a table weight queried off its grid is a fault of the config too
+        print(f"config error: {exc.args[0]}", file=sys.stderr)
         return 2
     except (floquet.RootSearchError, blockdecomp.DomainError,
             blockdecomp.ContractionError, blockdecomp.IterationError) as exc:
@@ -118,32 +121,34 @@ def _print_summary(report: dict) -> None:
     for note in report["notes"]:
         print(f"  note: {note}")
     for item in report["items"]:
-        print("  " + _item_line(report["kind"], item))
+        print("  " + _item_line(item))
 
 
-def _item_line(kind: str, item: dict) -> str:
-    if kind in ("theorem1", "theorem4"):
+def _item_line(item: dict) -> str:
+    # the fields an item carries name its suite; dense items carry
+    # "collapsed" too, so "distance" is tested first
+    if "lhs" in item:
         return (f"N = {item['N']}: lhs = {item['lhs']:.6g}, "
                 f"rhs = {item['rhs']:.6g}, margin = {item['margin']:.6g}")
-    if kind == "theorem5":
+    if "bound" in item:
         return (f"n = {item['n']}: |gamma| <= {item['gamma_ceiling']:.6g}, "
                 f"bound = {item['bound']:.6g}, "
                 f"{'ok' if item['holds'] else 'violated'}")
-    if kind == "mathieu" and "ratio" in item:
+    if "ratio" in item:
         return (f"n = {item['n']}: ratio = {item['ratio']:.9g} "
                 f"(band {item['band']:.3g}), "
                 f"{'ok' if item['holds'] else 'violated'}")
-    if kind == "gasymov":
+    if "distance" in item:
+        return (f"N = {item['N']}: distance = {item['distance']:.6g}, "
+                f"bound = {item['lipschitz_bound']:.6g}, "
+                f"{'ok' if item['holds'] else 'violated'}")
+    if "collapsed" in item:
         tail = ""
         if "exact_zero" in item:
             tail = f", reduced entries exactly zero: {item['exact_zero']}"
         return (f"n = {item['n']}: |gamma| <= {item['gamma_ceiling']:.6g}"
                 + tail)
-    if kind == "dense":
-        return (f"N = {item['N']}: distance = {item['distance']:.6g}, "
-                f"bound = {item['lipschitz_bound']:.6g}, "
-                f"{'ok' if item['holds'] else 'violated'}")
-    if kind == "weights_check":
+    if "growth_class" in item:
         spec = item["weight"]
         tempered = ", ".join(
             f"eps = {t['eps']:g}: {'ok' if t['ok'] else 'violated'}"

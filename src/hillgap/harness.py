@@ -1,9 +1,9 @@
 """Experiment runner: JSON configs in, CSV tables and verification reports out.
 
-A config names one experiment.  Table experiments (kinds "gaps", "oracle",
-"adapted") sweep gap indices and emit one CSV row per index per method;
-verification experiments (kinds "theorem1", "theorem4", "theorem5", "mathieu",
-"gasymov", "dense", "weights_check") evaluate an inequality or asymptotic
+A config names one experiment kind.  Each kind is declared once, in KINDS,
+with its runner and the config keys it takes.  Table kinds (TABLE_KINDS:
+"gaps", "adapted", "oracle") sweep gap indices and emit one CSV row per index
+per method; the verification kinds evaluate an inequality or asymptotic
 family and return a report dict with per-item margins.
 
 Three rules keep runs reproducible and auditable:
@@ -26,8 +26,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple
 
 from . import blockdecomp, floquet, weights
 from .seqspace import (
@@ -40,9 +40,6 @@ from .seqspace import (
     wnorm,
 )
 from .weights import Weight
-
-KINDS = ("gaps", "adapted", "oracle", "theorem1", "theorem4", "theorem5",
-         "mathieu", "gasymov", "dense", "weights_check")
 
 CSV_COLUMNS = ("n", "method", "re_lm", "im_lm", "re_lp", "im_lp",
                "re_gamma", "im_gamma", "re_alpha", "im_alpha",
@@ -62,44 +59,33 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
+    """A validated config.  Each kind sets the fields it reads; the others keep
+    their defaults.  ``echo`` is the config as reports show it."""
+
     kind: str
-    potential: FourierPotential | None
-    weight: Weight
-    weight_specs: list[dict]
-    n_range: tuple[int, int] | None
-    M_thresh: int | None
-    m: int | None
-    K_out: int | None
-    N_values: list[int]
-    span: int
-    tol: float
-    c: float
-    a: float
-    oracle_method: str
-    oracle_dps: int | None
-    oracle_steps: int | None
-    submult_N: int
-    eps_list: list[float]
     out: str | None
     echo: dict[str, Any]
+    potential: FourierPotential | None = None
+    weight: Weight | None = None
+    n_range: tuple[int, int] | None = None
+    tol: float = 1e-12
+    oracle_method: str = "auto"
+    oracle_dps: int | None = None
+    oracle_steps: int | None = None
+    m: int | None = None
+    M_thresh: int | None = None
+    K_out: int | None = None
+    N_values: list[int] = field(default_factory=list)
+    span: int = 4
+    c: float = 0.5
+    a: float = 1.0
+    weight_specs: list[dict] = field(default_factory=list)
+    submult_N: int = 200
+    eps_list: list[float] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
 # config parsing
-
-_COMMON_KEYS = {"kind", "potential", "weight", "n_range", "tol", "oracle", "out"}
-_ALLOWED_KEYS = {
-    "gaps": _COMMON_KEYS,
-    "oracle": _COMMON_KEYS,
-    "adapted": _COMMON_KEYS | {"M_thresh", "m", "K_out"},
-    "theorem1": _COMMON_KEYS,
-    "theorem4": _COMMON_KEYS,
-    "theorem5": _COMMON_KEYS | {"a"},
-    "mathieu": _COMMON_KEYS | {"c"},
-    "gasymov": _COMMON_KEYS,
-    "dense": _COMMON_KEYS | {"M_thresh", "m", "K_out", "N_values", "span"},
-    "weights_check": {"kind", "weights", "N", "eps_list", "out"},
-}
 
 _WEIGHT_PARAMS = {
     # kind -> (required fields, optional fields with defaults)
@@ -243,16 +229,17 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
     kind = work.pop("kind", default_kind)
     if kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {kind!r}")
-    allowed = _ALLOWED_KEYS[kind]
-    unknown = set(work) - (allowed - {"kind"})
+    keys = KINDS[kind].keys
+    unknown = set(work) - set(keys) - {"out"}
     if unknown:
         raise ConfigError(f"unknown config keys for kind {kind!r}: {sorted(unknown)}")
 
     out = work.pop("out", None)
     if out is not None and not isinstance(out, str):
         raise ConfigError("'out' must be a path string")
+    echo: dict[str, Any] = {"kind": kind}
 
-    if kind == "weights_check":
+    if "weights" in keys:
         specs = work.pop("weights", None)
         if not isinstance(specs, list) or not specs:
             raise ConfigError("weights_check needs a nonempty 'weights' list")
@@ -265,14 +252,9 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
         if not isinstance(eps_list, list):
             raise ConfigError("eps_list must be a list of numbers")
         eps_list = [_number(e, "eps_list entry") for e in eps_list]
-        echo = {"kind": kind, "weights": specs, "N": submult_N,
-                "eps_list": eps_list, "out": out}
-        return ExperimentConfig(
-            kind=kind, potential=None, weight=weights.trivial(),
-            weight_specs=specs, n_range=None, M_thresh=None, m=None,
-            K_out=None, N_values=[], span=4, tol=1e-12, c=0.5, a=1.0,
-            oracle_method="auto", oracle_dps=None, oracle_steps=None,
-            submult_N=submult_N, eps_list=eps_list, out=out, echo=echo)
+        echo.update(weights=specs, N=submult_N, eps_list=eps_list, out=out)
+        return ExperimentConfig(kind, out, echo, weight_specs=specs,
+                                submult_N=submult_N, eps_list=eps_list)
 
     if "potential" not in work:
         raise ConfigError("missing required field 'potential'")
@@ -285,8 +267,8 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
     weight = build_weight(weight_spec)
 
     n_range = None
-    if kind != "dense":
-        pair = work.pop("n_range", None)
+    pair = work.pop("n_range", None)
+    if kind != "dense":  # dense sweeps N_values and ignores n_range
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ConfigError("'n_range' is required and has the form [lo, hi]")
         lo = _integer(pair[0], "n_range[0]")
@@ -294,8 +276,6 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
         if lo < 1 or hi < lo:
             raise ConfigError(f"bad n_range [{lo}, {hi}]")
         n_range = (lo, hi)
-    else:
-        work.pop("n_range", None)
 
     tol = _number(work.pop("tol", 1e-12), "tol")
     if tol <= 0:
@@ -322,56 +302,37 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
             raise ConfigError("oracle.steps must be >= 1")
     _done(osub)
 
-    M_thresh = m = K_out = None
-    N_values: list[int] = []
-    span = 4
-    if kind in ("adapted", "dense"):
-        if "m" in work:
-            m = _integer(work.pop("m"), "m")
-        if "M_thresh" in work:
-            M_thresh = _integer(work.pop("M_thresh"), "M_thresh")
-        if "K_out" in work:
-            K_out = _integer(work.pop("K_out"), "K_out")
-        m, M_thresh, K_out = blockdecomp.adapted_defaults(potential, m, M_thresh, K_out)
-    if kind == "dense":
-        raw_n = work.pop("N_values", None)
-        if raw_n is None:
-            N_values = [M_thresh, M_thresh + 1, M_thresh + 2]
-        else:
-            if not (isinstance(raw_n, list) and raw_n):
-                raise ConfigError("N_values must be a nonempty list of integers")
-            N_values = [_integer(v, "N_values entry") for v in raw_n]
-        span = _integer(work.pop("span", 4), "span")
-        if span < 1:
+    # kind-specific keys: each one is a config field and an echo entry
+    extras: dict[str, Any] = {}
+    if "m" in keys:
+        m, M_thresh, K_out = (_integer(work.pop(k), k) if k in work else None
+                              for k in ("m", "M_thresh", "K_out"))
+        extras["m"], extras["M_thresh"], extras["K_out"] = \
+            blockdecomp.adapted_defaults(potential, m, M_thresh, K_out)
+    if "N_values" in keys:
+        raw_n = work.pop("N_values", [extras["M_thresh"] + i for i in range(3)])
+        if not (isinstance(raw_n, list) and raw_n):
+            raise ConfigError("N_values must be a nonempty list of integers")
+        extras["N_values"] = [_integer(v, "N_values entry") for v in raw_n]
+        extras["span"] = _integer(work.pop("span", 4), "span")
+        if extras["span"] < 1:
             raise ConfigError("span must be >= 1")
-
-    c = _number(work.pop("c", 0.5), "c") if kind == "mathieu" else 0.5
-    a = _number(work.pop("a", 1.0), "a") if kind == "theorem5" else 1.0
-    if kind == "theorem5" and a <= 0:
-        raise ConfigError("'a' must be positive")
-
+    if "c" in keys:
+        extras["c"] = _number(work.pop("c", 0.5), "c")
+    if "a" in keys:
+        extras["a"] = _number(work.pop("a", 1.0), "a")
+        if extras["a"] <= 0:
+            raise ConfigError("'a' must be positive")
     _done(work)
 
-    echo = {"kind": kind, "potential": pot_spec, "weight": weight_spec,
-            "tol": tol, "out": out,
-            "oracle": {"method": method, "dps": dps, "steps": steps}}
+    echo.update(potential=pot_spec, weight=weight_spec, tol=tol, out=out,
+                oracle={"method": method, "dps": dps, "steps": steps})
     if n_range is not None:
         echo["n_range"] = list(n_range)
-    if kind in ("adapted", "dense"):
-        echo.update({"m": m, "M_thresh": M_thresh, "K_out": K_out})
-    if kind == "dense":
-        echo.update({"N_values": N_values, "span": span})
-    if kind == "mathieu":
-        echo["c"] = c
-    if kind == "theorem5":
-        echo["a"] = a
-
-    return ExperimentConfig(
-        kind=kind, potential=potential, weight=weight, weight_specs=[],
-        n_range=n_range, M_thresh=M_thresh, m=m, K_out=K_out,
-        N_values=N_values, span=span, tol=tol, c=c, a=a,
-        oracle_method=method, oracle_dps=dps, oracle_steps=steps,
-        submult_N=200, eps_list=[], out=out, echo=echo)
+    echo.update(extras)
+    return ExperimentConfig(kind, out, echo, potential=potential, weight=weight,
+                            n_range=n_range, tol=tol, oracle_method=method,
+                            oracle_dps=dps, oracle_steps=steps, **extras)
 
 
 # ---------------------------------------------------------------------------
@@ -466,28 +427,20 @@ def _block_row(q: FourierPotential, n: int, config: ExperimentConfig) -> dict:
 
 
 def run_gaps(config: ExperimentConfig):
-    """Oracle and block rows per index; block rows only where n >= 4 ||q||.
+    """Oracle rows per index; kind "gaps" adds block rows where n >= 4 ||q||.
 
     Returns (rows, failed): failed marks any row-level numerical error
     (its method cell ends in '!').
     """
     q = config.potential
     lo, hi = config.n_range
-    floor = 4.0 * q.without_mean().l2()
+    floor = 4.0 * q.without_mean().l2() if config.kind == "gaps" else math.inf
 
     rows = []
     for n in range(lo, hi + 1):
         rows.append(_oracle_row(q, n, config))
         if n >= floor:
             rows.append(_block_row(q, n, config))
-    return rows, any(row["method"].endswith("!") for row in rows)
-
-
-def run_oracle(config: ExperimentConfig):
-    """Oracle-only rows over the index range."""
-    q = config.potential
-    lo, hi = config.n_range
-    rows = [_oracle_row(q, n, config) for n in range(lo, hi + 1)]
     return rows, any(row["method"].endswith("!") for row in rows)
 
 
@@ -520,13 +473,10 @@ def run_adapted(config: ExperimentConfig):
 
 
 def run_table(config: ExperimentConfig):
-    if config.kind == "gaps":
-        return run_gaps(config)
-    if config.kind == "oracle":
-        return run_oracle(config)
-    if config.kind == "adapted":
-        return run_adapted(config)
-    raise ConfigError(f"kind {config.kind!r} is not a table experiment")
+    """(rows, failed) of a table kind."""
+    if config.kind not in TABLE_KINDS:
+        raise ConfigError(f"kind {config.kind!r} is not a table experiment")
+    return KINDS[config.kind].runner(config)
 
 
 def _fmt_cell(value) -> str:
@@ -562,15 +512,16 @@ def _report(config: ExperimentConfig, ok: bool, preconditions: dict,
 
 
 def _gap_sweep(q, lo, hi, config):
-    """Gap ceilings over an index range, in order; notes unresolved indices."""
-    results = [_oracle_gap(q, n, config) for n in range(lo, hi + 1)]
-    ceilings = {}
-    unresolved = []
-    for n, (_, _, _, ceiling, info) in zip(range(lo, hi + 1), results):
-        ceilings[n] = ceiling
+    """Gap ceilings over an index range, in order, and the report notes that
+    name the unresolved indices."""
+    ceilings, unresolved = {}, []
+    for n in range(lo, hi + 1):
+        _, _, _, ceilings[n], info = _oracle_gap(q, n, config)
         if not info["resolved"]:
             unresolved.append(n)
-    return ceilings, unresolved
+    if unresolved:
+        return ceilings, [f"gaps charged at the noise ceiling: n = {unresolved}"]
+    return ceilings, []
 
 
 def verify_theorem1(config: ExperimentConfig) -> dict:
@@ -585,25 +536,30 @@ def verify_theorem1(config: ExperimentConfig) -> dict:
     skipped = list(range(lo, n_min))
     if skipped:
         notes.append(f"N < 4||q||_w skipped: {skipped}")
+    if n_min > hi:
+        return _report(config, False, _preconditions(q, w, nw), [],
+                       notes + ["no admissible N in range"])
+    ceilings, sweep_notes = _gap_sweep(q, n_min, hi, config)
     items = []
     ok = True
-    if n_min > hi:
-        notes.append("no admissible N in range")
-        ok = False
-    else:
-        ceilings, unresolved = _gap_sweep(q, n_min, hi, config)
-        if unresolved:
-            notes.append(f"gaps charged at the noise ceiling: n = {unresolved}")
-        for N in range(n_min, hi + 1):
-            lhs = sum((w(n) * ceilings[n]) ** 2 for n in range(N, hi + 1))
-            tail_norm = wnorm(tail(q, N), w)
-            rhs = (THEOREM1_FACTORS[0] * tail_norm ** 2
-                   + (THEOREM1_FACTORS[1] / N) * nw ** 4)
-            margin = rhs - lhs
-            items.append({"N": N, "lhs": lhs, "rhs": rhs, "margin": margin,
-                          "tail_norm": tail_norm})
-            ok = ok and margin >= 0.0
-    return _report(config, ok, _preconditions(q, w, nw), items, notes)
+    for N, lhs, rhs, tail_norm in _tail_sums(q, w, nw, ceilings, THEOREM1_FACTORS):
+        items.append({"N": N, "lhs": lhs, "rhs": rhs, "margin": rhs - lhs,
+                      "tail_norm": tail_norm})
+        ok = ok and rhs - lhs >= 0.0
+    return _report(config, ok, _preconditions(q, w, nw), items, notes + sweep_notes)
+
+
+def _tail_sums(q: FourierPotential, w: Weight, nw: float, gaps: dict,
+               factors: tuple[float, float]):
+    """(N, lhs, rhs, ||tail||_w) for each index N of ``gaps``, in order: lhs
+    sums (w(n) g_n)^2 over N <= n <= the last index, and
+    rhs = f0 ||tail||_w^2 + (f1 / N) ||q||_w^4."""
+    hi = max(gaps)
+    for N in gaps:
+        lhs = sum((w(n) * gaps[n]) ** 2 for n in range(N, hi + 1))
+        tail_norm = wnorm(tail(q, N), w)
+        rhs = factors[0] * tail_norm ** 2 + (factors[1] / N) * nw ** 4
+        yield N, lhs, rhs, tail_norm
 
 
 def verify_theorem4(config: ExperimentConfig) -> dict:
@@ -624,14 +580,9 @@ def verify_theorem4(config: ExperimentConfig) -> dict:
     items = []
     onset = None
     ok_from_onset = True
-    for N in range(lo, hi + 1):
-        lhs = sum((w(n) * deltas[n]) ** 2 for n in range(N, hi + 1))
-        tail_norm = wnorm(tail(q, N), w)
-        rhs = (THEOREM4_FACTORS[0] * tail_norm ** 2
-               + (THEOREM4_FACTORS[1] / N) * nw ** 4)
-        margin = rhs - lhs
-        holds = margin >= 0.0
-        items.append({"N": N, "lhs": lhs, "rhs": rhs, "margin": margin,
+    for N, lhs, rhs, _ in _tail_sums(q, w, nw, deltas, THEOREM4_FACTORS):
+        holds = rhs - lhs >= 0.0
+        items.append({"N": N, "lhs": lhs, "rhs": rhs, "margin": rhs - lhs,
                       "holds": holds})
         if holds and onset is None:
             onset = N
@@ -662,13 +613,10 @@ def verify_theorem5(config: ExperimentConfig) -> dict:
     w_exp = weights.exponential(0.0, config.a)
     nw_exp = _finite_wnorm(q, w_exp, "potential")
     n_min = max(lo, math.ceil(4.0 * nw))
-    notes = []
     if n_min > hi:
         return _report(config, False, _preconditions(q, w, nw), [],
                        ["no admissible n in range"])
-    ceilings, unresolved = _gap_sweep(q, n_min, hi, config)
-    if unresolved:
-        notes.append(f"gaps charged at the noise ceiling: n = {unresolved}")
+    ceilings, notes = _gap_sweep(q, n_min, hi, config)
     items = []
     ok = True
     for n in range(n_min, hi + 1):
@@ -748,10 +696,7 @@ def verify_gasymov(config: ExperimentConfig) -> dict:
     q, w = config.potential, config.weight
     lo, hi = config.n_range
     nw = wnorm(q, w)
-    ceilings, unresolved = _gap_sweep(q, lo, hi, config)
-    notes = []
-    if unresolved:
-        notes.append(f"gaps charged at the noise ceiling: n = {unresolved}")
+    ceilings, notes = _gap_sweep(q, lo, hi, config)
     block_floor = 2.0 * q.without_mean().l2()
     items = []
     ok = True
@@ -760,12 +705,11 @@ def verify_gasymov(config: ExperimentConfig) -> dict:
                 "collapsed": ceilings[n] <= COLLAPSED_GAP_TOL}
         ok = ok and item["collapsed"]
         if n > block_floor:
-            alpha = blockdecomp.alpha_fixed_point(q, n, config.tol)
-            a_n, c_plus, _ = blockdecomp.coeff_an_cn(q.without_mean(), n,
-                                                     alpha - q.mean, config.tol)
-            item["a_n"] = a_n
-            item["c_n"] = c_plus
-            item["exact_zero"] = (a_n == 0 and c_plus == 0)
+            # the roots collapse onto alpha_n, so the block costs one alpha loop
+            b = blockdecomp.gap_block(q, n, config.tol)
+            item["a_n"] = b.a_n_at_alpha
+            item["c_n"] = b.p_minus
+            item["exact_zero"] = (b.a_n_at_alpha == 0 and b.p_minus == 0)
             ok = ok and item["exact_zero"]
         items.append(item)
     return _report(config, ok, _preconditions(q, w, nw), items, notes)
@@ -830,9 +774,7 @@ def verify_weights(config: ExperimentConfig) -> dict:
             tempered_ok = tempered_ok and res.ok
         items.append(item)
         ok = ok and (tempered_ok if config.eps_list else base.ok)
-    report = {"kind": config.kind, "pass": bool(ok), "config": config.echo,
-              "preconditions": {}, "items": items, "notes": []}
-    return report
+    return _report(config, ok, {}, items, [])
 
 
 def _temper_crossover(w: Weight, eps: float, N: int) -> int | None:
@@ -843,21 +785,37 @@ def _temper_crossover(w: Weight, eps: float, N: int) -> int | None:
     return None
 
 
-_VERIFIERS = {
-    "theorem1": verify_theorem1,
-    "theorem4": verify_theorem4,
-    "theorem5": verify_theorem5,
-    "mathieu": verify_mathieu,
-    "gasymov": verify_gasymov,
-    "dense": verify_dense,
-    "weights_check": verify_weights,
-}
-
-
 def run_verify(config: ExperimentConfig) -> dict:
-    try:
-        verifier = _VERIFIERS[config.kind]
-    except KeyError:
+    """The report of a verification kind."""
+    if config.kind in TABLE_KINDS:
         raise ConfigError(f"kind {config.kind!r} is not a verification "
-                          "experiment") from None
-    return verifier(config)
+                          "experiment")
+    return KINDS[config.kind].runner(config)
+
+
+# ---------------------------------------------------------------------------
+# experiment kinds
+
+
+class Kind(NamedTuple):
+    runner: Callable[[ExperimentConfig], Any]
+    keys: tuple[str, ...]  # config keys besides "kind" and "out"
+
+
+_SPECTRAL_KEYS = ("potential", "weight", "n_range", "tol", "oracle")
+_ADAPTED_KEYS = ("m", "M_thresh", "K_out")
+
+KINDS = {
+    "gaps": Kind(run_gaps, _SPECTRAL_KEYS),
+    "adapted": Kind(run_adapted, _SPECTRAL_KEYS + _ADAPTED_KEYS),
+    "oracle": Kind(run_gaps, _SPECTRAL_KEYS),
+    "theorem1": Kind(verify_theorem1, _SPECTRAL_KEYS),
+    "theorem4": Kind(verify_theorem4, _SPECTRAL_KEYS),
+    "theorem5": Kind(verify_theorem5, _SPECTRAL_KEYS + ("a",)),
+    "mathieu": Kind(verify_mathieu, _SPECTRAL_KEYS + ("c",)),
+    "gasymov": Kind(verify_gasymov, _SPECTRAL_KEYS),
+    "dense": Kind(verify_dense, _SPECTRAL_KEYS + _ADAPTED_KEYS + ("N_values", "span")),
+    "weights_check": Kind(verify_weights, ("weights", "N", "eps_list")),
+}
+# kinds whose runner returns (rows, failed) for a CSV table; the rest return a report
+TABLE_KINDS = ("gaps", "adapted", "oracle")

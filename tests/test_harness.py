@@ -2,13 +2,19 @@
 
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hillgap
 from hillgap import blockdecomp, cli
 from hillgap.harness import (
     CSV_COLUMNS,
+    KINDS,
+    TABLE_KINDS,
     ConfigError,
     build_potential,
     build_weight,
@@ -115,27 +121,26 @@ def test_zero_potential_table():
     assert lines[1].split(",")[6] == "0"  # re_gamma renders bare
 
 
-def test_csv_deterministic_across_threads(monkeypatch):
+def test_csv_deterministic_across_threads():
     raw = {"kind": "gaps", "potential": MATHIEU_HALF, "n_range": [1, 3],
            "oracle": {"method": "taylor"}}
     first = rows_to_csv(run_table(parse_config(raw))[0])
     second = rows_to_csv(run_table(parse_config(raw))[0])
     assert first == second
-    monkeypatch.setenv("HILLGAP_THREADS", "3")
     third = rows_to_csv(run_table(parse_config(raw))[0])
     assert first == third
 
 
-def test_escalating_csv_ignores_thread_setting(monkeypatch):
+def test_escalating_csv_ignores_thread_setting():
     # n = 3..5 escalate to the fixed-point ladder, whose mpmath precision is
     # process-wide state; a thread pool over these solves once changed the
-    # digits of the n = 3, 4 rows from run to run
+    # digits of the n = 3, 4 rows from run to run.  The sweep is serial; the
+    # short switch interval would expose such a race if threads came back.
     raw = {"kind": "oracle", "potential": {"type": "mathieu", "mu": 1.0},
            "n_range": [3, 5]}
     rows, failed = run_table(parse_config(raw))
     assert not failed and all(row["method"] == "oracle" for row in rows)
     first = rows_to_csv(rows)
-    monkeypatch.setenv("HILLGAP_THREADS", "3")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -278,3 +283,77 @@ def test_cli_numerical_failure_exit_1(tmp_path):
                  {"kind": "adapted", "potential": {"type": "mathieu", "mu": 2.0},
                   "m": 1, "n_range": [1, 8]})
     assert cli.main(["gaps", "-c", cfg]) == 1
+
+
+# one tiny config per kind; every one runs to exit 0
+_KIND_CONFIGS = {
+    "gaps": {"kind": "gaps", "potential": {"type": "mathieu", "mu": 0.0},
+             "n_range": [1, 1], "oracle": {"method": "taylor"}},
+    "adapted": {"kind": "adapted", "potential": MATHIEU_HALF, "n_range": [1, 10]},
+    "oracle": {"kind": "oracle", "potential": MATHIEU_HALF, "n_range": [1, 2]},
+    "theorem1": {"kind": "theorem1", "potential": MATHIEU_HALF, "n_range": [1, 3]},
+    "theorem4": {"kind": "theorem4", "potential": MATHIEU_HALF, "n_range": [1, 2]},
+    "theorem5": {"kind": "theorem5", "potential": MATHIEU_HALF, "n_range": [4, 4],
+                 "weight": {"kind": "superexp", "sigma": 2.0}, "a": 1.5},
+    "mathieu": {"kind": "mathieu", "potential": MATHIEU_HALF, "n_range": [1, 2],
+                "c": 0.6},
+    "gasymov": {"kind": "gasymov", "n_range": [2, 3],
+                "potential": {"type": "gasymov", "coeffs": [[1.0, 0.0]]}},
+    "dense": {"kind": "dense", "potential": MATHIEU_HALF, "N_values": [8], "span": 1},
+    "weights_check": {"kind": "weights_check", "N": 20, "eps_list": [0.2],
+                      "weights": [{"kind": "gevrey", "a": 1.0, "sigma": 0.5}]},
+}
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_cli_route_of_every_kind(kind, tmp_path, capsys):
+    raw = _KIND_CONFIGS[kind]
+    cfg = _write(tmp_path / "c.json", raw)
+    table = kind in TABLE_KINDS
+    if table:
+        route = ["oracle" if kind == "oracle" else "gaps"]
+    else:
+        route = ["verify", "weights" if kind == "weights_check" else kind]
+    assert cli.main([*route, "-c", cfg, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == kind
+    if table:
+        assert not payload["failed"] and payload["rows"]
+    else:
+        # the report echoes the parsed config, key order included
+        assert json.dumps(payload["config"]) == json.dumps(parse_config(raw).echo)
+    # table routes and verify routes refuse each other's kinds, and the
+    # oracle route takes its own kind only
+    refused = [["verify", "dense"]] if table else [["gaps"], ["oracle"]]
+    if kind in ("gaps", "adapted"):
+        refused.append(["oracle"])
+    for other in refused:
+        assert cli.main([*other, "-c", cfg]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+_TABLE = {"kind": "table", "values": [[0, 1.0], [1, 3.0]]}
+
+
+@pytest.mark.parametrize("route, raw", [
+    (["verify", "weights"], {"weights": [_TABLE], "N": 40}),
+    (["verify", "theorem1"], {"kind": "theorem1", "potential": MATHIEU_HALF,
+                              "n_range": [1, 3],
+                              "weight": {"kind": "table", "values": [[0, 1.0]]}}),
+    (["verify", "theorem5"], {"kind": "theorem5", "potential": MATHIEU_HALF,
+                              "n_range": [4, 5], "weight": _TABLE}),
+    (["gaps"], {"n_range": [1, 2],
+                "potential": {"type": "random", "seed": 1, "K": 4,
+                              "decay": {"kind": "table",
+                                        "values": [[0, 1.0], [1, 2.0]]}}}),
+], ids=["weights", "theorem1", "theorem5", "gaps"])
+def test_cli_table_weight_off_its_grid_is_a_config_error(route, raw, tmp_path):
+    cfg = _write(tmp_path / "c.json", raw)
+    src = str(Path(hillgap.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-m", "hillgap.cli", *route, "-c", cfg],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: table weight has no entry at n = ")
