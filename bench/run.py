@@ -11,8 +11,12 @@ file records:
     Mathieu potential cos(2 pi x) at lam = n^2 pi^2, n = 3 and 10: the
     first call (which builds the coefficient table) and the median of R
     warm calls, in ms, and for mp30 and mp60 the ladder's plan, its
-    (order, steps); next to them, the order-3 mp30 jet at n = 10, the jet
-    an escalated solve builds (``mp30_jet3_n10``);
+    (order, steps); next to them, the order-3 mp30 trace jet at n = 10, the
+    jet an escalated solve builds (``mp30_jet3_n10``), the same jet on the
+    cosine translated by theta = 0.1, which is not even and so keeps both
+    columns (``mp30_jet3_n10_translated``), each with the columns it
+    transported, and the 60-digit Dirichlet eigenvalue at n = 8, seeded by
+    its double root (``mp60_dirichlet_n8``);
   * one ``periodic_eigs_info`` solve (method "auto") on that potential at
     n = 3 and 10 and on the complex K = 16 Gevrey draw of the
     wideband_complex workload at n = 15: first and median warm wall time,
@@ -41,6 +45,7 @@ same machine.
 from __future__ import annotations
 
 import argparse
+import cmath
 import importlib.util
 import json
 import math
@@ -61,7 +66,7 @@ sys.path.insert(0, SRC)
 import mpmath  # noqa: E402
 import numpy as np  # noqa: E402
 
-from hillgap import blockdecomp, floquet, make_mathieu, make_random  # noqa: E402
+from hillgap import blockdecomp, floquet, make_fourier, make_mathieu, make_random  # noqa: E402
 from hillgap.weights import gevrey  # noqa: E402
 
 
@@ -110,14 +115,22 @@ def monodromy_times(repeat: int) -> dict:
             if "dps" in kw:
                 out[f"{name}_n{n}"]["plan"] = _plan(q, lam, kw["dps"])
     lam = 10 * 10 * math.pi ** 2
-    disc = floquet._disc(q, "mp", 30, lam)
+    turn = cmath.exp(0.2j * math.pi)
+    translated = make_fourier({1: 0.5 * turn, -1: 0.5 * turn.conjugate()})
+    for name, potential in (("mp30_jet3_n10", q), ("mp30_jet3_n10_translated", translated)):
+        # the trace form an escalated solve asks for; checkouts whose ladder
+        # reads it from one column do so on the even cosine only
+        disc = floquet._disc(potential, "mp", 30, lam, form=floquet._trace)
 
-    def jet():
-        with disc.precision():
-            disc.jet(lam, 3)
+        def jet():
+            with disc.precision():
+                disc.jet(lam, 3)
 
-    first, warm = _first_and_warm(jet, repeat)
-    out["mp30_jet3_n10"] = {"first_ms": 1e3 * first, "warm_ms": 1e3 * warm}
+        first, warm = _first_and_warm(jet, repeat)
+        out[name] = {"first_ms": 1e3 * first, "warm_ms": 1e3 * warm,
+                     "columns": getattr(disc, "columns", 2)}
+    first, warm = _first_and_warm(lambda: floquet.sturm_liouville_eig(q, 8, dps=60), repeat)
+    out["mp60_dirichlet_n8"] = {"first_ms": 1e3 * first, "warm_ms": 1e3 * warm}
     return out
 
 

@@ -126,7 +126,8 @@ def _print_summary(report: dict) -> None:
 
 def _item_line(item: dict) -> str:
     # the fields an item carries name its suite; dense items carry
-    # "collapsed" too, so "distance" is tested first
+    # "collapsed" too, so "distance" is tested first, and a bare
+    # "gamma_ceiling" is a collapsed gap of a free (mu = 0) Mathieu run
     if "lhs" in item:
         return (f"N = {item['N']}: lhs = {item['lhs']:.6g}, "
                 f"rhs = {item['rhs']:.6g}, margin = {item['margin']:.6g}")
@@ -142,7 +143,7 @@ def _item_line(item: dict) -> str:
         return (f"N = {item['N']}: distance = {item['distance']:.6g}, "
                 f"bound = {item['lipschitz_bound']:.6g}, "
                 f"{'ok' if item['holds'] else 'violated'}")
-    if "collapsed" in item:
+    if "gamma_ceiling" in item:
         tail = ""
         if "exact_zero" in item:
             tail = f", reduced entries exactly zero: {item['exact_zero']}"

@@ -21,7 +21,7 @@ The arbitrary-precision path runs the recurrence on fixed-point numbers,
 Python ints scaled by 2^bits with bits ~ 3.33 dps plus guard bits, and hands
 the monodromy back as mpmath numbers at the working precision.  It runs on
 step-scaled coefficients a[m] h^m, so every number stays near 2^bits, and
-packs all lanes of a step (each column of each jet order) into one int at a
+packs all lanes of a step (columns x jet orders) into one int at a
 fixed bit stride: one integer dot product per Taylor order serves every
 lane, and the division by (m+1)(m+2) is a multiply and a shift whose spill
 between lanes is masked off exactly.  Its Taylor coefficients of q are
@@ -42,6 +42,13 @@ giving the same integers.  Any other potential or lambda runs the complex
 loop.  So the double critical point of a real potential is exactly real, the
 high-precision solve it seeds stays on the real loop, and the eigenvalue
 pairs come back with imaginary parts exactly 0.
+
+The ladder transports only the solutions a form reads.  A Sturm-Liouville
+form reads one, the solution from (-sin a, cos a); the trace of an exactly
+even q (q_-k equal to q_k bit for bit, any mean) reads the column (1, 0)
+alone, as y2'(1) = y1(1).  Evenness is bitwise like reality, so a cosine
+translated off its symmetry centre keeps two columns, as do the public
+monodromy and both double kernels, which multiply 2x2 step propagators.
 
 Every kernel also carries a jet in lambda: for each column it transports
 t_0..t_D, t_k = (1/k!) d^k/dlambda^k of the solution.  On the Taylor paths,
@@ -494,9 +501,10 @@ class _Lanes:
     which the width guarantees for a state that ``fits``.
     """
 
-    def __init__(self, count: int, shift: int, grow: int, top: int):
+    def __init__(self, count: int, shift: int, grow: int, top: int, columns: int):
         self.count, self.shift = count, shift
         self.width = w = shift + top + grow + 1
+        self.couple = columns * w     # jet order k - 1 lies ``columns`` lanes below k
         self.unit = unit = ((1 << (count * w)) - 1) // ((1 << w) - 1)   # a 1 in every lane
         keep = w - shift
         self.bias, self.mask = unit << (keep - 1), unit * ((1 << keep) - 1)
@@ -522,7 +530,7 @@ class _Lanes:
 def _lane_step_real(row, lam_h2, state, h2, recips, lanes):
     """One Taylor step of every lane: real table at real lam, one product per order."""
     c = [row[0][0] - lam_h2] + row[0][1:]
-    couple, shift, clear = 2 * lanes.width, lanes.shift, lanes.clear
+    couple, shift, clear = lanes.couple, lanes.shift, lanes.clear
     b = list(state)               # y, h y'
     window = [b[0]]               # b[m], ..., b[0], newest first
     for m, r in enumerate(recips):
@@ -536,7 +544,7 @@ def _lane_step(row, lam_h2, state, h2, recips, lanes):
     """_lane_step_real in complex fixed point: three products per order."""
     c0r, c0i = row[0][0] - lam_h2[0], row[1][0] - lam_h2[1]
     cr, ci, cs = ([c0] + r[1:] for c0, r in zip((c0r, c0i, c0r + c0i), row))
-    couple, shift, clear = 2 * lanes.width, lanes.shift, lanes.clear
+    couple, shift, clear = lanes.couple, lanes.shift, lanes.clear
     yr, yi, pr, pi = state
     br, bi = [yr, pr], [yi, pi]
     wr, wi, ws = [yr], [yi], [yr + yi]
@@ -553,11 +561,12 @@ def _lane_step(row, lam_h2, state, h2, recips, lanes):
     return sum(br), sum(bi), sum(map(mul, ms, br)), sum(map(mul, ms, bi))
 
 
-def _fixed_kernel(table, lam, bits, order=0):
-    """Monodromy entries and their lam-jet up to ``order`` at lam.
+def _fixed_kernel(table, lam, bits, order=0, starts=((1, 0), (0, 1))):
+    """Solutions from the states (y, y')(0) in ``starts``, with their lam-jet.
 
-    Returns 4 (order + 1) mpmath numbers, order by order: t_k of
-    (y1, y1', y2, y2'), t_k being (1/k!) d^k/dlam^k at lam.  The caller
+    Returns 2 len(starts) (order + 1) mpmath numbers, order by order: t_k of
+    (y, y')(1) of each solution, by default the monodromy's (y1, y1', y2,
+    y2'), t_k being (1/k!) d^k/dlam^k at lam up to ``order``.  The caller
     holds the working precision; lam enters and the entries leave at it, so
     mpmath Newton iterates keep their digits.
 
@@ -568,17 +577,18 @@ def _fixed_kernel(table, lam, bits, order=0):
                    / ((m+1)(m+2)),
 
     and a step ends at y = sum b[m], h y' = sum m b[m], so every lane stays
-    near 2^bits.  The 2 (order + 1) lanes, lane l = 2k + c for jet order k
-    and column c, share one packed int (_Lanes), and one integer dot
+    near 2^bits.  The C (order + 1) lanes, lane l = Ck + c for jet order k
+    and solution c of C, share one packed int (_Lanes), and one integer dot
     product per Taylor order serves them all.  The order coupling is b[m]
-    shifted up two lanes; the division is a multiply by
+    shifted up C lanes; the division is a multiply by
     floor(2^G / ((m+1)(m+2))) and a right shift by bits + G, with
     G = bits + bit_length(terms (terms + 1)), whose relative error stays
     under 2^-bits beyond the floor.  The lanes stay packed from step to step;
     before each step the state is checked against the lane width, which
     widens when the solution outgrows it.  No lane's integers depend on the
     width or on the lanes above it, so the order-0 lanes of a jet are the
-    plain transport bit for bit.  A real table at real lam keeps every
+    plain transport, and a run from one start gives that start's lanes of
+    a run from more, bit for bit.  A real table at real lam keeps every
     imaginary part at zero, so it runs the real loop, which gives the same
     integers as the complex one.
     """
@@ -591,11 +601,12 @@ def _fixed_kernel(table, lam, bits, order=0):
     g = bits + (terms * (terms + 1)).bit_length()
     recips = [(1 << g) // ((m + 1) * (m + 2)) for m in range(terms)]
     grow = _lane_growth(rows, abs(lr) + abs(li), h2, bits)
-    count = 2 * (order + 1)
-    one = 1 << bits
-    lanes = _Lanes(count, bits + g, grow, one.bit_length() + grow)
-    # y and h y' of every lane; column 0 starts at (1, 0), column 1 at (0, 1)
-    state = [lanes.pack([one]), lanes.pack([0, one // steps])]
+    columns = len(starts)
+    count = columns * (order + 1)
+    lanes = _Lanes(count, bits + g, grow, (1 << bits).bit_length() + grow, columns)
+    # y and h y' of every lane; solution c starts at starts[c], t_k = 0 for k > 0
+    fixed = [[to_fixed(from_float(float(v)), bits) for v in s] for s in starts]
+    state = [lanes.pack(y for y, _ in fixed), lanes.pack(p // steps for _, p in fixed)]
     if real:
         step, lam_h2 = _lane_step_real, lr
     else:
@@ -605,15 +616,14 @@ def _fixed_kernel(table, lam, bits, order=0):
         if not lanes.fits(state):
             values = [lanes.unpack(x) for x in state]
             top = max(abs(v) for vs in values for v in vs).bit_length()
-            lanes = _Lanes(count, lanes.shift, grow, top + grow)
+            lanes = _Lanes(count, lanes.shift, grow, top + grow, columns)
             state = [lanes.pack(vs) for vs in values]
         state = step(row, lam_h2, state, h2, recips, lanes)
     values = [lanes.unpack(x) for x in state]
     if real:
         values = [values[0], [0] * count, values[1], [0] * count]
     yr, yi, pr, pi = values
-    return tuple(mp.mpc(mp.mpf((re, -bits)), mp.mpf((im, -bits)))
-                 for k in range(order + 1) for l in (2 * k, 2 * k + 1)
+    return tuple(mp.mpc(mp.mpf((re, -bits)), mp.mpf((im, -bits))) for l in range(count)
                  for re, im in ((yr[l], yi[l]), (pr[l] * steps, pi[l] * steps)))
 
 
@@ -679,20 +689,23 @@ _JET_MAX_ORDER = 20
 
 
 def _trace(e):
-    return e[0] + e[3]
+    # y1 + y2'; from the column (1, 0) alone, of an exactly even q, 2 y1
+    return e[0] + e[3] if len(e) == 4 else 2 * e[0]
 
 
 def _boundary_form(alpha: float):
-    # u solves the ODE with (u, u')(0) = (-sin a, cos a); the form
-    # u(1) cos a + u'(1) sin a vanishes at the eigenvalue
+    # u solves the ODE with (u, u')(0) = (-sin a, cos a) = ``start``; the
+    # form u(1) cos a + u'(1) sin a vanishes at the eigenvalue.  The ladder
+    # transports u alone; the double kernels give both columns to combine
     sa, ca = math.sin(alpha), math.cos(alpha)
 
     def form(e):
-        y11, y12, y21, y22 = e
-        u1 = -sa * y11 + ca * y21
-        du1 = -sa * y12 + ca * y22
-        return u1 * ca + du1 * sa
+        if len(e) == 4:
+            y11, y12, y21, y22 = e
+            e = (-sa * y11 + ca * y21, -sa * y12 + ca * y22)
+        return e[0] * ca + e[1] * sa
 
+    form.start = (-sa, ca)
     return form
 
 
@@ -725,8 +738,9 @@ def _jet_radius(coeffs, eps: float):
 class _JetDisc:
     """Discriminant serving values and derivatives from a lam-jet.
 
-    ``jet(lam, order)`` transports the monodromy entries and their
-    lam-derivatives, 4 (order + 1) numbers order by order.  The disc holds
+    ``jet(lam, order)`` transports ``columns`` solutions (2: the monodromy),
+    (y, y') of each and their lam-derivatives, 2 columns (order + 1)
+    numbers order by order.  The disc holds
     one jet of its form: the centre, the coefficients f_0..f_D of form(M) in
     powers of lam - centre, and a radius.  Within the radius the value and
     the first two derivatives come from the jet polynomial by Horner; a
@@ -739,13 +753,14 @@ class _JetDisc:
     precision, otherwise complex doubles.
     """
 
-    def __init__(self, jet, noise: float, name: str, plan, dps: int | None = None, form=_trace):
+    def __init__(self, jet, noise: float, name: str, plan, dps: int | None = None, form=_trace,
+                 columns: int = 2):
         self.jet = jet
         self.noise = noise
         self.eps = noise / 1000.0
         self.name, self.plan = name, plan
         self.dps = dps
-        self.form = form
+        self.form, self.columns = form, columns
         self.center = None
         self.transports = self.jet_order = 0
 
@@ -764,7 +779,8 @@ class _JetDisc:
         order = _jet_order(float(span), lam, self.eps)
         flat = self.jet(lam, order)
         self.center = mp.mpc(lam) if self.dps else complex(lam)
-        self.coeffs = [self.form(flat[4 * k:4 * k + 4]) for k in range(order + 1)]
+        w = 2 * self.columns
+        self.coeffs = [self.form(flat[w * k:w * k + w]) for k in range(order + 1)]
         self.rho, self.radius = _jet_radius(self.coeffs, self.eps)
         self.transports += 1
         self.jet_order += order
@@ -793,20 +809,27 @@ class _JetDisc:
 
     def kernels(self) -> dict:
         return {self.name: {"transports": self.transports, "jet_order": self.jet_order,
-                            "order": self.plan[0], "steps": self.plan[1]}}
+                            "order": self.plan[0], "steps": self.plan[1], "columns": self.columns}}
 
 
 def _disc(q: FourierPotential, method: str, dps: int | None, center: complex,
-          steps: int | None = None, form=_trace) -> _JetDisc:
-    # the path _path picks: mpmath when it pins a precision, else doubles
+          steps: int | None = None, form=None) -> _JetDisc:
+    # the path _path picks: mpmath when it pins a precision, else doubles;
+    # form None serves the whole monodromy and its trace
     path, dps = _path(method, dps)
     key = _key(q)
     if dps:
         plan = (_mp_order(dps), steps) if steps else _mp_plan(key, center, dps)
         table = _mp_table(key, plan[1], plan[0], dps)
         bits = _fixed_bits(dps)
-        return _JetDisc(lambda lam, order: _fixed_kernel(table, lam, bits, order),
-                        _mp_noise(dps), f"mp{dps}", plan, dps, form)
+        # the ladder transports the one solution a form reads, where it reads
+        # one: a boundary form's ``start``, and (1, 0) for the trace of a q
+        # whose q_-k equal q_k exactly (bitwise, as _exactly_real checks)
+        one = form is not None and (form is not _trace or np.array_equal(q.data, q.data[::-1]))
+        starts = (getattr(form, "start", (1, 0)),) if one else ((1, 0), (0, 1))
+        return _JetDisc(lambda lam, order: _fixed_kernel(table, lam, bits, order, starts),
+                        _mp_noise(dps), f"mp{dps}", plan, dps, form or _trace, len(starts))
+    form = form or _trace
     if path == "taylor":
         plan = (_TAYLOR_ORDER, steps or _taylor_steps(center))
         C = _taylor_table(key, plan[1], plan[0])
@@ -917,7 +940,7 @@ def _solve_pair(q: FourierPotential, n: int, tol: float, method: str,
         span = float(disc.noise / abs(d2))
         if abs(dip) >= _RESOLVE_MARGIN * disc.noise:
             span += math.sqrt(abs(2 * dip / d2))
-        disc = _disc(q, path, dps or _AUTO_DPS, center, steps if dps else None)
+        disc = _disc(q, path, dps or _AUTO_DPS, center, steps if dps else None, _trace)
         with disc.precision():
             lam_star, dip, d2, its = _newton_critical(disc, lam_star, span, n, target, tol_lam)
     with disc.precision():
@@ -992,7 +1015,8 @@ def periodic_eigs_info(q: FourierPotential, n: int, tol: float = 1e-12,
     the path's noise floor over |Delta''|), dip, curvature, noise floors,
     Newton iterations and residual, the info dict records ``kernels``: per path
     ("taylor", "rk4", "mp30", ...) the lam-jets it transported, their summed
-    order and the path's ``order`` and ``steps``, the double critical search
+    order, the path's ``order`` and ``steps``, and the ``columns`` (solutions)
+    it carried, 1 or 2; the double critical search
     that seeds every arbitrary-precision solve included; ``dps``: the pair's
     finishing precision, None for doubles; and ``escalated``: why "auto" left the
     double path, or None (also when ``dps`` or "mp" pinned the precision).

@@ -113,7 +113,18 @@ def _integer(value, where: str) -> int:
 def build_weight(spec) -> Weight:
     """Weight from its config sub-schema, e.g. {"kind": "gevrey", "a": 1.0,
     "sigma": 0.5}; field names match the factory parameters.  A "tempered"
-    kind takes "eps" and an "inner" sub-spec."""
+    kind takes "eps" and an "inner" sub-spec.  Parameters the factory
+    refuses (sigma outside (0, 1) for gevrey, a table value under 1, ...)
+    are a ConfigError."""
+    try:
+        return _build_weight(spec)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"weight {spec!r}: {exc}") from None
+
+
+def _build_weight(spec) -> Weight:
     if not isinstance(spec, dict):
         raise ConfigError(f"weight spec must be an object, got {spec!r}")
     work = dict(spec)

@@ -397,6 +397,91 @@ def test_lanes_widen_for_a_growing_solution(monkeypatch):
     assert len(widths) > 1 and widths == sorted(widths)
 
 
+# exactly even (q_-1 = q_1 bit for bit) yet complex, with a complex mean
+EVEN_COMPLEX = make_fourier({1: 0.5 + 0.25j, -1: 0.5 + 0.25j}, mean=0.3 - 0.2j)
+
+
+def test_one_column_is_that_column_of_the_two_column_kernel_bitwise():
+    # no lane depends on the lanes above it, so a run from one unit state
+    # gives the integers of the matching column of the two-column run: on
+    # the real loop (the cosine at real lam) and the complex one (an even
+    # complex q at complex lam)
+    dps = 30
+    bits = floquet._fixed_bits(dps)
+    for q, lam, real in ((make_mathieu(1.0), mp.mpf(9 * PI2 + 0.5), True),
+                         (EVEN_COMPLEX, mp.mpc(9 * PI2 + 0.5, 2.25), False)):
+        key = floquet._key(q)
+        order, steps = floquet._mp_plan(key, lam, dps)
+        with mp.workdps(dps):
+            table = floquet._mp_table(key, steps, order, dps)
+            assert table[0] is real
+            both = floquet._fixed_kernel(table, lam, bits, 3)
+            for c, start in enumerate(((1, 0), (0, 1))):
+                one = floquet._fixed_kernel(table, lam, bits, 3, (start,))
+                assert one == tuple(v for k in range(4) for v in both[4 * k + 2 * c:4 * k + 2 * c + 2])
+
+
+@pytest.mark.parametrize("dps", [30, 60])
+def test_one_column_forms_match_a_higher_precision_transport(dps):
+    # the even trace 2 y1 and the boundary form at alpha = 0.3, each from
+    # one transported solution, against both columns 30 digits finer on the
+    # fixed rule: the order-3 jets and the boundary root, to the noise floor
+    alpha = 0.3
+    forms = (floquet._trace, floquet._boundary_form(alpha))
+    for q, n in ((make_mathieu(1.0), 3), (make_mathieu(1.0), 8), (EVEN_COMPLEX, 5)):
+        key = floquet._key(q)
+        lam = n * n * PI2 + complex(q.mean)
+        with mp.workdps(dps):
+            discs = [floquet._disc(q, "mp", dps, lam, form=f) for f in forms]
+            got = [[d.form(d.jet(lam, 3)[2 * k:2 * k + 2]) for k in range(4)] for d in discs]
+            root = floquet._sturm_liouville_root(q, n, alpha, 1e-12, "mp", dps)
+        assert [d.columns for d in discs] == [1, 1]
+        with mp.workdps(dps + 30):
+            ref = floquet._disc(q, "mp", dps + 30, lam,
+                                floquet._mp_steps(key, lam, dps + 30)).jet(lam, 3)
+            for f, jet in zip(forms, got):
+                want = [f(ref[4 * k:4 * k + 4]) for k in range(4)]
+                assert max(abs(a - b) for a, b in zip(jet, want)) <= floquet._mp_noise(dps)
+            finer = floquet._sturm_liouville_root(q, n, alpha, 1e-12, "mp", dps + 30)
+            assert abs(root - finer) <= floquet._mp_noise(dps)
+
+
+def test_ladder_transports_the_columns_its_form_reads(monkeypatch):
+    # D + 1 lanes for the trace of an exactly even q and for a boundary
+    # form, 2 (D + 1) for a cosine translated off its symmetry centre, for
+    # one even only within 1e-14, and for the public monodromy
+    counts = []
+    lanes = floquet._Lanes
+
+    def spy(*args):
+        counts.append(args[0])
+        return lanes(*args)
+
+    monkeypatch.setattr(floquet, "_Lanes", spy)
+    cosine = make_mathieu(1.0)
+    turn = cmath.exp(0.2j * math.pi)
+    translated = make_fourier({1: 0.5 * turn, -1: 0.5 * turn.conjugate()})
+    near = make_fourier({1: 0.5, -1: 0.5 + 1e-15})
+    assert near.is_real and translated.is_real
+    lam = 25 * PI2
+    cases = [(cosine, floquet._trace, 1), (EVEN_COMPLEX, floquet._trace, 1),
+             (translated, floquet._boundary_form(0.0), 1), (near, floquet._boundary_form(1.2), 1),
+             (translated, floquet._trace, 2), (near, floquet._trace, 2), (cosine, None, 2)]
+    for q, form, columns in cases:
+        counts.clear()
+        disc = floquet._disc(q, "mp", 30, lam, form=form)
+        with disc.precision():
+            assert len(disc.jet(lam, 3)) == 2 * columns * 4
+        assert disc.columns == columns and set(counts) == {columns * 4}
+    counts.clear()
+    monodromy(cosine, lam, dps=30)
+    assert set(counts) == {2}
+    # the ledger reports the columns of every path
+    for q, columns in ((cosine, 1), (translated, 2)):
+        kernels = periodic_eigs_info(q, 5, dps=30)[2]["kernels"]
+        assert kernels["mp30"]["columns"] == columns and kernels["taylor"]["columns"] == 2
+
+
 def test_jet_matches_central_differences():
     # t_1 and t_2 of the 30-digit jet against central differences of
     # 60-digit transports; with h = 1e-12 the differences are good to 1e-27

@@ -335,6 +335,16 @@ def test_cli_route_of_every_kind(kind, tmp_path, capsys):
 _TABLE = {"kind": "table", "values": [[0, 1.0], [1, 3.0]]}
 
 
+def _cli_process(route, cfg):
+    # the CLI as a process of its own, so an uncaught error shows as a
+    # traceback and exit 1
+    src = str(Path(hillgap.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-m", "hillgap.cli", *route, "-c", cfg],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("route, raw", [
     (["verify", "weights"], {"weights": [_TABLE], "N": 40}),
     (["verify", "theorem1"], {"kind": "theorem1", "potential": MATHIEU_HALF,
@@ -348,12 +358,47 @@ _TABLE = {"kind": "table", "values": [[0, 1.0], [1, 3.0]]}
                                         "values": [[0, 1.0], [1, 2.0]]}}}),
 ], ids=["weights", "theorem1", "theorem5", "gaps"])
 def test_cli_table_weight_off_its_grid_is_a_config_error(route, raw, tmp_path):
-    cfg = _write(tmp_path / "c.json", raw)
-    src = str(Path(hillgap.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-m", "hillgap.cli", *route, "-c", cfg],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = _cli_process(route, _write(tmp_path / "c.json", raw))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error: table weight has no entry at n = ")
+
+
+@pytest.mark.parametrize("route, raw, message", [
+    (["verify", "theorem1"], {"kind": "theorem1", "potential": MATHIEU_HALF, "n_range": [1, 3],
+                              "weight": {"kind": "gevrey", "a": 1, "sigma": 2}},
+     "gevrey requires 0 < sigma < 1"),
+    (["gaps"], {"n_range": [1, 2],
+                "potential": {"type": "random", "seed": 1, "K": 4,
+                              "decay": {"kind": "polynomial", "r": -1}}},
+     "r must be nonnegative"),
+    (["verify", "weights"], {"weights": [{"kind": "table", "values": [[0, 1.0], [1, 0.5]]}],
+                             "N": 40},
+     "all values must be >= 1"),
+], ids=["theorem1", "gaps", "weights"])
+def test_cli_weight_the_factory_refuses_is_a_config_error(route, raw, message, tmp_path):
+    # the factories' own checks (Weight.__post_init__) raise ValueError;
+    # the CLI must print one config error line and exit 2
+    proc = _cli_process(route, _write(tmp_path / "c.json", raw))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: weight ")
+    assert proc.stderr.rstrip().endswith(message) and proc.stderr.count("\n") == 1
+
+
+def test_cli_verify_mathieu_prints_free_gaps_as_lines(tmp_path, capsys):
+    # mu = 0 items carry only gamma_ceiling; they print as summary lines,
+    # not as raw JSON
+    cfg = _write(tmp_path / "m.json", {"kind": "mathieu", "n_range": [1, 2],
+                                       "potential": {"type": "mathieu", "mu": 0.0}})
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "mathieu", "-c", cfg, "--out", str(out)]) == 0
+    items = json.loads(out.read_text())["items"]
+    assert [sorted(item) for item in items] == [["gamma_ceiling", "n"]] * 2
+    assert capsys.readouterr().out.splitlines() == [
+        "mathieu: PASS",
+        "  norm_q_w = 0, four_norm_q_w = 0, norm_q_l2 = 0, block_floor = 0",
+        "  note: mu = 0: spectrum is free, all gaps collapsed",
+        f"  n = 1: |gamma| <= {items[0]['gamma_ceiling']:.6g}",
+        f"  n = 2: |gamma| <= {items[1]['gamma_ceiling']:.6g}",
+    ]
