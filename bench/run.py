@@ -34,12 +34,16 @@ file records:
     first and median warm wall time, and the pair's solve ledger;
   * the pinned-precision sweep: ``gap_record`` on that potential at
     n = 3..8 with the same settings, first and median warm wall time of the
-    whole sweep, and the pair's solve ledger at each n;
-  * the CLI, ``hillgap gaps -c CONFIG``, as a process of its own on each
-    config under perfbench/configs (read only): median wall time of R runs.
+    whole sweep, and the pair's solve ledger at each n.
 
-Each number is a single-machine measurement; compare files written on the
-same machine.
+The CLI end to end is timed by perfbench/run.py, not here.  Every time
+(a key ending in _s or _ms) is rescaled to perfbench's reference speed the
+way its Speed class does it: ``calibrate()`` from perfbench/run.py (loaded
+by path, read only) runs before and after each section, and the section's
+times are multiplied by 2 * REFERENCE_CAL_S / (before + after).  The
+calibration seconds and the scale of each section are recorded under
+"calibration".  Counts are reported as measured.  Even so, compare files
+written on the same machine.
 """
 
 from __future__ import annotations
@@ -52,15 +56,13 @@ import math
 import os
 import platform
 import statistics
-import subprocess
 import sys
-import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
-CONFIGS = os.path.join(ROOT, "perfbench", "configs")
+PERFBENCH = os.path.join(ROOT, "perfbench")
 sys.path.insert(0, SRC)
 
 import mpmath  # noqa: E402
@@ -81,6 +83,24 @@ def machine() -> dict:
         "numba": importlib.util.find_spec("numba") is not None,
         "gmpy2": importlib.util.find_spec("gmpy2") is not None,
     }
+
+
+def _perfbench_run():
+    """perfbench/run.py as a module, for its calibrate() and Speed."""
+    sys.path.insert(0, PERFBENCH)  # for the modules it imports
+    spec = importlib.util.spec_from_file_location("perfbench_run",
+                                                  os.path.join(PERFBENCH, "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _rescaled(obj, scale: float):
+    """obj with every time (a key ending in _s or _ms) multiplied by scale."""
+    if not isinstance(obj, dict):
+        return obj
+    return {k: v * scale if isinstance(k, str) and k.endswith(("_s", "_ms"))
+            else _rescaled(v, scale) for k, v in obj.items()}
 
 
 def _timed(fn) -> float:
@@ -197,43 +217,30 @@ def high_precision_times(repeat: int) -> dict:
     return out
 
 
-def cli_times(repeat: int) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
-    argv = [sys.executable, "-c",
-            "import sys; from hillgap import cli; sys.exit(cli.main(sys.argv[1:]))"]
-    out = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name in sorted(os.listdir(CONFIGS)):
-            if not name.endswith(".json"):
-                continue
-            cmd = argv + ["gaps", "-c", os.path.join(CONFIGS, name),
-                          "--out", os.path.join(tmp, "table.csv")]
-            walls = []
-            for _ in range(repeat):
-                start = time.perf_counter()
-                code = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL).returncode
-                walls.append(time.perf_counter() - start)
-            out[name[:-len(".json")]] = {"wall_s": statistics.median(walls), "exit": code}
-    return out
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--repeat", type=int, default=5,
-                        help="warm calls per layer timing, runs per CLI config")
+                        help="warm calls per layer timing")
     args = parser.parse_args(argv)
+    perfbench = _perfbench_run()
     report = {
         "label": args.label,
         "date": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "machine": machine(),
-        "monodromy": monodromy_times(args.repeat),
-        "periodic_eigs_info": solve_times(args.repeat),
-        "gap_block": block_times(args.repeat),
-        "high_precision": high_precision_times(args.repeat),
-        "cli_gaps": cli_times(max(1, args.repeat // 2)),
+        "calibration": {"reference_s": perfbench.REFERENCE_CAL_S},
     }
+    speed = perfbench.Speed()
+    for name, section in (("monodromy", monodromy_times),
+                          ("periodic_eigs_info", solve_times),
+                          ("gap_block", block_times),
+                          ("high_precision", high_precision_times)):
+        before = speed.last
+        times = section(args.repeat)
+        scale = speed.scale()
+        report[name] = _rescaled(times, scale)
+        report["calibration"][name] = {"before_s": before, "after_s": speed.last,
+                                       "scale": scale}
     path = os.path.join(ROOT, f"BENCH_{args.label}.json")
     with open(path, "w") as fh:
         json.dump(report, fh, indent=1)

@@ -145,15 +145,15 @@ class MapResult:
     rate: float
 
 
-def mode_cutoff(q: FourierPotential, n: int, nu_cap: int = NU_CAP) -> int:
+def mode_cutoff(q: FourierPotential, n: int) -> int:
     """Window cap for the resolvent iteration at index n.
 
-    Each application of T_n widens the support by 2K, so nu_cap rounds need
+    Each application of T_n widens the support by 2K, so NU_CAP rounds need
     this much room before truncation loss can appear.  It is a bound, never
     an array: the iterate and its denominators live on the iterate's support
-    widened by 2K, which reaches the cap only after about nu_cap rounds.
+    widened by 2K, which reaches the cap only after about NU_CAP rounds.
     """
-    return 2 * q.K * nu_cap + n + 8
+    return 2 * q.K * NU_CAP + n + 8
 
 
 def _require_admissible(q: FourierPotential, n: int, lam: complex,
@@ -211,8 +211,7 @@ def apply_Tn(q: FourierPotential, n: int, lam: complex,
 
 
 def resolve_hat_Tn(q: FourierPotential, n: int, lam: complex, rhs: ParityVector,
-                   tol: float = 1e-12,
-                   max_iter: int = NU_CAP) -> tuple[ParityVector, SolveInfo]:
+                   tol: float = 1e-12) -> tuple[ParityVector, SolveInfo]:
     """Solve (I - T_n) g = rhs by the Neumann iteration g <- rhs + T_n g.
 
     Refuses arguments outside the domain of T_n whatever rhs holds, and
@@ -230,12 +229,12 @@ def resolve_hat_Tn(q: FourierPotential, n: int, lam: complex, rhs: ParityVector,
     """
     _require_admissible(q, n, lam, rhs.parity)
     g, info = _neumann(q, n, rhs.resized(_support_cut(rhs)),
-                       _Denominators(n, lam, rhs.mcut), tol, max_iter)
+                       _Denominators(n, lam, rhs.mcut), tol)
     return g.resized(rhs.mcut), info
 
 
 def _neumann(q: FourierPotential, n: int, rhs: ParityVector, den: _Denominators,
-             tol: float, max_iter: int = NU_CAP) -> tuple[ParityVector, SolveInfo]:
+             tol: float) -> tuple[ParityVector, SolveInfo]:
     """The rounds past the domain guards: rhs on its support, g on its last window."""
     nq = q.l2()
     if 2.0 * nq >= n:
@@ -247,7 +246,7 @@ def _neumann(q: FourierPotential, n: int, rhs: ParityVector, den: _Denominators,
     g, d, rate = rhs, math.inf, 2.0 * nq / n
     # one application of T_n per pass; the pass after the converging round
     # checks the residual instead of making a new iterate
-    for it in range(max_iter + 1):
+    for it in range(NU_CAP + 1):
         g = g.resized(min(den.cap, g.mcut + 2 * q.K))
         tg = multiply_by_potential(
             q, ParityVector(g.parity, g.mcut, den.quotient(g), g.lost))
@@ -255,9 +254,9 @@ def _neumann(q: FourierPotential, n: int, rhs: ParityVector, den: _Denominators,
         if d <= tol * rhs_norm:
             resid = float(np.linalg.norm(g.data - tg.data - padded))
             return g, SolveInfo(it, resid, rate, g.lost)
-        if it == max_iter:
+        if it == NU_CAP:
             raise IterationError(f"resolvent at n = {n} not converged after "
-                                 f"{max_iter} rounds; last ratio {rate:.3g}")
+                                 f"{NU_CAP} rounds; last ratio {rate:.3g}")
         new = ParityVector(g.parity, g.mcut, padded + tg.data, tg.lost)
         d_prev, d = d, float(np.linalg.norm(new.data - g.data))
         g, rate = new, d / (d_prev if it else rhs_norm)

@@ -852,9 +852,9 @@ def _lex_pair(a, b):
     return b, a
 
 
-def _newton_critical(disc, lam0, span: float, n: int, target: float, tol: float,
-                     max_iter: int = 40):
-    """Newton on Delta' = 0 from lam0; returns (lam*, Delta(lam*) - target, Delta'', iters).
+def _newton_critical(disc, lam0, span: float, n: int, target: float, tol: float):
+    """Newton on Delta' = 0 from lam0, at most 40 steps; returns (lam*,
+    Delta(lam*) - target, Delta'', iters).
 
     The first jet is sized to cover ``span`` around lam0.  It stops once a
     step falls under tol or under the critical point's own error,
@@ -864,7 +864,7 @@ def _newton_critical(disc, lam0, span: float, n: int, target: float, tol: float,
     clip = 6.0 * scale
     lam = lam0
     disc.cover(lam0, span)
-    for it in range(1, max_iter + 1):
+    for it in range(1, 41):
         _, d1, d2 = disc.derivs(lam, 2)
         if d2 == 0:
             raise RootSearchError("flat discriminant curvature in critical-point search")
@@ -879,9 +879,9 @@ def _newton_critical(disc, lam0, span: float, n: int, target: float, tol: float,
     raise RootSearchError("critical-point Newton did not converge")
 
 
-def _newton_root(disc, const, seed, tol: float, scale: float,
-                 deflate=None, max_iter: int = 30):
-    """Damped Newton on disc.form(M(lam)) = const; keeps the best residual seen.
+def _newton_root(disc, const, seed, tol: float, scale: float, deflate=None):
+    """Damped Newton on disc.form(M(lam)) = const, at most 30 steps; keeps the
+    best residual seen.
 
     With ``deflate`` set, iterates on (form - const)/(lam - deflate) so the
     second root of a nearly-double pair does not slide back into the first.
@@ -889,7 +889,7 @@ def _newton_root(disc, const, seed, tol: float, scale: float,
     lam = seed
     best = None
     floor = 10.0 * disc.noise
-    for it in range(1, max_iter + 1):
+    for it in range(1, 31):
         f, d = disc.derivs(lam, 1, const, deflate)
         af = abs(f)
         if best is None or af < best[0]:

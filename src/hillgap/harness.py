@@ -1,14 +1,16 @@
 """Experiment runner: JSON configs in, CSV tables and verification reports out.
 
 A config names one experiment kind.  Each kind is declared once, in KINDS,
-with its runner and the config keys it takes.  Table kinds (TABLE_KINDS:
+with its runner and its config keys, the optional ones with their defaults;
+each potential type and weight kind likewise.  Table kinds (TABLE_KINDS:
 "gaps", "adapted", "oracle") sweep gap indices and emit one CSV row per index
 per method; the verification kinds evaluate an inequality or asymptotic
 family and return a report dict with per-item margins.
 
 Three rules keep runs reproducible and auditable:
 
-  * configs are validated strictly (unknown keys are errors) and echoed back
+  * configs are read strictly (an undeclared or missing field, a non-finite
+    number, a negative seed or a repeated entry is an error) and echoed back
     into every report with all defaults filled in;
   * reports carry the measured preconditions (weighted norms, admissibility
     thresholds, contraction data), so a FAIL is never confused with an
@@ -23,10 +25,13 @@ returned value and say so in the report notes.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 from . import blockdecomp, floquet, weights
@@ -85,29 +90,102 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# config parsing
+# config parsing: every object of a config is read by _fields against its
+# declaration, which ends in (required fields, optional fields with defaults)
 
-_WEIGHT_PARAMS = {
-    # kind -> (required fields, optional fields with defaults)
+_POTENTIALS = {
+    # type -> (required fields, optional fields with defaults)
+    "mathieu": (("mu",), {}),
+    "fourier": (("coeffs",), {"mean": [0.0, 0.0]}),
+    "gasymov": (("coeffs",), {}),
+    "random": (("decay", "seed", "K"), {"real": True}),
+}
+
+_WEIGHTS = {
+    # kind -> (required fields, optional fields with defaults); the fields of
+    # the parametric kinds are the parameters of their weights factory
     "trivial": ((), {}),
     "polynomial": (("r",), {}),
     "exponential": (("a",), {"r": 0.0}),
     "gevrey": (("a", "sigma"), {"r": 0.0}),
     "log_tempered": (("a", "alpha"), {"r": 0.0}),
     "superexp": (("sigma",), {}),
+    "tempered": (("eps", "inner"), {}),
+    "table": (("values",), {}),
 }
 
 
-def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
+def _fields(obj, where: str, required: tuple, optional: dict) -> dict:
+    """obj's fields: each required one, each optional one or its default, no other."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
+    unknown = sorted(set(obj) - set(required) - set(optional))
+    if unknown:
+        raise ConfigError(f"unknown {where} fields {unknown}")
+    for name in required:
+        if name not in obj:
+            raise ConfigError(f"{where} needs field {name!r}")
+    return {**copy.deepcopy(optional), **obj}
+
+
+def _declared(obj, where: str, tag: str, table: dict, default=None):
+    """(name, fields) of an object whose ``tag`` names its declaration in ``table``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
+    name = obj.get(tag, default)
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"unknown {where} {tag} {name!r}")
+    required, optional = table[name][-2:]
+    return name, _fields(obj, f"{name} {where}", required, {tag: name, **optional})
+
+
+def _number(value, where: str, positive: bool = False) -> float:
+    """A finite number (JSON admits NaN and Infinity); with ``positive``, > 0."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not -sys.float_info.max <= value <= sys.float_info.max
+            or (positive and value <= 0)):
+        raise ConfigError(f"{where} must be a {'positive' if positive else 'finite'} "
+                          f"number, got {value!r}")
     return float(value)
 
 
-def _integer(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
+def _integer(value, where: str, least: int | None = None) -> int:
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (least is not None and value < least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{where} must be an integer{bound}, got {value!r}")
     return value
+
+
+def _list(value, where: str, read, nonempty: bool = False, key=None) -> list:
+    """A list, each entry read by ``read``; with ``key`` set, no two entries
+    may share a key."""
+    if not isinstance(value, list) or (nonempty and not value):
+        raise ConfigError(f"{where} must be a {'nonempty ' * nonempty}list, got {value!r}")
+    entries = [read(entry, f"{where}[{i}]") for i, entry in enumerate(value)]
+    keys = [key(entry) for entry in entries] if key else []
+    repeat = next((i for i, k in enumerate(keys) if k in keys[:i]), None)
+    if repeat is not None:
+        raise ConfigError(f"{where}[{repeat}] repeats the n of an earlier entry")
+    return entries
+
+
+def _row(form: str, *cells):
+    """Reader of a fixed-size row such as [n, re, im] (``form``), each entry
+    read by its cell reader."""
+    names = form.strip("[]").split(", ")
+
+    def read(value, where: str) -> tuple:
+        if not (isinstance(value, list) and len(value) == len(cells)):
+            raise ConfigError(f"{where} must be {form}, got {value!r}")
+        return tuple(cell(v, f"{where}.{name}") for cell, name, v in zip(cells, names, value))
+    return read
+
+
+_MODE = _row("[n, re, im]", _integer, _number, _number)
+_COMPLEX = _row("[re, im]", _number, _number)
+_SAMPLE = _row("[n, w]", _number, _number)
+_N_RANGE = _row("[lo, hi]", partial(_integer, least=1), _integer)
 
 
 def build_weight(spec) -> Weight:
@@ -116,116 +194,45 @@ def build_weight(spec) -> Weight:
     kind takes "eps" and an "inner" sub-spec.  Parameters the factory
     refuses (sigma outside (0, 1) for gevrey, a table value under 1, ...)
     are a ConfigError."""
+    return _weight(spec, "weight")
+
+
+def _weight(spec, where: str) -> Weight:
+    kind, fields = _declared(spec, where, "kind", _WEIGHTS)
     try:
-        return _build_weight(spec)
+        if kind == "tempered":
+            eps = _number(fields["eps"], f"{where}.eps")
+            return weights.temper(_weight(fields["inner"], f"{where}.inner"), eps)
+        if kind == "table":
+            # w is even, so n and -n name one sample
+            samples = _list(fields["values"], f"{where}.values", _SAMPLE,
+                            nonempty=True, key=lambda s: abs(s[0]))
+            return weights.table_weight(dict(samples))
+        return getattr(weights, kind)(**{name: _number(value, f"{where}.{name}")
+                                         for name, value in fields.items() if name != "kind"})
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"weight {spec!r}: {exc}") from None
 
 
-def _build_weight(spec) -> Weight:
-    if not isinstance(spec, dict):
-        raise ConfigError(f"weight spec must be an object, got {spec!r}")
-    work = dict(spec)
-    kind = work.pop("kind", None)
-    if kind == "tempered":
-        if "eps" not in work or "inner" not in work:
-            raise ConfigError("tempered weight needs 'eps' and 'inner'")
-        eps = _number(work.pop("eps"), "weight.eps")
-        inner = build_weight(work.pop("inner"))
-        if work:
-            raise ConfigError(f"unknown weight fields {sorted(work)}")
-        return weights.temper(inner, eps)
-    if kind == "table":
-        raw = work.pop("values", None)
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError("table weight needs 'values' as [[n, w], ...]")
-        pairs = {}
-        for entry in raw:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise ConfigError(f"table entries are [n, w], got {entry!r}")
-            pairs[_number(entry[0], "table n")] = _number(entry[1], "table w")
-        if work:
-            raise ConfigError(f"unknown weight fields {sorted(work)}")
-        return weights.table_weight(pairs)
-    if kind not in _WEIGHT_PARAMS:
-        raise ConfigError(f"unknown weight kind {kind!r}")
-    required, optional = _WEIGHT_PARAMS[kind]
-    args = {}
-    for name in required:
-        if name not in work:
-            raise ConfigError(f"weight kind {kind!r} needs field {name!r}")
-        args[name] = _number(work.pop(name), f"weight.{name}")
-    for name, default in optional.items():
-        args[name] = _number(work.pop(name, default), f"weight.{name}")
-    if work:
-        raise ConfigError(f"unknown weight fields {sorted(work)}")
-    factory = getattr(weights, kind)
-    return factory(**args)
-
-
 def build_potential(spec) -> FourierPotential:
-    """Potential from its config sub-schema (types mathieu, fourier, gasymov,
-    random)."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"potential spec must be an object, got {spec!r}")
-    work = dict(spec)
-    ptype = work.pop("type", None)
+    """Potential from its config sub-schema: type mathieu, fourier, gasymov or random."""
+    ptype, fields = _declared(spec, "potential", "type", _POTENTIALS)
     if ptype == "mathieu":
-        if "mu" not in work:
-            raise ConfigError("mathieu potential needs 'mu'")
-        mu = _number(work.pop("mu"), "potential.mu")
-        _done(work)
-        return make_mathieu(mu)
+        return make_mathieu(_number(fields["mu"], "potential.mu"))
     if ptype == "fourier":
-        raw = work.pop("coeffs", None)
-        if not isinstance(raw, list):
-            raise ConfigError("fourier potential needs 'coeffs' as a list")
-        coeffs: dict[int, complex] = {}
-        for entry in raw:
-            if not (isinstance(entry, list) and len(entry) == 3):
-                raise ConfigError(f"fourier coeff entries are [n, re, im], got {entry!r}")
-            n = _integer(entry[0], "coeff index")
-            coeffs[n] = complex(_number(entry[1], "re"), _number(entry[2], "im"))
-        mean = 0j
-        if "mean" in work:
-            pair = work.pop("mean")
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ConfigError("potential.mean is [re, im]")
-            mean = complex(_number(pair[0], "mean.re"), _number(pair[1], "mean.im"))
-        _done(work)
-        return make_fourier(coeffs, mean=mean)
+        modes = _list(fields["coeffs"], "potential.coeffs", _MODE, key=lambda m: m[0])
+        return make_fourier({n: complex(re, im) for n, re, im in modes},
+                            mean=complex(*_COMPLEX(fields["mean"], "potential.mean")))
     if ptype == "gasymov":
-        raw = work.pop("coeffs", None)
-        if not isinstance(raw, list):
-            raise ConfigError("gasymov potential needs 'coeffs' as a list")
-        vals = []
-        for entry in raw:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise ConfigError(f"gasymov coeff entries are [re, im], got {entry!r}")
-            vals.append(complex(_number(entry[0], "re"), _number(entry[1], "im")))
-        _done(work)
-        return make_gasymov(vals)
-    if ptype == "random":
-        if "decay" not in work or "seed" not in work or "K" not in work:
-            raise ConfigError("random potential needs 'decay', 'seed', 'K'")
-        decay = build_weight(work.pop("decay"))
-        seed = _integer(work.pop("seed"), "potential.seed")
-        K = _integer(work.pop("K"), "potential.K")
-        if K < 1:
-            raise ConfigError("potential.K must be >= 1")
-        real = work.pop("real", True)
-        if not isinstance(real, bool):
-            raise ConfigError("potential.real must be a boolean")
-        _done(work)
-        return make_random(decay, seed, K, real)
-    raise ConfigError(f"unknown potential type {ptype!r}")
-
-
-def _done(work: dict) -> None:
-    if work:
-        raise ConfigError(f"unknown fields {sorted(work)}")
+        return make_gasymov([complex(*z) for z in
+                             _list(fields["coeffs"], "potential.coeffs", _COMPLEX)])
+    if not isinstance(fields["real"], bool):
+        raise ConfigError("potential.real must be a boolean")
+    return make_random(_weight(fields["decay"], "potential.decay"),
+                       _integer(fields["seed"], "potential.seed", least=0),
+                       _integer(fields["K"], "potential.K", least=1), fields["real"])
 
 
 def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig:
@@ -234,110 +241,57 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
     The echo field of the result is the fully-defaulted config as it will
     appear in reports.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("config must be a JSON object")
-    work = dict(raw)
-    kind = work.pop("kind", default_kind)
-    if kind not in KINDS:
-        raise ConfigError(f"unknown experiment kind {kind!r}")
-    keys = KINDS[kind].keys
-    unknown = set(work) - set(keys) - {"out"}
-    if unknown:
-        raise ConfigError(f"unknown config keys for kind {kind!r}: {sorted(unknown)}")
-
-    out = work.pop("out", None)
+    kind, fields = _declared(raw, "config", "kind", KINDS, default_kind)
+    out = fields["out"]
     if out is not None and not isinstance(out, str):
         raise ConfigError("'out' must be a path string")
-    echo: dict[str, Any] = {"kind": kind}
 
-    if "weights" in keys:
-        specs = work.pop("weights", None)
-        if not isinstance(specs, list) or not specs:
-            raise ConfigError("weights_check needs a nonempty 'weights' list")
-        for spec in specs:
-            build_weight(spec)  # validation only; rebuilt per check
-        submult_N = _integer(work.pop("N", 200), "N")
-        if submult_N < 1:
-            raise ConfigError("N must be >= 1")
-        eps_list = work.pop("eps_list", [0.2, 0.1, 0.05])
-        if not isinstance(eps_list, list):
-            raise ConfigError("eps_list must be a list of numbers")
-        eps_list = [_number(e, "eps_list entry") for e in eps_list]
-        echo.update(weights=specs, N=submult_N, eps_list=eps_list, out=out)
-        return ExperimentConfig(kind, out, echo, weight_specs=specs,
+    if kind == "weights_check":
+        _list(fields["weights"], "weights", _weight, nonempty=True)  # rebuilt per check
+        submult_N = _integer(fields["N"], "N", least=1)
+        eps_list = _list(fields["eps_list"], "eps_list", partial(_number, positive=True))
+        echo = dict(kind=kind, weights=fields["weights"], N=submult_N, eps_list=eps_list, out=out)
+        return ExperimentConfig(kind, out, echo, weight_specs=fields["weights"],
                                 submult_N=submult_N, eps_list=eps_list)
 
-    if "potential" not in work:
-        raise ConfigError("missing required field 'potential'")
-    pot_spec = work.pop("potential")
-    potential = build_potential(pot_spec)
-    if kind == "mathieu" and pot_spec.get("type") != "mathieu":
+    potential = build_potential(fields["potential"])
+    if kind == "mathieu" and fields["potential"]["type"] != "mathieu":
         raise ConfigError("mathieu verification needs a mathieu potential")
-
-    weight_spec = work.pop("weight", {"kind": "trivial"})
-    weight = build_weight(weight_spec)
+    weight = build_weight(fields["weight"])
 
     n_range = None
-    pair = work.pop("n_range", None)
     if kind != "dense":  # dense sweeps N_values and ignores n_range
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigError("'n_range' is required and has the form [lo, hi]")
-        lo = _integer(pair[0], "n_range[0]")
-        hi = _integer(pair[1], "n_range[1]")
-        if lo < 1 or hi < lo:
-            raise ConfigError(f"bad n_range [{lo}, {hi}]")
-        n_range = (lo, hi)
+        lo, hi = _N_RANGE(fields["n_range"], "n_range")
+        n_range = (lo, _integer(hi, "n_range.hi", least=lo))
+    tol = _number(fields["tol"], "tol", positive=True)
 
-    tol = _number(work.pop("tol", 1e-12), "tol")
-    if tol <= 0:
-        raise ConfigError("tol must be positive")
-
-    oracle = work.pop("oracle", {})
-    if not isinstance(oracle, dict):
-        raise ConfigError("'oracle' must be an object")
-    osub = dict(oracle)
-    method = osub.pop("method", "auto")
+    oracle = _fields(fields["oracle"], "oracle", (), _SPECTRAL["oracle"])
+    method = oracle["method"]
     try:
         floquet._path(method, None)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    dps = osub.pop("dps", None)
-    if dps is not None:
-        dps = _integer(dps, "oracle.dps")
-        if dps < 10:
-            raise ConfigError("oracle.dps must be >= 10")
-    steps = osub.pop("steps", None)
-    if steps is not None:
-        steps = _integer(steps, "oracle.steps")
-        if steps < 1:
-            raise ConfigError("oracle.steps must be >= 1")
-    _done(osub)
+    dps = None if oracle["dps"] is None else _integer(oracle["dps"], "oracle.dps", least=10)
+    steps = None if oracle["steps"] is None else _integer(oracle["steps"], "oracle.steps", least=1)
 
-    # kind-specific keys: each one is a config field and an echo entry
+    # kind-specific keys, in fields when declared: each a config field and an echo entry
     extras: dict[str, Any] = {}
-    if "m" in keys:
-        m, M_thresh, K_out = (_integer(work.pop(k), k) if k in work else None
-                              for k in ("m", "M_thresh", "K_out"))
-        extras["m"], extras["M_thresh"], extras["K_out"] = \
-            blockdecomp.adapted_defaults(potential, m, M_thresh, K_out)
-    if "N_values" in keys:
-        raw_n = work.pop("N_values", [extras["M_thresh"] + i for i in range(3)])
-        if not (isinstance(raw_n, list) and raw_n):
-            raise ConfigError("N_values must be a nonempty list of integers")
-        extras["N_values"] = [_integer(v, "N_values entry") for v in raw_n]
-        extras["span"] = _integer(work.pop("span", 4), "span")
-        if extras["span"] < 1:
-            raise ConfigError("span must be >= 1")
-    if "c" in keys:
-        extras["c"] = _number(work.pop("c", 0.5), "c")
-    if "a" in keys:
-        extras["a"] = _number(work.pop("a", 1.0), "a")
-        if extras["a"] <= 0:
-            raise ConfigError("'a' must be positive")
-    _done(work)
+    if "m" in fields:
+        adapted = ("m", "M_thresh", "K_out")
+        given = (None if fields[k] is None else _integer(fields[k], k) for k in adapted)
+        extras.update(zip(adapted, blockdecomp.adapted_defaults(potential, *given)))
+    if "N_values" in fields:
+        N_values = fields["N_values"]
+        N_values = [extras["M_thresh"] + i for i in range(3)] if N_values is None else N_values
+        extras["N_values"] = _list(N_values, "N_values", _integer, nonempty=True)
+        extras["span"] = _integer(fields["span"], "span", least=1)
+    if "c" in fields:
+        extras["c"] = _number(fields["c"], "c")
+    if "a" in fields:
+        extras["a"] = _number(fields["a"], "a", positive=True)
 
-    echo.update(potential=pot_spec, weight=weight_spec, tol=tol, out=out,
-                oracle={"method": method, "dps": dps, "steps": steps})
+    echo = dict(kind=kind, potential=fields["potential"], weight=fields["weight"], tol=tol,
+                out=out, oracle={"method": method, "dps": dps, "steps": steps})
     if n_range is not None:
         echo["n_range"] = list(n_range)
     echo.update(extras)
@@ -808,25 +762,31 @@ def run_verify(config: ExperimentConfig) -> dict:
 # experiment kinds
 
 
+# the default of "oracle" declares the fields of that object
+_SPECTRAL = {"out": None, "weight": {"kind": "trivial"}, "tol": 1e-12,
+             "oracle": {"method": "auto", "dps": None, "steps": None}}
+_ADAPTED = {**_SPECTRAL, "m": None, "M_thresh": None, "K_out": None}  # None: adapted_defaults
+
+
 class Kind(NamedTuple):
     runner: Callable[[ExperimentConfig], Any]
-    keys: tuple[str, ...]  # config keys besides "kind" and "out"
+    required: tuple[str, ...] = ("potential", "n_range")
+    optional: dict[str, Any] = _SPECTRAL  # config key -> default; "kind" aside
 
-
-_SPECTRAL_KEYS = ("potential", "weight", "n_range", "tol", "oracle")
-_ADAPTED_KEYS = ("m", "M_thresh", "K_out")
 
 KINDS = {
-    "gaps": Kind(run_gaps, _SPECTRAL_KEYS),
-    "adapted": Kind(run_adapted, _SPECTRAL_KEYS + _ADAPTED_KEYS),
-    "oracle": Kind(run_gaps, _SPECTRAL_KEYS),
-    "theorem1": Kind(verify_theorem1, _SPECTRAL_KEYS),
-    "theorem4": Kind(verify_theorem4, _SPECTRAL_KEYS),
-    "theorem5": Kind(verify_theorem5, _SPECTRAL_KEYS + ("a",)),
-    "mathieu": Kind(verify_mathieu, _SPECTRAL_KEYS + ("c",)),
-    "gasymov": Kind(verify_gasymov, _SPECTRAL_KEYS),
-    "dense": Kind(verify_dense, _SPECTRAL_KEYS + _ADAPTED_KEYS + ("N_values", "span")),
-    "weights_check": Kind(verify_weights, ("weights", "N", "eps_list")),
+    "gaps": Kind(run_gaps),
+    "adapted": Kind(run_adapted, optional=_ADAPTED),
+    "oracle": Kind(run_gaps),
+    "theorem1": Kind(verify_theorem1),
+    "theorem4": Kind(verify_theorem4),
+    "theorem5": Kind(verify_theorem5, optional={**_SPECTRAL, "a": 1.0}),
+    "mathieu": Kind(verify_mathieu, optional={**_SPECTRAL, "c": 0.5}),
+    "gasymov": Kind(verify_gasymov),
+    "dense": Kind(verify_dense, ("potential",),
+                  {**_ADAPTED, "n_range": None, "N_values": None, "span": 4}),
+    "weights_check": Kind(verify_weights, ("weights",),
+                          {"out": None, "N": 200, "eps_list": [0.2, 0.1, 0.05]}),
 }
 # kinds whose runner returns (rows, failed) for a CSV table; the rest return a report
 TABLE_KINDS = ("gaps", "adapted", "oracle")

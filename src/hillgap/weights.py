@@ -116,10 +116,10 @@ class Weight:
                 return math.log(v)
         raise TableDomainError(f"table weight has no entry at n = {n}")
 
-    def __call__(self, n: float, overflow_log: float = OVERFLOW_LOG) -> float:
-        """w(n) >= 1, or +inf once log w(n) exceeds ``overflow_log``."""
+    def __call__(self, n: float) -> float:
+        """w(n) >= 1, or +inf once log w(n) exceeds OVERFLOW_LOG."""
         logw = self.log_value(n)
-        return math.inf if logw > overflow_log else math.exp(logw)
+        return math.inf if logw > OVERFLOW_LOG else math.exp(logw)
 
 
 def _half_integer(n: float) -> float:

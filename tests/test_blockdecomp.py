@@ -453,7 +453,7 @@ def test_the_cap_is_a_bound_not_work(monkeypatch):
 
     entries, info, madds, _ = run()
     monkeypatch.setattr(blockdecomp, "mode_cutoff",
-                        lambda q, n, nu_cap=blockdecomp.NU_CAP: 10 ** 7 + n)
+                        lambda q, n: 10 ** 7 + n)
     wide_entries, wide_info, wide_madds, peak = run()
     assert wide_entries == entries
     assert wide_info == info and info.lost == 0.0

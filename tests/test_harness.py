@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import hillgap
-from hillgap import blockdecomp, cli
+from hillgap import blockdecomp, cli, harness
 from hillgap.harness import (
     CSV_COLUMNS,
     KINDS,
@@ -332,6 +333,39 @@ def test_cli_route_of_every_kind(kind, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# the echo of each _KIND_CONFIGS entry, values and key order, as `verify
+# --json` prints it under "config"
+_SPECTRAL_ECHO = ('"weight": {"kind": "trivial"}, "tol": 1e-12, "out": null, '
+                  '"oracle": {"method": "auto", "dps": null, "steps": null}')
+_HALF = '"potential": {"type": "mathieu", "mu": 0.5}'
+_GOLDEN_ECHO = {
+    "gaps": '{"kind": "gaps", "potential": {"type": "mathieu", "mu": 0.0}, '
+            '"weight": {"kind": "trivial"}, "tol": 1e-12, "out": null, '
+            '"oracle": {"method": "taylor", "dps": null, "steps": null}, "n_range": [1, 1]}',
+    "adapted": '{"kind": "adapted", ' + _HALF + ", " + _SPECTRAL_ECHO
+               + ', "n_range": [1, 10], "m": 2, "M_thresh": 8, "K_out": 15}',
+    "oracle": '{"kind": "oracle", ' + _HALF + ", " + _SPECTRAL_ECHO + ', "n_range": [1, 2]}',
+    "theorem1": '{"kind": "theorem1", ' + _HALF + ", " + _SPECTRAL_ECHO + ', "n_range": [1, 3]}',
+    "theorem4": '{"kind": "theorem4", ' + _HALF + ", " + _SPECTRAL_ECHO + ', "n_range": [1, 2]}',
+    "theorem5": '{"kind": "theorem5", ' + _HALF + ', "weight": {"kind": "superexp", '
+                '"sigma": 2.0}, "tol": 1e-12, "out": null, "oracle": {"method": "auto", '
+                '"dps": null, "steps": null}, "n_range": [4, 4], "a": 1.5}',
+    "mathieu": '{"kind": "mathieu", ' + _HALF + ", " + _SPECTRAL_ECHO
+               + ', "n_range": [1, 2], "c": 0.6}',
+    "gasymov": '{"kind": "gasymov", "potential": {"type": "gasymov", "coeffs": [[1.0, 0.0]]}, '
+               + _SPECTRAL_ECHO + ', "n_range": [2, 3]}',
+    "dense": '{"kind": "dense", ' + _HALF + ", " + _SPECTRAL_ECHO
+             + ', "m": 2, "M_thresh": 8, "K_out": 15, "N_values": [8], "span": 1}',
+    "weights_check": '{"kind": "weights_check", "weights": [{"kind": "gevrey", "a": 1.0, '
+                     '"sigma": 0.5}], "N": 20, "eps_list": [0.2], "out": null}',
+}
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_echo_keeps_its_values_and_key_order(kind):
+    assert json.dumps(parse_config(_KIND_CONFIGS[kind]).echo) == _GOLDEN_ECHO[kind]
+
+
 _TABLE = {"kind": "table", "values": [[0, 1.0], [1, 3.0]]}
 
 
@@ -402,3 +436,110 @@ def test_cli_verify_mathieu_prints_free_gaps_as_lines(tmp_path, capsys):
         f"  n = 1: |gamma| <= {items[0]['gamma_ceiling']:.6g}",
         f"  n = 2: |gamma| <= {items[1]['gamma_ceiling']:.6g}",
     ]
+
+
+def _gaps(**fields):
+    return {"kind": "gaps", "potential": MATHIEU_HALF, "n_range": [1, 2], **fields}
+
+
+def _with_potential(potential):
+    return _gaps(potential=potential)
+
+
+def _with_weight(weight):
+    return {"kind": "weights_check", "weights": [weight], "N": 20}
+
+
+_RANDOM = {"type": "random", "seed": 1, "K": 3, "decay": {"kind": "polynomial", "r": 2.0}}
+_FOURIER = {"type": "fourier", "coeffs": [[1, 0.5, 0.0], [-1, 0.5, 0.0]]}
+_GASYMOV = {"type": "gasymov", "coeffs": [[1.0, 0.0]]}
+_WEIGHTS = [{"kind": "trivial"}, {"kind": "polynomial", "r": 1.0},
+            {"kind": "exponential", "a": 0.5}, {"kind": "gevrey", "a": 1.0, "sigma": 0.5},
+            {"kind": "log_tempered", "a": 1.0, "alpha": 2.0}, {"kind": "superexp", "sigma": 2.0},
+            {"kind": "tempered", "eps": 0.2, "inner": {"kind": "superexp", "sigma": 2.0}},
+            {"kind": "table", "values": [[0, 1.0], [1, 3.0]]}]
+
+
+def _refusals():
+    """(id, route, config, a part of the message naming the fault) of configs
+    the CLI must refuse with exit 2."""
+    weights = ["verify", "weights"]
+    yield "config-undeclared", ["gaps"], _gaps(bogus=1), "['bogus']"
+    yield "oracle-undeclared", ["gaps"], _gaps(oracle={"method": "taylor", "bogus": 1}), \
+        "unknown oracle fields ['bogus']"
+    # each object with a field too many, and without its first required one
+    for p in (MATHIEU_HALF, _FOURIER, _GASYMOV, _RANDOM):
+        yield f"{p['type']}-undeclared", ["gaps"], _with_potential({**p, "bogus": 1}), \
+            f"unknown {p['type']} potential fields ['bogus']"
+        first = list(p)[1]
+        yield f"{p['type']}-without-{first}", ["gaps"], _with_potential(
+            {k: v for k, v in p.items() if k != first}), f"needs field {first!r}"
+    for w in _WEIGHTS:
+        yield f"{w['kind']}-undeclared", weights, _with_weight({**w, "bogus": 1}), \
+            f"unknown {w['kind']} weights[0] fields ['bogus']"
+        if len(w) > 1:
+            first = list(w)[1]
+            yield f"{w['kind']}-without-{first}", weights, _with_weight(
+                {k: v for k, v in w.items() if k != first}), f"needs field {first!r}"
+    yield "tempered-inner-undeclared", weights, _with_weight(
+        {"kind": "tempered", "eps": 0.2, "inner": {"kind": "superexp", "sigma": 2.0, "r": 0}}), \
+        "weights[0].inner fields ['r']"
+    yield "config-without-potential", ["gaps"], {"kind": "gaps", "n_range": [1, 2]}, \
+        "needs field 'potential'"
+    yield "config-without-n_range", ["gaps"], {"kind": "gaps", "potential": MATHIEU_HALF}, \
+        "needs field 'n_range'"
+    yield "config-without-weights", weights, {"kind": "weights_check", "N": 20}, \
+        "needs field 'weights'"
+    yield "tol-nan", ["gaps"], _gaps(tol=math.nan), "tol must be"
+    yield "mu-infinity", ["gaps"], _with_potential({"type": "mathieu", "mu": math.inf}), \
+        "potential.mu must be"
+    yield "c-nan", ["verify", "mathieu"], {"kind": "mathieu", "potential": MATHIEU_HALF,
+                                           "n_range": [1, 2], "c": math.nan}, "c must be"
+    yield "mu-bool", ["gaps"], _with_potential({"type": "mathieu", "mu": True}), \
+        "potential.mu must be"
+    yield "seed-negative", ["gaps"], _with_potential({**_RANDOM, "seed": -1}), \
+        "potential.seed must be"
+    yield "coeffs-repeated", ["gaps"], _with_potential(
+        {"type": "fourier", "coeffs": [[1, 0.5, 0], [-1, 0.5, 0], [1, 0.25, 0]]}), \
+        "potential.coeffs[2] repeats"
+    # w is even: w(1) and w(-1) are one entry
+    table = {"kind": "table", "values": [[0, 1.0], [1, 5.0], [-1, 2.0]]}
+    yield "table-repeated", ["gaps"], _with_potential({**_RANDOM, "K": 1, "decay": table}), \
+        "potential.decay.values[2] repeats"
+
+
+_REFUSALS = list(_refusals())
+
+
+def test_refusal_table_covers_every_declared_object():
+    ids = {case[0] for case in _REFUSALS}
+    for name in (*(p["type"] for p in (MATHIEU_HALF, _FOURIER, _GASYMOV, _RANDOM)),
+                 *(w["kind"] for w in _WEIGHTS), "config", "oracle", "tempered-inner"):
+        assert f"{name}-undeclared" in ids
+    assert sorted(w["kind"] for w in _WEIGHTS) == sorted(harness._WEIGHTS)
+    assert {"mathieu", "fourier", "gasymov", "random"} == set(harness._POTENTIALS)
+
+
+@pytest.fixture(scope="module")
+def refused(tmp_path_factory):
+    # one CLI process per case, two at a time; json.dumps writes NaN and
+    # Infinity, which json.load accepts
+    tmp = tmp_path_factory.mktemp("refusals")
+
+    def run(case):
+        name, route, raw, _ = case
+        return name, _cli_process(route, _write(tmp / f"{name}.json", raw))
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        return dict(pool.map(run, _REFUSALS))
+
+
+@pytest.mark.parametrize("name, named", [(case[0], case[3]) for case in _REFUSALS],
+                         ids=[case[0] for case in _REFUSALS])
+def test_cli_refuses_a_bad_config_with_one_line(name, named, refused):
+    proc = refused[name]
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+    assert named in proc.stderr
+
