@@ -62,6 +62,7 @@ STRIP_HALF_WIDTH = 12.0   # |Re lam - n^2 pi^2| <= 12 n admits lam
 NU_CAP = 128              # Neumann iteration cap; also sizes the window cap
 COLLAPSE_PRODUCT = 1e-24  # |c_+ c_-| below this counts as a collapsed gap
 _SINGULAR_TOL = 1e-12
+_INVERSE_ROUNDS = 48      # invert_adapted_map gives up after this many rounds
 
 
 class DomainError(ValueError):
@@ -472,20 +473,19 @@ def adapted_map(q: FourierPotential, m: int | None = None,
 
 
 def invert_adapted_map(p: FourierPotential, m: int | None = None,
-                       M_thresh: int | None = None, tol: float = 1e-12,
-                       max_iter: int = 48) -> MapResult:
+                       M_thresh: int | None = None, tol: float = 1e-12) -> MapResult:
     """Invert the adapted-coefficient map by iterating q <- q - (Phi(q) - p).
 
     The derivative of Phi stays within 1/8 of the identity on the admissible
     ball, so the iteration contracts at about that rate; a measured rate above
-    0.9 aborts.  m and M_thresh must match the forward map; by default
-    adapted_defaults takes them from ||p||.
+    0.9 aborts, and so do 48 rounds without convergence.  m and M_thresh must
+    match the forward map; by default adapted_defaults takes them from ||p||.
     """
     m, M_thresh, _ = adapted_defaults(p, m, M_thresh)
     q = p
     prev = None
     rate = 0.0
-    for it in range(max_iter):
+    for it in range(_INVERSE_ROUNDS):
         phi = adapted_map(q, m, M_thresh, tol, K_out=p.K)
         diff = phi.data - p.data
         diff_mean = complex(phi.mean) - complex(p.mean)
@@ -498,7 +498,7 @@ def invert_adapted_map(p: FourierPotential, m: int | None = None,
             return MapResult(q, resid, it, rate)
         q = FourierPotential(q.K, q.data - diff, complex(q.mean) - diff_mean)
         prev = resid
-    raise IterationError(f"inverse iteration not converged in {max_iter} rounds")
+    raise IterationError(f"inverse iteration not converged in {_INVERSE_ROUNDS} rounds")
 
 
 def n_gap_approximant(q: FourierPotential, N: int, m: int | None = None,

@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from . import blockdecomp, floquet, harness, weights
+from . import harness, weights
 
 _WEIGHTS_SUITE, _WEIGHTS_KIND = "weights", "weights_check"
 _SUITES = [_WEIGHTS_SUITE if kind == _WEIGHTS_KIND else kind
@@ -66,12 +66,12 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _run_verify(config, args)
         return _run_table(config, args)
-    except (harness.ConfigError, weights.TableDomainError) as exc:
-        # a table weight queried off its grid is a fault of the config too
+    except (harness.ConfigError, weights.TableDomainError, weights.CertificateError) as exc:
+        # a table weight queried off its grid and a psi search that cannot
+        # certify its minimum are faults of the config too
         print(f"config error: {exc.args[0]}", file=sys.stderr)
         return 2
-    except (floquet.RootSearchError, blockdecomp.DomainError,
-            blockdecomp.ContractionError, blockdecomp.IterationError) as exc:
+    except harness.FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

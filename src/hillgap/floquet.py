@@ -31,17 +31,16 @@ come from mpmath.  Its plan, the Taylor order and step count, is the
 cheaper of a fixed rule covering lambda and the bandwidth of q, and a higher
 order whose computed series certifies fewer, longer steps (_mp_plan).
 
-A potential whose coefficients are exactly conjugate-symmetric (q_-k equal
-to conj(q_k) bit for bit and a real mean; the 1e-14 slack of ``is_real``
-does not count) gets real coefficient tables on both Taylor paths, summed
-from the pairs 2 Re(q_k e^(2 pi i k x) (2 pi i k)^i / i!).  At real lambda
-such a table keeps every imaginary part at zero: the double path returns
-entries with zero imaginary part, and the fixed-point kernel runs a real
-loop, one integer product sum per order where the complex loop needs three,
-giving the same integers.  Any other potential or lambda runs the complex
-loop.  So the double critical point of a real potential is exactly real, the
-high-precision solve it seeds stays on the real loop, and the eigenvalue
-pairs come back with imaginary parts exactly 0.
+A real potential (``FourierPotential.is_real``: q_-k equal to conj(q_k)
+bit for bit and a real mean) gets real coefficient tables on both Taylor
+paths, summed from the pairs 2 Re(q_k e^(2 pi i k x) (2 pi i k)^i / i!).
+At real lambda such a table keeps every imaginary part at zero: the double
+path returns entries with zero imaginary part, and the fixed-point kernel
+runs a real loop, one integer product sum per order where the complex loop
+needs three, giving the same integers.  Any other potential or lambda runs
+the complex loop.  So the double critical point of a real potential is
+exactly real, the high-precision solve it seeds stays on the real loop, and
+the eigenvalue pairs come back with imaginary parts exactly 0.
 
 The ladder transports only the solutions a form reads.  A Sturm-Liouville
 form reads one, the solution from (-sin a, cos a); the trace of an exactly
@@ -135,9 +134,9 @@ class GapRecord:
     gamma = lam_plus - lam_minus, taken at the working precision before the
     pair is rounded (``info["gamma"]`` of periodic_eigs_info), so gaps below
     the spacing of doubles near n^2 pi^2 stay resolved.  tau is the gap
-    midpoint, sigma the Sturm-Liouville eigenvalue of the requested boundary
-    angle, delta = sigma - tau, and triangle = |gamma| + |delta| measures the
-    whole spectral triangle in the complex case.
+    midpoint, sigma the Dirichlet eigenvalue, delta = sigma - tau, and
+    triangle = |gamma| + |delta| measures the whole spectral triangle in the
+    complex case.
     """
 
     n: int
@@ -267,13 +266,6 @@ def _key(q: FourierPotential):
     return (q.K, q.data.tobytes(), complex(q.mean))
 
 
-def _exactly_real(coeffs, mean: complex) -> bool:
-    # exact conjugate symmetry q_{-k} = conj(q_k) with a real mean, not the
-    # 1e-14 tolerance of FourierPotential.is_real: only then do the pairs
-    # k, -k of a Taylor table sum to 2 Re(...) exactly
-    return mean.imag == 0 and bool(np.array_equal(coeffs, np.conj(coeffs[::-1])))
-
-
 def _series_steps(key, order: int, eps: float) -> int:
     """Fewest steps over which the potential's own Taylor series converges.
 
@@ -307,11 +299,11 @@ def _rk4_samples(key, steps):
 
 @lru_cache(maxsize=32)
 def _taylor_table(key, steps, order):
-    # C[j, i] = i-th Taylor coefficient of q at x = j/steps; an exactly real
-    # q sums the pairs k, -k as 2 Re(...) over k > 0 and gets a real table
+    # C[j, i] = i-th Taylor coefficient of q at x = j/steps; a real q sums
+    # the pairs k, -k as 2 Re(...) over k > 0 and gets a real table
     K, data_bytes, mean = key
     coeffs = np.frombuffer(data_bytes, dtype=np.complex128)
-    real = _exactly_real(coeffs, mean)
+    real = FourierPotential(K, coeffs, mean).is_real
     modes = np.arange(1 if real else -K, K + 1)
     x = np.arange(steps) / steps
     phases = np.exp(2j * np.pi * np.outer(x, modes)) * coeffs[K + modes]  # (steps, modes)
@@ -412,13 +404,12 @@ def _mp_table(key, steps, order, dps):
     small after scaling, keep a unit of 2^-_fixed_bits(dps).  Each row
     holds three int lists scaled by 2^_fixed_bits(dps): the real parts, the
     imaginary parts and their sums (the last feed the three-product complex
-    dot product).  An exactly real q sums its pairs k, -k as 2 Re(E P) over
-    k > 0, so its imaginary parts are zero by construction and ``real`` is
-    set.
+    dot product).  A real q sums its pairs k, -k as 2 Re(E P) over k > 0,
+    so its imaginary parts are zero by construction and ``real`` is set.
     """
     K, data_bytes, mean = key
     coeffs = np.frombuffer(data_bytes, dtype=np.complex128)
-    real = _exactly_real(coeffs, mean)
+    real = FourierPotential(K, coeffs, mean).is_real
     bits = _fixed_bits(dps)
     modes = [k for k in range(1 if real else -K, K + 1) if coeffs[K + k] != 0]
     top = max((abs(k) for k in modes), default=1)
@@ -824,7 +815,7 @@ def _disc(q: FourierPotential, method: str, dps: int | None, center: complex,
         bits = _fixed_bits(dps)
         # the ladder transports the one solution a form reads, where it reads
         # one: a boundary form's ``start``, and (1, 0) for the trace of a q
-        # whose q_-k equal q_k exactly (bitwise, as _exactly_real checks)
+        # whose q_-k equal q_k exactly (bitwise, as is_real checks symmetry)
         one = form is not None and (form is not _trace or np.array_equal(q.data, q.data[::-1]))
         starts = (getattr(form, "start", (1, 0)),) if one else ((1, 0), (0, 1))
         return _JetDisc(lambda lam, order: _fixed_kernel(table, lam, bits, order, starts),
@@ -1066,11 +1057,11 @@ def _sturm_liouville_root(q: FourierPotential, n: int, alpha: float, tol: float,
     return root
 
 
-def gap_record(q: FourierPotential, n: int, alpha: float = 0.0,
-               tol: float = 1e-12, *, method: str = "auto",
-               dps: int | None = None) -> GapRecord:
+def gap_record(q: FourierPotential, n: int, *, tol: float = 1e-12,
+               method: str = "auto", dps: int | None = None) -> GapRecord:
     """Assemble the full oracle record (gap pair, midpoint, delta, triangle).
 
+    sigma is the Dirichlet eigenvalue (sturm_liouville_eig at alpha = 0).
     tau and delta = sigma - tau are formed at the working precision before
     rounding, so delta keeps its digits when it falls below the spacing of
     doubles near n^2 pi^2.  (method, dps) read as in periodic_eigs, and
@@ -1078,7 +1069,7 @@ def gap_record(q: FourierPotential, n: int, alpha: float = 0.0,
     precision the pair finished at, if any (escalated, pinned or "mp").
     """
     lm, lp, info = _solve_pair(q, n, tol, method, dps, None)
-    sigma = _sturm_liouville_root(q, n, alpha, tol, method, info["dps"])
+    sigma = _sturm_liouville_root(q, n, 0.0, tol, method, info["dps"])
     with mp.workdps(dps or _DEFAULT_DPS):
         tau = (lm + lp) / 2
         delta = complex(sigma - tau)
@@ -1111,7 +1102,7 @@ def delta_linear_model(q: FourierPotential, n_range: tuple[int, int],
     samples = []
     for n in range(lo, hi + 1):
         block = blockdecomp.gap_block(q.without_mean(), n, tol)
-        rec = gap_record(q, n, 0.0, tol, dps=dps)
+        rec = gap_record(q, n, tol=tol, dps=dps)
         pn, pm = block.p_plus, block.p_minus
         samples.append((rec.delta, pn, pm))
         rows.append([(pn + pm).real, -(pn - pm).imag])

@@ -30,7 +30,7 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, NamedTuple
 
@@ -57,6 +57,10 @@ THEOREM4_FACTORS = (4.0, 256.0)
 INDIVIDUAL_GAMMA_FACTOR = 6.0
 INDIVIDUAL_DELTA_FACTOR = 4.0
 
+# the numerical failures a table row records and the CLI reports with exit 1
+FAILURES = (floquet.RootSearchError, blockdecomp.DomainError,
+            blockdecomp.ContractionError, blockdecomp.IterationError)
+
 
 class ConfigError(ValueError):
     """Config rejected: unknown key, missing field, or bad value."""
@@ -64,8 +68,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """A validated config.  Each kind sets the fields it reads; the others keep
-    their defaults.  ``echo`` is the config as reports show it."""
+    """A validated config.  Each kind sets the fields it reads, defaults
+    resolved as KINDS declares them; the others hold None.  ``echo`` is the
+    config as reports show it."""
 
     kind: str
     out: str | None
@@ -73,20 +78,20 @@ class ExperimentConfig:
     potential: FourierPotential | None = None
     weight: Weight | None = None
     n_range: tuple[int, int] | None = None
-    tol: float = 1e-12
-    oracle_method: str = "auto"
+    tol: float | None = None
+    oracle_method: str | None = None
     oracle_dps: int | None = None
     oracle_steps: int | None = None
     m: int | None = None
     M_thresh: int | None = None
     K_out: int | None = None
-    N_values: list[int] = field(default_factory=list)
-    span: int = 4
-    c: float = 0.5
-    a: float = 1.0
-    weight_specs: list[dict] = field(default_factory=list)
-    submult_N: int = 200
-    eps_list: list[float] = field(default_factory=list)
+    N_values: list[int] | None = None
+    span: int | None = None
+    c: float | None = None
+    a: float | None = None
+    weight_specs: list[dict] | None = None
+    submult_N: int | None = None
+    eps_list: list[float] | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +175,9 @@ def _list(value, where: str, read, nonempty: bool = False, key=None) -> list:
     return entries
 
 
-def _row(form: str, *cells):
-    """Reader of a fixed-size row such as [n, re, im] (``form``), each entry
-    read by its cell reader."""
+def _entry(form: str, *cells):
+    """Reader of a fixed-size entry such as [n, re, im] (``form``), each cell
+    read by its own reader."""
     names = form.strip("[]").split(", ")
 
     def read(value, where: str) -> tuple:
@@ -182,10 +187,10 @@ def _row(form: str, *cells):
     return read
 
 
-_MODE = _row("[n, re, im]", _integer, _number, _number)
-_COMPLEX = _row("[re, im]", _number, _number)
-_SAMPLE = _row("[n, w]", _number, _number)
-_N_RANGE = _row("[lo, hi]", partial(_integer, least=1), _integer)
+_MODE = _entry("[n, re, im]", _integer, _number, _number)
+_COMPLEX = _entry("[re, im]", _number, _number)
+_SAMPLE = _entry("[n, w]", _number, _number)
+_N_RANGE = _entry("[lo, hi]", partial(_integer, least=1), _integer)
 
 
 def build_weight(spec) -> Weight:
@@ -273,6 +278,10 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
         raise ConfigError(str(exc)) from None
     dps = None if oracle["dps"] is None else _integer(oracle["dps"], "oracle.dps", least=10)
     steps = None if oracle["steps"] is None else _integer(oracle["steps"], "oracle.steps", least=1)
+    if kind == "theorem4" and steps is not None:
+        # gap_record chooses its own steps on every path
+        raise ConfigError(f"theorem4 reads oracle.method and oracle.dps only; "
+                          f"oracle.steps must be null, got {steps}")
 
     # kind-specific keys, in fields when declared: each a config field and an echo entry
     extras: dict[str, Any] = {}
@@ -346,49 +355,39 @@ def _preconditions(q: FourierPotential, w: Weight, nw: float) -> dict:
 # table experiments
 
 
-def _blank_row(n: int, method: str) -> dict:
-    row = {col: "" for col in CSV_COLUMNS}
-    row["n"] = n
-    row["method"] = method
+def _row(n: int, method: str, resid="", iters="", **complex_cells) -> dict:
+    """A CSV row; each complex cell, lm=z say, fills re_lm and im_lm, and
+    every cell not given stays blank."""
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(n=n, method=method, resid=resid, iters=iters)
+    for name, z in complex_cells.items():
+        row["re_" + name], row["im_" + name] = z.real, z.imag
     return row
 
 
 def _error_row(n: int, method: str) -> dict:
-    row = _blank_row(n, method + "!")
-    for col in CSV_COLUMNS[2:-1]:
-        row[col] = math.nan
-    row["iters"] = 0
-    return row
+    nan = complex(math.nan, math.nan)
+    return _row(n, method + "!", math.nan, 0,
+                **{col[3:]: nan for col in CSV_COLUMNS if col.startswith("re_")})
 
 
 def _oracle_row(q: FourierPotential, n: int, config: ExperimentConfig) -> dict:
     try:
         lm, lp, gamma, _, info = _oracle_gap(q, n, config)
-    except (floquet.RootSearchError, ValueError):
+    except FAILURES:
         return _error_row(n, "oracle")
-    row = _blank_row(n, "oracle")
-    row.update(re_lm=lm.real, im_lm=lm.imag, re_lp=lp.real, im_lp=lp.imag,
-               re_gamma=gamma.real, im_gamma=gamma.imag,
-               re_alpha=info["critical"].real, im_alpha=info["critical"].imag,
-               resid=info["resid"], iters=info["iters"])
-    return row
+    return _row(n, "oracle", info["resid"], info["iters"],
+                lm=lm, lp=lp, gamma=gamma, alpha=info["critical"])
 
 
 def _block_row(q: FourierPotential, n: int, config: ExperimentConfig) -> dict:
     try:
         b = blockdecomp.gap_block(q, n, config.tol)
-    except (blockdecomp.DomainError, blockdecomp.ContractionError,
-            blockdecomp.IterationError):
+    except FAILURES:
         return _error_row(n, "block")
-    row = _blank_row(n, "block")
-    row.update(re_lm=b.xi_minus.real, im_lm=b.xi_minus.imag,
-               re_lp=b.xi_plus.real, im_lp=b.xi_plus.imag,
-               re_gamma=b.gamma_n.real, im_gamma=b.gamma_n.imag,
-               re_alpha=b.alpha_n.real, im_alpha=b.alpha_n.imag,
-               re_pp=b.p_plus.real, im_pp=b.p_plus.imag,
-               re_pm=b.p_minus.real, im_pm=b.p_minus.imag,
-               resid=b.diagnostics.resid, iters=b.diagnostics.solver_iters)
-    return row
+    return _row(n, "block", b.diagnostics.resid, b.diagnostics.solver_iters,
+                lm=b.xi_minus, lp=b.xi_plus, gamma=b.gamma_n, alpha=b.alpha_n,
+                pp=b.p_plus, pm=b.p_minus)
 
 
 def run_gaps(config: ExperimentConfig):
@@ -420,20 +419,15 @@ def run_adapted(config: ExperimentConfig):
     try:
         p = blockdecomp.adapted_map(q, config.m, config.M_thresh, config.tol,
                                     K_out=config.K_out, diagnostics=diag)
-    except (blockdecomp.DomainError, blockdecomp.ContractionError,
-            blockdecomp.IterationError):
+    except FAILURES:
         return [_error_row(0, "adapted")], True
     lo, hi = config.n_range
     rows = []
     for n in range(lo, min(hi, p.K) + 1):
-        row = _blank_row(n, "adapted")
-        row.update(re_pp=p.coeff(n).real, im_pp=p.coeff(n).imag,
-                   re_pm=p.coeff(-n).real, im_pm=p.coeff(-n).imag)
-        if n in diag:
-            info = diag[n]
-            row.update(re_alpha=info.alpha.real, im_alpha=info.alpha.imag,
-                       resid=info.resid, iters=info.iters)
-        rows.append(row)
+        info = diag.get(n)
+        band = {} if info is None else {"alpha": info.alpha, "resid": info.resid,
+                                        "iters": info.iters}
+        rows.append(_row(n, "adapted", pp=p.coeff(n), pm=p.coeff(-n), **band))
     return rows, False
 
 
@@ -538,8 +532,7 @@ def verify_theorem4(config: ExperimentConfig) -> dict:
 
     deltas = {}
     for n in range(lo, hi + 1):
-        rec = floquet.gap_record(q, n, 0.0, config.tol,
-                                 method=config.oracle_method,
+        rec = floquet.gap_record(q, n, tol=config.tol, method=config.oracle_method,
                                  dps=config.oracle_dps)
         deltas[n] = abs(rec.delta)
     items = []
@@ -722,7 +715,11 @@ def verify_weights(config: ExperimentConfig) -> dict:
     ok = True
     for spec in config.weight_specs:
         w = build_weight(spec)
-        base = weights.check_submultiplicative(w, config.submult_N)
+        try:
+            base = weights.check_submultiplicative(w, config.submult_N)
+        except weights.TableDomainError as exc:
+            raise ConfigError(f"{exc.args[0]}; the submultiplicativity check reads "
+                              f"n = 0..{2 * config.submult_N} (2N)") from None
         item = {"weight": spec, "base_ok": base.ok,
                 "violation": list(base.violation) if base.violation else None,
                 "growth_class": weights.classify_growth(w),

@@ -8,6 +8,11 @@ works with mean-zero potentials and the mean shifts the whole spectrum).  The
 a fixed parity.  Weighted norms follow ||q||_w^2 = sum w(n)^2 |q_n|^2, with
 half-integer weight arguments (m/2) on the 2-periodic side.
 
+A potential is real when its window is exactly conjugate-symmetric,
+q_{-n} = conj(q_n) bit for bit, and its mean is real.  ``is_real`` reads this
+off the coefficients, so a potential answers alike however it was made; one
+that is symmetric only to rounding is complex.
+
 All values are immutable in use; convolutions account for the l2 mass they
 drop at the window edge instead of truncating silently.
 """
@@ -15,14 +20,11 @@ drop at the window edge instead of truncating silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .weights import Weight
-
-# Conjugate-symmetry slack under which a coefficient window counts as real.
-_REAL_TOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,14 +32,12 @@ class FourierPotential:
     """1-periodic potential on modes e^{2 pi i n x}, |n| <= K, mean kept aside.
 
     ``data[K + n]`` holds q_n; the n = 0 slot stays zero and ``mean`` carries
-    q_0.  ``is_real`` records conjugate symmetry q_{-n} = conj(q_n) (and a real
-    mean) within 1e-14.
+    q_0.
     """
 
     K: int
     data: np.ndarray
     mean: complex = 0j
-    is_real: bool = False
 
     def __post_init__(self) -> None:
         if self.K < 0:
@@ -46,8 +46,12 @@ class FourierPotential:
             raise ValueError("coefficient array must have length 2K+1")
         if abs(self.data[self.K]) != 0.0:
             raise ValueError("mode 0 belongs in the mean field")
-        if self.is_real and not _is_conjugate_symmetric(self.data, self.mean):
-            raise ValueError("is_real set but coefficients are not conjugate-symmetric")
+
+    @property
+    def is_real(self) -> bool:
+        """q is real: q_{-n} = conj(q_n) exactly, bit for bit, and a real mean."""
+        return complex(self.mean).imag == 0 and bool(
+            np.array_equal(self.data, np.conj(self.data[::-1])))
 
     def coeff(self, n: int) -> complex:
         """q_n, with q_0 = mean and 0 outside the window."""
@@ -66,28 +70,21 @@ class FourierPotential:
     def without_mean(self) -> "FourierPotential":
         if self.mean == 0:
             return self
-        return FourierPotential(self.K, self.data, 0j, self.is_real)
+        return FourierPotential(self.K, self.data, 0j)
 
     def l2(self) -> float:
         """Plain l2 norm including the mean term."""
         return math.sqrt(float(np.sum(np.abs(self.data) ** 2)) + abs(self.mean) ** 2)
 
 
-def _is_conjugate_symmetric(data: np.ndarray, mean: complex) -> bool:
-    if abs(mean.imag) > _REAL_TOL:
-        return False
-    return bool(np.all(np.abs(data - np.conj(data[::-1])) <= _REAL_TOL))
-
-
 def make_fourier(coeffs: dict[int, complex], mean: complex = 0j,
-                 K: int | None = None, is_real: bool | None = None) -> FourierPotential:
-    """Potential from a mode map {n: q_n}; reality is detected unless forced.
+                 K: int | None = None) -> FourierPotential:
+    """Potential from a mode map {n: q_n}.
 
     Args:
         coeffs: nonzero modes, any n != 0 (a 0 key is folded into the mean).
         mean: q_0.
         K: window size; defaults to the largest |n| present.
-        is_real: override the conjugate-symmetry detection.
     """
     coeffs = dict(coeffs)
     mean = complex(mean) + complex(coeffs.pop(0, 0j))
@@ -99,9 +96,7 @@ def make_fourier(coeffs: dict[int, complex], mean: complex = 0j,
     data = np.zeros(2 * K + 1, dtype=np.complex128)
     for n, z in coeffs.items():
         data[K + n] = complex(z)
-    if is_real is None:
-        is_real = _is_conjugate_symmetric(data, mean)
-    return FourierPotential(K, data, mean, bool(is_real))
+    return FourierPotential(K, data, mean)
 
 
 def make_mathieu(mu: float) -> FourierPotential:
@@ -114,7 +109,7 @@ def make_mathieu(mu: float) -> FourierPotential:
 def make_gasymov(coeffs: list[complex]) -> FourierPotential:
     """One-sided potential sum_{n>=1} q_n e^{2 pi i n x}; every gap collapses."""
     modes = {n: complex(z) for n, z in enumerate(coeffs, start=1) if z != 0}
-    return make_fourier(modes, K=len(coeffs) if coeffs else 0, is_real=not modes)
+    return make_fourier(modes, K=len(coeffs) if coeffs else 0)
 
 
 def make_random(decay: Weight, seed: int, K: int, real: bool = True) -> FourierPotential:
@@ -133,7 +128,7 @@ def make_random(decay: Weight, seed: int, K: int, real: bool = True) -> FourierP
             modes[-n] = np.conj(modes[n])
         else:
             modes[-n] = _disc_point(rng) / decay(n)
-    return make_fourier(modes, K=K, is_real=real)
+    return make_fourier(modes, K=K)
 
 
 def _disc_point(rng: np.random.Generator) -> complex:
@@ -161,7 +156,7 @@ def tail(q: FourierPotential, N: int) -> FourierPotential:
     lo = max(0, q.K - (N - 1))
     hi = min(2 * q.K + 1, q.K + N)
     data[lo:hi] = 0
-    return FourierPotential(q.K, data, 0j, _is_conjugate_symmetric(data, 0j))
+    return FourierPotential(q.K, data)
 
 
 def truncate(q: FourierPotential, N: int) -> FourierPotential:
@@ -171,7 +166,7 @@ def truncate(q: FourierPotential, N: int) -> FourierPotential:
     data = q.data.copy()
     data[:max(0, q.K - N)] = 0
     data[q.K + N + 1:] = 0
-    return FourierPotential(q.K, data, q.mean, _is_conjugate_symmetric(data, q.mean))
+    return FourierPotential(q.K, data, q.mean)
 
 
 @dataclass(frozen=True, eq=False)

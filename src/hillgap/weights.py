@@ -20,6 +20,12 @@ original growth on the tail.
 Evaluation is done in the log domain throughout; plain evaluation returns +inf
 once the log value passes an overflow threshold (superexponential weights leave
 double range around |n| = 27 already for sigma = 2).
+
+The finite searches take their windows from their inputs: psi doubles its
+window from 64 terms until its own tail bound certifies the minimum (at most
+2^16 terms), and classify_growth samples a table on the run n = 1..N it
+stores, N <= 64.  The submultiplicativity check reads n = 0..2N for the N its
+caller names.
 """
 
 from __future__ import annotations
@@ -175,8 +181,8 @@ class SubmultCheck(NamedTuple):
     violation: tuple[int, int] | None
 
 
-def check_submultiplicative(w: Weight, N: int, tol: float = 1e-12) -> SubmultCheck:
-    """Exhaustive test of w(n+m) <= w(n) w(m) (1 + tol) over all |n|, |m| <= N.
+def check_submultiplicative(w: Weight, N: int) -> SubmultCheck:
+    """Exhaustive test of w(n+m) <= w(n) w(m) (1 + 1e-12) over all |n|, |m| <= N.
 
     The relative slack absorbs floating-point rounding in the exponentials; the
     inequality itself is algebraically exact for the parametric kinds.  Returns
@@ -187,7 +193,7 @@ def check_submultiplicative(w: Weight, N: int, tol: float = 1e-12) -> SubmultChe
     logs = np.array([w.log_value(k) for k in range(2 * N + 1)])
     idx = np.arange(-N, N + 1)
     lhs = logs[np.abs(np.add.outer(idx, idx))]
-    rhs = np.add.outer(logs[np.abs(idx)], logs[np.abs(idx)]) + math.log1p(tol)
+    rhs = np.add.outer(logs[np.abs(idx)], logs[np.abs(idx)]) + math.log1p(1e-12)
     bad = np.argwhere(lhs > rhs)
     if bad.size == 0:
         return SubmultCheck(True, None)
@@ -202,17 +208,16 @@ _DECAY_RATIO = 0.8
 _FLOOR = 1e-12
 
 
-def classify_growth(w: Weight, N: int = 64) -> str:
+def classify_growth(w: Weight) -> str:
     """Growth class of w from log w(n)/n: decay to 0, positive limit, or blow-up.
 
     Parametric kinds are classified in closed form; table weights fall back to
-    a finite-window test on t_n = log w(n)/n for 1 <= n <= N, whose verdict is
-    heuristic (``undetermined`` is a valid outcome).  An alternative, purely
+    a finite-window test on t_n = log w(n)/n for 1 <= n <= N, the longest run
+    of integers from 1 the table stores, cut at 64.  The verdict is heuristic,
+    and a run shorter than 16 is ``undetermined``.  An alternative, purely
     operational route for the subexponential/not question is temper-then-check:
     temper(w, eps) followed by check_submultiplicative.
     """
-    if N < 16:
-        raise ValueError("N must be >= 16")
     kind = w.kind
     if kind in ("trivial", "polynomial"):
         return STRICTLY_SUBEXPONENTIAL
@@ -224,8 +229,14 @@ def classify_growth(w: Weight, N: int = 64) -> str:
         return SUPEREXPONENTIAL
     if kind == "tempered":
         # min with e^{eps|n|} caps any faster growth at exactly rate eps
-        inner_class = classify_growth(w.inner, N)
+        inner_class = classify_growth(w.inner)
         return EXPONENTIAL if inner_class == SUPEREXPONENTIAL else inner_class
+    stored = {k for k, _ in w.values}  # doubled indices
+    N = 0
+    while N < 64 and 2 * (N + 1) in stored:
+        N += 1
+    if N < 16:
+        return UNDETERMINED
     t = np.array([w.log_value(k) / k for k in range(1, N + 1)])
     mid = N // 2 - 1
     tail = t[mid:]
@@ -239,30 +250,31 @@ def classify_growth(w: Weight, N: int = 64) -> str:
     return UNDETERMINED
 
 
-def psi(w: Weight, r: float, M_search: int = 64) -> float:
+def psi(w: Weight, r: float) -> float:
     """min over integers m >= 1 of (log r + log w(m))/m for superexponential w.
 
-    The finite search is certified: since log r >= 0 and log w(m)/m is
-    nondecreasing for the superexponential kinds, every m > M_search gives a
-    candidate >= log w(M_search+1)/(M_search+1); if that bound undercuts the
-    found minimum the search window was too small and a CertificateError asks
-    for a larger one.
+    The search over m = 1..M is certified: since log r >= 0 and log w(m)/m
+    is nondecreasing for the superexponential kinds, every m > M gives a
+    candidate >= log w(M+1)/(M+1).  While that bound undercuts the found
+    minimum, M doubles, from 64 up to 2^16; past that a CertificateError
+    says the minimum lies out of reach.
     """
     if r < 1:
         raise ValueError("psi requires r >= 1")
     if classify_growth(w) != SUPEREXPONENTIAL:
         raise ValueError("psi is defined for superexponential weights")
     logr = math.log(r)
-    cands = [(logr + w.log_value(m)) / m for m in range(1, M_search + 1)]
-    value = min(cands)
-    t_beyond = w.log_value(M_search + 1) / (M_search + 1)
-    growth = [w.log_value(m) / m for m in range(max(1, M_search // 2), M_search + 2)]
-    if any(b < a - 1e-12 for a, b in zip(growth, growth[1:])):
-        raise CertificateError("log w(m)/m is not nondecreasing on the window; "
-                               "the tail bound does not apply")
-    if t_beyond < value - 1e-12:
-        raise CertificateError(f"minimum not certified: increase M_search past {M_search}")
-    return value
+    logs = [0.0]  # logs[m] = log w(m)
+    for M in (2 ** k for k in range(6, 17)):
+        logs += [w.log_value(m) for m in range(len(logs), M + 2)]
+        value = min((logr + logs[m]) / m for m in range(1, M + 1))
+        growth = [logs[m] / m for m in range(M // 2, M + 2)]
+        if any(b < a - 1e-12 for a, b in zip(growth, growth[1:])):
+            raise CertificateError("log w(m)/m is not nondecreasing on the window; "
+                                   "the tail bound does not apply")
+        if growth[-1] >= value - 1e-12:
+            return value
+    raise CertificateError(f"psi minimum not certified within {M} terms")
 
 
 def psi_continuous(sigma: float, r: float) -> float:

@@ -328,6 +328,16 @@ def test_n_gap_approximant():
         assert abs(gap_block(qN, k).gamma_n) <= 1e-9
 
 
+def test_n_gap_approximant_of_a_real_potential_is_real():
+    # reality is read off the coefficients, however the potential was made:
+    # at tol 1e-25 the inverse map takes one round on Mathieu mu = 3, and the
+    # modes it returns stay exactly conjugate-symmetric
+    q = n_gap_approximant(make_mathieu(3.0), 10, tol=1e-25)
+    assert q.is_real and np.array_equal(q.data, np.conj(q.data[::-1]))
+    # on four modes the rounding of the map breaks the symmetry: not real
+    assert not n_gap_approximant(make_fourier({1: 0.3, -1: 0.3, 2: 0.1, -2: 0.1}), 8).is_real
+
+
 def test_truncate_respects_threshold():
     q = make_random(polynomial(2), seed=7, K=12)
     p = adapted_map(q)

@@ -462,7 +462,7 @@ def test_ladder_transports_the_columns_its_form_reads(monkeypatch):
     turn = cmath.exp(0.2j * math.pi)
     translated = make_fourier({1: 0.5 * turn, -1: 0.5 * turn.conjugate()})
     near = make_fourier({1: 0.5, -1: 0.5 + 1e-15})
-    assert near.is_real and translated.is_real
+    assert not near.is_real and translated.is_real
     lam = 25 * PI2
     cases = [(cosine, floquet._trace, 1), (EVEN_COMPLEX, floquet._trace, 1),
              (translated, floquet._boundary_form(0.0), 1), (near, floquet._boundary_form(1.2), 1),
@@ -668,10 +668,10 @@ def test_real_potentials_give_exactly_real_pairs():
 
 
 def test_near_real_potential_takes_complex_loop(monkeypatch):
-    # within the is_real tolerance yet not exactly conjugate-symmetric: the
-    # tables stay complex and the real loop never runs
+    # conjugate-symmetric only to rounding, so not real: the tables stay
+    # complex and the real loop never runs
     near = make_fourier({1: 0.5, -1: 0.5 + 1e-16j})
-    assert near.is_real
+    assert not near.is_real
     calls = []
     real_step = floquet._lane_step_real
 

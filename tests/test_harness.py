@@ -5,8 +5,8 @@ import math
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -379,20 +379,35 @@ def _cli_process(route, cfg):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+class _Run(NamedTuple):
+    returncode: int
+    stderr: str
+
+
+def _cli_run(route, cfg, capsys) -> _Run:
+    # the CLI in this process: an exception that escapes main fails the test
+    capsys.readouterr()
+    code = cli.main([*route, "-c", cfg])
+    return _Run(code, capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("route, raw", [
     (["verify", "weights"], {"weights": [_TABLE], "N": 40}),
     (["verify", "theorem1"], {"kind": "theorem1", "potential": MATHIEU_HALF,
                               "n_range": [1, 3],
                               "weight": {"kind": "table", "values": [[0, 1.0]]}}),
+    # superexponential on n = 0..64, so psi's tail bound reads w(65)
     (["verify", "theorem5"], {"kind": "theorem5", "potential": MATHIEU_HALF,
-                              "n_range": [4, 5], "weight": _TABLE}),
+                              "n_range": [4, 5],
+                              "weight": {"kind": "table",
+                                         "values": [[n, math.exp(n ** 1.2)] for n in range(65)]}}),
     (["gaps"], {"n_range": [1, 2],
                 "potential": {"type": "random", "seed": 1, "K": 4,
                               "decay": {"kind": "table",
                                         "values": [[0, 1.0], [1, 2.0]]}}}),
 ], ids=["weights", "theorem1", "theorem5", "gaps"])
-def test_cli_table_weight_off_its_grid_is_a_config_error(route, raw, tmp_path):
-    proc = _cli_process(route, _write(tmp_path / "c.json", raw))
+def test_cli_table_weight_off_its_grid_is_a_config_error(route, raw, tmp_path, capsys):
+    proc = _cli_run(route, _write(tmp_path / "c.json", raw), capsys)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error: table weight has no entry at n = ")
@@ -410,10 +425,11 @@ def test_cli_table_weight_off_its_grid_is_a_config_error(route, raw, tmp_path):
                              "N": 40},
      "all values must be >= 1"),
 ], ids=["theorem1", "gaps", "weights"])
-def test_cli_weight_the_factory_refuses_is_a_config_error(route, raw, message, tmp_path):
+def test_cli_weight_the_factory_refuses_is_a_config_error(route, raw, message, tmp_path,
+                                                         capsys):
     # the factories' own checks (Weight.__post_init__) raise ValueError;
     # the CLI must print one config error line and exit 2
-    proc = _cli_process(route, _write(tmp_path / "c.json", raw))
+    proc = _cli_run(route, _write(tmp_path / "c.json", raw), capsys)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error: weight ")
@@ -506,6 +522,19 @@ def _refusals():
     table = {"kind": "table", "values": [[0, 1.0], [1, 5.0], [-1, 2.0]]}
     yield "table-repeated", ["gaps"], _with_potential({**_RANDOM, "K": 1, "decay": table}), \
         "potential.decay.values[2] repeats"
+    # gap_record picks its own steps, so theorem4 cannot honour oracle.steps
+    yield "theorem4-steps", ["verify", "theorem4"], {
+        "kind": "theorem4", "potential": MATHIEU_HALF, "n_range": [1, 2],
+        "oracle": {"steps": 3}}, "oracle.steps must be null, got 3"
+    # n = 0..6 covers the submultiplicativity window n = 0..2N at N = 3 only
+    short = {"kind": "table", "values": [[n, 1.0 + n] for n in range(7)]}
+    yield "table-short-of-window", weights, {"weights": [short], "N": 4}, \
+        "table weight has no entry at n = 7; the submultiplicativity check reads n = 0..8"
+    # sigma this near 1 puts psi's minimum beyond 2^16 terms
+    yield "psi-uncertified", ["verify", "theorem5"], {
+        "kind": "theorem5", "potential": {"type": "mathieu", "mu": 0.1}, "n_range": [1, 2],
+        "weight": {"kind": "superexp", "sigma": 1.00001}}, \
+        "psi minimum not certified within 65536 terms"
 
 
 _REFUSALS = list(_refusals())
@@ -520,26 +549,61 @@ def test_refusal_table_covers_every_declared_object():
     assert {"mathieu", "fourier", "gasymov", "random"} == set(harness._POTENTIALS)
 
 
-@pytest.fixture(scope="module")
-def refused(tmp_path_factory):
-    # one CLI process per case, two at a time; json.dumps writes NaN and
-    # Infinity, which json.load accepts
-    tmp = tmp_path_factory.mktemp("refusals")
-
-    def run(case):
-        name, route, raw, _ = case
-        return name, _cli_process(route, _write(tmp / f"{name}.json", raw))
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        return dict(pool.map(run, _REFUSALS))
-
-
-@pytest.mark.parametrize("name, named", [(case[0], case[3]) for case in _REFUSALS],
+@pytest.mark.parametrize("name, route, raw, named", _REFUSALS,
                          ids=[case[0] for case in _REFUSALS])
-def test_cli_refuses_a_bad_config_with_one_line(name, named, refused):
-    proc = refused[name]
+def test_cli_refuses_a_bad_config_with_one_line(name, route, raw, named, tmp_path, capsys):
+    # json.dumps writes NaN and Infinity, which json.load accepts
+    proc = _cli_run(route, _write(tmp_path / f"{name}.json", raw), capsys)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
     assert named in proc.stderr
 
+
+def test_module_entry_point_refuses_a_bad_config_with_one_line(tmp_path):
+    # one refusal through python -m hillgap.cli, a process of its own
+    name, route, raw, named = next(case for case in _REFUSALS if case[0] == "tol-nan")
+    proc = _cli_process(route, _write(tmp_path / f"{name}.json", raw))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+    assert named in proc.stderr
+
+
+def test_cli_theorem5_grows_the_psi_window(tmp_path, capsys):
+    # at sigma = 1.01, psi at n~ = 1.3 certifies its minimum only once its
+    # window has grown past 64 terms
+    cfg = _write(tmp_path / "t5.json", {
+        "kind": "theorem5", "potential": {"type": "mathieu", "mu": 0.1}, "n_range": [1, 3],
+        "weight": {"kind": "superexp", "sigma": 1.01}})
+    assert cli.main(["verify", "theorem5", "-c", cfg, "--json"]) == 0
+    items = json.loads(capsys.readouterr().out)["items"]
+    assert [item["n"] for item in items] == [1, 2, 3]
+    assert all(item["holds"] and item["psi_slack_ok"] for item in items)
+
+
+def test_cli_verify_weights_on_a_table_as_short_as_its_window(tmp_path, capsys):
+    # n = 0..6 under N = 3: the submultiplicativity window is n = 0..6, and
+    # the growth class samples n = 1..6, too short for a verdict
+    table = {"kind": "table", "values": [[n, 1.0 + n] for n in range(7)]}
+    cfg = _write(tmp_path / "w.json", {"weights": [table], "N": 3})
+    assert cli.main(["verify", "weights", "-c", cfg, "--json"]) == 0
+    item = json.loads(capsys.readouterr().out)["items"][0]
+    assert item["base_ok"] and item["growth_class"] == "undetermined"
+    assert all(t["ok"] for t in item["tempered"])
+
+
+def test_unread_config_attributes_hold_none():
+    # each default is declared once, in KINDS; a kind that does not read a
+    # field leaves its attribute at None
+    check = parse_config(_KIND_CONFIGS["weights_check"])
+    assert (check.tol, check.oracle_method, check.potential, check.n_range) == (None,) * 4
+    assert (check.submult_N, check.eps_list) == (20, [0.2])
+    gaps = parse_config(_KIND_CONFIGS["gaps"])
+    assert (gaps.c, gaps.a, gaps.span, gaps.submult_N, gaps.N_values, gaps.eps_list,
+            gaps.weight_specs) == (None,) * 7
+    assert (gaps.tol, gaps.oracle_method) == (KINDS["gaps"].optional["tol"], "taylor")
+    theorem5 = parse_config({k: v for k, v in _KIND_CONFIGS["theorem5"].items() if k != "a"})
+    assert theorem5.a == KINDS["theorem5"].optional["a"] and theorem5.c is None
+    dense = parse_config(_KIND_CONFIGS["dense"])
+    assert dense.span == 1 and dense.n_range is None and dense.a is None

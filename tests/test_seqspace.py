@@ -57,6 +57,19 @@ def test_make_fourier_reality_detection():
     assert not make_fourier({1: 1.0}).is_real
 
 
+def test_is_real_is_exact_conjugate_symmetry_and_a_real_mean():
+    # one definition, read off the coefficients: symmetry to rounding is not
+    # enough, a complex mean is not real, and derived potentials answer anew
+    assert not make_fourier({1: 0.5, -1: 0.5 + 1e-16j}).is_real
+    assert not make_fourier({1: 0.5, -1: 0.5}, mean=1e-300j).is_real
+    assert make_fourier({1: 0.5, -1: 0.5}, mean=2.0).is_real
+    one_sided = make_fourier({1: 0.5, 2: 0.25, -2: 0.25})
+    assert not one_sided.is_real and tail(one_sided, 2).is_real
+    assert truncate(make_fourier({1: 0.5, -1: 0.5, 2: 1j}), 1).is_real
+    assert make_fourier({1: 0.5, -1: 0.5}, mean=1j).without_mean().is_real
+    assert make_gasymov([]).is_real and not make_gasymov([1.0]).is_real
+
+
 def test_wnorm_examples():
     q = make_mathieu(1.0)
     assert wnorm(q, trivial()) == pytest.approx(1.0 / math.sqrt(2), rel=1e-14)

@@ -8,6 +8,7 @@ from hillgap.weights import (
     EXPONENTIAL,
     STRICTLY_SUBEXPONENTIAL,
     SUPEREXPONENTIAL,
+    UNDETERMINED,
     CertificateError,
     TableDomainError,
     check_submultiplicative,
@@ -171,6 +172,18 @@ def test_classify_table_numeric():
     assert classify_growth(fast) == SUPEREXPONENTIAL
 
 
+def test_classify_table_samples_its_own_run():
+    # the window is the run n = 1..N the table stores, N <= 64: 40 entries
+    # classify, a run under 16 or a run broken at n = 5 gets no verdict, and
+    # none of them is read off its grid
+    assert classify_growth(table_weight({n: math.exp(n ** 1.2) for n in range(41)})) \
+        == SUPEREXPONENTIAL
+    assert classify_growth(table_weight({n: 1.0 + n for n in range(7)})) == UNDETERMINED
+    broken = table_weight({n: 1.0 + n for n in range(65) if n != 5})
+    assert classify_growth(broken) == UNDETERMINED
+    assert classify_growth(temper(broken, 0.1)) == UNDETERMINED
+
+
 def test_psi_examples():
     assert psi(superexp(2), math.e ** 4) == pytest.approx(4.0, rel=1e-14)
     assert psi(superexp(2), 1.0) == pytest.approx(1.0, rel=1e-14)
@@ -224,6 +237,17 @@ def test_psi_domain_errors():
 
 
 def test_psi_certificate_failure():
-    # the minimizer for sigma near 1 sits far beyond the default window
+    # the minimizer for sigma near 1 sits beyond the largest window, 2^16
     with pytest.raises(CertificateError):
-        psi(superexp(1.1), math.exp(200.0))
+        psi(superexp(1.001), math.exp(200.0))
+
+
+def test_psi_window_grows_until_certified():
+    # sigma = 1.01 at r = 1.3 minimizes at m = 25 but certifies only once
+    # the window passes 64; sigma = 1.1 at r = e^200 needs 4,096 terms
+    w = superexp(1.01)
+    brute = min((math.log(1.3) + w.log_value(m)) / m for m in range(1, 20000))
+    assert psi(w, 1.3) == pytest.approx(brute, rel=1e-14)
+    w = superexp(1.1)
+    brute = min((200.0 + w.log_value(m)) / m for m in range(1, 8193))
+    assert psi(w, math.exp(200.0)) == pytest.approx(brute, rel=1e-14)
