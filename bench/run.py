@@ -14,9 +14,12 @@ file records:
     (order, steps); next to them, the order-3 mp30 trace jet at n = 10, the
     jet an escalated solve builds (``mp30_jet3_n10``), the same jet on the
     cosine translated by theta = 0.1, which is not even and so keeps both
-    columns (``mp30_jet3_n10_translated``), each with the columns it
-    transported, and the 60-digit Dirichlet eigenvalue at n = 8, seeded by
-    its double root (``mp60_dirichlet_n8``);
+    columns (``mp30_jet3_n10_translated``), and the two-column order-6 mp30
+    jet of the complex K = 16 Gevrey draw of the wideband_complex workload
+    at n = 15 (``wideband_mp30_jet6_n15``), each with its plan, the columns
+    it transported and the widest lane ``width`` (bits) the ladder packed,
+    and the 60-digit Dirichlet eigenvalue at n = 8, seeded by its double
+    root (``mp60_dirichlet_n8``);
   * one ``periodic_eigs_info`` solve (method "auto") on that potential at
     n = 3 and 10 and on the complex K = 16 Gevrey draw of the
     wideband_complex workload at n = 15: first and median warm wall time,
@@ -31,7 +34,10 @@ file records:
     rounds summed over its indices;
   * the high-precision solves on that potential at n = 8 with tol = 1e-26,
     method "mp" and dps = 60: ``periodic_eigs_info`` and ``gap_record``,
-    first and median warm wall time, and the pair's solve ledger;
+    first and median warm wall time, and the pair's solve ledger; and
+    ``periodic_eigs_info`` on the K = 16 draw at n = 15, method "mp" and
+    dps = 60 at the default tol (``wideband_mp60_n15``), the slowest path a
+    user can ask for, with its ledger;
   * the pinned-precision sweep: ``gap_record`` on that potential at
     n = 3..8 with the same settings, first and median warm wall time of the
     whole sweep, and the pair's solve ledger at each n.
@@ -70,6 +76,9 @@ import numpy as np  # noqa: E402
 
 from hillgap import blockdecomp, floquet, make_fourier, make_mathieu, make_random  # noqa: E402
 from hillgap.weights import gevrey  # noqa: E402
+
+# the complex K = 16 Gevrey draw of the wideband_complex workload
+WIDEBAND = make_random(gevrey(0, 1, 0.5), seed=11, K=16, real=False)
 
 
 def machine() -> dict:
@@ -123,6 +132,23 @@ def _plan(q, lam, dps: int) -> list:
     return [floquet._mp_order(dps), floquet._mp_steps(key, lam, dps)]
 
 
+def _lane_width(fn) -> int:
+    """The widest lane width, in bits, that fn packs on the fixed-point ladder."""
+    lanes, widths = floquet._Lanes, []
+
+    def spy(*args):
+        out = lanes(*args)
+        widths.append(out.width)
+        return out
+
+    floquet._Lanes = spy
+    try:
+        fn()
+    finally:
+        floquet._Lanes = lanes
+    return max(widths)
+
+
 def monodromy_times(repeat: int) -> dict:
     q = make_mathieu(1.0)
     out = {}
@@ -134,21 +160,24 @@ def monodromy_times(repeat: int) -> dict:
             out[f"{name}_n{n}"] = {"first_ms": 1e3 * first, "warm_ms": 1e3 * warm}
             if "dps" in kw:
                 out[f"{name}_n{n}"]["plan"] = _plan(q, lam, kw["dps"])
-    lam = 10 * 10 * math.pi ** 2
     turn = cmath.exp(0.2j * math.pi)
     translated = make_fourier({1: 0.5 * turn, -1: 0.5 * turn.conjugate()})
-    for name, potential in (("mp30_jet3_n10", q), ("mp30_jet3_n10_translated", translated)):
+    for name, potential, n, order in (("mp30_jet3_n10", q, 10, 3),
+                                      ("mp30_jet3_n10_translated", translated, 10, 3),
+                                      ("wideband_mp30_jet6_n15", WIDEBAND, 15, 6)):
         # the trace form an escalated solve asks for; checkouts whose ladder
         # reads it from one column do so on the even cosine only
+        lam = n * n * math.pi ** 2
         disc = floquet._disc(potential, "mp", 30, lam, form=floquet._trace)
 
         def jet():
             with disc.precision():
-                disc.jet(lam, 3)
+                disc.jet(lam, order)
 
         first, warm = _first_and_warm(jet, repeat)
         out[name] = {"first_ms": 1e3 * first, "warm_ms": 1e3 * warm,
-                     "columns": getattr(disc, "columns", 2)}
+                     "plan": list(disc.plan), "columns": getattr(disc, "columns", 2),
+                     "width": _lane_width(jet)}
     first, warm = _first_and_warm(lambda: floquet.sturm_liouville_eig(q, 8, dps=60), repeat)
     out["mp60_dirichlet_n8"] = {"first_ms": 1e3 * first, "warm_ms": 1e3 * warm}
     return out
@@ -156,10 +185,9 @@ def monodromy_times(repeat: int) -> dict:
 
 def solve_times(repeat: int) -> dict:
     cosine = make_mathieu(1.0)
-    wide = make_random(gevrey(0, 1, 0.5), seed=11, K=16, real=False)
     out = {}
     for name, q, n in (("cosine_n3", cosine, 3), ("cosine_n10", cosine, 10),
-                       ("wideband_n15", wide, 15)):
+                       ("wideband_n15", WIDEBAND, 15)):
         result = []
 
         def solve():
@@ -208,6 +236,14 @@ def high_precision_times(repeat: int) -> dict:
         out[name] = {"first_s": first, "warm_s": warm}
     # gap_record solves the same pair, so one ledger serves both entries
     out["kernels"] = floquet.periodic_eigs_info(q, 8, **kw)[2].get("kernels")
+    result = []
+
+    def wideband():
+        result[:] = [floquet.periodic_eigs_info(WIDEBAND, 15, method="mp", dps=60)[2]]
+
+    first, warm = _first_and_warm(wideband, repeat)
+    out["wideband_mp60_n15"] = {"first_s": first, "warm_s": warm,
+                                "kernels": result[0].get("kernels")}
     sweep = range(3, 9)
     first, warm = _first_and_warm(lambda: [floquet.gap_record(q, n, **kw) for n in sweep],
                                   repeat)

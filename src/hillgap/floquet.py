@@ -23,13 +23,16 @@ the monodromy back as mpmath numbers at the working precision.  It runs on
 step-scaled coefficients a[m] h^m, so every number stays near 2^bits, and
 packs all lanes of a step (columns x jet orders) into one int at a
 fixed bit stride: one integer dot product per Taylor order serves every
-lane, and the division by (m+1)(m+2) is a multiply and a shift whose spill
-between lanes is masked off exactly.  Its Taylor coefficients of q are
-integer dot products as well: (2 pi i k)^i / i! is built once per mode and
-q_k e^(2 pi i k x) once per step point; only 2 pi and the roots of unity
-come from mpmath.  Its plan, the Taylor order and step count, is the
-cheaper of a fixed rule covering lambda and the bandwidth of q, and a higher
-order whose computed series certifies fewer, longer steps (_mp_plan).
+lane, and the division by (m+1)(m+2) runs in two exact stages, a shift
+that drops the table's 2^bits scale, then a multiply by the reciprocal and
+a shift, each masking off its spill between lanes; so a lane is only as
+wide as the reciprocal, the state and a majorant's bound on one step's
+numerators.  Its Taylor coefficients of q are integer dot products as
+well: (2 pi i k)^i / i! is built once per mode and q_k e^(2 pi i k x) once
+per step point; only 2 pi and the roots of unity come from mpmath.  Its
+plan, the Taylor order and step count, is the cheaper of a fixed rule
+covering lambda and the bandwidth of q, and a higher order whose computed
+series certifies fewer, longer steps (_mp_plan).
 
 A real potential (``FourierPotential.is_real``: q_-k equal to conj(q_k)
 bit for bit and a real mean) gets real coefficient tables on both Taylor
@@ -460,51 +463,59 @@ def _mp_table(key, steps, order, dps):
     return real, rows
 
 
-def _lane_growth(rows, lam_h2, h2, bits) -> int:
-    """Bits by which one Taylor step can outgrow the largest lane of its state.
+def _lane_growth(rows, lam_h2, h2, bits) -> tuple[int, int]:
+    """(grow, head): bits by which one Taylor step's new state, and its
+    numerators, can outgrow the largest lane of its state.
 
     With A the largest sum of |C_i h^(i+2)| over a row, plus |lam h^2| and
     h^2, every lane obeys |b[m+2]| <= A max_(j<=m) |b[j]| / ((m+1)(m+2)),
     the order coupling included.  So the majorant u[0] = u[1] = 1,
     u[m+2] = A max(u[:m+1]) / ((m+1)(m+2)) bounds every coefficient of the
     step and its new state, y = sum b[m] and h y' = sum m b[m], in units of
-    the state's largest lane; one bit more covers the rounding.
+    the state's largest lane; one bit more covers the rounding.  A max(u)
+    bounds the numerators, the first quotient of the division (_Lanes).
     """
     A = (max(sum(map(abs, row[0])) + sum(map(abs, row[1])) for row in rows)
          + lam_h2 + h2) / (1 << bits)
     u = [1.0, 1.0]
     for m in range(len(rows[0][0])):
         u.append(A * max(u[:m + 1]) / ((m + 1) * (m + 2)))
-    return math.ceil(math.log2(max(sum(u), sum(map(mul, range(len(u)), u))))) + 1
+    return (math.ceil(math.log2(max(sum(u), sum(map(mul, range(len(u)), u))))) + 1,
+            math.ceil(math.log2(A * max(u))))
 
 
 class _Lanes:
     """``count`` signed lanes of ``width`` bits packed into one Python int.
 
     Lane l holds v_l at bit l * width, so a sum of packed ints, or one times
-    an int, acts on every lane at once.  The width holds state lanes under
-    2^top, one step's growth ``grow`` on top of them, and the ``shift`` of
-    the division: shifting a packed numerator right by ``shift`` leaves
-    each lane's quotient in its low bits and the lane's remainder in the
-    top ``shift`` bits of the lane below, a nonnegative multiple of
-    2^(width - shift) under 2^width.  ``clear`` removes it exactly,
-    provided every quotient's magnitude stays under 2^(width - shift - 1),
-    which the width guarantees for a state that ``fits``.
+    an int, acts on every lane at once.  Shifting a packed int right by s
+    leaves each lane's quotient in its low bits and its remainder in the top
+    s bits of the lane below, under 2^width; a bias and a mask clear it
+    exactly if every quotient stays under 2^(width - s - 1) in magnitude.
+    ``divide(x, r)`` does so twice: it drops the table scale first
+    (shifts[0] = bits), then multiplies by the reciprocal r and shifts by
+    shifts[1] = G.  So for a state that ``fits`` under 2^top a lane holds
+    numerators ``head`` bits above it (_lane_growth), G bits and a sign bit,
+    width G + top + head + 1; a quotient, at most half its numerator as
+    (m+1)(m+2) >= 2, leaves its rounding a bit, and one step's growth of
+    the state stays far under G.
     """
 
-    def __init__(self, count: int, shift: int, grow: int, top: int, columns: int):
-        self.count, self.shift = count, shift
-        self.width = w = shift + top + grow + 1
+    def __init__(self, count: int, shifts: tuple, head: int, top: int, columns: int):
+        self.count, self.shifts = count, shifts
+        self.width = w = shifts[1] + top + head + 1
         self.couple = columns * w     # jet order k - 1 lies ``columns`` lanes below k
         self.unit = unit = ((1 << (count * w)) - 1) // ((1 << w) - 1)   # a 1 in every lane
-        keep = w - shift
-        self.bias, self.mask = unit << (keep - 1), unit * ((1 << keep) - 1)
+        bits, g = shifts
+        (b1, m1), (b2, m2) = ((unit << (w - s - 1), unit * ((1 << (w - s)) - 1)) for s in shifts)
+
+        def divide(x, r):   # each stage clears the remainders its shift spills
+            x = (((x >> bits) + b1) & m1) - b1
+            return (((x * r >> g) + b2) & m2) - b2
+        self.divide = divide
         # (x + low) & high == 0 iff every lane lies in [-2^top, 2^top): only
         # then does no lane borrow from, or carry into, the bits above top
         self.low, self.high = unit << top, unit * ((1 << w) - (2 << top))
-
-    def clear(self, x) -> int:
-        return ((x + self.bias) & self.mask) - self.bias
 
     def fits(self, state) -> bool:
         return not any((x + self.low) & self.high for x in state)
@@ -521,12 +532,11 @@ class _Lanes:
 def _lane_step_real(row, lam_h2, state, h2, recips, lanes):
     """One Taylor step of every lane: real table at real lam, one product per order."""
     c = [row[0][0] - lam_h2] + row[0][1:]
-    couple, shift, clear = lanes.couple, lanes.shift, lanes.clear
+    couple, divide = lanes.couple, lanes.divide
     b = list(state)               # y, h y'
     window = [b[0]]               # b[m], ..., b[0], newest first
     for m, r in enumerate(recips):
-        s = sum(map(mul, c, window)) - (h2 * window[0] << couple)
-        b.append(clear(s * r >> shift))
+        b.append(divide(sum(map(mul, c, window)) - (h2 * window[0] << couple), r))
         window.insert(0, b[m + 1])
     return sum(b), sum(map(mul, range(len(b)), b))
 
@@ -535,7 +545,7 @@ def _lane_step(row, lam_h2, state, h2, recips, lanes):
     """_lane_step_real in complex fixed point: three products per order."""
     c0r, c0i = row[0][0] - lam_h2[0], row[1][0] - lam_h2[1]
     cr, ci, cs = ([c0] + r[1:] for c0, r in zip((c0r, c0i, c0r + c0i), row))
-    couple, shift, clear = lanes.couple, lanes.shift, lanes.clear
+    couple, divide = lanes.couple, lanes.divide
     yr, yi, pr, pi = state
     br, bi = [yr, pr], [yi, pi]
     wr, wi, ws = [yr], [yi], [yr + yi]
@@ -543,8 +553,8 @@ def _lane_step(row, lam_h2, state, h2, recips, lanes):
         t1 = sum(map(mul, cr, wr))
         t2 = sum(map(mul, ci, wi))
         t3 = sum(map(mul, cs, ws))
-        br.append(clear((t1 - t2 - (h2 * wr[0] << couple)) * r >> shift))
-        bi.append(clear((t3 - t1 - t2 - (h2 * wi[0] << couple)) * r >> shift))
+        br.append(divide(t1 - t2 - (h2 * wr[0] << couple), r))
+        bi.append(divide(t3 - t1 - t2 - (h2 * wi[0] << couple), r))
         wr.insert(0, br[m + 1])
         wi.insert(0, bi[m + 1])
         ws.insert(0, br[m + 1] + bi[m + 1])
@@ -571,17 +581,17 @@ def _fixed_kernel(table, lam, bits, order=0, starts=((1, 0), (0, 1))):
     near 2^bits.  The C (order + 1) lanes, lane l = Ck + c for jet order k
     and solution c of C, share one packed int (_Lanes), and one integer dot
     product per Taylor order serves them all.  The order coupling is b[m]
-    shifted up C lanes; the division is a multiply by
-    floor(2^G / ((m+1)(m+2))) and a right shift by bits + G, with
-    G = bits + bit_length(terms (terms + 1)), whose relative error stays
-    under 2^-bits beyond the floor.  The lanes stay packed from step to step;
-    before each step the state is checked against the lane width, which
-    widens when the solution outgrows it.  No lane's integers depend on the
-    width or on the lanes above it, so the order-0 lanes of a jet are the
-    plain transport, and a run from one start gives that start's lanes of
-    a run from more, bit for bit.  A real table at real lam keeps every
-    imaginary part at zero, so it runs the real loop, which gives the same
-    integers as the complex one.
+    shifted up C lanes; the division (_Lanes) is a right shift by bits that
+    drops the table scale, then a multiply by floor(2^G / ((m+1)(m+2))) and
+    a right shift by G, G = bits + bit_length(terms (terms + 1)), whose
+    relative error stays under 2^-bits beyond the floor.  The lanes stay
+    packed from step to step; before each step the state is checked against
+    the lane width, which widens when the solution outgrows it.  No lane's
+    integers depend on the width or on the lanes above it, so the order-0
+    lanes of a jet are the plain transport, and a run from one start gives
+    that start's lanes of a run from more, bit for bit.  A real table at
+    real lam keeps every imaginary part at zero, so it runs the real loop,
+    which gives the same integers as the complex one.
     """
     real, rows = table
     steps, terms = len(rows), len(rows[0][0])
@@ -591,10 +601,10 @@ def _fixed_kernel(table, lam, bits, order=0, starts=((1, 0), (0, 1))):
     lr, li = (to_fixed(v._mpf_, bits) // (steps * steps) for v in (lam.real, lam.imag))
     g = bits + (terms * (terms + 1)).bit_length()
     recips = [(1 << g) // ((m + 1) * (m + 2)) for m in range(terms)]
-    grow = _lane_growth(rows, abs(lr) + abs(li), h2, bits)
+    grow, head = _lane_growth(rows, abs(lr) + abs(li), h2, bits)
     columns = len(starts)
     count = columns * (order + 1)
-    lanes = _Lanes(count, bits + g, grow, (1 << bits).bit_length() + grow, columns)
+    lanes = _Lanes(count, (bits, g), head, (1 << bits).bit_length() + grow, columns)
     # y and h y' of every lane; solution c starts at starts[c], t_k = 0 for k > 0
     fixed = [[to_fixed(from_float(float(v)), bits) for v in s] for s in starts]
     state = [lanes.pack(y for y, _ in fixed), lanes.pack(p // steps for _, p in fixed)]
@@ -607,7 +617,7 @@ def _fixed_kernel(table, lam, bits, order=0, starts=((1, 0), (0, 1))):
         if not lanes.fits(state):
             values = [lanes.unpack(x) for x in state]
             top = max(abs(v) for vs in values for v in vs).bit_length()
-            lanes = _Lanes(count, lanes.shift, grow, top + grow, columns)
+            lanes = _Lanes(count, lanes.shifts, head, top + grow, columns)
             state = [lanes.pack(vs) for vs in values]
         state = step(row, lam_h2, state, h2, recips, lanes)
     values = [lanes.unpack(x) for x in state]

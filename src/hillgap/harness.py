@@ -259,6 +259,9 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
         return ExperimentConfig(kind, out, echo, weight_specs=fields["weights"],
                                 submult_N=submult_N, eps_list=eps_list)
 
+    if kind == "adapted" and (unread := [k for k in ("oracle", "weight") if k in raw]):
+        # the adapted map reads the potential, tol and its own window only
+        raise ConfigError(f"adapted reads neither oracle nor weight; remove {unread}")
     potential = build_potential(fields["potential"])
     if kind == "mathieu" and fields["potential"]["type"] != "mathieu":
         raise ConfigError("mathieu verification needs a mathieu potential")

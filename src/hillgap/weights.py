@@ -266,7 +266,11 @@ def psi(w: Weight, r: float) -> float:
     logr = math.log(r)
     logs = [0.0]  # logs[m] = log w(m)
     for M in (2 ** k for k in range(6, 17)):
-        logs += [w.log_value(m) for m in range(len(logs), M + 2)]
+        try:
+            logs += [w.log_value(m) for m in range(len(logs), M + 2)]
+        except TableDomainError as exc:
+            raise TableDomainError(f"{exc.args[0]}; psi's certified search reads n = 1..{M + 1} "
+                                   f"for its window M = {M} (64, doubling until certified)") from None
         value = min((logr + logs[m]) / m for m in range(1, M + 1))
         growth = [logs[m] / m for m in range(M // 2, M + 2)]
         if any(b < a - 1e-12 for a, b in zip(growth, growth[1:])):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from operator import mul
 
 import mpmath as mp
@@ -344,8 +345,8 @@ def _lane_transcription(table, lam, bits, order):
                     sr -= h2 * series[lane - 2][0][m]
                     si -= h2 * series[lane - 2][1][m]
                 r = (1 << g) // ((m + 1) * (m + 2))
-                br.append(sr * r >> (bits + g))
-                bi.append(si * r >> (bits + g))
+                br.append((sr >> bits) * r >> g)
+                bi.append((si >> bits) * r >> g)
             series.append((br, bi))
         state = [(sum(br), sum(bi), sum(map(mul, range(len(br)), br)),
                   sum(map(mul, range(len(bi)), bi))) for br, bi in series]
@@ -395,6 +396,53 @@ def test_lanes_widen_for_a_growing_solution(monkeypatch):
         assert big > 2 ** 100
         assert max(abs(a - b) for a, b in zip(got, ref)) <= mp.mpf(10) ** -(dps - 3) * big
     assert len(widths) > 1 and widths == sorted(widths)
+
+
+def test_lane_division_matches_lanewise_floor_division():
+    # both stages of the division at the bounds the width declares, against
+    # each lane's floor quotients: numerators under 2^(bits + top + head),
+    # whose first quotients, under 2^(top + head), go through r = 2^G (the
+    # second stage at its own bound) and the largest reciprocal,
+    # floor(2^G / 2); a lane above ``count`` (where the order coupling
+    # spills) must not leak
+    rng = random.Random(20261019)
+    for _ in range(300):
+        bits = rng.randrange(28, 240)
+        g = bits + rng.randrange(1, 14)
+        top, head = bits + rng.randrange(1, 40), rng.randrange(-20, 30)
+        count = rng.randrange(1, 16)
+        lanes = floquet._Lanes(count, (bits, g), head, top, rng.randrange(1, 3))
+        assert lanes.width == g + top + head + 1
+        bound = 1 << (bits + top + head)
+        edges = (-bound, bound - 1, -1, 0)
+        for r in (1 << g, (1 << g) // 2):
+            values = [rng.choice(edges) if rng.random() < 0.3 else rng.randrange(-bound, bound)
+                      for _ in range(count + 1)]
+            got = lanes.unpack(lanes.divide(lanes.pack(values), r))
+            assert got == [(v >> bits) * r >> g for v in values[:count]]
+
+
+@pytest.mark.parametrize("q, n", [(make_mathieu(1.0), 16), (make_mathieu(1.0), 18),
+                                  (make_random(gevrey(0, 1, 0.5), seed=11, K=16, real=False), 15)],
+                         ids=["cosine-16", "cosine-18", "wideband-15"])
+def test_widest_lanes_match_a_higher_precision_transport(q, n):
+    # the largest per-step A the perfbench sweeps pick at 30 digits: the
+    # cosine on plans (72, 5) and (76, 5), h sqrt(lam) ~ 10 and 11, whose
+    # numerators stand 19 and 23 bits above the state (the real loop), and
+    # the complex K = 16 draw at n = 15 (the complex loop); the order-3 jets
+    # on the default plan against 60 digits on the fixed rule, with y1'
+    # divided by s = sqrt|lam| and y2 multiplied by it
+    key = floquet._key(q)
+    lam = n * n * PI2 + complex(q.mean)
+    s = math.sqrt(abs(lam))
+    with mp.workdps(30):
+        disc = floquet._disc(q, "mp", 30, lam)
+        got = disc.jet(lam, 3)
+    assert disc.plan == {16: (72, 5), 18: (76, 5), 15: (28, 65)}[n]
+    with mp.workdps(60):
+        ref = floquet._disc(q, "mp", 60, lam, floquet._mp_steps(key, lam, 60)).jet(lam, 3)
+        err = max(abs(a - b) * w for a, b, w in zip(got, ref, (1, 1 / s, s, 1) * 4))
+    assert err <= floquet._mp_noise(30)
 
 
 # exactly even (q_-1 = q_1 bit for bit) yet complex, with a complex mean

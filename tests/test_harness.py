@@ -526,6 +526,18 @@ def _refusals():
     yield "theorem4-steps", ["verify", "theorem4"], {
         "kind": "theorem4", "potential": MATHIEU_HALF, "n_range": [1, 2],
         "oracle": {"steps": 3}}, "oracle.steps must be null, got 3"
+    # the adapted map reads neither key, so naming one is refused
+    adapted = {"kind": "adapted", "potential": MATHIEU_HALF, "n_range": [1, 2]}
+    yield "adapted-oracle", ["gaps"], {**adapted, "oracle": {"method": "rk4"}}, \
+        "adapted reads neither oracle nor weight; remove ['oracle']"
+    yield "adapted-weight", ["gaps"], {**adapted, "weight": {"kind": "trivial"}}, \
+        "adapted reads neither oracle nor weight; remove ['weight']"
+    # superexponential on n = 0..64, one entry short of psi's first window
+    yield "table-short-of-psi-window", ["verify", "theorem5"], {
+        "kind": "theorem5", "potential": MATHIEU_HALF, "n_range": [4, 5],
+        "weight": {"kind": "table", "values": [[n, math.exp(n ** 1.2)] for n in range(65)]}}, \
+        "table weight has no entry at n = 65; psi's certified search reads n = 1..65 " \
+        "for its window M = 64 (64, doubling until certified)"
     # n = 0..6 covers the submultiplicativity window n = 0..2N at N = 3 only
     short = {"kind": "table", "values": [[n, 1.0 + n] for n in range(7)]}
     yield "table-short-of-window", weights, {"weights": [short], "N": 4}, \
