@@ -40,7 +40,11 @@ file records:
     user can ask for, with its ledger;
   * the pinned-precision sweep: ``gap_record`` on that potential at
     n = 3..8 with the same settings, first and median warm wall time of the
-    whole sweep, and the pair's solve ledger at each n.
+    whole sweep, and the pair's solve ledger at each n;
+  * start-up: the median time of ``import hillgap.cli`` after numpy over
+    max(R, 5) fresh interpreters (``import_cli_ms``), and for each perfbench config
+    the heavy modules (the Floquet oracle, mpmath) that a fresh process
+    running ``hillgap gaps`` on it has loaded by its exit (``loads``).
 
 The CLI end to end is timed by perfbench/run.py, not here.  Every time
 (a key ending in _s or _ms) is rescaled to perfbench's reference speed the
@@ -62,7 +66,9 @@ import math
 import os
 import platform
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -253,6 +259,35 @@ def high_precision_times(repeat: int) -> dict:
     return out
 
 
+def _fresh(code: str, *args: str) -> str:
+    """stdout of ``python3 -c code args`` with this checkout's src on its path."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+_IMPORT_CLI = ("import time, numpy\n"
+               "start = time.perf_counter()\n"
+               "import hillgap.cli\n"
+               "print(time.perf_counter() - start)")
+_LOADS = ("import json, sys\n"
+          "from hillgap import cli\n"
+          "cli.main(sys.argv[1:])\n"
+          "print(json.dumps([m for m in ('hillgap.floquet', 'mpmath') if m in sys.modules]))")
+
+
+def startup_times(repeat: int) -> dict:
+    imports = [float(_fresh(_IMPORT_CLI)) for _ in range(max(repeat, 5))]
+    out = {"import_cli_ms": 1e3 * statistics.median(imports), "loads": {}}
+    configs = os.path.join(PERFBENCH, "configs")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(os.listdir(configs)):
+            argv = ["gaps", "-c", os.path.join(configs, name), "--out", os.path.join(tmp, "t.csv")]
+            out["loads"][name[:-len(".json")]] = json.loads(_fresh(_LOADS, *argv))
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
@@ -267,7 +302,8 @@ def main(argv=None) -> int:
         "calibration": {"reference_s": perfbench.REFERENCE_CAL_S},
     }
     speed = perfbench.Speed()
-    for name, section in (("monodromy", monodromy_times),
+    for name, section in (("startup", startup_times),
+                          ("monodromy", monodromy_times),
                           ("periodic_eigs_info", solve_times),
                           ("gap_block", block_times),
                           ("high_precision", high_precision_times)):

@@ -9,6 +9,11 @@ Four layers, importable separately or through this namespace:
   * blockdecomp: the 2x2 block reduction, adapted coefficients and N-gap
     approximants;
   * harness / cli: config-driven experiments and verification suites.
+
+Each layer loads where a route first reaches it.  The floquet names below
+resolve on first access (module __getattr__), so importing the package or
+the CLI loads neither the oracle nor mpmath, which floquet imports; the
+block reduction and the adapted map run without either.
 """
 
 from .weights import (
@@ -41,19 +46,6 @@ from .seqspace import (
     wnorm,
     zero_vector,
 )
-from .floquet import (
-    DeltaFit,
-    GapRecord,
-    MonodromyMatrix,
-    RootSearchError,
-    delta_linear_model,
-    discriminant,
-    gap_record,
-    monodromy,
-    periodic_eigs,
-    periodic_eigs_info,
-    sturm_liouville_eig,
-)
 from .blockdecomp import (
     BlockData,
     ContractionError,
@@ -84,3 +76,20 @@ from .harness import (
 )
 
 __version__ = "0.1.0"
+
+_FLOQUET = ("DeltaFit", "GapRecord", "MonodromyMatrix", "RootSearchError",
+            "delta_linear_model", "discriminant", "gap_record", "monodromy",
+            "periodic_eigs", "periodic_eigs_info", "sturm_liouville_eig")
+
+
+def __getattr__(name):
+    # the oracle loads on first access to it or to one of its names; a
+    # relative "from . import floquet" would ask this hook for floquet again
+    if name == "floquet" or name in _FLOQUET:
+        import hillgap.floquet as floquet
+        return floquet if name == "floquet" else getattr(floquet, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "floquet", *_FLOQUET})

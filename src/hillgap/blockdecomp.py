@@ -285,23 +285,44 @@ def coeff_an_cn(q: FourierPotential, n: int, lam: complex,
 
 
 def _columns(q: FourierPotential, n: int):
-    """(cap, V e_n, V e_{-n}), each column on its own support; built once per
-    n and reused at every lam of the alpha_n and root loops."""
+    """(cap, real, V e_n, V e_{-n}), built once per n and reused at every lam
+    of the alpha_n and root loops.  A real q reads its e_{-n} solve off the
+    e_n one at real lam, so its V e_{-n} is None, built where a complex lam
+    needs it."""
     cap = mode_cutoff(q, n)
-    cols = (multiply_by_potential(q, unit_vector(m, min(cap, n + 2 * q.K)))
-            for m in (n, -n))
-    return (cap, *(col.resized(_support_cut(col)) for col in cols))
+    real = q.is_real
+    return cap, real, _column(q, n, cap), None if real else _column(q, -n, cap)
+
+
+def _column(q: FourierPotential, m: int, cap: int) -> ParityVector:
+    """V e_m on its own support."""
+    col = multiply_by_potential(q, unit_vector(m, min(cap, abs(m) + 2 * q.K)))
+    return col.resized(_support_cut(col))
 
 
 def _reduced_entries(q: FourierPotential, n: int, lam: complex, tol: float,
-                     cols=None):
-    """(a_n, c_+, c_-, tally) at lam; both solves share one denominator table."""
-    cap, col_plus, col_minus = cols or _columns(q, n)
+                     cols=None, both: bool = True):
+    """(a_n, c_+, c_-, tally) at lam; both solves share one denominator table.
+
+    For a real q at real lam, T_n commutes with f_m -> conj f_{-m}, which
+    maps V e_n to V e_{-n}, and the reduced matrix is Hermitian: the e_n
+    solve alone gives a real a_n and c_- = conj c_+.  Otherwise ``both``
+    False skips the e_{-n} solve and returns None for c_-.
+    """
+    cap, real, col_plus, col_minus = cols or _columns(q, n)
     _require_admissible(q, n, lam, n % 2)
     den = _Denominators(n, lam, cap)
-    h, info_p = _neumann(q, n, col_plus, den, tol)
-    g, info_m = _neumann(q, n, col_minus, den, tol)
-    return h.coeff(n), h.coeff(-n), g.coeff(n), info_p + info_m
+    h, tally = _neumann(q, n, col_plus, den, tol)
+    a_n, c_plus = h.coeff(n), h.coeff(-n)
+    if real and lam.imag == 0:
+        # 0.0 - imag keeps a zero imaginary part at +0
+        return complex(a_n.real), c_plus, complex(c_plus.real, 0.0 - c_plus.imag), tally
+    if not both:
+        return a_n, c_plus, None, tally
+    if col_minus is None:
+        col_minus = _column(q, -n, cap)
+    g, info = _neumann(q, n, col_minus, den, tol)
+    return a_n, c_plus, g.coeff(n), tally + info
 
 
 def alpha_fixed_point(q: FourierPotential, n: int, tol: float = 1e-12) -> complex:
@@ -326,22 +347,20 @@ def _fixed_point(q0: FourierPotential, n: int, tol: float, cols, sign: int = 0,
     sign = 0 gives alpha_n from sigma_n, solving only the e_n column, and
     checks the certified radius; sign = +-1 gives a gap root from ``seed``,
     the branch of phi_n following ``phi`` by continuity.  Leaving the disc
-    |lam - sigma_n| <= n or missing tol n^2 in 48 steps raises.
+    |lam - sigma_n| <= n or missing tol n^2 in 48 steps raises.  For a real
+    q0 from a real seed, a_n and phi_n are real, so lam stays real.
     """
     sigma = n * n * PI2
     tol_lam = tol * max(1, n * n)
     lam = complex(sigma) if seed is None else seed
     tally = None
     for it in range(1, 49):
+        a_n, c_plus, c_minus, info = _reduced_entries(q0, n, lam, tol, cols, both=bool(sign))
+        new = sigma + a_n
         if sign:
-            a_n, c_plus, c_minus, info = _reduced_entries(q0, n, lam, tol, cols)
             root = cmath.sqrt(c_plus * c_minus)
             phi = root if abs(root - phi) <= abs(root + phi) else -root
-            new = sigma + a_n + sign * phi
-        else:
-            _require_admissible(q0, n, lam, n % 2)
-            h, info = _neumann(q0, n, cols[1], _Denominators(n, lam, cols[0]), tol)
-            new = sigma + h.coeff(n)
+            new += sign * phi
         tally = info if tally is None else tally + info
         step = new - lam
         lam = new

@@ -95,6 +95,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import from_float, to_fixed
 
+from . import blockdecomp
 from .seqspace import FourierPotential
 
 # Step-count multipliers: the RK4 default keeps det(M) - 1 under 1e-10, the
@@ -110,8 +111,9 @@ _FIXED_GUARD_BITS = 24      # fixed-point bits beyond the working precision
 _AUTO_DPS = 30              # escalation precision when the caller names none
 
 
-class RootSearchError(RuntimeError):
-    """An eigenvalue Newton run stagnated or left its search region."""
+class RootSearchError(blockdecomp.IterationError):
+    """An eigenvalue Newton run stagnated or left its search region: a failed
+    iteration, caught wherever blockdecomp's IterationError is."""
 
 
 @dataclass(frozen=True)
@@ -1099,8 +1101,6 @@ def delta_linear_model(q: FourierPotential, n_range: tuple[int, int],
     real-linear least squares in (Re kappa, Im kappa) and reports itself
     degenerate when every p vanishes.
     """
-    from . import blockdecomp
-
     lo, hi = n_range
     if lo < 1 or hi < lo:
         raise ValueError(f"bad index range {n_range}")

@@ -202,6 +202,25 @@ def test_real_potential_symmetry():
         assert ratio == pytest.approx(4.0, rel=0.01)
 
 
+@pytest.mark.parametrize("q", [make_mathieu(1.0), make_random(gevrey(0, 1, 0.5), seed=202, K=16)],
+                         ids=["cosine", "gevrey_K16_real"])
+def test_real_potential_reads_the_reduced_matrix_off_one_solve(q):
+    # real q at real lam: the e_n solve gives a real a_n and c_-n = conj(c_n)
+    # bit for bit, with no -0 cell; the e_-n solve that a complex q needs
+    # agrees within the solver tolerance
+    n, lam = 6, complex(36 * PI2 + 0.3)
+    a_n, c_plus, c_minus = coeff_an_cn(q, n, lam)
+    assert a_n.imag == 0 and c_minus == c_plus.conjugate()
+    assert not (c_minus.imag == 0 and math.copysign(1.0, c_minus.imag) < 0)
+    rhs = multiply_by_potential(q, unit_vector(-n, mode_cutoff(q, n)))
+    g, _ = resolve_hat_Tn(q, n, lam, rhs)
+    assert abs(g.coeff(n) - c_minus) <= 1e-11 * rhs.l2()
+    assert abs(g.coeff(-n) - a_n) <= 1e-11 * rhs.l2()
+    one = blockdecomp._reduced_entries(q, n, lam, 1e-12)[3]
+    two = blockdecomp._reduced_entries(q, n, lam + 1e-9j, 1e-12)[3]
+    assert 0 < one.iters < two.iters
+
+
 @pytest.mark.parametrize("q, ns", [
     (make_mathieu(1.0), range(3, 6)),
     (make_random(gevrey(0, 1, 0.5), seed=202, K=16), range(2, 9)),
@@ -334,8 +353,11 @@ def test_n_gap_approximant_of_a_real_potential_is_real():
     # modes it returns stay exactly conjugate-symmetric
     q = n_gap_approximant(make_mathieu(3.0), 10, tol=1e-25)
     assert q.is_real and np.array_equal(q.data, np.conj(q.data[::-1]))
-    # on four modes the rounding of the map breaks the symmetry: not real
-    assert not n_gap_approximant(make_fourier({1: 0.3, -1: 0.3, 2: 0.1, -2: 0.1}), 8).is_real
+    # the map reads c_-n = conj(c_n) off one solve, so a real potential with
+    # modes of both signs and uneven phases stays exactly real as well
+    assert n_gap_approximant(make_fourier({1: 0.3, -1: 0.3, 2: 0.1, -2: 0.1}), 8).is_real
+    for seed in range(6):
+        assert n_gap_approximant(make_random(polynomial(3), seed, K=3), 8).is_real, seed
 
 
 def test_truncate_respects_threshold():

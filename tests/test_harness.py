@@ -369,14 +369,19 @@ def test_echo_keeps_its_values_and_key_order(kind):
 _TABLE = {"kind": "table", "values": [[0, 1.0], [1, 3.0]]}
 
 
-def _cli_process(route, cfg):
-    # the CLI as a process of its own, so an uncaught error shows as a
-    # traceback and exit 1
+def _python(*args):
+    # a fresh interpreter with this checkout's hillgap on its path
     src = str(Path(hillgap.__file__).resolve().parents[1])
     path = [src, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    return subprocess.run([sys.executable, "-m", "hillgap.cli", *route, "-c", cfg],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+def _cli_process(route, cfg):
+    # the CLI as a process of its own, so an uncaught error shows as a
+    # traceback and exit 1
+    return _python("-m", "hillgap.cli", *route, "-c", cfg)
 
 
 class _Run(NamedTuple):
@@ -619,3 +624,54 @@ def test_unread_config_attributes_hold_none():
     assert theorem5.a == KINDS["theorem5"].optional["a"] and theorem5.c is None
     dense = parse_config(_KIND_CONFIGS["dense"])
     assert dense.span == 1 and dense.n_range is None and dense.a is None
+
+
+# which of the heavy layers a CLI run leaves in sys.modules, in a process of its own
+_LOADED = ("import json, sys\n"
+           "from hillgap import cli\n"
+           "code = cli.main(sys.argv[1:])\n"
+           "print(json.dumps([code, [m for m in ('hillgap.floquet', 'mpmath') if m in sys.modules]]))")
+_ADAPTED_WIDE = str(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "adapted_wide.json")
+_ORACLE_MATHIEU = {"potential": {"type": "mathieu", "mu": 1.0}, "n_range": [1, 2]}
+
+
+@pytest.mark.parametrize("route, raw, loaded", [
+    (["gaps"], None, []),
+    (["verify", "weights"], {"weights": [{"kind": "gevrey", "a": 1.0, "sigma": 0.5}], "N": 20}, []),
+    (["oracle"], _ORACLE_MATHIEU, ["hillgap.floquet", "mpmath"]),
+], ids=["adapted_wide", "weights", "oracle"])
+def test_each_route_loads_only_the_layers_it_reaches(route, raw, loaded, tmp_path):
+    # the block reduction and the weights never load the Floquet oracle, nor
+    # the mpmath it imports; an oracle solve loads both
+    cfg = _ADAPTED_WIDE if raw is None else _write(tmp_path / "c.json", raw)
+    proc = _python("-c", _LOADED, *route, "-c", cfg, "--out", str(tmp_path / "out"))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, loaded]
+
+
+def test_every_public_name_resolves_and_is_listed():
+    # the floquet names resolve on first access; each is the oracle's own
+    names = dir(hillgap)
+    assert "floquet" in names and hillgap.floquet is sys.modules["hillgap.floquet"]
+    for name in ("DeltaFit", "GapRecord", "MonodromyMatrix", "RootSearchError",
+                 "delta_linear_model", "discriminant", "gap_record", "monodromy",
+                 "periodic_eigs", "periodic_eigs_info", "sturm_liouville_eig"):
+        assert name in names and getattr(hillgap, name) is getattr(hillgap.floquet, name)
+    for name in names:
+        getattr(hillgap, name)
+    with pytest.raises(AttributeError):
+        hillgap.no_such_name
+
+
+def test_failures_catch_a_root_search_error_and_the_default_method_is_valid():
+    # harness.FAILURES lists blockdecomp's three types and still catches the
+    # oracle's; the config reader checks only a method a config names
+    from hillgap import floquet
+
+    with pytest.raises(harness.FAILURES):
+        raise floquet.RootSearchError("stalled")
+    assert issubclass(floquet.RootSearchError, blockdecomp.IterationError)
+    floquet._path(KINDS["gaps"].optional["oracle"]["method"], None)
+    with pytest.raises(ConfigError, match="unknown oracle method"):
+        parse_config({"potential": MATHIEU_HALF, "n_range": [1, 2], "oracle": {"method": "rk5"}},
+                     "gaps")
