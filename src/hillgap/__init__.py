@@ -58,7 +58,6 @@ from .blockdecomp import (
     c_series_terms,
     coeff_an_cn,
     gap_block,
-    gap_roots,
     invert_adapted_map,
     n_gap_approximant,
     resolve_hat_Tn,

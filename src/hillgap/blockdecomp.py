@@ -16,11 +16,11 @@ entries c_{+-n}(lam).
 The Neumann series is summed on a mode window that grows with the iterate:
 each application of V moves a mode by at most 2K (K the bandwidth of q), so
 after nu rounds the iterate lives on the support of the right-hand side
-widened by 2K nu, and the rounds convolve only that.  mode_cutoff bounds
-this window and is never allocated; once the window reaches it, the mass
-pushed past the edge is tallied as ``lost``.  Each index n builds its columns
-V e_{+-n} once, and each lam one table of denominators lam - m^2 pi^2, which
-the solves of both columns share.
+widened by 2K nu, and the rounds convolve only that.  Every product is
+exact, so no mode is ever dropped, and NU_CAP is the only bound: the window
+never exceeds the support of the right-hand side widened by 2K (NU_CAP + 1).
+Each index n builds its columns V e_{+-n} once, and each lam one table of
+denominators lam - m^2 pi^2, which the solves of both columns share.
 
 Everything downstream lives at the point alpha_n where the diagonal vanishes:
 the adapted coefficients p_{+-n} = c_{-+n}(alpha_n), the gap roots xi_-+, and
@@ -59,7 +59,7 @@ from .seqspace import (
 
 PI2 = math.pi ** 2
 STRIP_HALF_WIDTH = 12.0   # |Re lam - n^2 pi^2| <= 12 n admits lam
-NU_CAP = 128              # Neumann iteration cap; also sizes the window cap
+NU_CAP = 128              # Neumann round cap; also bounds the window (+2K a round)
 COLLAPSE_PRODUCT = 1e-24  # |c_+ c_-| below this counts as a collapsed gap
 _SINGULAR_TOL = 1e-12
 _INVERSE_ROUNDS = 48      # invert_adapted_map gives up after this many rounds
@@ -80,18 +80,16 @@ class IterationError(RuntimeError):
 @dataclass(frozen=True)
 class SolveInfo:
     """Diagnostics of one resolvent solve: iterations, final residual, last
-    observed contraction ratio, accumulated window-truncation loss."""
+    observed contraction ratio."""
 
     iters: int
     resid: float
     rate: float
-    lost: float
 
     def __add__(self, other: SolveInfo) -> SolveInfo:
-        """Tallies of both solves: iterations and loss summed, residual and
-        ratio maxed."""
+        """Tallies of both solves: iterations summed, residual and ratio maxed."""
         return SolveInfo(self.iters + other.iters, max(self.resid, other.resid),
-                         max(self.rate, other.rate), self.lost + other.lost)
+                         max(self.rate, other.rate))
 
 
 @dataclass(frozen=True)
@@ -106,13 +104,12 @@ class BlockDiagnostics:
     """Tallies of one gap block: resolvent rounds over every solve, the
     iterations of the two root loops (``newton_iters``; the loops are
     fixed-point iterations, the name is kept for existing readers), the
-    SolveInfo maxima and loss, and whether the roots collapsed onto alpha_n."""
+    SolveInfo maxima, and whether the roots collapsed onto alpha_n."""
 
     solver_iters: int
     newton_iters: int
     resid: float
     rate: float
-    lost: float
     collapsed: bool
 
 
@@ -146,17 +143,6 @@ class MapResult:
     rate: float
 
 
-def mode_cutoff(q: FourierPotential, n: int) -> int:
-    """Window cap for the resolvent iteration at index n.
-
-    Each application of T_n widens the support by 2K, so NU_CAP rounds need
-    this much room before truncation loss can appear.  It is a bound, never
-    an array: the iterate and its denominators live on the iterate's support
-    widened by 2K, which reaches the cap only after about NU_CAP rounds.
-    """
-    return 2 * q.K * NU_CAP + n + 8
-
-
 def _require_admissible(q: FourierPotential, n: int, lam: complex,
                         parity: int) -> None:
     """Domain of T_n: zero-mean q, n >= 1, lam in the strip, parity n mod 2."""
@@ -173,17 +159,18 @@ def _require_admissible(q: FourierPotential, n: int, lam: complex,
 
 class _Denominators:
     """lam - m^2 pi^2 on the modes of n's parity at one lam, shared by every
-    solve there.  The table doubles when a window outgrows it, never past the
-    cap; the resonant pair +-n holds 1 and quotient() zeroes its entries."""
+    solve there.  The table doubles when a window outgrows it, so it stays
+    within twice the widest window asked for; the resonant pair +-n holds 1
+    and quotient() zeroes its entries."""
 
-    def __init__(self, n: int, lam: complex, cap: int):
-        self.n, self.lam, self.cap = n, lam, cap - (cap - n) % 2
+    def __init__(self, n: int, lam: complex):
+        self.n, self.lam = n, lam
         self.mcut, self.table = -1, None
 
     def quotient(self, f: ParityVector) -> np.ndarray:
         """Q_n A_lam^{-1} f on f's window: f_m / (lam - m^2 pi^2), 0 at +-n."""
         if f.mcut > self.mcut:
-            self.mcut = min(self.cap, 2 * f.mcut - f.parity)
+            self.mcut = 2 * f.mcut - f.parity
             m = np.arange(-self.mcut, self.mcut + 1, 2)
             self.table = self.lam - PI2 * m.astype(np.float64) ** 2
             resonant = np.abs(m) == self.n
@@ -207,8 +194,8 @@ def apply_Tn(q: FourierPotential, n: int, lam: complex,
     Requires mean(q) = 0, lam in the admissible strip, and parity(f) = n mod 2.
     """
     _require_admissible(q, n, lam, f.parity)
-    g = _Denominators(n, lam, f.mcut).quotient(f)
-    return multiply_by_potential(q, ParityVector(f.parity, f.mcut, g, f.lost))
+    g = _Denominators(n, lam).quotient(f)
+    return multiply_by_potential(q, ParityVector(f.parity, f.mcut, g))
 
 
 def resolve_hat_Tn(q: FourierPotential, n: int, lam: complex, rhs: ParityVector,
@@ -223,15 +210,12 @@ def resolve_hat_Tn(q: FourierPotential, n: int, lam: complex, rhs: ParityVector,
     not inferred.
 
     The iteration runs on a window that grows with the iterate: it starts at
-    the support of rhs and widens by 2K before each application of T_n, so
-    nothing is dropped until it reaches rhs.mcut, the cap, where edge mass
-    goes into ``lost``.  The cap is only a bound: nothing is allocated past
-    the windows the iterate reaches.  The result comes back on rhs's window.
+    the support of rhs, and each application of T_n widens it by 2K, exactly.
+    The result comes back on the last iterate's window, which holds every
+    mode the solve reached.
     """
     _require_admissible(q, n, lam, rhs.parity)
-    g, info = _neumann(q, n, rhs.resized(_support_cut(rhs)),
-                       _Denominators(n, lam, rhs.mcut), tol)
-    return g.resized(rhs.mcut), info
+    return _neumann(q, n, rhs.resized(_support_cut(rhs)), _Denominators(n, lam), tol)
 
 
 def _neumann(q: FourierPotential, n: int, rhs: ParityVector, den: _Denominators,
@@ -243,23 +227,23 @@ def _neumann(q: FourierPotential, n: int, rhs: ParityVector, den: _Denominators,
                                "resolvent series need not converge")
     rhs_norm = rhs.l2()
     if rhs_norm == 0.0:
-        return rhs, SolveInfo(0, 0.0, 0.0, rhs.lost)
+        return rhs, SolveInfo(0, 0.0, 0.0)
     g, d, rate = rhs, math.inf, 2.0 * nq / n
-    # one application of T_n per pass; the pass after the converging round
-    # checks the residual instead of making a new iterate
+    # one application of T_n per pass, whose product is 2K wider than g; the
+    # pass after the converging round checks the residual instead of making
+    # a new iterate
     for it in range(NU_CAP + 1):
-        g = g.resized(min(den.cap, g.mcut + 2 * q.K))
-        tg = multiply_by_potential(
-            q, ParityVector(g.parity, g.mcut, den.quotient(g), g.lost))
-        padded = rhs.resized(g.mcut).data
+        tg = multiply_by_potential(q, ParityVector(g.parity, g.mcut, den.quotient(g)))
+        wide = g.resized(tg.mcut).data
+        padded = rhs.resized(tg.mcut).data
         if d <= tol * rhs_norm:
-            resid = float(np.linalg.norm(g.data - tg.data - padded))
-            return g, SolveInfo(it, resid, rate, g.lost)
+            resid = float(np.linalg.norm(wide - tg.data - padded))
+            return g, SolveInfo(it, resid, rate)
         if it == NU_CAP:
             raise IterationError(f"resolvent at n = {n} not converged after "
                                  f"{NU_CAP} rounds; last ratio {rate:.3g}")
-        new = ParityVector(g.parity, g.mcut, padded + tg.data, tg.lost)
-        d_prev, d = d, float(np.linalg.norm(new.data - g.data))
+        new = ParityVector(g.parity, tg.mcut, padded + tg.data)
+        d_prev, d = d, float(np.linalg.norm(new.data - wide))
         g, rate = new, d / (d_prev if it else rhs_norm)
 
 
@@ -285,18 +269,17 @@ def coeff_an_cn(q: FourierPotential, n: int, lam: complex,
 
 
 def _columns(q: FourierPotential, n: int):
-    """(cap, real, V e_n, V e_{-n}), built once per n and reused at every lam
-    of the alpha_n and root loops.  A real q reads its e_{-n} solve off the
-    e_n one at real lam, so its V e_{-n} is None, built where a complex lam
-    needs it."""
-    cap = mode_cutoff(q, n)
+    """(real, V e_n, V e_{-n}), built once per n and reused at every lam of
+    the alpha_n and root loops.  A real q reads its e_{-n} solve off the e_n
+    one at real lam, so its V e_{-n} is None, built where a complex lam needs
+    it."""
     real = q.is_real
-    return cap, real, _column(q, n, cap), None if real else _column(q, -n, cap)
+    return real, _column(q, n), None if real else _column(q, -n)
 
 
-def _column(q: FourierPotential, m: int, cap: int) -> ParityVector:
+def _column(q: FourierPotential, m: int) -> ParityVector:
     """V e_m on its own support."""
-    col = multiply_by_potential(q, unit_vector(m, min(cap, abs(m) + 2 * q.K)))
+    col = multiply_by_potential(q, unit_vector(m, abs(m)))
     return col.resized(_support_cut(col))
 
 
@@ -309,9 +292,9 @@ def _reduced_entries(q: FourierPotential, n: int, lam: complex, tol: float,
     solve alone gives a real a_n and c_- = conj c_+.  Otherwise ``both``
     False skips the e_{-n} solve and returns None for c_-.
     """
-    cap, real, col_plus, col_minus = cols or _columns(q, n)
+    real, col_plus, col_minus = cols or _columns(q, n)
     _require_admissible(q, n, lam, n % 2)
-    den = _Denominators(n, lam, cap)
+    den = _Denominators(n, lam)
     h, tally = _neumann(q, n, col_plus, den, tol)
     a_n, c_plus = h.coeff(n), h.coeff(-n)
     if real and lam.imag == 0:
@@ -320,7 +303,7 @@ def _reduced_entries(q: FourierPotential, n: int, lam: complex, tol: float,
     if not both:
         return a_n, c_plus, None, tally
     if col_minus is None:
-        col_minus = _column(q, -n, cap)
+        col_minus = _column(q, -n)
     g, info = _neumann(q, n, col_minus, den, tol)
     return a_n, c_plus, g.coeff(n), tally + info
 
@@ -422,17 +405,9 @@ def gap_block(q: FourierPotential, n: int, tol: float = 1e-12) -> BlockData:
         tally = tally + info_a + info_b
     xi_minus, xi_plus = _lex_order(xi_a, xi_b)
     diag = BlockDiagnostics(tally.iters, root_iters, tally.resid,
-                            tally.rate, tally.lost, collapsed)
+                            tally.rate, collapsed)
     return BlockData(n, alpha + mean, a_alpha, p_plus, p_minus,
                      xi_minus + mean, xi_plus + mean, xi_plus - xi_minus, diag)
-
-
-def gap_roots(q: FourierPotential, n: int,
-              tol: float = 1e-12) -> tuple[complex, complex, complex]:
-    """Roots xi_-+ of the reduced determinant near sigma_n, lexicographically
-    ordered, and the gap length gamma_n = xi_+ - xi_-."""
-    block = gap_block(q, n, tol)
-    return block.xi_minus, block.xi_plus, block.gamma_n
 
 
 def adapted_defaults(q: FourierPotential, m: int | None = None,
@@ -487,7 +462,7 @@ def adapted_map(q: FourierPotential, m: int | None = None,
         coeffs[-nn] = c_plus
         if diagnostics is not None:
             diagnostics[nn] = AdaptedInfo(info.iters, info.resid, info.rate,
-                                          info.lost, alpha + complex(q.mean))
+                                          alpha + complex(q.mean))
     return make_fourier(coeffs, mean=q.mean, K=K_out)
 
 
@@ -542,13 +517,12 @@ def c_series_terms(q: FourierPotential, n: int, lam: complex,
     coefficients of T_n^nu V e_n for nu = 0..nu_max.
 
     Partial sums approach the resolvent value c_plus geometrically in the
-    contraction factor.  The window is sized so every term is held exactly.
+    contraction factor.  Every term is exact: each product widens the window.
     """
     _require_admissible(q, n, lam, n % 2)
     if nu_max < 0:
         raise DomainError("nu_max must be >= 0")
-    mcut = n + 2 * q.K * (nu_max + 1) + 8
-    f = multiply_by_potential(q, unit_vector(n, mcut))
+    f = multiply_by_potential(q, unit_vector(n, n))
     terms = [f.coeff(-n)]
     for _ in range(nu_max):
         f = apply_Tn(q, n, lam, f)

@@ -13,8 +13,9 @@ q_{-n} = conj(q_n) bit for bit, and its mean is real.  ``is_real`` reads this
 off the coefficients, so a potential answers alike however it was made; one
 that is symmetric only to rounding is complex.
 
-All values are immutable in use; convolutions account for the l2 mass they
-drop at the window edge instead of truncating silently.
+All values are immutable in use.  Multiplication by a potential is exact: the
+product comes back on the input's window widened by 2K, so nothing is dropped
+at an edge.
 """
 
 from __future__ import annotations
@@ -174,15 +175,12 @@ class ParityVector:
     """Coefficients f_m on e_m = e^{i pi m x} for m of one parity, |m| <= mcut.
 
     ``data[j]`` holds the mode m = -mcut + 2j, so the array has mcut + 1
-    entries; ``mcut`` always matches the parity.  ``lost`` accumulates the l2
-    mass dropped by window truncation in the operations that produced this
-    vector.
+    entries; ``mcut`` always matches the parity.
     """
 
     parity: int
     mcut: int
     data: np.ndarray
-    lost: float = 0.0
 
     def __post_init__(self) -> None:
         if self.parity not in (0, 1):
@@ -214,8 +212,7 @@ class ParityVector:
     def resized(self, mcut: int) -> "ParityVector":
         """The same coefficients on the window of cap mcut (parity-fitted).
 
-        Widening pads zeros at both ends; narrowing drops edge modes and adds
-        their l2 mass to ``lost``, like a convolution at the window edge.
+        Widening pads zeros at both ends; narrowing drops the edge modes.
         """
         mcut = _fit_parity(self.parity, mcut)
         if mcut == self.mcut:
@@ -224,12 +221,9 @@ class ParityVector:
             pad = (mcut - self.mcut) // 2
             data = np.zeros(mcut + 1, dtype=self.data.dtype)
             data[pad:pad + self.mcut + 1] = self.data
-            return ParityVector(self.parity, mcut, data, self.lost)
+            return ParityVector(self.parity, mcut, data)
         cut = (self.mcut - mcut) // 2
-        dropped = float(np.linalg.norm(self.data[:cut]) ** 2
-                        + np.linalg.norm(self.data[cut + mcut + 1:]) ** 2)
-        return ParityVector(self.parity, mcut, self.data[cut:cut + mcut + 1].copy(),
-                            self.lost + math.sqrt(dropped))
+        return ParityVector(self.parity, mcut, self.data[cut:cut + mcut + 1].copy())
 
 
 def zero_vector(parity: int, mcut: int) -> ParityVector:
@@ -267,19 +261,13 @@ def shifted_wnorm(f: ParityVector, w: Weight, i: int) -> float:
 
 
 def multiply_by_potential(q: FourierPotential, f: ParityVector) -> ParityVector:
-    """(V f)_m = sum_k q_k f_{m-2k} (k = 0 contributes mean * f_m).
+    """(V f)_m = sum_k q_k f_{m-2k} (k = 0 contributes mean * f_m), exactly.
 
-    The support widens by 2K and is folded back to the input window; the l2
-    mass of the dropped edge modes is added to ``lost``.
+    The product lives on f's window widened by 2K, one lattice step per k,
+    and comes back whole.
     """
-    kernel = q.data.copy()
-    kernel[q.K] = q.mean
-    # modes of f step by 2; a shift by 2k is one lattice step per k
-    wide = np.convolve(kernel, f.data)
-    # wide[j] is the mode m = -mcut - 2K + 2j
-    drop = q.K
-    kept = wide[drop:drop + f.mcut + 1]
-    dropped = float(np.linalg.norm(wide[:drop]) ** 2
-                    + np.linalg.norm(wide[drop + f.mcut + 1:]) ** 2)
-    return ParityVector(f.parity, f.mcut, np.ascontiguousarray(kept),
-                        f.lost + math.sqrt(dropped))
+    kernel = q.data
+    if q.mean != 0:
+        kernel = kernel.copy()
+        kernel[q.K] = q.mean
+    return ParityVector(f.parity, f.mcut + 2 * q.K, np.convolve(kernel, f.data))

@@ -113,9 +113,9 @@ def test_zero_potential_exactness(verdict):
             lm, lp = floquet.periodic_eigs(FREE, n, method=method)
             worst = max(worst, abs(lm - target) / target,
                         abs(lp - target) / target)
-        xi_minus, xi_plus, _ = blockdecomp.gap_roots(FREE, n)
-        worst = max(worst, abs(xi_minus - target) / target,
-                    abs(xi_plus - target) / target)
+        b = blockdecomp.gap_block(FREE, n)
+        worst = max(worst, abs(b.xi_minus - target) / target,
+                    abs(b.xi_plus - target) / target)
     disc = 0.0
     for k in range(20):
         lam = 0.5 + 7.5 * k

@@ -9,6 +9,7 @@ import pytest
 
 from hillgap import blockdecomp
 from hillgap.blockdecomp import (
+    NU_CAP,
     ContractionError,
     DomainError,
     SolveInfo,
@@ -19,9 +20,7 @@ from hillgap.blockdecomp import (
     c_series_terms,
     coeff_an_cn,
     gap_block,
-    gap_roots,
     invert_adapted_map,
-    mode_cutoff,
     n_gap_approximant,
     resolve_hat_Tn,
     _support_cut,
@@ -88,26 +87,30 @@ def test_operator_norm_envelope():
     n, lam = 5, 25 * PI2 + 0.2
     bound = 2.0 * q.l2() / n
     for mode in (7, 9, -3, -11):
-        f = unit_vector(mode, mode_cutoff(q, n))
+        f = unit_vector(mode, abs(mode))
         assert apply_Tn(q, n, lam, f).l2() <= bound * f.l2()
 
 
 def test_resolve_contract():
     q = make_mathieu(1.0)
     n, lam = 4, 16 * PI2 + 0.1
-    rhs = multiply_by_potential(q, unit_vector(4, mode_cutoff(q, n)))
+    rhs = multiply_by_potential(q, unit_vector(4, 4))
     g, info = resolve_hat_Tn(q, n, lam, rhs)
-    residual = np.linalg.norm(g.data - apply_Tn(q, n, lam, g).data - rhs.data)
+    # T_n g is 2K wider than g: the residual is taken on its window
+    tg = apply_Tn(q, n, lam, g)
+    residual = np.linalg.norm(
+        g.resized(tg.mcut).data - tg.data - rhs.resized(tg.mcut).data)
     assert residual <= 1e-12 * rhs.l2()
     assert info.resid == pytest.approx(residual, rel=1e-6)
     assert info.rate <= 2.0 * q.l2() / n
     assert info.iters >= 2
-    assert info.lost == 0.0
+    # one 2K widening per round, from the support of rhs
+    assert g.mcut == _support_cut(rhs) + 2 * q.K * info.iters
 
 
 def test_resolve_refuses_without_margin():
     q = make_mathieu(4.0)  # ||q|| = 2 sqrt(2)
-    rhs = multiply_by_potential(q, unit_vector(5, mode_cutoff(q, 5)))
+    rhs = multiply_by_potential(q, unit_vector(5, 5))
     with pytest.raises(ContractionError):
         resolve_hat_Tn(q, 5, 25 * PI2, rhs)
 
@@ -124,8 +127,8 @@ def test_resolve_guards_precede_the_zero_shortcut():
         with pytest.raises(DomainError):
             resolve_hat_Tn(q, 4, 16 * PI2, rhs)
     g, info = resolve_hat_Tn(q, 4, 16 * PI2 + 0.1, zero_vector(0, 40))
-    assert info == SolveInfo(0, 0.0, 0.0, 0.0)
-    assert g.mcut == 40 and not g.data.any()
+    assert info == SolveInfo(0, 0.0, 0.0)
+    assert g.parity == 0 and not g.data.any()
 
 
 def test_c_series_terms_mathieu():
@@ -184,8 +187,6 @@ def test_gap_block_matches_oracle():
     assert abs(b.xi_minus - lm) < 1e-9
     assert abs(b.xi_plus - lp) < 1e-9
     assert b.gamma_n == pytest.approx(lp - lm, rel=1e-6)
-    xi_m, xi_p, gamma = gap_roots(q, 2)
-    assert (xi_m, xi_p, gamma) == (b.xi_minus, b.xi_plus, b.gamma_n)
 
 
 def test_real_potential_symmetry():
@@ -212,7 +213,7 @@ def test_real_potential_reads_the_reduced_matrix_off_one_solve(q):
     a_n, c_plus, c_minus = coeff_an_cn(q, n, lam)
     assert a_n.imag == 0 and c_minus == c_plus.conjugate()
     assert not (c_minus.imag == 0 and math.copysign(1.0, c_minus.imag) < 0)
-    rhs = multiply_by_potential(q, unit_vector(-n, mode_cutoff(q, n)))
+    rhs = multiply_by_potential(q, unit_vector(-n, n))
     g, _ = resolve_hat_Tn(q, n, lam, rhs)
     assert abs(g.coeff(n) - c_minus) <= 1e-11 * rhs.l2()
     assert abs(g.coeff(-n) - a_n) <= 1e-11 * rhs.l2()
@@ -371,19 +372,33 @@ def test_truncate_respects_threshold():
 
 
 # The Neumann loop as it ran before the window grew with the iterate: every
-# round on the full window of rhs.  Reference for the growing-window solver.
+# round on the full window of rhs.  Reference for the growing-window solver;
+# rhs must come padded to a window no round outgrows, so that cropping each
+# product back to it drops only zeros.
 def _full_window_resolve(q, n, lam, rhs, tol=1e-12):
     rhs_norm = rhs.l2()
     g = rhs
     for it in range(1, 129):
-        tg = apply_Tn(q, n, lam, g)
-        g_new = ParityVector(g.parity, g.mcut, rhs.data + tg.data, tg.lost)
+        tg = _cropped(apply_Tn(q, n, lam, g), rhs.mcut)
+        g_new = ParityVector(g.parity, g.mcut, rhs.data + tg.data)
         d = float(np.linalg.norm(g_new.data - g.data))
         g = g_new
         if d <= tol * rhs_norm:
             break
-    resid = float(np.linalg.norm(g.data - apply_Tn(q, n, lam, g).data - rhs.data))
+    tg = _cropped(apply_Tn(q, n, lam, g), rhs.mcut)
+    resid = float(np.linalg.norm(g.data - tg.data - rhs.data))
     return g, it, resid
+
+
+def _cropped(f, mcut):
+    """f on the window mcut, which must hold every nonzero entry of f."""
+    assert _support_cut(f) <= mcut
+    return f.resized(mcut)
+
+
+def _padded(q, rhs):
+    """rhs on the widest window NU_CAP rounds can reach from it."""
+    return rhs.resized(rhs.mcut + 2 * q.K * (NU_CAP + 1))
 
 
 WIDE = make_random(gevrey(0, 1, 0.5), seed=5, K=64, real=False)
@@ -394,54 +409,30 @@ WIDE = make_random(gevrey(0, 1, 0.5), seed=5, K=64, real=False)
 def test_growing_window_matches_full_window(q, n):
     lam = n * n * PI2 + 0.3 + 0.1j
     for s in (n, -n):
-        rhs = multiply_by_potential(q, unit_vector(s, mode_cutoff(q, n)))
+        rhs = _padded(q, multiply_by_potential(q, unit_vector(s, n)))
         ref, ref_iters, ref_resid = _full_window_resolve(q, n, lam, rhs)
         g, info = resolve_hat_Tn(q, n, lam, rhs)
-        assert g.mcut == rhs.mcut
+        assert g.mcut < rhs.mcut
         # the far edge of the iterate is summed in another order by the
         # shorter convolutions; the resonant entries are interior and exact
-        assert np.max(np.abs(g.data - ref.data)) <= 1e-15 * ref.l2()
+        assert np.max(np.abs(g.resized(ref.mcut).data - ref.data)) <= 1e-15 * ref.l2()
         assert (g.coeff(n), g.coeff(-n)) == (ref.coeff(n), ref.coeff(-n))
         assert info.iters == ref_iters
-        assert info.lost == 0.0
         assert info.resid == pytest.approx(ref_resid, rel=1e-6, abs=1e-15 * ref.l2())
     # the reduced entries, built from columns convolved on their support only
-    mcut = mode_cutoff(q, n)
     h, _, _ = _full_window_resolve(
-        q, n, lam, multiply_by_potential(q, unit_vector(n, mcut)))
+        q, n, lam, _padded(q, multiply_by_potential(q, unit_vector(n, n))))
     g, _, _ = _full_window_resolve(
-        q, n, lam, multiply_by_potential(q, unit_vector(-n, mcut)))
+        q, n, lam, _padded(q, multiply_by_potential(q, unit_vector(-n, n))))
     assert coeff_an_cn(q, n, lam) == (h.coeff(n), h.coeff(-n), g.coeff(n))
 
 
-def test_growing_window_at_the_cap():
-    # a window three rounds wide for a solve that needs more: the growing
-    # window reaches the cap and from there drops edge mass like the full one
-    q = make_mathieu(2.5)
-    n, lam = 4, 16 * PI2 + 0.5
-    rhs = multiply_by_potential(q, unit_vector(n, n + 2 * q.K * 3))
-    ref, ref_iters, _ = _full_window_resolve(q, n, lam, rhs)
-    g, info = resolve_hat_Tn(q, n, lam, rhs)
-    assert info.iters == ref_iters > 3
-    assert info.lost > 0.0
-    assert info.lost == ref.lost
-    assert np.array_equal(g.data, ref.data)
-    strong = FourierPotential(WIDE.K, 5.0 * WIDE.data)   # 2 ||q|| / n = 0.68
-    n, lam = 8, 64 * PI2 + 0.3
-    rhs = multiply_by_potential(strong, unit_vector(n, n + 2 * strong.K * 3))
-    ref, ref_iters, _ = _full_window_resolve(strong, n, lam, rhs)
-    g, info = resolve_hat_Tn(strong, n, lam, rhs)
-    assert info.iters == ref_iters > 3
-    assert info.lost > 0.0
-    assert info.lost == pytest.approx(ref.lost, rel=1e-12)
-    assert np.max(np.abs(g.data - ref.data)) <= 1e-15 * ref.l2()
-
-
 def test_growing_window_work(monkeypatch):
-    # every convolution runs on its input's support widened by 2K, and the
-    # whole reduced-entry solve costs a small part of cap-sized rounds
+    # every convolution runs on its input's support, with no padding, and
+    # the whole reduced-entry solve costs a small part of rounds on the
+    # widest window NU_CAP allows
     q, n = WIDE, 8
-    cap = mode_cutoff(q, n)
+    widest = _support_cut(blockdecomp._column(q, n)) + 2 * q.K * (NU_CAP + 1)
     calls = []
     spied = blockdecomp.multiply_by_potential
 
@@ -453,41 +444,18 @@ def test_growing_window_work(monkeypatch):
     blockdecomp._reduced_entries(q, n, n * n * PI2 + 0.3, 1e-12)
     assert len(calls) >= 6
     for mcut, support, _ in calls:
-        assert mcut <= min(cap, support + 2 * q.K)
-    full = len(calls) * len(q.data) * (cap + 1)
+        assert mcut == support
+    full = len(calls) * len(q.data) * (widest + 1)
     assert sum(madds for _, _, madds in calls) <= full / 4
 
 
-def test_the_cap_is_a_bound_not_work(monkeypatch):
-    # a cap of ten million modes changes nothing but the bound: the same
-    # entries bit for bit, the same tallies and convolutions, and no array
-    # anywhere near the cap's size (one cap-sized vector would take 80 MB)
-    q, n, lam = WIDE, 8, 64 * PI2 + 0.3
-    spied = blockdecomp.multiply_by_potential
-
-    def run():
-        madds = []
-
-        def spy(q_, f):
-            madds.append(len(q_.data) * len(f.data))
-            return spied(q_, f)
-
-        monkeypatch.setattr(blockdecomp, "multiply_by_potential", spy)
-        tracemalloc.start()
-        try:
-            entries = coeff_an_cn(q, n, lam)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        calls = list(madds)
-        info = blockdecomp._reduced_entries(q, n, lam, 1e-12)[3]
-        return np.array(entries).tobytes(), info, calls, peak
-
-    entries, info, madds, _ = run()
-    monkeypatch.setattr(blockdecomp, "mode_cutoff",
-                        lambda q, n: 10 ** 7 + n)
-    wide_entries, wide_info, wide_madds, peak = run()
-    assert wide_entries == entries
-    assert wide_info == info and info.lost == 0.0
-    assert wide_madds == madds
+def test_reduced_entries_allocate_under_a_megabyte():
+    # nothing is allocated ahead of the iterate: the entries of WIDE at
+    # n = 8 peak under 1 MB of traced heap
+    tracemalloc.start()
+    try:
+        coeff_an_cn(WIDE, 8, 64 * PI2 + 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak < 1 << 20

@@ -133,18 +133,17 @@ def test_parity_vector_layout():
 
 
 def test_resized_pads_and_crops():
-    f = ParityVector(1, 3, np.array([1.0, 2.0, 3.0, 4.0], dtype=complex), lost=0.5)
+    f = ParityVector(1, 3, np.array([1.0, 2.0, 3.0, 4.0], dtype=complex))
     wide = f.resized(8)              # fitted to the odd cap 7
     assert wide.mcut == 7
     assert [wide.coeff(m) for m in (-7, -5, -3, -1, 1, 3, 5, 7)] == [0, 0, 1, 2, 3, 4, 0, 0]
-    assert wide.lost == 0.5
     assert f.resized(3) is f
     back = wide.resized(3)
-    assert np.array_equal(back.data, f.data) and back.lost == 0.5
-    # cropping real entries tallies their l2 mass, like a convolution edge
+    assert np.array_equal(back.data, f.data)
+    # narrowing drops the edge modes, whatever they hold
     narrow = f.resized(1)
+    assert narrow.mcut == 1
     assert [narrow.coeff(m) for m in (-1, 1)] == [2, 3]
-    assert narrow.lost == pytest.approx(0.5 + math.sqrt(1 + 16), rel=1e-15)
 
 
 def test_shifted_wnorm_examples():
@@ -195,6 +194,9 @@ def test_multiply_matches_brute_force():
     f = ParityVector(0, 12, data)
     g = multiply_by_potential(q, f)
     brute = _brute_convolution(q, f)
+    # the whole product, edge modes included, on the window widened by 2K
+    assert g.mcut == f.mcut + 2 * q.K
+    assert set(brute) <= set(g.modes())
     for m in g.modes():
         assert g.coeff(m) == pytest.approx(brute.get(m, 0j), abs=1e-13)
 
@@ -207,13 +209,15 @@ def test_multiply_with_mean_term():
     assert g.coeff(1) == pytest.approx(0.5)
 
 
-def test_truncation_loss_accounting():
+def test_multiply_keeps_the_edge_image():
     q = make_mathieu(2.0)
     f = unit_vector(9, 9)
-    # the m = 11 image falls off the window; its mass shows up in lost
+    # the m = 11 image lies past f's window and is kept there
     g = multiply_by_potential(q, f)
+    assert g.mcut == 11
     assert g.coeff(7) == pytest.approx(1.0)
-    assert g.lost == pytest.approx(1.0, rel=1e-14)
+    assert g.coeff(11) == pytest.approx(1.0)
+    assert g.l2() == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
 def _shift(f, i):
@@ -226,7 +230,7 @@ def _shift(f, i):
 
 
 def test_multiplication_commutes_with_shift():
-    # (Vf) e_i = V(f e_i), coefficient-wise away from the window edge
+    # (Vf) e_i = V(f e_i), coefficient-wise on every mode of the product
     q = make_random(polynomial(2), 17, 3, real=False)
     rng = np.random.default_rng(8)
     data = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -234,8 +238,9 @@ def test_multiplication_commutes_with_shift():
     for i in (1, 2, -3):
         lhs = multiply_by_potential(q, _shift(f, i))
         rhs = _shift(multiply_by_potential(q, f), i)
-        for m in range(-f.mcut + 2 * q.K, f.mcut - 2 * q.K + 1, 2):
-            assert lhs.coeff(m + i) == pytest.approx(rhs.coeff(m + i), abs=1e-13)
+        assert lhs.mcut == rhs.mcut == f.mcut + abs(i) + 2 * q.K
+        for m in lhs.modes():
+            assert lhs.coeff(m) == pytest.approx(rhs.coeff(m), abs=1e-13)
 
 
 def test_real_potential_preserves_conjugate_symmetry():
