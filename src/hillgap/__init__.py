@@ -1,6 +1,6 @@
 """Spectral gaps of Hill's operator -y'' + q y on the unit circle.
 
-Four layers, importable separately or through this namespace:
+Five layers, importable separately or through this namespace:
 
   * weights: submultiplicative weight families and their growth calculus;
   * seqspace: Fourier-side potentials and half-integer coefficient vectors;

@@ -19,8 +19,8 @@ after nu rounds the iterate lives on the support of the right-hand side
 widened by 2K nu, and the rounds convolve only that.  Every product is
 exact, so no mode is ever dropped, and NU_CAP is the only bound: the window
 never exceeds the support of the right-hand side widened by 2K (NU_CAP + 1).
-Each index n builds its columns V e_{+-n} once, and each lam one table of
-denominators lam - m^2 pi^2, which the solves of both columns share.
+Nothing is kept between solves: each round divides by lam - m^2 pi^2 on its
+own window, and each lam builds the columns V e_{+-n} that it solves.
 
 Everything downstream lives at the point alpha_n where the diagonal vanishes:
 the adapted coefficients p_{+-n} = c_{-+n}(alpha_n), the gap roots xi_-+, and
@@ -145,7 +145,8 @@ class MapResult:
 
 def _require_admissible(q: FourierPotential, n: int, lam: complex,
                         parity: int) -> None:
-    """Domain of T_n: zero-mean q, n >= 1, lam in the strip, parity n mod 2."""
+    """Domain of T_n: zero-mean q, n >= 1, lam in the strip, parity n mod 2,
+    and lam off every denominator lam - m^2 pi^2 but the resonant pair."""
     if q.mean != 0:
         raise DomainError("operator requires a zero-mean potential; "
                           "use q.without_mean() and shift eigenvalues")
@@ -155,35 +156,30 @@ def _require_admissible(q: FourierPotential, n: int, lam: complex,
         raise DomainError(f"lam = {lam} outside the admissible strip at n = {n}")
     if parity != n % 2:
         raise DomainError(f"parity {parity} vector at gap index {n}")
+    # cannot trip in the strip, narrower than the gap to the nearest
+    # off-resonant modes |n - 2| and n + 2 (n + 2 alone at n = 1), but guard anyway
+    if any(abs(lam - m * m * PI2) < _SINGULAR_TOL for m in {abs(n - 2), n + 2} - {n}):
+        raise DomainError(f"lam = {lam} is near-singular off +-n")
 
 
-class _Denominators:
-    """lam - m^2 pi^2 on the modes of n's parity at one lam, shared by every
-    solve there.  The table doubles when a window outgrows it, so it stays
-    within twice the widest window asked for; the resonant pair +-n holds 1
-    and quotient() zeroes its entries."""
+def _quotient(n: int, lam: complex, f: np.ndarray) -> np.ndarray:
+    """Q_n A_lam^{-1} f on f's own window: f_m / (lam - m^2 pi^2), 0 at +-n."""
+    mcut = len(f) - 1
+    den = lam - PI2 * np.arange(-mcut, mcut + 1, 2, dtype=np.float64) ** 2
+    if n > mcut:
+        return f / den
+    lo, hi = (mcut - n) // 2, (mcut + n) // 2
+    den[lo] = den[hi] = 1.0
+    g = f / den
+    g[lo] = g[hi] = 0
+    return g
 
-    def __init__(self, n: int, lam: complex):
-        self.n, self.lam = n, lam
-        self.mcut, self.table = -1, None
 
-    def quotient(self, f: ParityVector) -> np.ndarray:
-        """Q_n A_lam^{-1} f on f's window: f_m / (lam - m^2 pi^2), 0 at +-n."""
-        if f.mcut > self.mcut:
-            self.mcut = 2 * f.mcut - f.parity
-            m = np.arange(-self.mcut, self.mcut + 1, 2)
-            self.table = self.lam - PI2 * m.astype(np.float64) ** 2
-            resonant = np.abs(m) == self.n
-            # cannot trip for admissible lam (the gap to the nearest
-            # off-resonant mode exceeds the strip width), but guard anyway
-            if np.any((np.abs(self.table) < _SINGULAR_TOL) & ~resonant):
-                raise DomainError(f"lam = {self.lam} is near-singular off +-n")
-            self.table[resonant] = 1.0
-        cut = (self.mcut - f.mcut) // 2
-        g = f.data / self.table[cut:cut + f.mcut + 1]
-        if self.n <= f.mcut:
-            g[(f.mcut - self.n) // 2] = g[(f.mcut + self.n) // 2] = 0
-        return g
+def _pad(f: np.ndarray, k: int) -> np.ndarray:
+    """f widened by k zeros at each end."""
+    out = np.zeros(len(f) + 2 * k, dtype=f.dtype)
+    out[k:k + len(f)] = f
+    return out
 
 
 def apply_Tn(q: FourierPotential, n: int, lam: complex,
@@ -194,8 +190,7 @@ def apply_Tn(q: FourierPotential, n: int, lam: complex,
     Requires mean(q) = 0, lam in the admissible strip, and parity(f) = n mod 2.
     """
     _require_admissible(q, n, lam, f.parity)
-    g = _Denominators(n, lam).quotient(f)
-    return multiply_by_potential(q, ParityVector(f.parity, f.mcut, g))
+    return multiply_by_potential(q, ParityVector(f.parity, f.mcut, _quotient(n, lam, f.data)))
 
 
 def resolve_hat_Tn(q: FourierPotential, n: int, lam: complex, rhs: ParityVector,
@@ -215,35 +210,30 @@ def resolve_hat_Tn(q: FourierPotential, n: int, lam: complex, rhs: ParityVector,
     mode the solve reached.
     """
     _require_admissible(q, n, lam, rhs.parity)
-    return _neumann(q, n, rhs.resized(_support_cut(rhs)), _Denominators(n, lam), tol)
-
-
-def _neumann(q: FourierPotential, n: int, rhs: ParityVector, den: _Denominators,
-             tol: float) -> tuple[ParityVector, SolveInfo]:
-    """The rounds past the domain guards: rhs on its support, g on its last window."""
     nq = q.l2()
     if 2.0 * nq >= n:
         raise ContractionError(f"2 ||q|| = {2 * nq:.6g} >= n = {n}: "
                                "resolvent series need not converge")
+    rhs = rhs.resized(_support_cut(rhs))
     rhs_norm = rhs.l2()
     if rhs_norm == 0.0:
         return rhs, SolveInfo(0, 0.0, 0.0)
-    g, d, rate = rhs, math.inf, 2.0 * nq / n
-    # one application of T_n per pass, whose product is 2K wider than g; the
-    # pass after the converging round checks the residual instead of making
-    # a new iterate
+    g = padded = rhs.data
+    d, rate = math.inf, 2.0 * nq / n
+    # one application of T_n per pass; the pass after the converging round
+    # checks the residual instead of making a new iterate
     for it in range(NU_CAP + 1):
-        tg = multiply_by_potential(q, ParityVector(g.parity, g.mcut, den.quotient(g)))
-        wide = g.resized(tg.mcut).data
-        padded = rhs.resized(tg.mcut).data
+        f = ParityVector(rhs.parity, len(g) - 1, _quotient(n, lam, g))
+        tg = multiply_by_potential(q, f).data
+        wide, padded = _pad(g, q.K), _pad(padded, q.K)
         if d <= tol * rhs_norm:
-            resid = float(np.linalg.norm(wide - tg.data - padded))
-            return g, SolveInfo(it, resid, rate)
+            resid = float(np.linalg.norm(wide - tg - padded))
+            return ParityVector(rhs.parity, len(g) - 1, g), SolveInfo(it, resid, rate)
         if it == NU_CAP:
             raise IterationError(f"resolvent at n = {n} not converged after "
                                  f"{NU_CAP} rounds; last ratio {rate:.3g}")
-        new = ParityVector(g.parity, tg.mcut, padded + tg.data)
-        d_prev, d = d, float(np.linalg.norm(new.data - wide))
+        new = padded + tg
+        d_prev, d = d, float(np.linalg.norm(new - wide))
         g, rate = new, d / (d_prev if it else rhs_norm)
 
 
@@ -268,43 +258,29 @@ def coeff_an_cn(q: FourierPotential, n: int, lam: complex,
     return a_n, c_plus, c_minus
 
 
-def _columns(q: FourierPotential, n: int):
-    """(real, V e_n, V e_{-n}), built once per n and reused at every lam of
-    the alpha_n and root loops.  A real q reads its e_{-n} solve off the e_n
-    one at real lam, so its V e_{-n} is None, built where a complex lam needs
-    it."""
-    real = q.is_real
-    return real, _column(q, n), None if real else _column(q, -n)
-
-
 def _column(q: FourierPotential, m: int) -> ParityVector:
-    """V e_m on its own support."""
-    col = multiply_by_potential(q, unit_vector(m, abs(m)))
-    return col.resized(_support_cut(col))
+    """V e_m, the data of one solve."""
+    return multiply_by_potential(q, unit_vector(m, abs(m)))
 
 
 def _reduced_entries(q: FourierPotential, n: int, lam: complex, tol: float,
-                     cols=None, both: bool = True):
-    """(a_n, c_+, c_-, tally) at lam; both solves share one denominator table.
+                     both: bool = True):
+    """(a_n, c_+, c_-, tally) at lam, each solve from a column built here.
 
     For a real q at real lam, T_n commutes with f_m -> conj f_{-m}, which
     maps V e_n to V e_{-n}, and the reduced matrix is Hermitian: the e_n
-    solve alone gives a real a_n and c_- = conj c_+.  Otherwise ``both``
-    False skips the e_{-n} solve and returns None for c_-.
+    solve alone gives a real a_n and c_- = conj c_+, and V e_{-n} is never
+    built.  Otherwise ``both`` False skips the e_{-n} solve and returns None
+    for c_-.
     """
-    real, col_plus, col_minus = cols or _columns(q, n)
-    _require_admissible(q, n, lam, n % 2)
-    den = _Denominators(n, lam)
-    h, tally = _neumann(q, n, col_plus, den, tol)
+    h, tally = resolve_hat_Tn(q, n, lam, _column(q, n), tol)
     a_n, c_plus = h.coeff(n), h.coeff(-n)
-    if real and lam.imag == 0:
+    if q.is_real and lam.imag == 0:
         # 0.0 - imag keeps a zero imaginary part at +0
         return complex(a_n.real), c_plus, complex(c_plus.real, 0.0 - c_plus.imag), tally
     if not both:
         return a_n, c_plus, None, tally
-    if col_minus is None:
-        col_minus = _column(q, -n)
-    g, info = _neumann(q, n, col_minus, den, tol)
+    g, info = resolve_hat_Tn(q, n, lam, _column(q, -n), tol)
     return a_n, c_plus, g.coeff(n), tally + info
 
 
@@ -317,15 +293,14 @@ def alpha_fixed_point(q: FourierPotential, n: int, tol: float = 1e-12) -> comple
     checked after convergence.  The mean of q shifts the returned value.
     """
     q0 = q.without_mean()
-    alpha, _, _ = _fixed_point(q0, n, tol, _columns(q0, n))
+    alpha, _, _ = _fixed_point(q0, n, tol)
     return alpha + complex(q.mean)
 
 
-def _fixed_point(q0: FourierPotential, n: int, tol: float, cols, sign: int = 0,
+def _fixed_point(q0: FourierPotential, n: int, tol: float, sign: int = 0,
                  seed: complex | None = None, phi: complex = 0j):
     """Fixed point of lam <- sigma_n + a_n(lam) + sign phi_n(lam) in the
-    zero-mean frame, from the columns ``cols`` of _columns; returns
-    (lam, iterations, tally).
+    zero-mean frame; returns (lam, iterations, tally).
 
     sign = 0 gives alpha_n from sigma_n, solving only the e_n column, and
     checks the certified radius; sign = +-1 gives a gap root from ``seed``,
@@ -338,7 +313,7 @@ def _fixed_point(q0: FourierPotential, n: int, tol: float, cols, sign: int = 0,
     lam = complex(sigma) if seed is None else seed
     tally = None
     for it in range(1, 49):
-        a_n, c_plus, c_minus, info = _reduced_entries(q0, n, lam, tol, cols, both=bool(sign))
+        a_n, c_plus, c_minus, info = _reduced_entries(q0, n, lam, tol, both=bool(sign))
         new = sigma + a_n
         if sign:
             root = cmath.sqrt(c_plus * c_minus)
@@ -360,17 +335,18 @@ def _fixed_point(q0: FourierPotential, n: int, tol: float, cols, sign: int = 0,
     return lam, it, tally
 
 
-def _at_alpha(q0: FourierPotential, n: int, tol: float, cols):
+def _at_alpha(q0: FourierPotential, n: int, tol: float):
     """alpha_n and the reduced entries there: (alpha, a_n, c_+, c_-, tally)."""
-    alpha, _, tally = _fixed_point(q0, n, tol, cols)
-    a_n, c_plus, c_minus, info = _reduced_entries(q0, n, alpha, tol, cols)
+    alpha, _, tally = _fixed_point(q0, n, tol)
+    a_n, c_plus, c_minus, info = _reduced_entries(q0, n, alpha, tol)
     return alpha, a_n, c_plus, c_minus, tally + info
 
 
-def _lex_order(a: complex, b: complex) -> tuple[complex, complex]:
-    if (a.real, a.imag) <= (b.real, b.imag):
-        return a, b
-    return b, a
+def _lex_order(a, b):
+    """(a, b) by (re, im) rounded to complex, ties broken at working precision."""
+    def key(z):
+        return complex(z).real, complex(z).imag, z.real, z.imag
+    return (a, b) if key(a) <= key(b) else (b, a)
 
 
 def gap_block(q: FourierPotential, n: int, tol: float = 1e-12) -> BlockData:
@@ -385,8 +361,7 @@ def gap_block(q: FourierPotential, n: int, tol: float = 1e-12) -> BlockData:
     """
     q0 = q.without_mean()
     mean = complex(q.mean)
-    cols = _columns(q0, n)
-    alpha, a_alpha, c_plus, c_minus, tally = _at_alpha(q0, n, tol, cols)
+    alpha, a_alpha, c_plus, c_minus, tally = _at_alpha(q0, n, tol)
     # V e_{-n} carries the ascending coefficient ladder, so its solve holds
     # the mode +n entry whose leading term is q_{+n}; the e_n solve leads
     # with q_{-n}.  p_{+-n} must lead with q_{+-n} or the map below would
@@ -399,8 +374,8 @@ def gap_block(q: FourierPotential, n: int, tol: float = 1e-12) -> BlockData:
         xi_a = xi_b = alpha
     else:
         phi0 = cmath.sqrt(prod)
-        xi_a, it_a, info_a = _fixed_point(q0, n, tol, cols, 1, alpha + phi0, phi0)
-        xi_b, it_b, info_b = _fixed_point(q0, n, tol, cols, -1, alpha - phi0, phi0)
+        xi_a, it_a, info_a = _fixed_point(q0, n, tol, 1, alpha + phi0, phi0)
+        xi_b, it_b, info_b = _fixed_point(q0, n, tol, -1, alpha - phi0, phi0)
         root_iters = it_a + it_b
         tally = tally + info_a + info_b
     xi_minus, xi_plus = _lex_order(xi_a, xi_b)
@@ -456,7 +431,7 @@ def adapted_map(q: FourierPotential, m: int | None = None,
             if z != 0:
                 coeffs[s] = z
     for nn in range(M_thresh, K_out + 1):
-        alpha, _, c_plus, c_minus, info = _at_alpha(q0, nn, tol, _columns(q0, nn))
+        alpha, _, c_plus, c_minus, info = _at_alpha(q0, nn, tol)
         # same ladder fact as in gap_block: the e_{-n} solve leads with q_{+n}
         coeffs[nn] = c_minus
         coeffs[-nn] = c_plus

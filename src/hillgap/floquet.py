@@ -845,16 +845,6 @@ def _disc(q: FourierPotential, method: str, dps: int | None, center: complex,
                     1e-9, path, plan, form=form)
 
 
-def _lex_pair(a, b):
-    # lexicographic on the rounded values, ties broken at working precision
-    def order(z):
-        r = complex(z)
-        return r.real, r.imag, z.real, z.imag
-    if order(a) <= order(b):
-        return a, b
-    return b, a
-
-
 def _newton_critical(disc, lam0, span: float, n: int, target: float, tol: float):
     """Newton on Delta' = 0 from lam0, at most 40 steps; returns (lam*,
     Delta(lam*) - target, Delta'', iters).
@@ -981,7 +971,7 @@ def _solve_pair(q: FourierPotential, n: int, tol: float, method: str,
         info["iters"] = its + it1 + it2
         info["resid"] = float(max(res1, res2 * abs(complex(r2) - complex(r1))))
         # order and subtract at the working precision, then round
-        lm, lp = _lex_pair(r1, r2)
+        lm, lp = blockdecomp._lex_order(r1, r2)
         info["gamma"] = complex(lp - lm)
         info["kernels"] = {**kernels, **disc.kernels()}
         return lm, lp, info

@@ -1,11 +1,12 @@
 """Experiment runner: JSON configs in, CSV tables and verification reports out.
 
 A config names one experiment kind.  Each kind is declared once, in KINDS,
-with its runner and its config keys, the optional ones with their defaults;
-each potential type and weight kind likewise.  Table kinds (TABLE_KINDS:
-"gaps", "adapted", "oracle") sweep gap indices and emit one CSV row per index
-per method; the verification kinds evaluate an inequality or asymptotic
-family and return a report dict with per-item margins.
+with its runner and the config keys that runner reads, the optional ones
+with their defaults; each potential type and weight kind likewise.  Table
+kinds (TABLE_KINDS: "gaps", "adapted", "oracle") sweep gap indices and emit
+one CSV row per index per method; the verification kinds evaluate an
+inequality or asymptotic family and return a report dict with per-item
+margins.
 
 Three rules keep runs reproducible and auditable:
 
@@ -264,35 +265,33 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
         return ExperimentConfig(kind, out, echo, weight_specs=fields["weights"],
                                 submult_N=submult_N, eps_list=eps_list)
 
-    if kind == "adapted" and (unread := [k for k in ("oracle", "weight") if k in raw]):
-        # the adapted map reads the potential, tol and its own window only
-        raise ConfigError(f"adapted reads neither oracle nor weight; remove {unread}")
     potential = build_potential(fields["potential"])
     if kind == "mathieu" and fields["potential"]["type"] != "mathieu":
         raise ConfigError("mathieu verification needs a mathieu potential")
-    weight = build_weight(fields["weight"])
+    weight = build_weight(fields["weight"]) if "weight" in fields else None
 
     n_range = None
-    if kind != "dense":  # dense sweeps N_values and ignores n_range
+    if "n_range" in fields:
         lo, hi = _N_RANGE(fields["n_range"], "n_range")
         n_range = (lo, _integer(hi, "n_range.hi", least=lo))
     tol = _number(fields["tol"], "tol", positive=True)
 
-    oracle = _fields(fields["oracle"], "oracle", (), _SPECTRAL["oracle"])
-    method = oracle["method"]
-    if method != _SPECTRAL["oracle"]["method"]:
-        # floquet, the one home of the method list, loads only to check a named one
-        from . import floquet
-        try:
-            floquet._path(method, None)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    dps = None if oracle["dps"] is None else _integer(oracle["dps"], "oracle.dps", least=10)
-    steps = None if oracle["steps"] is None else _integer(oracle["steps"], "oracle.steps", least=1)
-    if kind == "theorem4" and steps is not None:
-        # gap_record chooses its own steps on every path
-        raise ConfigError(f"theorem4 reads oracle.method and oracle.dps only; "
-                          f"oracle.steps must be null, got {steps}")
+    # the oracle object, where declared, holds the keys its kind reads
+    method = dps = steps = oracle = None
+    if "oracle" in fields:
+        given = _fields(fields["oracle"], "oracle", (), KINDS[kind].optional["oracle"])
+        method = given["method"]
+        if method != _ORACLE["method"]:
+            # floquet, the one home of the method list, loads only to check a named one
+            from . import floquet
+            try:
+                floquet._path(method, None)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+        dps = None if given["dps"] is None else _integer(given["dps"], "oracle.dps", least=10)
+        if given.get("steps") is not None:
+            steps = _integer(given["steps"], "oracle.steps", least=1)
+        oracle = {key: {"method": method, "dps": dps, "steps": steps}[key] for key in given}
 
     # kind-specific keys, in fields when declared: each a config field and an echo entry
     extras: dict[str, Any] = {}
@@ -310,11 +309,10 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
     if "a" in fields:
         extras["a"] = _number(fields["a"], "a", positive=True)
 
-    echo = dict(kind=kind, potential=fields["potential"], weight=fields["weight"], tol=tol,
-                out=out, oracle={"method": method, "dps": dps, "steps": steps})
-    if n_range is not None:
-        echo["n_range"] = list(n_range)
-    echo.update(extras)
+    # the echo holds the keys its kind declares, each as read
+    read = dict(potential=fields["potential"], weight=fields.get("weight"), tol=tol, out=out,
+                oracle=oracle, n_range=n_range and list(n_range), **extras)
+    echo = dict(kind=kind, **{key: value for key, value in read.items() if key in fields})
     return ExperimentConfig(kind, out, echo, potential=potential, weight=weight,
                             n_range=n_range, tol=tol, oracle_method=method,
                             oracle_dps=dps, oracle_steps=steps, **extras)
@@ -774,10 +772,12 @@ def run_verify(config: ExperimentConfig) -> dict:
 # experiment kinds
 
 
-# the default of "oracle" declares the fields of that object
-_SPECTRAL = {"out": None, "weight": {"kind": "trivial"}, "tol": 1e-12,
-             "oracle": {"method": "auto", "dps": None, "steps": None}}
-_ADAPTED = {**_SPECTRAL, "m": None, "M_thresh": None, "K_out": None}  # None: adapted_defaults
+# a kind declares only the keys its runner reads, and the default of "oracle"
+# declares the fields of that object
+_ORACLE = {"method": "auto", "dps": None, "steps": None}
+_GAPS = {"out": None, "tol": 1e-12, "oracle": _ORACLE}
+_SPECTRAL = {"out": None, "weight": {"kind": "trivial"}, "tol": 1e-12, "oracle": _ORACLE}
+_WINDOW = {"m": None, "M_thresh": None, "K_out": None}  # None: adapted_defaults
 
 
 class Kind(NamedTuple):
@@ -787,16 +787,18 @@ class Kind(NamedTuple):
 
 
 KINDS = {
-    "gaps": Kind(run_gaps),
-    "adapted": Kind(run_adapted, optional=_ADAPTED),
-    "oracle": Kind(run_gaps),
+    "gaps": Kind(run_gaps, optional=_GAPS),
+    "adapted": Kind(run_adapted, optional={"out": None, "tol": 1e-12, **_WINDOW}),
+    "oracle": Kind(run_gaps, optional=_GAPS),
     "theorem1": Kind(verify_theorem1),
-    "theorem4": Kind(verify_theorem4),
+    # gap_record chooses its own steps on every path
+    "theorem4": Kind(verify_theorem4,
+                     optional={**_SPECTRAL, "oracle": {"method": "auto", "dps": None}}),
     "theorem5": Kind(verify_theorem5, optional={**_SPECTRAL, "a": 1.0}),
     "mathieu": Kind(verify_mathieu, optional={**_SPECTRAL, "c": 0.5}),
     "gasymov": Kind(verify_gasymov),
     "dense": Kind(verify_dense, ("potential",),
-                  {**_ADAPTED, "n_range": None, "N_values": None, "span": 4}),
+                  {**_SPECTRAL, **_WINDOW, "N_values": None, "span": 4}),
     "weights_check": Kind(verify_weights, ("weights",),
                           {"out": None, "N": 200, "eps_list": [0.2, 0.1, 0.05]}),
 }

@@ -70,6 +70,40 @@ def test_apply_Tn_ladder():
     assert np.all(mirrored.data == 0)
 
 
+@pytest.mark.parametrize("mcut", [3, 11], ids=["short_of_n", "reaching_n"])
+def test_apply_Tn_divides_mode_by_mode(mcut):
+    # the quotient formed one mode at a time: f_m / (lam - m^2 pi^2), the
+    # pair +-n zeroed only where the window holds it
+    q = make_random(polynomial(2.0), seed=3, K=3, real=False)
+    n, lam = 5, 25 * PI2 + 0.4 - 0.2j
+    rng = np.random.default_rng(7)
+    f = ParityVector(1, mcut, rng.standard_normal(mcut + 1) + 1j * rng.standard_normal(mcut + 1))
+    quotient = [0j if abs(m) == n else z / (lam - int(m) ** 2 * PI2)
+                for m, z in zip(f.modes(), f.data)]
+    out = apply_Tn(q, n, lam, f)
+    ref = multiply_by_potential(q, ParityVector(1, mcut, np.array(quotient)))
+    assert out.mcut == ref.mcut == mcut + 2 * q.K
+    np.testing.assert_allclose(out.data, ref.data, rtol=1e-14, atol=1e-17)
+    # whatever f holds at +-n leaves no trace
+    g = f.data.copy()
+    if n <= mcut:
+        g[[f.index(n), f.index(-n)]] = 1e6
+    assert np.array_equal(apply_Tn(q, n, lam, ParityVector(1, mcut, g)).data, out.data)
+
+
+def test_apply_Tn_singular_guard(monkeypatch):
+    # the nearest off-resonant modes |n - 2| and n + 2 lie outside the strip,
+    # so the guard only trips once the strip is widened past them; at n = 1
+    # mode |n - 2| = 1 is resonant and exact resonance passes
+    q = make_mathieu(1.0)
+    apply_Tn(q, 1, PI2, unit_vector(1, 5))
+    monkeypatch.setattr(blockdecomp, "STRIP_HALF_WIDTH", 1e3)
+    apply_Tn(q, 1, PI2, unit_vector(1, 5))
+    for n, m in ((1, 3), (2, 0), (2, 4), (5, 3), (5, 7)):
+        with pytest.raises(DomainError, match="near-singular"):
+            apply_Tn(q, n, m * m * PI2, unit_vector(n, n + 4))
+
+
 def test_apply_Tn_guards():
     q = make_mathieu(1.0)
     with pytest.raises(DomainError):

@@ -61,7 +61,7 @@ def test_parse_config_validation():
 def test_parse_config_echo_fills_defaults():
     config = parse_config({"kind": "gaps", "potential": MATHIEU_HALF,
                            "n_range": [1, 3]})
-    assert config.echo["weight"] == {"kind": "trivial"}
+    assert config.echo["oracle"] == {"method": "auto", "dps": None, "steps": None}
     assert config.echo["n_range"] == [1, 3]
     assert config.tol == 1e-12
     assert config.oracle_method == "auto" and config.oracle_dps is None
@@ -340,13 +340,16 @@ _SPECTRAL_ECHO = ('"weight": {"kind": "trivial"}, "tol": 1e-12, "out": null, '
 _HALF = '"potential": {"type": "mathieu", "mu": 0.5}'
 _GOLDEN_ECHO = {
     "gaps": '{"kind": "gaps", "potential": {"type": "mathieu", "mu": 0.0}, '
-            '"weight": {"kind": "trivial"}, "tol": 1e-12, "out": null, '
+            '"tol": 1e-12, "out": null, '
             '"oracle": {"method": "taylor", "dps": null, "steps": null}, "n_range": [1, 1]}',
-    "adapted": '{"kind": "adapted", ' + _HALF + ", " + _SPECTRAL_ECHO
-               + ', "n_range": [1, 10], "m": 2, "M_thresh": 8, "K_out": 15}',
-    "oracle": '{"kind": "oracle", ' + _HALF + ", " + _SPECTRAL_ECHO + ', "n_range": [1, 2]}',
+    "adapted": '{"kind": "adapted", ' + _HALF + ', "tol": 1e-12, "out": null'
+               ', "n_range": [1, 10], "m": 2, "M_thresh": 8, "K_out": 15}',
+    "oracle": '{"kind": "oracle", ' + _HALF + ', "tol": 1e-12, "out": null, '
+              '"oracle": {"method": "auto", "dps": null, "steps": null}, "n_range": [1, 2]}',
     "theorem1": '{"kind": "theorem1", ' + _HALF + ", " + _SPECTRAL_ECHO + ', "n_range": [1, 3]}',
-    "theorem4": '{"kind": "theorem4", ' + _HALF + ", " + _SPECTRAL_ECHO + ', "n_range": [1, 2]}',
+    "theorem4": '{"kind": "theorem4", ' + _HALF + ', "weight": {"kind": "trivial"}, '
+                '"tol": 1e-12, "out": null, "oracle": {"method": "auto", "dps": null}, '
+                '"n_range": [1, 2]}',
     "theorem5": '{"kind": "theorem5", ' + _HALF + ', "weight": {"kind": "superexp", '
                 '"sigma": 2.0}, "tol": 1e-12, "out": null, "oracle": {"method": "auto", '
                 '"dps": null, "steps": null}, "n_range": [4, 4], "a": 1.5}',
@@ -364,6 +367,14 @@ _GOLDEN_ECHO = {
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_echo_keeps_its_values_and_key_order(kind):
     assert json.dumps(parse_config(_KIND_CONFIGS[kind]).echo) == _GOLDEN_ECHO[kind]
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_echo_parses_back_to_itself(kind):
+    # an echo is a config with every default filled in, so it is accepted
+    # as one and comes back unchanged
+    echo = parse_config(_KIND_CONFIGS[kind]).echo
+    assert json.dumps(parse_config(json.loads(json.dumps(echo))).echo) == json.dumps(echo)
 
 
 _TABLE = {"kind": "table", "values": [[0, 1.0], [1, 3.0]]}
@@ -527,16 +538,24 @@ def _refusals():
     table = {"kind": "table", "values": [[0, 1.0], [1, 5.0], [-1, 2.0]]}
     yield "table-repeated", ["gaps"], _with_potential({**_RANDOM, "K": 1, "decay": table}), \
         "potential.decay.values[2] repeats"
-    # gap_record picks its own steps, so theorem4 cannot honour oracle.steps
+    # gap_record picks its own steps, so theorem4 does not declare oracle.steps
     yield "theorem4-steps", ["verify", "theorem4"], {
         "kind": "theorem4", "potential": MATHIEU_HALF, "n_range": [1, 2],
-        "oracle": {"steps": 3}}, "oracle.steps must be null, got 3"
-    # the adapted map reads neither key, so naming one is refused
+        "oracle": {"steps": 3}}, "unknown oracle fields ['steps']"
+    # the adapted map reads neither key, so neither is declared
     adapted = {"kind": "adapted", "potential": MATHIEU_HALF, "n_range": [1, 2]}
     yield "adapted-oracle", ["gaps"], {**adapted, "oracle": {"method": "rk4"}}, \
-        "adapted reads neither oracle nor weight; remove ['oracle']"
+        "unknown adapted config fields ['oracle']"
     yield "adapted-weight", ["gaps"], {**adapted, "weight": {"kind": "trivial"}}, \
-        "adapted reads neither oracle nor weight; remove ['weight']"
+        "unknown adapted config fields ['weight']"
+    # run_gaps reads no weight, and dense sweeps N_values, not n_range
+    yield "gaps-weight", ["gaps"], _gaps(weight={"kind": "trivial"}), \
+        "unknown gaps config fields ['weight']"
+    yield "oracle-weight", ["oracle"], _gaps(kind="oracle", weight={"kind": "trivial"}), \
+        "unknown oracle config fields ['weight']"
+    yield "dense-n_range", ["verify", "dense"], {
+        "kind": "dense", "potential": MATHIEU_HALF, "n_range": [1, 2]}, \
+        "unknown dense config fields ['n_range']"
     # superexponential on n = 0..64, one entry short of psi's first window
     yield "table-short-of-psi-window", ["verify", "theorem5"], {
         "kind": "theorem5", "potential": MATHIEU_HALF, "n_range": [4, 5],
@@ -617,13 +636,15 @@ def test_unread_config_attributes_hold_none():
     assert (check.tol, check.oracle_method, check.potential, check.n_range) == (None,) * 4
     assert (check.submult_N, check.eps_list) == (20, [0.2])
     gaps = parse_config(_KIND_CONFIGS["gaps"])
-    assert (gaps.c, gaps.a, gaps.span, gaps.submult_N, gaps.N_values, gaps.eps_list,
-            gaps.weight_specs) == (None,) * 7
+    assert (gaps.weight, gaps.c, gaps.a, gaps.span, gaps.submult_N, gaps.N_values,
+            gaps.eps_list, gaps.weight_specs) == (None,) * 8
     assert (gaps.tol, gaps.oracle_method) == (KINDS["gaps"].optional["tol"], "taylor")
     theorem5 = parse_config({k: v for k, v in _KIND_CONFIGS["theorem5"].items() if k != "a"})
     assert theorem5.a == KINDS["theorem5"].optional["a"] and theorem5.c is None
     dense = parse_config(_KIND_CONFIGS["dense"])
     assert dense.span == 1 and dense.n_range is None and dense.a is None
+    adapted = parse_config(_KIND_CONFIGS["adapted"])
+    assert (adapted.weight, adapted.oracle_method) == (None, None)
 
 
 # which of the heavy layers a CLI run leaves in sys.modules, in a process of its own
