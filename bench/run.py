@@ -43,8 +43,9 @@ file records:
     whole sweep, and the pair's solve ledger at each n;
   * start-up: the median time of ``import hillgap.cli`` after numpy over
     max(R, 5) fresh interpreters (``import_cli_ms``), and for each perfbench config
-    the heavy modules (the Floquet oracle, mpmath) that a fresh process
-    running ``hillgap gaps`` on it has loaded by its exit (``loads``).
+    the heavy modules (the Floquet oracle, its fixed-point ladder, mpmath)
+    that a fresh process running ``hillgap gaps`` on it has loaded by its
+    exit (``loads``).
 
 The CLI end to end is timed by perfbench/run.py, not here.  Every time
 (a key ending in _s or _ms) is rescaled to perfbench's reference speed the
@@ -80,7 +81,8 @@ sys.path.insert(0, SRC)
 import mpmath  # noqa: E402
 import numpy as np  # noqa: E402
 
-from hillgap import blockdecomp, floquet, make_fourier, make_mathieu, make_random  # noqa: E402
+from hillgap import (blockdecomp, floquet, ladder, make_fourier, make_mathieu,  # noqa: E402
+                     make_random)
 from hillgap.weights import gevrey  # noqa: E402
 
 # the complex K = 16 Gevrey draw of the wideband_complex workload
@@ -130,28 +132,25 @@ def _first_and_warm(fn, repeat: int) -> tuple[float, float]:
 
 
 def _plan(q, lam, dps: int) -> list:
-    # (order, steps) of the ladder at lam; checkouts without a planner run
-    # the fixed rule
-    key = floquet._key(q)
-    if hasattr(floquet, "_mp_plan"):
-        return list(floquet._mp_plan(key, lam, dps))
-    return [floquet._mp_order(dps), floquet._mp_steps(key, lam, dps)]
+    # (order, steps) of the ladder at lam, on the oracle's double series
+    return list(ladder._mp_plan(floquet._key(q), lam, dps, floquet._taylor_table,
+                                floquet._taylor_series))
 
 
 def _lane_width(fn) -> int:
     """The widest lane width, in bits, that fn packs on the fixed-point ladder."""
-    lanes, widths = floquet._Lanes, []
+    lanes, widths = ladder._Lanes, []
 
     def spy(*args):
         out = lanes(*args)
         widths.append(out.width)
         return out
 
-    floquet._Lanes = spy
+    ladder._Lanes = spy
     try:
         fn()
     finally:
-        floquet._Lanes = lanes
+        ladder._Lanes = lanes
     return max(widths)
 
 
@@ -274,7 +273,8 @@ _IMPORT_CLI = ("import time, numpy\n"
 _LOADS = ("import json, sys\n"
           "from hillgap import cli\n"
           "cli.main(sys.argv[1:])\n"
-          "print(json.dumps([m for m in ('hillgap.floquet', 'mpmath') if m in sys.modules]))")
+          "layers = ('hillgap.floquet', 'hillgap.ladder', 'mpmath')\n"
+          "print(json.dumps([m for m in layers if m in sys.modules]))")
 
 
 def startup_times(repeat: int) -> dict:

@@ -1,19 +1,22 @@
 """Spectral gaps of Hill's operator -y'' + q y on the unit circle.
 
-Five layers, importable separately or through this namespace:
+Six layers, importable separately or through this namespace:
 
   * weights: submultiplicative weight families and their growth calculus;
   * seqspace: Fourier-side potentials and half-integer coefficient vectors;
   * floquet: the monodromy/discriminant oracle for periodic, antiperiodic
     and Sturm-Liouville eigenvalues;
+  * ladder: the oracle's arbitrary-precision Taylor scheme in fixed point,
+    the one module that imports mpmath;
   * blockdecomp: the 2x2 block reduction, adapted coefficients and N-gap
     approximants;
   * harness / cli: config-driven experiments and verification suites.
 
 Each layer loads where a route first reaches it.  The floquet names below
 resolve on first access (module __getattr__), so importing the package or
-the CLI loads neither the oracle nor mpmath, which floquet imports; the
-block reduction and the adapted map run without either.
+the CLI loads no oracle; floquet loads the ladder, and with it mpmath,
+only where a solve first leaves doubles.  The block reduction and the
+adapted map run without either.
 """
 
 from .weights import (
@@ -39,12 +42,10 @@ from .seqspace import (
     make_mathieu,
     make_random,
     multiply_by_potential,
-    shifted_wnorm,
     tail,
     truncate,
     unit_vector,
     wnorm,
-    zero_vector,
 )
 from .blockdecomp import (
     BlockData,
@@ -76,9 +77,8 @@ from .harness import (
 
 __version__ = "0.1.0"
 
-_FLOQUET = ("DeltaFit", "GapRecord", "MonodromyMatrix", "RootSearchError",
-            "delta_linear_model", "discriminant", "gap_record", "monodromy",
-            "periodic_eigs", "periodic_eigs_info", "sturm_liouville_eig")
+_FLOQUET = ("GapRecord", "MonodromyMatrix", "RootSearchError", "discriminant", "gap_record",
+            "monodromy", "periodic_eigs", "periodic_eigs_info", "sturm_liouville_eig")
 
 
 def __getattr__(name):

@@ -9,13 +9,15 @@ SUITE names one of the other kinds of harness.KINDS; the suite "weights"
 runs the kind "weights_check".
 
 Exit status: 0 on success, 1 when a check fails or a table row records a
-numerical error, 2 on config errors.
+numerical error, 2 on config errors, an --out or config "out" that is a
+directory, or whose directory is missing or not writable, included.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import harness, weights
@@ -63,9 +65,15 @@ def main(argv=None) -> int:
         config = harness.parse_config(raw, kind)
         if config.kind not in fits:
             raise harness.ConfigError(f"config kind {config.kind!r} {misfit}")
+        out = args.out or config.out
+        parent = os.path.dirname(out or "") or "."
+        # refused before any solve, so a long run cannot end unwritten
+        if out and (os.path.isdir(out) or not os.path.isdir(parent)
+                    or not os.access(parent, os.W_OK)):
+            raise harness.ConfigError(f"cannot write {out!r}: not a file in a writable directory")
         if args.command == "verify":
-            return _run_verify(config, args)
-        return _run_table(config, args)
+            return _run_verify(config, args, out)
+        return _run_table(config, args, out)
     except (harness.ConfigError, weights.TableDomainError, weights.CertificateError) as exc:
         # a table weight queried off its grid and a psi search that cannot
         # certify its minimum are faults of the config too
@@ -76,9 +84,8 @@ def main(argv=None) -> int:
         return 1
 
 
-def _run_table(config: harness.ExperimentConfig, args) -> int:
+def _run_table(config: harness.ExperimentConfig, args, out: str | None) -> int:
     rows, failed = harness.run_table(config)
-    out = args.out or config.out
     if out:
         harness.write_csv(rows, out)
     if args.json:
@@ -89,10 +96,9 @@ def _run_table(config: harness.ExperimentConfig, args) -> int:
     return 1 if failed else 0
 
 
-def _run_verify(config: harness.ExperimentConfig, args) -> int:
+def _run_verify(config: harness.ExperimentConfig, args, out: str | None) -> int:
     report = harness.run_verify(config)
     text = json.dumps(_jsonable(report), indent=2)
-    out = args.out or config.out
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")

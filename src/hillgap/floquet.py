@@ -13,37 +13,23 @@ Three integrator paths share the fixed-step, reproducible design:
     at the roundoff floor (1e-15 to 1e-14 on the trace) instead of the RK4
     truncation bias (~5e-11 at the default step rule),
   * the same Taylor scheme at arbitrary precision for gaps far below double
-    resolution.
+    resolution: the fixed-point ladder of hillgap.ladder, the one module
+    that imports mpmath.  _disc loads it where a solve first runs at a set
+    dps, so a solve that stays in doubles loads neither.
 
 Both double paths build the 2x2 propagator of every step at once with numpy
 (each step is linear in the state) and multiply the propagators out pairwise.
-The arbitrary-precision path runs the recurrence on fixed-point numbers,
-Python ints scaled by 2^bits with bits ~ 3.33 dps plus guard bits, and hands
-the monodromy back as mpmath numbers at the working precision.  It runs on
-step-scaled coefficients a[m] h^m, so every number stays near 2^bits, and
-packs all lanes of a step (columns x jet orders) into one int at a
-fixed bit stride: one integer dot product per Taylor order serves every
-lane, and the division by (m+1)(m+2) runs in two exact stages, a shift
-that drops the table's 2^bits scale, then a multiply by the reciprocal and
-a shift, each masking off its spill between lanes; so a lane is only as
-wide as the reciprocal, the state and a majorant's bound on one step's
-numerators.  Its Taylor coefficients of q are integer dot products as
-well: (2 pi i k)^i / i! is built once per mode and q_k e^(2 pi i k x) once
-per step point; only 2 pi and the roots of unity come from mpmath.  Its
-plan, the Taylor order and step count, is the cheaper of a fixed rule
-covering lambda and the bandwidth of q, and a higher order whose computed
-series certifies fewer, longer steps (_mp_plan).
 
 A real potential (``FourierPotential.is_real``: q_-k equal to conj(q_k)
 bit for bit and a real mean) gets real coefficient tables on both Taylor
 paths, summed from the pairs 2 Re(q_k e^(2 pi i k x) (2 pi i k)^i / i!).
 At real lambda such a table keeps every imaginary part at zero: the double
-path returns entries with zero imaginary part, and the fixed-point kernel
-runs a real loop, one integer product sum per order where the complex loop
-needs three, giving the same integers.  Any other potential or lambda runs
-the complex loop.  So the double critical point of a real potential is
-exactly real, the high-precision solve it seeds stays on the real loop, and
-the eigenvalue pairs come back with imaginary parts exactly 0.
+path returns entries with zero imaginary part, and the ladder runs its real
+loop, which gives the same integers as its complex one.  Any other
+potential or lambda runs the complex loop.  So the double critical point
+of a real potential is exactly real, the high-precision solve it seeds
+stays on the real loop, and the eigenvalue pairs come back with imaginary
+parts exactly 0.
 
 The ladder transports only the solutions a form reads.  A Sturm-Liouville
 form reads one, the solution from (-sin a, cos a); the trace of an exactly
@@ -89,11 +75,9 @@ import contextlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from types import SimpleNamespace
 
-import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_float, to_fixed
 
 from . import blockdecomp
 from .seqspace import FourierPotential
@@ -107,7 +91,6 @@ _TAYLOR_NOISE = 1e-14       # double path: trace roundoff floor estimate
 _RESOLVE_MARGIN = 100.0     # dip must exceed noise by this factor to count
 _AUTO_DIP_FACTOR = 1e6      # auto keeps a double result only above this dip
 _DEFAULT_DPS = 45
-_FIXED_GUARD_BITS = 24      # fixed-point bits beyond the working precision
 _AUTO_DPS = 30              # escalation precision when the caller names none
 
 
@@ -152,15 +135,6 @@ class GapRecord:
     sigma: complex
     delta: complex
     triangle: float
-
-
-@dataclass(frozen=True)
-class DeltaFit:
-    """Least-squares kappa for delta_n ~ kappa p_n + conj(kappa) p_{-n}."""
-
-    kappa: complex
-    max_ratio: float
-    degenerate: bool = False
 
 
 def default_steps(lam: complex, factor: int = RK4_STEP_FACTOR) -> int:
@@ -271,26 +245,6 @@ def _key(q: FourierPotential):
     return (q.K, q.data.tobytes(), complex(q.mean))
 
 
-def _series_steps(key, order: int, eps: float) -> int:
-    """Fewest steps over which the potential's own Taylor series converges.
-
-    At least two steps per period of the highest mode, and enough that the
-    first term past ``order``, sum_k |q_k| (2 pi |k| h)^(order+1)/(order+1)!
-    at h = 1/steps, stays under eps: the solution's series inherits that
-    remainder, whatever lam is.
-    """
-    K, data_bytes, _ = key
-    coeffs = np.frombuffer(data_bytes, dtype=np.complex128)
-    k = np.flatnonzero(coeffs) - K
-    if not len(k):
-        return 0
-    logs = np.log(np.abs(coeffs[k + K])) + (order + 1) * np.log(2 * np.pi * np.abs(k))
-    top = float(logs.max())
-    log_a = top + math.log(float(np.exp(logs - top).sum())) - math.lgamma(order + 2)
-    return max(2 * int(np.abs(k).max()),
-               math.ceil(math.exp((log_a - math.log(eps)) / (order + 1))))
-
-
 @lru_cache(maxsize=32)
 def _rk4_samples(key, steps):
     # potential sampled at the step points and midpoints, mean included
@@ -326,308 +280,6 @@ def _taylor_table(key, steps, order):
 
 def _taylor_steps(lam: complex) -> int:
     return max(16, int(math.ceil(math.sqrt(abs(lam)))) + 8)
-
-
-# ---------------------------------------------------------------------------
-# arbitrary-precision kernel
-
-
-def _mp_order(dps: int) -> int:
-    # with steps ~ 4 sqrt(lam) the per-step series argument stays under 1/4,
-    # so this order pushes truncation beyond the working precision
-    return max(28, int(0.55 * dps) + 8)
-
-
-def _mp_factor(dps: int) -> float:
-    # pick h sqrt(lam) = c per step so that c^(order+1)/(order+1)! stays two
-    # orders of magnitude under the precision's noise floor
-    order = _mp_order(dps)
-    log_c = (math.lgamma(order + 2) - (dps - 1) * math.log(10.0)
-             - math.log(64.0)) / (order + 1)
-    return min(4.0, max(0.5, math.exp(-log_c)))
-
-
-def _mp_noise(dps: int) -> float:
-    # trace noise floor the solvers assume at dps digits
-    return 10.0 ** (-(dps - 3))
-
-
-def _mp_steps(key, lam, dps: int) -> int:
-    factor = _mp_factor(dps)
-    return max(16, int(math.ceil(factor * math.sqrt(abs(complex(lam))))) + 8,
-               _series_steps(key, _mp_order(dps), _mp_noise(dps)))
-
-
-@lru_cache(maxsize=32)
-def _mp_plan(key, lam, dps: int) -> tuple[int, int]:
-    """(order, steps) of the ladder at lam: the cheapest plan the series certifies.
-
-    A plan costs (order + 2)^2 steps, one dot product per order per step.
-    Each order p = 4, 8, ..., 48 above _mp_order takes the fewest steps S
-    whose tail, the last two terms the kernel keeps (Jorba & Zou, Experimental
-    Math. 14 (2005)), is under a hundredth of the noise floor: S times the
-    grid mean of max over columns of sum_(m=p+1,p+2) m |a[m]| (s/S)^m, a[m]
-    being the double series of both unit-state solutions at max(32, 8K)
-    points in units of s = sqrt|lam|.  S also keeps the series' peak, near
-    e^(s/S), 4 bits inside the _FIXED_GUARD_BITS.  The fixed rule (_mp_order,
-    _mp_steps) holds unless a higher order is strictly cheaper.
-    """
-    order, steps = plan = _mp_order(dps), _mp_steps(key, lam, dps)
-    cost, top = (order + 2) ** 2 * steps, order + 48
-    s = max(1.0, math.sqrt(abs(complex(lam))))
-    z = complex(lam) / (s * s)
-    C = _taylor_table(key, max(32, 8 * key[0]), top) / s ** np.arange(2.0, top + 3)
-    w = np.abs(_taylor_series(C, z.real if z.imag == 0 else z)[:, 0])
-    w *= np.arange(top + 3)[:, None, None]
-    fewest = math.ceil(s / ((_FIXED_GUARD_BITS - 4) * math.log(2.0)))
-    for p in range(order + 4, top + 1, 4):
-        S = np.arange(fewest, (cost - 1) // (p + 2) ** 2 + 1)[:, None, None]
-        tail = (S * (w[p + 1] * (s / S) ** (p + 1) + w[p + 2] * (s / S) ** (p + 2))).max(1).mean(1)
-        fits = S.ravel()[tail <= _mp_noise(dps) / 100]
-        if len(fits):
-            cost, plan = (p + 2) ** 2 * int(fits[0]), (p, int(fits[0]))
-    return plan
-
-
-def _fixed_bits(dps: int) -> int:
-    return math.ceil(dps * math.log2(10.0)) + _FIXED_GUARD_BITS
-
-
-@lru_cache(maxsize=8)
-def _mp_table(key, steps, order, dps):
-    """Taylor coefficients of q at the step points, in fixed point.
-
-    C[j][i] = sum_k E[j][k] P[k][i] with E[j][k] = q_k e^(2 pi i k j/steps)
-    and P[k][i] = (2 pi i k)^i / i! = i^i p[k][i], p real.  p is built once
-    per mode and E once per step, both as ints; E carries guard bits sized
-    to max |p| and the mode count, so every entry is an integer dot product
-    exact to about one unit of 2^-_fixed_bits(dps).
-
-    Returns (real, rows).  Row j holds the step-scaled C[j][i] h^(i+2),
-    h = 1/steps, that _fixed_kernel's recurrence on a[m] h^m runs on; the
-    scaling divides the sums before they are rounded, so the high orders,
-    small after scaling, keep a unit of 2^-_fixed_bits(dps).  Each row
-    holds three int lists scaled by 2^_fixed_bits(dps): the real parts, the
-    imaginary parts and their sums (the last feed the three-product complex
-    dot product).  A real q sums its pairs k, -k as 2 Re(E P) over k > 0,
-    so its imaginary parts are zero by construction and ``real`` is set.
-    """
-    K, data_bytes, mean = key
-    coeffs = np.frombuffer(data_bytes, dtype=np.complex128)
-    real = FourierPotential(K, coeffs, mean).is_real
-    bits = _fixed_bits(dps)
-    modes = [k for k in range(1 if real else -K, K + 1) if coeffs[K + k] != 0]
-    top = max((abs(k) for k in modes), default=1)
-    big = max(i * math.log2(2 * math.pi * top) - math.lgamma(i + 1) / math.log(2)
-              for i in range(order + 1))
-    hi = bits + max(0, math.ceil(big)) + len(modes).bit_length() + 1
-    # p[i][k] = (2 pi k)^i / i!, run at 2^(hi + 8) so the error the
-    # recurrence amplifies stays under 2^-bits, stored at 2^bits
-    with mp.workprec(hi + 16):
-        two_pi = to_fixed((2 * mp.pi)._mpf_, hi + 8)
-        w = [(to_fixed(mp.cospi(mp.mpf(2 * r) / steps)._mpf_, hi),
-              to_fixed(mp.sinpi(mp.mpf(2 * r) / steps)._mpf_, hi)) for r in range(steps)]
-    p = []
-    vals = [1 << (hi + 8)] * len(modes)
-    for i in range(order + 1):
-        p.append([v >> (hi + 8 - bits) for v in vals])
-        vals = [v * (two_pi * k) // ((i + 1) << (hi + 8)) for v, k in zip(vals, modes)]
-    q = [(to_fixed(from_float(z.real), hi), to_fixed(from_float(z.imag), hi))
-         for z in (complex(coeffs[K + k]) for k in modes)]
-    # h^(i+2) = steps^-(i+2) scales the mean and order i
-    m_re, m_im = (to_fixed(from_float(v), bits) // (steps * steps) for v in (mean.real, mean.imag))
-    scales = [steps ** (i + 2) << hi for i in range(order + 1)]
-    rows = []
-    for j in range(steps):
-        er, ei = [], []
-        for k, (qr, qi) in zip(modes, q):
-            wr, wi = w[k * j % steps]
-            er.append((qr * wr - qi * wi) >> hi)
-            ei.append((qr * wi + qi * wr) >> hi)
-        if real:
-            # 2 Re(i^i E p): even orders need only Re E, odd ones only Im E
-            re = []
-            for i in range(order + 1):
-                d = 2 * sum(map(mul, ei if i % 2 else er, p[i])) // scales[i]
-                re.append((d, -d, -d, d)[i % 4])
-            re[0] += m_re
-            rows.append((re, [0] * len(re), re))
-            continue
-        re, im = [], []
-        for i in range(order + 1):
-            dr, di = sum(map(mul, er, p[i])) // scales[i], sum(map(mul, ei, p[i])) // scales[i]
-            # multiply dr + i di by i^i
-            re.append((dr, -di, -dr, di)[i % 4])
-            im.append((di, dr, -di, -dr)[i % 4])
-        re[0] += m_re
-        im[0] += m_im
-        rows.append((re, im, [a + b for a, b in zip(re, im)]))
-    return real, rows
-
-
-def _lane_growth(rows, lam_h2, h2, bits) -> tuple[int, int]:
-    """(grow, head): bits by which one Taylor step's new state, and its
-    numerators, can outgrow the largest lane of its state.
-
-    With A the largest sum of |C_i h^(i+2)| over a row, plus |lam h^2| and
-    h^2, every lane obeys |b[m+2]| <= A max_(j<=m) |b[j]| / ((m+1)(m+2)),
-    the order coupling included.  So the majorant u[0] = u[1] = 1,
-    u[m+2] = A max(u[:m+1]) / ((m+1)(m+2)) bounds every coefficient of the
-    step and its new state, y = sum b[m] and h y' = sum m b[m], in units of
-    the state's largest lane; one bit more covers the rounding.  A max(u)
-    bounds the numerators, the first quotient of the division (_Lanes).
-    """
-    A = (max(sum(map(abs, row[0])) + sum(map(abs, row[1])) for row in rows)
-         + lam_h2 + h2) / (1 << bits)
-    u = [1.0, 1.0]
-    for m in range(len(rows[0][0])):
-        u.append(A * max(u[:m + 1]) / ((m + 1) * (m + 2)))
-    return (math.ceil(math.log2(max(sum(u), sum(map(mul, range(len(u)), u))))) + 1,
-            math.ceil(math.log2(A * max(u))))
-
-
-class _Lanes:
-    """``count`` signed lanes of ``width`` bits packed into one Python int.
-
-    Lane l holds v_l at bit l * width, so a sum of packed ints, or one times
-    an int, acts on every lane at once.  Shifting a packed int right by s
-    leaves each lane's quotient in its low bits and its remainder in the top
-    s bits of the lane below, under 2^width; a bias and a mask clear it
-    exactly if every quotient stays under 2^(width - s - 1) in magnitude.
-    ``divide(x, r)`` does so twice: it drops the table scale first
-    (shifts[0] = bits), then multiplies by the reciprocal r and shifts by
-    shifts[1] = G.  So for a state that ``fits`` under 2^top a lane holds
-    numerators ``head`` bits above it (_lane_growth), G bits and a sign bit,
-    width G + top + head + 1; a quotient, at most half its numerator as
-    (m+1)(m+2) >= 2, leaves its rounding a bit, and one step's growth of
-    the state stays far under G.
-    """
-
-    def __init__(self, count: int, shifts: tuple, head: int, top: int, columns: int):
-        self.count, self.shifts = count, shifts
-        self.width = w = shifts[1] + top + head + 1
-        self.couple = columns * w     # jet order k - 1 lies ``columns`` lanes below k
-        self.unit = unit = ((1 << (count * w)) - 1) // ((1 << w) - 1)   # a 1 in every lane
-        bits, g = shifts
-        (b1, m1), (b2, m2) = ((unit << (w - s - 1), unit * ((1 << (w - s)) - 1)) for s in shifts)
-
-        def divide(x, r):   # each stage clears the remainders its shift spills
-            x = (((x >> bits) + b1) & m1) - b1
-            return (((x * r >> g) + b2) & m2) - b2
-        self.divide = divide
-        # (x + low) & high == 0 iff every lane lies in [-2^top, 2^top): only
-        # then does no lane borrow from, or carry into, the bits above top
-        self.low, self.high = unit << top, unit * ((1 << w) - (2 << top))
-
-    def fits(self, state) -> bool:
-        return not any((x + self.low) & self.high for x in state)
-
-    def pack(self, values) -> int:
-        return sum(v << (l * self.width) for l, v in enumerate(values))
-
-    def unpack(self, x) -> list:
-        half, mask = 1 << (self.width - 1), (1 << self.width) - 1
-        x += self.unit * half
-        return [((x >> (l * self.width)) & mask) - half for l in range(self.count)]
-
-
-def _lane_step_real(row, lam_h2, state, h2, recips, lanes):
-    """One Taylor step of every lane: real table at real lam, one product per order."""
-    c = [row[0][0] - lam_h2] + row[0][1:]
-    couple, divide = lanes.couple, lanes.divide
-    b = list(state)               # y, h y'
-    window = [b[0]]               # b[m], ..., b[0], newest first
-    for m, r in enumerate(recips):
-        b.append(divide(sum(map(mul, c, window)) - (h2 * window[0] << couple), r))
-        window.insert(0, b[m + 1])
-    return sum(b), sum(map(mul, range(len(b)), b))
-
-
-def _lane_step(row, lam_h2, state, h2, recips, lanes):
-    """_lane_step_real in complex fixed point: three products per order."""
-    c0r, c0i = row[0][0] - lam_h2[0], row[1][0] - lam_h2[1]
-    cr, ci, cs = ([c0] + r[1:] for c0, r in zip((c0r, c0i, c0r + c0i), row))
-    couple, divide = lanes.couple, lanes.divide
-    yr, yi, pr, pi = state
-    br, bi = [yr, pr], [yi, pi]
-    wr, wi, ws = [yr], [yi], [yr + yi]
-    for m, r in enumerate(recips):
-        t1 = sum(map(mul, cr, wr))
-        t2 = sum(map(mul, ci, wi))
-        t3 = sum(map(mul, cs, ws))
-        br.append(divide(t1 - t2 - (h2 * wr[0] << couple), r))
-        bi.append(divide(t3 - t1 - t2 - (h2 * wi[0] << couple), r))
-        wr.insert(0, br[m + 1])
-        wi.insert(0, bi[m + 1])
-        ws.insert(0, br[m + 1] + bi[m + 1])
-    ms = range(len(br))
-    return sum(br), sum(bi), sum(map(mul, ms, br)), sum(map(mul, ms, bi))
-
-
-def _fixed_kernel(table, lam, bits, order=0, starts=((1, 0), (0, 1))):
-    """Solutions from the states (y, y')(0) in ``starts``, with their lam-jet.
-
-    Returns 2 len(starts) (order + 1) mpmath numbers, order by order: t_k of
-    (y, y')(1) of each solution, by default the monodromy's (y1, y1', y2,
-    y2'), t_k being (1/k!) d^k/dlam^k at lam up to ``order``.  The caller
-    holds the working precision; lam enters and the entries leave at it, so
-    mpmath Newton iterates keep their digits.
-
-    On the step-scaled table (_mp_table) the recurrence runs on
-    b[m] = a[m] h^m,
-
-        b_k[m+2] = (sum_i C_i h^(i+2) b_k[m-i] - lam h^2 b_k[m] - h^2 b_(k-1)[m])
-                   / ((m+1)(m+2)),
-
-    and a step ends at y = sum b[m], h y' = sum m b[m], so every lane stays
-    near 2^bits.  The C (order + 1) lanes, lane l = Ck + c for jet order k
-    and solution c of C, share one packed int (_Lanes), and one integer dot
-    product per Taylor order serves them all.  The order coupling is b[m]
-    shifted up C lanes; the division (_Lanes) is a right shift by bits that
-    drops the table scale, then a multiply by floor(2^G / ((m+1)(m+2))) and
-    a right shift by G, G = bits + bit_length(terms (terms + 1)), whose
-    relative error stays under 2^-bits beyond the floor.  The lanes stay
-    packed from step to step; before each step the state is checked against
-    the lane width, which widens when the solution outgrows it.  No lane's
-    integers depend on the width or on the lanes above it, so the order-0
-    lanes of a jet are the plain transport, and a run from one start gives
-    that start's lanes of a run from more, bit for bit.  A real table at
-    real lam keeps every imaginary part at zero, so it runs the real loop,
-    which gives the same integers as the complex one.
-    """
-    real, rows = table
-    steps, terms = len(rows), len(rows[0][0])
-    lam = mp.mpc(lam)
-    real = real and lam.imag == 0
-    h2 = (1 << bits) // (steps * steps)
-    lr, li = (to_fixed(v._mpf_, bits) // (steps * steps) for v in (lam.real, lam.imag))
-    g = bits + (terms * (terms + 1)).bit_length()
-    recips = [(1 << g) // ((m + 1) * (m + 2)) for m in range(terms)]
-    grow, head = _lane_growth(rows, abs(lr) + abs(li), h2, bits)
-    columns = len(starts)
-    count = columns * (order + 1)
-    lanes = _Lanes(count, (bits, g), head, (1 << bits).bit_length() + grow, columns)
-    # y and h y' of every lane; solution c starts at starts[c], t_k = 0 for k > 0
-    fixed = [[to_fixed(from_float(float(v)), bits) for v in s] for s in starts]
-    state = [lanes.pack(y for y, _ in fixed), lanes.pack(p // steps for _, p in fixed)]
-    if real:
-        step, lam_h2 = _lane_step_real, lr
-    else:
-        step, lam_h2 = _lane_step, (lr, li)
-        state = [state[0], 0, state[1], 0]
-    for row in rows:
-        if not lanes.fits(state):
-            values = [lanes.unpack(x) for x in state]
-            top = max(abs(v) for vs in values for v in vs).bit_length()
-            lanes = _Lanes(count, lanes.shifts, head, top + grow, columns)
-            state = [lanes.pack(vs) for vs in values]
-        state = step(row, lam_h2, state, h2, recips, lanes)
-    values = [lanes.unpack(x) for x in state]
-    if real:
-        values = [values[0], [0] * count, values[1], [0] * count]
-    yr, yi, pr, pi = values
-    return tuple(mp.mpc(mp.mpf((re, -bits)), mp.mpf((im, -bits))) for l in range(count)
-                 for re, im in ((yr[l], yi[l]), (pr[l] * steps, pi[l] * steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -712,6 +364,11 @@ def _boundary_form(alpha: float):
     return form
 
 
+# the arithmetic of a disc in doubles; ladder.working(dps) has the same fields
+_DOUBLES = SimpleNamespace(dps=None, precision=contextlib.nullcontext, sqrt=cmath.sqrt,
+                           number=complex)
+
+
 def _jet_order(span: float, lam, eps: float) -> int:
     """Lowest jet order whose radius should reach ``span``.
 
@@ -752,26 +409,26 @@ class _JetDisc:
     k = D-1, D of |f_k|^(-1/k), the minimum over the two highest
     coefficients guarding against a vanishing last one; at distance
     rho eps^(1/(D+1)) the tail the jet drops stays near eps, a thousandth of
-    the noise floor.  With ``dps`` set the arithmetic is mpmath at that
-    precision, otherwise complex doubles.
+    the noise floor.  ``arith`` is the arithmetic the disc runs in:
+    _DOUBLES, or ladder.working(dps), mpmath at dps digits.
     """
 
-    def __init__(self, jet, noise: float, name: str, plan, dps: int | None = None, form=_trace,
+    def __init__(self, jet, noise: float, name: str, plan, arith=_DOUBLES, form=_trace,
                  columns: int = 2):
         self.jet = jet
         self.noise = noise
         self.eps = noise / 1000.0
         self.name, self.plan = name, plan
-        self.dps = dps
+        self.arith, self.dps = arith, arith.dps
         self.form, self.columns = form, columns
         self.center = None
         self.transports = self.jet_order = 0
 
     def precision(self):
-        return mp.workdps(self.dps) if self.dps else contextlib.nullcontext()
+        return self.arith.precision()
 
     def sqrt(self, z):
-        return mp.sqrt(z) if self.dps else cmath.sqrt(z)
+        return self.arith.sqrt(z)
 
     def cover(self, lam, span) -> None:
         """Make the jet serve every point within ``span`` of lam; call before derivs."""
@@ -781,7 +438,7 @@ class _JetDisc:
     def _build(self, lam, span) -> None:
         order = _jet_order(float(span), lam, self.eps)
         flat = self.jet(lam, order)
-        self.center = mp.mpc(lam) if self.dps else complex(lam)
+        self.center = self.arith.number(lam)
         w = 2 * self.columns
         self.coeffs = [self.form(flat[w * k:w * k + w]) for k in range(order + 1)]
         self.rho, self.radius = _jet_radius(self.coeffs, self.eps)
@@ -817,21 +474,26 @@ class _JetDisc:
 
 def _disc(q: FourierPotential, method: str, dps: int | None, center: complex,
           steps: int | None = None, form=None) -> _JetDisc:
-    # the path _path picks: mpmath when it pins a precision, else doubles;
+    # the path _path picks: the ladder when it pins a precision, else doubles;
     # form None serves the whole monodromy and its trace
     path, dps = _path(method, dps)
     key = _key(q)
     if dps:
-        plan = (_mp_order(dps), steps) if steps else _mp_plan(key, center, dps)
-        table = _mp_table(key, plan[1], plan[0], dps)
-        bits = _fixed_bits(dps)
+        # the one place this module loads the ladder, and with it mpmath
+        from . import ladder
+
+        plan = ((ladder._mp_order(dps), steps) if steps
+                else ladder._mp_plan(key, center, dps, _taylor_table, _taylor_series))
+        table = ladder._mp_table(key, plan[1], plan[0], dps)
+        bits = ladder._fixed_bits(dps)
         # the ladder transports the one solution a form reads, where it reads
         # one: a boundary form's ``start``, and (1, 0) for the trace of a q
         # whose q_-k equal q_k exactly (bitwise, as is_real checks symmetry)
         one = form is not None and (form is not _trace or np.array_equal(q.data, q.data[::-1]))
         starts = (getattr(form, "start", (1, 0)),) if one else ((1, 0), (0, 1))
-        return _JetDisc(lambda lam, order: _fixed_kernel(table, lam, bits, order, starts),
-                        _mp_noise(dps), f"mp{dps}", plan, dps, form or _trace, len(starts))
+        return _JetDisc(lambda lam, order: ladder._fixed_kernel(table, lam, bits, order, starts),
+                        ladder._mp_noise(dps), f"mp{dps}", plan, ladder.working(dps),
+                        form or _trace, len(starts))
     form = form or _trace
     if path == "taylor":
         plan = (_TAYLOR_ORDER, steps or _taylor_steps(center))
@@ -1072,52 +734,11 @@ def gap_record(q: FourierPotential, n: int, *, tol: float = 1e-12,
     """
     lm, lp, info = _solve_pair(q, n, tol, method, dps, None)
     sigma = _sturm_liouville_root(q, n, 0.0, tol, method, info["dps"])
-    with mp.workdps(dps or _DEFAULT_DPS):
+    # a pair that left doubles is mpmath numbers, which carry their context
+    with lm.context.workdps(dps or _DEFAULT_DPS) if info["dps"] else contextlib.nullcontext():
         tau = (lm + lp) / 2
         delta = complex(sigma - tau)
     gamma = info["gamma"]
     return GapRecord(n, complex(lm), complex(lp), gamma, complex(tau), complex(sigma),
                      delta, abs(gamma) + abs(delta))
 
-
-def delta_linear_model(q: FourierPotential, n_range: tuple[int, int],
-                       m: int | None = None, M_thresh: int | None = None,
-                       tol: float = 1e-12, *, dps: int | None = None) -> DeltaFit:
-    """Fit kappa in delta_n ~ kappa p_n + conj(kappa) p_{-n} over an index range.
-
-    p_{+-n} are the adapted coefficients from the block decomposition and
-    delta_n comes from the Dirichlet family; |kappa| lands near 1/2 for real
-    potentials in the admissible range.  Diagnostic only: the fit is
-    real-linear least squares in (Re kappa, Im kappa) and reports itself
-    degenerate when every p vanishes.
-    """
-    lo, hi = n_range
-    if lo < 1 or hi < lo:
-        raise ValueError(f"bad index range {n_range}")
-    floor = max(m or 1, M_thresh or 1)
-    if lo < floor:
-        raise ValueError(f"range starts at {lo}, below the admissible floor {floor}")
-    rows = []
-    rhs = []
-    samples = []
-    for n in range(lo, hi + 1):
-        block = blockdecomp.gap_block(q.without_mean(), n, tol)
-        rec = gap_record(q, n, tol=tol, dps=dps)
-        pn, pm = block.p_plus, block.p_minus
-        samples.append((rec.delta, pn, pm))
-        rows.append([(pn + pm).real, -(pn - pm).imag])
-        rows.append([(pn + pm).imag, (pn - pm).real])
-        rhs.append(rec.delta.real)
-        rhs.append(rec.delta.imag)
-    if not samples or max(abs(pn) + abs(pm) for _, pn, pm in samples) == 0.0:
-        return DeltaFit(0j, math.nan, degenerate=True)
-    sol, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-    kappa = complex(sol[0], sol[1])
-    worst = 0.0
-    for delta, pn, pm in samples:
-        denom = abs(pn) + abs(pm)
-        if denom == 0:
-            continue
-        model = kappa * pn + kappa.conjugate() * pm
-        worst = max(worst, abs(delta - model) / denom)
-    return DeltaFit(kappa, worst)

@@ -87,7 +87,6 @@ class ExperimentConfig:
     tol: float | None = None
     oracle_method: str | None = None
     oracle_dps: int | None = None
-    oracle_steps: int | None = None
     m: int | None = None
     M_thresh: int | None = None
     K_out: int | None = None
@@ -276,8 +275,7 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
         n_range = (lo, _integer(hi, "n_range.hi", least=lo))
     tol = _number(fields["tol"], "tol", positive=True)
 
-    # the oracle object, where declared, holds the keys its kind reads
-    method = dps = steps = oracle = None
+    method = dps = oracle = None
     if "oracle" in fields:
         given = _fields(fields["oracle"], "oracle", (), KINDS[kind].optional["oracle"])
         method = given["method"]
@@ -289,9 +287,7 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
         dps = None if given["dps"] is None else _integer(given["dps"], "oracle.dps", least=10)
-        if given.get("steps") is not None:
-            steps = _integer(given["steps"], "oracle.steps", least=1)
-        oracle = {key: {"method": method, "dps": dps, "steps": steps}[key] for key in given}
+        oracle = {"method": method, "dps": dps}
 
     # kind-specific keys, in fields when declared: each a config field and an echo entry
     extras: dict[str, Any] = {}
@@ -315,7 +311,7 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
     echo = dict(kind=kind, **{key: value for key, value in read.items() if key in fields})
     return ExperimentConfig(kind, out, echo, potential=potential, weight=weight,
                             n_range=n_range, tol=tol, oracle_method=method,
-                            oracle_dps=dps, oracle_steps=steps, **extras)
+                            oracle_dps=dps, **extras)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +324,7 @@ def _oracle_gap(q: FourierPotential, n: int, config: ExperimentConfig):
     from . import floquet
 
     lm, lp, info = floquet.periodic_eigs_info(
-        q, n, config.tol, method=config.oracle_method,
-        dps=config.oracle_dps, steps=config.oracle_steps)
+        q, n, config.tol, method=config.oracle_method, dps=config.oracle_dps)
     gamma = info["gamma"]
     if info["resolved"]:
         ceiling = abs(gamma)
@@ -774,7 +769,7 @@ def run_verify(config: ExperimentConfig) -> dict:
 
 # a kind declares only the keys its runner reads, and the default of "oracle"
 # declares the fields of that object
-_ORACLE = {"method": "auto", "dps": None, "steps": None}
+_ORACLE = {"method": "auto", "dps": None}
 _GAPS = {"out": None, "tol": 1e-12, "oracle": _ORACLE}
 _SPECTRAL = {"out": None, "weight": {"kind": "trivial"}, "tol": 1e-12, "oracle": _ORACLE}
 _WINDOW = {"m": None, "M_thresh": None, "K_out": None}  # None: adapted_defaults
@@ -791,9 +786,7 @@ KINDS = {
     "adapted": Kind(run_adapted, optional={"out": None, "tol": 1e-12, **_WINDOW}),
     "oracle": Kind(run_gaps, optional=_GAPS),
     "theorem1": Kind(verify_theorem1),
-    # gap_record chooses its own steps on every path
-    "theorem4": Kind(verify_theorem4,
-                     optional={**_SPECTRAL, "oracle": {"method": "auto", "dps": None}}),
+    "theorem4": Kind(verify_theorem4),
     "theorem5": Kind(verify_theorem5, optional={**_SPECTRAL, "a": 1.0}),
     "mathieu": Kind(verify_mathieu, optional={**_SPECTRAL, "c": 0.5}),
     "gasymov": Kind(verify_gasymov),

@@ -226,11 +226,6 @@ class ParityVector:
         return ParityVector(self.parity, mcut, self.data[cut:cut + mcut + 1].copy())
 
 
-def zero_vector(parity: int, mcut: int) -> ParityVector:
-    mcut = _fit_parity(parity, mcut)
-    return ParityVector(parity, mcut, np.zeros(mcut + 1, dtype=np.complex128))
-
-
 def unit_vector(m: int, mcut: int) -> ParityVector:
     """The basis vector e_m inside a window of cap mcut."""
     parity = abs(m) % 2
@@ -244,20 +239,6 @@ def _fit_parity(parity: int, mcut: int) -> int:
     if parity not in (0, 1):
         raise ValueError("parity must be 0 or 1")
     return mcut if mcut % 2 == parity else mcut - 1
-
-
-def shifted_wnorm(f: ParityVector, w: Weight, i: int) -> float:
-    """||f e_i||_w: the w-norm with every index re-centered by i, at weight
-    arguments (m + i)/2 on the half-integer lattice."""
-    total = 0.0
-    for m, z in zip(f.modes(), f.data):
-        if z == 0:
-            continue
-        wv = w((int(m) + i) / 2)
-        if math.isinf(wv):
-            return math.inf
-        total += (wv * abs(z)) ** 2
-    return math.sqrt(total)
 
 
 def multiply_by_potential(q: FourierPotential, f: ParityVector) -> ParityVector:

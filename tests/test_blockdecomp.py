@@ -37,7 +37,6 @@ from hillgap.seqspace import (
     truncate,
     unit_vector,
     wnorm,
-    zero_vector,
 )
 from hillgap.weights import gevrey, polynomial, trivial
 
@@ -154,13 +153,14 @@ def test_resolve_guards_precede_the_zero_shortcut():
     # the strip or at the wrong parity it is refused like any other rhs
     q = make_mathieu(1.0).without_mean()
     outside = 16 * PI2 + 500.0
-    for rhs in (zero_vector(0, 40), unit_vector(4, 40)):
+    zero = ParityVector(0, 40, np.zeros(41, dtype=complex))
+    for rhs in (zero, unit_vector(4, 40)):
         with pytest.raises(DomainError):
             resolve_hat_Tn(q, 4, outside, rhs)
-    for rhs in (zero_vector(1, 41), unit_vector(3, 41)):
+    for rhs in (ParityVector(1, 41, np.zeros(42, dtype=complex)), unit_vector(3, 41)):
         with pytest.raises(DomainError):
             resolve_hat_Tn(q, 4, 16 * PI2, rhs)
-    g, info = resolve_hat_Tn(q, 4, 16 * PI2 + 0.1, zero_vector(0, 40))
+    g, info = resolve_hat_Tn(q, 4, 16 * PI2 + 0.1, zero)
     assert info == SolveInfo(0, 0.0, 0.0)
     assert g.parity == 0 and not g.data.any()
 

@@ -8,10 +8,9 @@ from operator import mul
 import mpmath as mp
 import pytest
 
-from hillgap import floquet
+from hillgap import floquet, ladder
 from hillgap.floquet import (
     default_steps,
-    delta_linear_model,
     discriminant,
     gap_record,
     monodromy,
@@ -188,10 +187,10 @@ def test_fixed_point_ladder_matches_mpmath():
     # eigenvalue solvers assume, 10^-(dps - 3)
     g = make_gasymov([1.0, 0.5j])
     for dps in (30, 60):
-        order = floquet._mp_order(dps)
+        order = ladder._mp_order(dps)
         with mp.workdps(dps):
             lam = mp.mpc(88 + mp.pi, 7 / mp.e)
-            steps = floquet._mp_steps(floquet._key(g), lam, dps)
+            steps = ladder._mp_steps(floquet._key(g), lam, dps)
             got = floquet._disc(g, "mp", dps, lam, steps).jet(lam, 0)
             ref = _mp_taylor_monodromy(g, lam, steps, order)
             assert max(abs(a - b) for a, b in zip(got, ref)) <= mp.mpf(10) ** -(dps - 3)
@@ -199,9 +198,9 @@ def test_fixed_point_ladder_matches_mpmath():
 
 def _mp_table_reference(q, steps, order, dps, scaled=True):
     # the coefficient table from per-step mpmath series, in the row layout
-    # of floquet._mp_table, step-scaled (C_i h^(i+2)) unless asked for the
+    # of ladder._mp_table, step-scaled (C_i h^(i+2)) unless asked for the
     # plain C_i, and flagged complex
-    bits = floquet._fixed_bits(dps)
+    bits = ladder._fixed_bits(dps)
     rows = []
     with mp.workdps(dps):
         for j in range(steps):
@@ -219,14 +218,14 @@ def test_integer_table_matches_mpmath_build():
     # real draw at real lam runs the real loop on the integer table
     cases = [(make_gasymov([1.0, 0.5j]), 30), (make_gasymov([1.0, 0.5j]), 60), (WIDE, 30)]
     for q, dps in cases:
-        order, bits = floquet._mp_order(dps), floquet._fixed_bits(dps)
+        order, bits = ladder._mp_order(dps), ladder._fixed_bits(dps)
         with mp.workdps(dps):
             lam = mp.mpf(88) + mp.pi if q is WIDE else mp.mpc(88 + mp.pi, 7 / mp.e)
-            steps = floquet._mp_steps(floquet._key(q), lam, dps)
-            table = floquet._mp_table(floquet._key(q), steps, order, dps)
+            steps = ladder._mp_steps(floquet._key(q), lam, dps)
+            table = ladder._mp_table(floquet._key(q), steps, order, dps)
             assert table[0] == (q is WIDE)
-            got = floquet._fixed_kernel(table, lam, bits)
-            ref = floquet._fixed_kernel(_mp_table_reference(q, steps, order, dps), lam, bits)
+            got = ladder._fixed_kernel(table, lam, bits)
+            ref = ladder._fixed_kernel(_mp_table_reference(q, steps, order, dps), lam, bits)
             assert max(abs(a - b) for a, b in zip(got, ref)) <= mp.mpf(10) ** -(dps - 3)
 
 
@@ -236,13 +235,13 @@ def test_real_loop_matches_complex_loop_bitwise():
         for dps in (30, 60):
             with mp.workdps(dps):
                 lam = mp.mpf(64) * mp.pi ** 2 + mp.mpf(1) / 3
-                steps = floquet._mp_steps(key, lam, dps)
-                real, rows = floquet._mp_table(key, steps, floquet._mp_order(dps), dps)
+                steps = ladder._mp_steps(key, lam, dps)
+                real, rows = ladder._mp_table(key, steps, ladder._mp_order(dps), dps)
                 assert real
-                bits = floquet._fixed_bits(dps)
+                bits = ladder._fixed_bits(dps)
                 # an order-1 jet: the plain transport and its lam-derivative
-                fast = floquet._fixed_kernel((True, rows), lam, bits, 1)
-                assert fast == floquet._fixed_kernel((False, rows), lam, bits, 1)
+                fast = ladder._fixed_kernel((True, rows), lam, bits, 1)
+                assert fast == ladder._fixed_kernel((False, rows), lam, bits, 1)
                 assert all(v.imag == 0 for v in fast)
 
 
@@ -296,11 +295,11 @@ def test_jet_order_zero_is_the_plain_step():
     # unscaled recurrence on the unscaled table, to the noise floor; and the
     # order-0 part of a higher jet is the plain transport, bit for bit
     dps = 30
-    bits, order = floquet._fixed_bits(dps), floquet._mp_order(dps)
+    bits, order = ladder._fixed_bits(dps), ladder._mp_order(dps)
     for q, lam in ((make_gasymov([1.0, 0.5j]), 88.5 + 2.25j), (WIDE, 4 * PI2 + 0.5)):
         key = floquet._key(q)
-        steps = floquet._mp_steps(key, lam, dps)
-        real, rows = floquet._mp_table(key, steps, order, dps)
+        steps = ladder._mp_steps(key, lam, dps)
+        real, rows = ladder._mp_table(key, steps, order, dps)
         plain_rows = _mp_table_reference(q, steps, order, dps, scaled=False)[1]
         lr, li = (mp.libmp.to_fixed(mp.mpf(v)._mpf_, bits) for v in (lam.real, lam.imag))
         ref = ((1 << bits, 0, 0, 0), (0, 0, 1 << bits, 0))
@@ -313,12 +312,12 @@ def test_jet_order_zero_is_the_plain_step():
                 ref = tuple(_plain_step_real(row[0], lr, c, steps, bits) for c in ref)
             refs.append(tuple((y, 0, dy, 0) for y, dy in ref))
         with mp.workdps(dps):
-            plain = floquet._fixed_kernel((real, rows), lam, bits)
+            plain = ladder._fixed_kernel((real, rows), lam, bits)
             for ref in refs:
                 want = [mp.mpc(mp.mpf((re, -bits)), mp.mpf((im, -bits)))
                         for c in ref for re, im in (c[:2], c[2:])]
                 assert max(abs(a - b) for a, b in zip(plain, want)) <= mp.mpf(10) ** -(dps - 3)
-            assert floquet._fixed_kernel((real, rows), lam, bits, 3)[:4] == plain
+            assert ladder._fixed_kernel((real, rows), lam, bits, 3)[:4] == plain
 
 
 def _lane_transcription(table, lam, bits, order):
@@ -359,14 +358,14 @@ def test_packed_lanes_match_the_lane_transcription_bitwise():
     # an order-4 jet: ten lanes in one int, on the real loop (real table at
     # real lam) and on the complex one
     dps = 30
-    bits = floquet._fixed_bits(dps)
+    bits = ladder._fixed_bits(dps)
     for q, lam in ((make_mathieu(1.0), mp.mpf(4 * PI2 + 0.5)),
                    (make_gasymov([1.0, 0.5j]), mp.mpc(4 * PI2 + 0.5, 2.25))):
         key = floquet._key(q)
         with mp.workdps(dps):
-            table = floquet._mp_table(key, floquet._mp_steps(key, lam, dps),
-                                      floquet._mp_order(dps), dps)
-            got = floquet._fixed_kernel(table, lam, bits, 4)
+            table = ladder._mp_table(key, ladder._mp_steps(key, lam, dps),
+                                     ladder._mp_order(dps), dps)
+            got = ladder._fixed_kernel(table, lam, bits, 4)
             want = _lane_transcription(table, lam, bits, 4)
             assert got == want
 
@@ -377,21 +376,21 @@ def test_lanes_widen_for_a_growing_solution(monkeypatch):
     # must widen instead of wrapping, and the transport still match plain
     # mpmath to the noise floor relative to its largest entry
     widths = []
-    lanes = floquet._Lanes
+    lanes = ladder._Lanes
 
     def spy(*args):
         out = lanes(*args)
         widths.append(out.width)
         return out
 
-    monkeypatch.setattr(floquet, "_Lanes", spy)
+    monkeypatch.setattr(ladder, "_Lanes", spy)
     g = make_gasymov([1.0, 0.5j])
     dps = 30
     with mp.workdps(dps):
         lam = mp.mpc(0, 10 ** 4)
-        steps = floquet._mp_steps(floquet._key(g), lam, dps)
+        steps = ladder._mp_steps(floquet._key(g), lam, dps)
         got = floquet._disc(g, "mp", dps, lam).jet(lam, 0)
-        ref = _mp_taylor_monodromy(g, lam, steps, floquet._mp_order(dps))
+        ref = _mp_taylor_monodromy(g, lam, steps, ladder._mp_order(dps))
         big = max(abs(v) for v in ref)
         assert big > 2 ** 100
         assert max(abs(a - b) for a, b in zip(got, ref)) <= mp.mpf(10) ** -(dps - 3) * big
@@ -411,7 +410,7 @@ def test_lane_division_matches_lanewise_floor_division():
         g = bits + rng.randrange(1, 14)
         top, head = bits + rng.randrange(1, 40), rng.randrange(-20, 30)
         count = rng.randrange(1, 16)
-        lanes = floquet._Lanes(count, (bits, g), head, top, rng.randrange(1, 3))
+        lanes = ladder._Lanes(count, (bits, g), head, top, rng.randrange(1, 3))
         assert lanes.width == g + top + head + 1
         bound = 1 << (bits + top + head)
         edges = (-bound, bound - 1, -1, 0)
@@ -440,9 +439,9 @@ def test_widest_lanes_match_a_higher_precision_transport(q, n):
         got = disc.jet(lam, 3)
     assert disc.plan == {16: (72, 5), 18: (76, 5), 15: (28, 65)}[n]
     with mp.workdps(60):
-        ref = floquet._disc(q, "mp", 60, lam, floquet._mp_steps(key, lam, 60)).jet(lam, 3)
+        ref = floquet._disc(q, "mp", 60, lam, ladder._mp_steps(key, lam, 60)).jet(lam, 3)
         err = max(abs(a - b) * w for a, b, w in zip(got, ref, (1, 1 / s, s, 1) * 4))
-    assert err <= floquet._mp_noise(30)
+    assert err <= ladder._mp_noise(30)
 
 
 # exactly even (q_-1 = q_1 bit for bit) yet complex, with a complex mean
@@ -455,17 +454,18 @@ def test_one_column_is_that_column_of_the_two_column_kernel_bitwise():
     # the real loop (the cosine at real lam) and the complex one (an even
     # complex q at complex lam)
     dps = 30
-    bits = floquet._fixed_bits(dps)
+    bits = ladder._fixed_bits(dps)
     for q, lam, real in ((make_mathieu(1.0), mp.mpf(9 * PI2 + 0.5), True),
                          (EVEN_COMPLEX, mp.mpc(9 * PI2 + 0.5, 2.25), False)):
         key = floquet._key(q)
-        order, steps = floquet._mp_plan(key, lam, dps)
+        order, steps = ladder._mp_plan(key, lam, dps, floquet._taylor_table,
+                                       floquet._taylor_series)
         with mp.workdps(dps):
-            table = floquet._mp_table(key, steps, order, dps)
+            table = ladder._mp_table(key, steps, order, dps)
             assert table[0] is real
-            both = floquet._fixed_kernel(table, lam, bits, 3)
+            both = ladder._fixed_kernel(table, lam, bits, 3)
             for c, start in enumerate(((1, 0), (0, 1))):
-                one = floquet._fixed_kernel(table, lam, bits, 3, (start,))
+                one = ladder._fixed_kernel(table, lam, bits, 3, (start,))
                 assert one == tuple(v for k in range(4) for v in both[4 * k + 2 * c:4 * k + 2 * c + 2])
 
 
@@ -486,12 +486,12 @@ def test_one_column_forms_match_a_higher_precision_transport(dps):
         assert [d.columns for d in discs] == [1, 1]
         with mp.workdps(dps + 30):
             ref = floquet._disc(q, "mp", dps + 30, lam,
-                                floquet._mp_steps(key, lam, dps + 30)).jet(lam, 3)
+                                ladder._mp_steps(key, lam, dps + 30)).jet(lam, 3)
             for f, jet in zip(forms, got):
                 want = [f(ref[4 * k:4 * k + 4]) for k in range(4)]
-                assert max(abs(a - b) for a, b in zip(jet, want)) <= floquet._mp_noise(dps)
+                assert max(abs(a - b) for a, b in zip(jet, want)) <= ladder._mp_noise(dps)
             finer = floquet._sturm_liouville_root(q, n, alpha, 1e-12, "mp", dps + 30)
-            assert abs(root - finer) <= floquet._mp_noise(dps)
+            assert abs(root - finer) <= ladder._mp_noise(dps)
 
 
 def test_ladder_transports_the_columns_its_form_reads(monkeypatch):
@@ -499,13 +499,13 @@ def test_ladder_transports_the_columns_its_form_reads(monkeypatch):
     # form, 2 (D + 1) for a cosine translated off its symmetry centre, for
     # one even only within 1e-14, and for the public monodromy
     counts = []
-    lanes = floquet._Lanes
+    lanes = ladder._Lanes
 
     def spy(*args):
         counts.append(args[0])
         return lanes(*args)
 
-    monkeypatch.setattr(floquet, "_Lanes", spy)
+    monkeypatch.setattr(ladder, "_Lanes", spy)
     cosine = make_mathieu(1.0)
     turn = cmath.exp(0.2j * math.pi)
     translated = make_fourier({1: 0.5 * turn, -1: 0.5 * turn.conjugate()})
@@ -535,10 +535,10 @@ def test_jet_matches_central_differences():
     # 60-digit transports; with h = 1e-12 the differences are good to 1e-27
     for q, lam in ((make_gasymov([1.0, 0.5j]), mp.mpc(88.5, 2.25)), (WIDE, mp.mpf(4 * PI2 + 0.5))):
         key = floquet._key(q)
-        steps = floquet._mp_steps(key, 90.0, 60)
+        steps = ladder._mp_steps(key, 90.0, 60)
         with mp.workdps(30):
-            table = floquet._mp_table(key, steps, floquet._mp_order(30), 30)
-            jet = floquet._fixed_kernel(table, lam, floquet._fixed_bits(30), 2)
+            table = ladder._mp_table(key, steps, ladder._mp_order(30), 30)
+            jet = ladder._fixed_kernel(table, lam, ladder._fixed_bits(30), 2)
         with mp.workdps(60):
             h = mp.mpf(10) ** -12
             transport = floquet._disc(q, "mp", 60, lam, steps).jet
@@ -555,7 +555,7 @@ def test_jet_polynomial_at_its_radius_edge():
                    (make_gasymov([1.0, 0.5j]), 30)):
         center = 25 * PI2
         disc = floquet._disc(q, "mp", dps, center)
-        steps = floquet._mp_steps(floquet._key(q), center, dps)
+        steps = ladder._mp_steps(floquet._key(q), center, dps)
         with mp.workdps(dps):
             disc.cover(mp.mpf(center) + mp.mpf(1) / 7, 1e-4)
             assert disc.transports == 1 and disc.radius >= 1e-4
@@ -578,8 +578,8 @@ def test_double_jets_match_the_fixed_point_jet():
         C = floquet._taylor_table(key, floquet._taylor_steps(lam), floquet._TAYLOR_ORDER)
         qs = floquet._rk4_samples(key, default_steps(lam))
         with mp.workdps(30):
-            table = floquet._mp_table(key, floquet._mp_steps(key, lam, 30), floquet._mp_order(30), 30)
-            ref = [complex(v) for v in floquet._fixed_kernel(table, lam, floquet._fixed_bits(30), 2)]
+            table = ladder._mp_table(key, ladder._mp_steps(key, lam, 30), ladder._mp_order(30), 30)
+            ref = [complex(v) for v in ladder._fixed_kernel(table, lam, ladder._fixed_bits(30), 2)]
         for jet, rel in ((floquet._taylor_kernel(C, lam, 2), 1e-12),
                          (floquet._rk4_kernel(qs, lam, 2), 1e-8)):
             for k in (1, 2):
@@ -721,13 +721,13 @@ def test_near_real_potential_takes_complex_loop(monkeypatch):
     near = make_fourier({1: 0.5, -1: 0.5 + 1e-16j})
     assert not near.is_real
     calls = []
-    real_step = floquet._lane_step_real
+    real_step = ladder._lane_step_real
 
     def spy(*args):
         calls.append(1)
         return real_step(*args)
 
-    monkeypatch.setattr(floquet, "_lane_step_real", spy)
+    monkeypatch.setattr(ladder, "_lane_step_real", spy)
     lam = 4 * PI2 + 0.5
     assert floquet._taylor_table(floquet._key(near), 16, floquet._TAYLOR_ORDER).dtype.kind == "c"
     m = monodromy(near, lam, dps=30)
@@ -744,7 +744,7 @@ def test_mp_steps_resolve_the_top_mode():
     lam = 4 * PI2 + 0.5
     with mp.workdps(30):
         ref = floquet._disc(WIDE, "mp", 30, lam, 64).jet(lam, 0)
-        steps = floquet._mp_steps(floquet._key(WIDE), lam, 30)
+        steps = ladder._mp_steps(floquet._key(WIDE), lam, 30)
         got = floquet._disc(WIDE, "mp", 30, lam, steps).jet(lam, 0)
         assert abs((got[0] + got[3]) - (ref[0] + ref[3])) <= mp.mpf(10) ** -26
 
@@ -760,17 +760,18 @@ def test_default_plan_matches_a_higher_precision_transport():
     for q, lam, dps in cases:
         key = floquet._key(q)
         s = math.sqrt(abs(lam))
-        order, steps = floquet._mp_plan(key, lam, dps)
-        assert order > floquet._mp_order(dps)
+        order, steps = ladder._mp_plan(key, lam, dps, floquet._taylor_table,
+                                       floquet._taylor_series)
+        assert order > ladder._mp_order(dps)
         # the series peaks near e^(h s), which the guard bits must absorb
-        assert s / steps * math.log2(math.e) < floquet._FIXED_GUARD_BITS
+        assert s / steps * math.log2(math.e) < ladder._FIXED_GUARD_BITS
         with mp.workdps(dps):
             got = floquet._disc(q, "mp", dps, lam).jet(lam, 0)
         with mp.workdps(dps + 30):
             ref = floquet._disc(q, "mp", dps + 30, lam,
-                                floquet._mp_steps(key, lam, dps + 30)).jet(lam, 0)
+                                ladder._mp_steps(key, lam, dps + 30)).jet(lam, 0)
             err = max(abs(g - r) * w for g, r, w in zip(got, ref, (1, 1 / s, s, 1)))
-        assert err <= floquet._mp_noise(dps)
+        assert err <= ladder._mp_noise(dps)
 
 
 def test_ladder_plan_never_costs_more_than_the_fixed_rule():
@@ -779,11 +780,12 @@ def test_ladder_plan_never_costs_more_than_the_fixed_rule():
     for q, ns in ((make_mathieu(1.0), range(1, 25)), (WIDE, range(1, 17)), (wide, range(1, 17))):
         key = floquet._key(q)
         for dps in (30, 60):
-            fixed = (floquet._mp_order(dps) + 2) ** 2
+            fixed = (ladder._mp_order(dps) + 2) ** 2
             for n in ns:
                 lam = n * n * PI2 + complex(q.mean)
-                order, steps = floquet._mp_plan(key, lam, dps)
-                assert (order + 2) ** 2 * steps <= fixed * floquet._mp_steps(key, lam, dps)
+                order, steps = ladder._mp_plan(key, lam, dps, floquet._taylor_table,
+                                               floquet._taylor_series)
+                assert (order + 2) ** 2 * steps <= fixed * ladder._mp_steps(key, lam, dps)
 
 
 def test_solve_ledger_reports_the_ladder_plan():
@@ -973,22 +975,3 @@ def test_gap_record_takes_sigma_and_tau_at_the_pinned_precision():
     q = make_mathieu(1.0)
     ref = gap_record(q, 6, tol=1e-26, method="mp", dps=60)
     assert gap_record(q, 6, tol=1e-26, method="taylor", dps=60).delta == ref.delta
-
-
-def test_delta_linear_model():
-    fit = delta_linear_model(make_mathieu(0.5), (2, 4))
-    assert not fit.degenerate
-    assert abs(fit.kappa) == pytest.approx(0.5, abs=0.01)
-    assert fit.max_ratio < 1e-3
-
-
-def test_delta_linear_model_degenerate_and_validation():
-    fit = delta_linear_model(FREE, (1, 2))
-    assert fit.degenerate
-    assert fit.kappa == 0j
-    with pytest.raises(ValueError):
-        delta_linear_model(make_mathieu(0.5), (0, 3))
-    with pytest.raises(ValueError):
-        delta_linear_model(make_mathieu(0.5), (3, 2))
-    with pytest.raises(ValueError):
-        delta_linear_model(make_mathieu(0.5), (2, 5), M_thresh=4)

@@ -61,7 +61,7 @@ def test_parse_config_validation():
 def test_parse_config_echo_fills_defaults():
     config = parse_config({"kind": "gaps", "potential": MATHIEU_HALF,
                            "n_range": [1, 3]})
-    assert config.echo["oracle"] == {"method": "auto", "dps": None, "steps": None}
+    assert config.echo["oracle"] == {"method": "auto", "dps": None}
     assert config.echo["n_range"] == [1, 3]
     assert config.tol == 1e-12
     assert config.oracle_method == "auto" and config.oracle_dps is None
@@ -336,23 +336,21 @@ def test_cli_route_of_every_kind(kind, tmp_path, capsys):
 # the echo of each _KIND_CONFIGS entry, values and key order, as `verify
 # --json` prints it under "config"
 _SPECTRAL_ECHO = ('"weight": {"kind": "trivial"}, "tol": 1e-12, "out": null, '
-                  '"oracle": {"method": "auto", "dps": null, "steps": null}')
+                  '"oracle": {"method": "auto", "dps": null}')
 _HALF = '"potential": {"type": "mathieu", "mu": 0.5}'
 _GOLDEN_ECHO = {
     "gaps": '{"kind": "gaps", "potential": {"type": "mathieu", "mu": 0.0}, '
             '"tol": 1e-12, "out": null, '
-            '"oracle": {"method": "taylor", "dps": null, "steps": null}, "n_range": [1, 1]}',
+            '"oracle": {"method": "taylor", "dps": null}, "n_range": [1, 1]}',
     "adapted": '{"kind": "adapted", ' + _HALF + ', "tol": 1e-12, "out": null'
                ', "n_range": [1, 10], "m": 2, "M_thresh": 8, "K_out": 15}',
     "oracle": '{"kind": "oracle", ' + _HALF + ', "tol": 1e-12, "out": null, '
-              '"oracle": {"method": "auto", "dps": null, "steps": null}, "n_range": [1, 2]}',
+              '"oracle": {"method": "auto", "dps": null}, "n_range": [1, 2]}',
     "theorem1": '{"kind": "theorem1", ' + _HALF + ", " + _SPECTRAL_ECHO + ', "n_range": [1, 3]}',
-    "theorem4": '{"kind": "theorem4", ' + _HALF + ', "weight": {"kind": "trivial"}, '
-                '"tol": 1e-12, "out": null, "oracle": {"method": "auto", "dps": null}, '
-                '"n_range": [1, 2]}',
+    "theorem4": '{"kind": "theorem4", ' + _HALF + ", " + _SPECTRAL_ECHO + ', "n_range": [1, 2]}',
     "theorem5": '{"kind": "theorem5", ' + _HALF + ', "weight": {"kind": "superexp", '
                 '"sigma": 2.0}, "tol": 1e-12, "out": null, "oracle": {"method": "auto", '
-                '"dps": null, "steps": null}, "n_range": [4, 4], "a": 1.5}',
+                '"dps": null}, "n_range": [4, 4], "a": 1.5}',
     "mathieu": '{"kind": "mathieu", ' + _HALF + ", " + _SPECTRAL_ECHO
                + ', "n_range": [1, 2], "c": 0.6}',
     "gasymov": '{"kind": "gasymov", "potential": {"type": "gasymov", "coeffs": [[1.0, 0.0]]}, '
@@ -452,6 +450,29 @@ def test_cli_weight_the_factory_refuses_is_a_config_error(route, raw, message, t
     assert proc.stderr.rstrip().endswith(message) and proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("route, raw", [
+    (["gaps"], {"potential": MATHIEU_HALF, "n_range": [1, 2]}),
+    (["verify", "mathieu"], {"kind": "mathieu", "potential": MATHIEU_HALF, "n_range": [1, 2]}),
+], ids=["gaps", "verify"])
+def test_cli_unwritable_out_is_a_config_error_before_any_solve(route, raw, tmp_path, capsys,
+                                                               monkeypatch):
+    # a missing directory, a file in its place, or a directory as the output
+    # itself, given by --out or by the config's "out", exits 2 with one
+    # config error line and runs nothing
+    def solve(config):
+        raise AssertionError("solved before the output was checked")
+
+    monkeypatch.setattr(harness, "run_table", solve)
+    monkeypatch.setattr(harness, "run_verify", solve)
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "missing" / "x", tmp_path / "file" / "x", tmp_path):
+        for flag, config in ((["--out", str(out)], raw), ([], {**raw, "out": str(out)})):
+            proc = _cli_run([*route, *flag], _write(tmp_path / "c.json", config), capsys)
+            assert proc.returncode == 2
+            assert proc.stderr == (f"config error: cannot write {str(out)!r}: "
+                                   "not a file in a writable directory\n")
+
+
 def test_cli_verify_mathieu_prints_free_gaps_as_lines(tmp_path, capsys):
     # mu = 0 items carry only gamma_ceiling; they print as summary lines,
     # not as raw JSON
@@ -538,7 +559,7 @@ def _refusals():
     table = {"kind": "table", "values": [[0, 1.0], [1, 5.0], [-1, 2.0]]}
     yield "table-repeated", ["gaps"], _with_potential({**_RANDOM, "K": 1, "decay": table}), \
         "potential.decay.values[2] repeats"
-    # gap_record picks its own steps, so theorem4 does not declare oracle.steps
+    # each oracle path picks its own step count, so no kind declares oracle.steps
     yield "theorem4-steps", ["verify", "theorem4"], {
         "kind": "theorem4", "potential": MATHIEU_HALF, "n_range": [1, 2],
         "oracle": {"steps": 3}}, "unknown oracle fields ['steps']"
@@ -651,7 +672,8 @@ def test_unread_config_attributes_hold_none():
 _LOADED = ("import json, sys\n"
            "from hillgap import cli\n"
            "code = cli.main(sys.argv[1:])\n"
-           "print(json.dumps([code, [m for m in ('hillgap.floquet', 'mpmath') if m in sys.modules]]))")
+           "layers = ('hillgap.floquet', 'hillgap.ladder', 'mpmath')\n"
+           "print(json.dumps([code, [m for m in layers if m in sys.modules]]))")
 _ADAPTED_WIDE = str(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "adapted_wide.json")
 _ORACLE_MATHIEU = {"potential": {"type": "mathieu", "mu": 1.0}, "n_range": [1, 2]}
 
@@ -659,11 +681,16 @@ _ORACLE_MATHIEU = {"potential": {"type": "mathieu", "mu": 1.0}, "n_range": [1, 2
 @pytest.mark.parametrize("route, raw, loaded", [
     (["gaps"], None, []),
     (["verify", "weights"], {"weights": [{"kind": "gevrey", "a": 1.0, "sigma": 0.5}], "N": 20}, []),
-    (["oracle"], _ORACLE_MATHIEU, ["hillgap.floquet", "mpmath"]),
-], ids=["adapted_wide", "weights", "oracle"])
+    (["oracle"], _ORACLE_MATHIEU, ["hillgap.floquet"]),
+    (["oracle"], {**_ORACLE_MATHIEU, "oracle": {"method": "mp", "dps": 30}},
+     ["hillgap.floquet", "hillgap.ladder", "mpmath"]),
+    (["verify", "theorem4"], {"kind": "theorem4", **_ORACLE_MATHIEU}, ["hillgap.floquet"]),
+], ids=["adapted_wide", "weights", "oracle", "oracle_mp", "theorem4"])
 def test_each_route_loads_only_the_layers_it_reaches(route, raw, loaded, tmp_path):
-    # the block reduction and the weights never load the Floquet oracle, nor
-    # the mpmath it imports; an oracle solve loads both
+    # the block reduction and the weights never load the Floquet oracle; an
+    # oracle solve that stays in doubles, gap_record's tau and delta
+    # included, loads it without the ladder and mpmath, and one at a set
+    # precision loads all three
     cfg = _ADAPTED_WIDE if raw is None else _write(tmp_path / "c.json", raw)
     proc = _python("-c", _LOADED, *route, "-c", cfg, "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
@@ -674,9 +701,9 @@ def test_every_public_name_resolves_and_is_listed():
     # the floquet names resolve on first access; each is the oracle's own
     names = dir(hillgap)
     assert "floquet" in names and hillgap.floquet is sys.modules["hillgap.floquet"]
-    for name in ("DeltaFit", "GapRecord", "MonodromyMatrix", "RootSearchError",
-                 "delta_linear_model", "discriminant", "gap_record", "monodromy",
-                 "periodic_eigs", "periodic_eigs_info", "sturm_liouville_eig"):
+    for name in ("GapRecord", "MonodromyMatrix", "RootSearchError", "discriminant",
+                 "gap_record", "monodromy", "periodic_eigs", "periodic_eigs_info",
+                 "sturm_liouville_eig"):
         assert name in names and getattr(hillgap, name) is getattr(hillgap.floquet, name)
     for name in names:
         getattr(hillgap, name)

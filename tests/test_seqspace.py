@@ -12,12 +12,10 @@ from hillgap.seqspace import (
     make_mathieu,
     make_random,
     multiply_by_potential,
-    shifted_wnorm,
     tail,
     truncate,
     unit_vector,
     wnorm,
-    zero_vector,
 )
 from hillgap.weights import gevrey, polynomial, trivial
 
@@ -129,7 +127,7 @@ def test_parity_vector_layout():
     assert f.coeff(3) == 1.0
     assert f.coeff(5) == 0.0
     assert list(f.modes()) == list(range(-9, 10, 2))
-    assert zero_vector(0, 8).l2() == 0.0
+    assert ParityVector(0, 8, np.zeros(9, dtype=complex)).l2() == 0.0
 
 
 def test_resized_pads_and_crops():
@@ -144,25 +142,6 @@ def test_resized_pads_and_crops():
     narrow = f.resized(1)
     assert narrow.mcut == 1
     assert [narrow.coeff(m) for m in (-1, 1)] == [2, 3]
-
-
-def test_shifted_wnorm_examples():
-    w = polynomial(1)
-    f = unit_vector(4, 8)
-    # single term at (m + i)/2 = 0
-    assert shifted_wnorm(f, w, -4) == pytest.approx(1.0, rel=1e-14)
-    assert shifted_wnorm(f, w, 0) == pytest.approx(3.0, rel=1e-13)
-    assert shifted_wnorm(zero_vector(0, 8), w, 5) == 0.0
-
-
-def test_shift_identity_matches_plain_norm():
-    rng = np.random.default_rng(3)
-    data = rng.standard_normal(10) + 1j * rng.standard_normal(10)
-    f = ParityVector(1, 9, data)
-    plain = math.sqrt(sum(
-        polynomial(2)(m / 2) ** 2 * abs(c) ** 2
-        for m, c in zip(f.modes(), f.data)))
-    assert shifted_wnorm(f, polynomial(2), 0) == pytest.approx(plain, rel=1e-13)
 
 
 def _brute_convolution(q, f):
@@ -222,11 +201,10 @@ def test_multiply_keeps_the_edge_image():
 
 def _shift(f, i):
     mcut = f.mcut + abs(i)
-    out = zero_vector((f.parity + i) % 2, mcut)
-    data = out.data.copy()
+    data = np.zeros(mcut + 1, dtype=complex)
     for m, c in zip(f.modes(), f.data):
         data[(m + i + mcut) // 2] = c
-    return ParityVector(out.parity, mcut, data)
+    return ParityVector((f.parity + i) % 2, mcut, data)
 
 
 def test_multiplication_commutes_with_shift():
