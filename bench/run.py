@@ -23,7 +23,9 @@ file records:
   * one ``periodic_eigs_info`` solve (method "auto") on that potential at
     n = 3 and 10 and on the complex K = 16 Gevrey draw of the
     wideband_complex workload at n = 15: first and median warm wall time,
-    with the path taken, the Newton iterations, and the solve ledger
+    with the path taken, its finishing precision ``dps`` (None for doubles;
+    an escalation picks it from the tolerance), the Newton iterations, and
+    the solve ledger
     (transports and summed jet order per path) when the code reports one;
   * one ``gap_block`` on that potential at n = 3, on the real K = 16
     Gevrey draw (seed 202) at n = 4 and 15, and on the complex K = 64 draw
@@ -201,7 +203,8 @@ def solve_times(repeat: int) -> dict:
         first, warm = _first_and_warm(solve, repeat)
         info = result[0]
         out[name] = {"first_s": first, "warm_s": warm, "method": info["method"],
-                     "iters": info["iters"], "kernels": info.get("kernels"),
+                     "dps": info.get("dps"), "iters": info["iters"],
+                     "kernels": info.get("kernels"),
                      "escalated": info.get("escalated")}
     return out
 

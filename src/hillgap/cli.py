@@ -10,12 +10,17 @@ runs the kind "weights_check".
 
 Exit status: 0 on success, 1 when a check fails or a table row records a
 numerical error, 2 on config errors, an --out or config "out" that is a
-directory, or whose directory is missing or not writable, included.
+directory, or whose directory is missing or not writable, included, and
+141 (128 + SIGPIPE, as a shell reports a pipe's reader closing early) when
+stdout closes before the output is written, as in ``| head``.  An --out
+file is written through a temporary file and a rename, so a failed run
+leaves none.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -23,6 +28,7 @@ import sys
 from . import harness, weights
 
 _WEIGHTS_SUITE, _WEIGHTS_KIND = "weights", "weights_check"
+_EXIT_BROKEN_PIPE = 141
 _SUITES = [_WEIGHTS_SUITE if kind == _WEIGHTS_KIND else kind
            for kind in harness.KINDS if kind not in harness.TABLE_KINDS]
 
@@ -71,9 +77,18 @@ def main(argv=None) -> int:
         if out and (os.path.isdir(out) or not os.path.isdir(parent)
                     or not os.access(parent, os.W_OK)):
             raise harness.ConfigError(f"cannot write {out!r}: not a file in a writable directory")
-        if args.command == "verify":
-            return _run_verify(config, args, out)
-        return _run_table(config, args, out)
+        run = _run_verify if args.command == "verify" else _run_table
+        code = run(config, args, out)
+        # flushed here, so a closed stdout raises below, not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Python's note on SIGPIPE: point stdout at devnull so the flush at
+        # exit does not raise again (a stdout without a descriptor needs none)
+        with contextlib.suppress(OSError, ValueError):
+            stdout = sys.stdout.fileno()
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
+        return _EXIT_BROKEN_PIPE
     except (harness.ConfigError, weights.TableDomainError, weights.CertificateError) as exc:
         # a table weight queried off its grid and a psi search that cannot
         # certify its minimum are faults of the config too
@@ -100,8 +115,7 @@ def _run_verify(config: harness.ExperimentConfig, args, out: str | None) -> int:
     report = harness.run_verify(config)
     text = json.dumps(_jsonable(report), indent=2)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        harness.write_text(out, text + "\n")
     if args.json:
         print(text)
     else:

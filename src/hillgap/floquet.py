@@ -14,8 +14,9 @@ Three integrator paths share the fixed-step, reproducible design:
     truncation bias (~5e-11 at the default step rule),
   * the same Taylor scheme at arbitrary precision for gaps far below double
     resolution: the fixed-point ladder of hillgap.ladder, the one module
-    that imports mpmath.  _disc loads it where a solve first runs at a set
-    dps, so a solve that stays in doubles loads neither.
+    that imports mpmath.  It is loaded where a solve first leaves doubles,
+    to run at a set dps or to pick one, so a solve that stays in doubles
+    loads neither.
 
 Both double paths build the 2x2 propagator of every step at once with numpy
 (each step is linear in the state) and multiply the propagators out pairwise.
@@ -61,17 +62,26 @@ highest coefficients set, and builds a new jet only for a point outside it.
 Every solve first finds the critical point (or a Sturm-Liouville root) in
 doubles; a solve at a dps pinned under any method, or after an "auto"
 escalation decided there before any root is polished, continues from it.
-Its jet covers the double result's error, plus half the model gap when the
-double dip is resolved, so one jet usually serves the whole solve.  A gap
-is reported collapsed when the model separation falls under the tolerance;
-when the dip D* drowns in integrator noise the pair is returned at the
-model positions and flagged unresolved in the diagnostics.
+An escalation runs at the fewest digits whose noise floor meets what
+tol_lam = tol max(1, n^2) asks of the double numbers: when the double dip
+D is resolved, roots within tol_lam / 10, so noise <= tol_lam
+sqrt(2 |D Delta''|) / 100, as the root Newton stops at 10 noise on a slope
+near sqrt(2 |D Delta''|); when it is not, a gap of tol_lam must still read
+resolved, so noise <= |Delta''| tol_lam^2 / (8 margin), margin being the
+resolve factor; and never coarser than the double noise over that margin
+(19 digits).  Its jet covers the double result's error, plus half the
+model gap when the double dip is resolved, so one jet usually serves the
+whole solve.  A gap is reported collapsed when the model separation falls
+under the tolerance; when the dip D* drowns in integrator noise the pair
+is returned at the model positions and flagged unresolved in the
+diagnostics.
 """
 
 from __future__ import annotations
 
 import cmath
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -91,7 +101,6 @@ _TAYLOR_NOISE = 1e-14       # double path: trace roundoff floor estimate
 _RESOLVE_MARGIN = 100.0     # dip must exceed noise by this factor to count
 _AUTO_DIP_FACTOR = 1e6      # auto keeps a double result only above this dip
 _DEFAULT_DPS = 45
-_AUTO_DPS = 30              # escalation precision when the caller names none
 
 
 class RootSearchError(blockdecomp.IterationError):
@@ -577,6 +586,8 @@ def _solve_pair(q: FourierPotential, n: int, tol: float, method: str,
     path, dps = _path(method, dps)
     if n < 1:
         raise ValueError("gap index n must be >= 1")
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
     center = n * n * math.pi ** 2 + complex(q.mean)
     target = 2.0 if n % 2 == 0 else -2.0
     tol_lam = tol * max(1, n * n)
@@ -592,10 +603,20 @@ def _solve_pair(q: FourierPotential, n: int, tol: float, method: str,
     if dps or escalated:
         # one jet covers the double critical point's error and, when the
         # double dip is resolved, both model roots as well
+        split = abs(dip) >= _RESOLVE_MARGIN * disc.noise
         span = float(disc.noise / abs(d2))
-        if abs(dip) >= _RESOLVE_MARGIN * disc.noise:
+        if split:
             span += math.sqrt(abs(2 * dip / d2))
-        disc = _disc(q, path, dps or _AUTO_DPS, center, steps if dps else None, _trace)
+        if escalated:
+            # the fewest digits tol_lam needs (module docstring): roots within
+            # tol_lam / 10 if the double dip splits, else a gap of tol_lam
+            from . import ladder
+
+            need = (tol_lam * math.sqrt(2 * abs(dip * d2)) / 100 if split
+                    else abs(d2) * tol_lam ** 2 / (8 * _RESOLVE_MARGIN))
+            need = min(need, _TAYLOR_NOISE / _RESOLVE_MARGIN)
+            dps = next(d for d in itertools.count(1) if ladder._mp_noise(d) <= need)
+        disc = _disc(q, path, dps, center, steps if not escalated else None, _trace)
         with disc.precision():
             lam_star, dip, d2, its = _newton_critical(disc, lam_star, span, n, target, tol_lam)
     with disc.precision():
@@ -653,8 +674,11 @@ def periodic_eigs(q: FourierPotential, n: int, tol: float = 1e-12,
     path is RK4 for "rk4" and Taylor for "taylor", "auto" and "mp".  ``dps``
     pins the precision the solve finishes at, for every method, and "mp"
     without it pins 45 digits.  Otherwise the solve ends in doubles, unless
-    "auto" escalates to 30 digits because the dip is too close to the double
-    roundoff floor to trust the split.  Other methods raise ValueError.
+    "auto" escalates because the dip is too close to the double roundoff
+    floor to trust the split; it then runs at the fewest digits that resolve
+    the roots, or a gap, to tol * max(1, n^2), by the rule the module
+    docstring states (19 digits or more).  Other methods raise ValueError,
+    and so does a tol that is not positive.
     Every arbitrary-precision solve starts from the double critical point.
     """
     lm, lp, _ = periodic_eigs_info(q, n, tol, method=method, dps=dps, steps=steps)
@@ -673,7 +697,8 @@ def periodic_eigs_info(q: FourierPotential, n: int, tol: float = 1e-12,
     order, the path's ``order`` and ``steps``, and the ``columns`` (solutions)
     it carried, 1 or 2; the double critical search
     that seeds every arbitrary-precision solve included; ``dps``: the pair's
-    finishing precision, None for doubles; and ``escalated``: why "auto" left the
+    finishing precision, None for doubles, chosen by the escalation rule
+    when "auto" escalates; and ``escalated``: why "auto" left the
     double path, or None (also when ``dps`` or "mp" pinned the precision).
     """
     lm, lp, info = _solve_pair(q, n, tol, method, dps, steps)

@@ -30,10 +30,12 @@ adapted map and the weights suite run without it.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import csv
 import io
 import math
+import os
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -461,9 +463,24 @@ def rows_to_csv(rows) -> str:
     return buf.getvalue()
 
 
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a temporary file beside it and
+    os.replace, so a write that fails or is interrupted leaves no partial
+    file (and an older ``path`` as it was)."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def write_csv(rows, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(rows_to_csv(rows))
+    write_text(path, rows_to_csv(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,9 @@ FREE = make_fourier({}, K=1)
 
 # real K = 16 draw whose top modes the default step counts once under-resolved
 WIDE = make_random(gevrey(0, 1, 0.5), seed=202, K=16)
+# the complex K = 16 draw of the wideband_complex benchmark, whose rows 15
+# and 16 escalate
+WIDEBAND = make_random(gevrey(0, 1, 0.5), seed=11, K=16, real=False)
 
 
 def _free_entries(lam):
@@ -422,7 +425,7 @@ def test_lane_division_matches_lanewise_floor_division():
 
 
 @pytest.mark.parametrize("q, n", [(make_mathieu(1.0), 16), (make_mathieu(1.0), 18),
-                                  (make_random(gevrey(0, 1, 0.5), seed=11, K=16, real=False), 15)],
+                                  (WIDEBAND, 15)],
                          ids=["cosine-16", "cosine-18", "wideband-15"])
 def test_widest_lanes_match_a_higher_precision_transport(q, n):
     # the largest per-step A the perfbench sweeps pick at 30 digits: the
@@ -621,20 +624,20 @@ def test_jet_radius_guards_a_vanishing_last_coefficient():
 
 
 def test_solve_ledger_counts_transports():
-    # a collapsed cosine gap escalates and is served by one 30-digit jet;
-    # the complex K = 16 draw at n = 15 needs one jet covering both roots
+    # a collapsed cosine gap escalates and is served by one jet at the
+    # precision the escalation picks; the complex K = 16 draw at n = 15
+    # needs one jet covering both roots
     _, _, info = periodic_eigs_info(make_mathieu(1.0), 10)
-    assert info["method"] == "mp30"
+    assert info["method"] == f"mp{info['dps']}"
     assert info["kernels"]["taylor"]["transports"] > 0
-    assert info["kernels"]["mp30"]["transports"] == 1
+    assert info["kernels"][info["method"]]["transports"] == 1
     assert info["escalated"].startswith("dip ")
     assert info["escalated"].endswith(" < auto threshold 1e-08")
-    wide = make_random(gevrey(0, 1, 0.5), seed=11, K=16, real=False)
-    _, _, info = periodic_eigs_info(wide, 15)
-    mp30 = info["kernels"]["mp30"]
+    _, _, info = periodic_eigs_info(WIDEBAND, 15)
+    mp = info["kernels"][info["method"]]
     assert info["resolved"]
-    assert mp30["transports"] <= 2
-    assert mp30["transports"] + mp30["jet_order"] <= 12
+    assert mp["transports"] <= 2
+    assert mp["transports"] + mp["jet_order"] <= 12
     _, _, info = periodic_eigs_info(make_mathieu(1.0), 1)
     assert info["escalated"] is None and list(info["kernels"]) == ["taylor"]
 
@@ -776,8 +779,7 @@ def test_default_plan_matches_a_higher_precision_transport():
 
 def test_ladder_plan_never_costs_more_than_the_fixed_rule():
     # cost is one dot product per order per step, (order + 2)^2 steps
-    wide = make_random(gevrey(0, 1, 0.5), seed=11, K=16, real=False)
-    for q, ns in ((make_mathieu(1.0), range(1, 25)), (WIDE, range(1, 17)), (wide, range(1, 17))):
+    for q, ns in ((make_mathieu(1.0), range(1, 25)), (WIDE, range(1, 17)), (WIDEBAND, range(1, 17))):
         key = floquet._key(q)
         for dps in (30, 60):
             fixed = (ladder._mp_order(dps) + 2) ** 2
@@ -789,15 +791,22 @@ def test_ladder_plan_never_costs_more_than_the_fixed_rule():
 
 
 def test_solve_ledger_reports_the_ladder_plan():
-    # the cosine's escalated n = 12 solve runs a higher order on fewer steps;
-    # the complex K = 16 draw keeps the fixed rule's plan
-    _, _, info = periodic_eigs_info(make_mathieu(1.0), 12)
-    mp30 = info["kernels"]["mp30"]
-    assert mp30["order"] > 28 and mp30["steps"] < 46
+    # the cosine's escalated n = 12 solve runs a higher order on fewer steps
+    # than the fixed rule at its precision; the complex K = 16 draw keeps
+    # the fixed rule's plan
+    def fixed(q, n, dps):
+        lam = n * n * PI2 + complex(q.mean)
+        return ladder._mp_order(dps), ladder._mp_steps(floquet._key(q), lam, dps)
+
+    cosine = make_mathieu(1.0)
+    _, _, info = periodic_eigs_info(cosine, 12)
+    mp = info["kernels"][info["method"]]
+    order, steps = fixed(cosine, 12, info["dps"])
+    assert mp["order"] > order and mp["steps"] < steps
     assert info["kernels"]["taylor"]["order"] == floquet._TAYLOR_ORDER
-    wide = make_random(gevrey(0, 1, 0.5), seed=11, K=16, real=False)
-    _, _, info = periodic_eigs_info(wide, 15)
-    assert (info["kernels"]["mp30"]["order"], info["kernels"]["mp30"]["steps"]) == (28, 65)
+    _, _, info = periodic_eigs_info(WIDEBAND, 15)
+    mp = info["kernels"][info["method"]]
+    assert (mp["order"], mp["steps"]) == fixed(WIDEBAND, 15, info["dps"])
 
 
 def test_monodromy_validation():
@@ -887,7 +896,33 @@ def test_auto_escalation_policy():
     _, _, info1 = periodic_eigs_info(q, 1)
     assert info1["method"] == "taylor" and info1["resolved"]
     _, _, info3 = periodic_eigs_info(q, 3)
-    assert info3["method"] == "mp30" and info3["resolved"]
+    assert info3["dps"] and info3["method"] == f"mp{info3['dps']}" and info3["resolved"]
+
+
+@pytest.mark.parametrize("q, n", [(WIDEBAND, 15), (WIDEBAND, 16), (make_mathieu(1.0), 3),
+                                  (make_mathieu(1.0), 4), (make_mathieu(1.0), 5)],
+                         ids=["wideband-15", "wideband-16", "cosine-3", "cosine-4", "cosine-5"])
+def test_escalation_precision_meets_tol(q, n):
+    # an escalated row runs at the fewest digits that put its edges within
+    # tol n^2 / 10 of a 60-digit solve; the wideband rows need fewer than 30
+    lm, lp, info = periodic_eigs_info(q, n)
+    ref_lm, ref_lp, _ = periodic_eigs_info(q, n, dps=60)
+    assert info["escalated"] and info["method"] == f"mp{info['dps']}"
+    assert max(abs(lm - ref_lm), abs(lp - ref_lp)) <= 1e-12 * n * n / 10
+    if q is WIDEBAND:
+        assert info["dps"] < 30
+
+
+def test_escalation_precision_honours_a_small_tol():
+    # gamma_8 ~ 2.06e-21 is 32 times tol n^2 at tol = 1e-24: auto must
+    # escalate far enough to resolve it, not report the gap closed
+    q = make_mathieu(1.0)
+    _, _, ref = periodic_eigs_info(q, 8, tol=1e-26, dps=60)
+    _, _, info = periodic_eigs_info(q, 8, tol=1e-24)
+    assert info["escalated"] and info["resolved"]
+    assert abs(info["gamma"] - ref["gamma"]) <= 1e-24 * 64
+    with pytest.raises(ValueError, match="tol must be positive"):
+        periodic_eigs_info(q, 8, tol=0.0)
 
 
 def test_discriminant_at_gap_roots():
@@ -901,7 +936,7 @@ def test_discriminant_at_gap_roots():
 def test_gasymov_gap_closes():
     g = make_gasymov([1.0])
     lm, lp, info = periodic_eigs_info(g, 2)
-    assert info["method"] == "mp30"
+    assert info["dps"] and info["method"] == f"mp{info['dps']}"
     assert not info["resolved"]
     assert abs(lp - lm) <= 1e-7
 

@@ -1,5 +1,6 @@
 """Config parsing, table runs, verification reports, and the CLI."""
 
+import io
 import json
 import math
 import os
@@ -471,6 +472,80 @@ def test_cli_unwritable_out_is_a_config_error_before_any_solve(route, raw, tmp_p
             assert proc.returncode == 2
             assert proc.stderr == (f"config error: cannot write {str(out)!r}: "
                                    "not a file in a writable directory\n")
+
+
+class _ClosedStdout:
+    # a stdout whose reader has gone: the write (a large output) or the
+    # flush (a small one, still buffered) meets the broken pipe
+    def __init__(self, on):
+        self.on = on
+
+    def write(self, text):
+        if self.on == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        raise io.UnsupportedOperation("fileno")
+
+
+@pytest.mark.parametrize("on", ["write", "flush"])
+@pytest.mark.parametrize("route, raw", [
+    (["gaps"], {"potential": MATHIEU_HALF, "n_range": [1, 2]}),
+    (["verify", "weights", "--json"], {"weights": [{"kind": "polynomial", "r": 1.0}], "N": 8}),
+], ids=["gaps", "weights"])
+def test_cli_closed_stdout_exits_without_a_traceback(route, raw, on, tmp_path, capsys,
+                                                     monkeypatch):
+    # `hillgap ... | head` closes stdout early: the CLI exits 141, as a shell
+    # reports SIGPIPE, with nothing on stderr
+    cfg = _write(tmp_path / "c.json", raw)
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout(on))
+    proc = _cli_run(route, cfg, capsys)
+    assert proc == (141, "")
+
+
+@pytest.mark.parametrize("route, raw", [
+    (["gaps"], {"potential": MATHIEU_HALF, "n_range": [1, 2]}),
+    (["verify", "weights"], {"weights": [{"kind": "polynomial", "r": 1.0}], "N": 8}),
+], ids=["gaps", "weights"])
+def test_out_write_failing_midway_leaves_no_file(route, raw, tmp_path, monkeypatch):
+    # the disk fills halfway through the --out write: no partial file and no
+    # temporary file is left, and an older output stays as it was
+    real_open = open
+
+    class Full:
+        def __init__(self, *args, **kwargs):
+            self.fh = real_open(*args, **kwargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    cfg = _write(tmp_path / "c.json", raw)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    monkeypatch.setattr(harness, "open", Full, raising=False)
+    out = out_dir / "result"
+    with pytest.raises(OSError, match="No space left"):
+        cli.main([*route, "-c", cfg, "--out", str(out)])
+    assert list(out_dir.iterdir()) == []
+    out.write_text("older\n")
+    with pytest.raises(OSError, match="No space left"):
+        cli.main([*route, "-c", cfg, "--out", str(out)])
+    assert list(out_dir.iterdir()) == [out] and out.read_text() == "older\n"
+    monkeypatch.undo()
+    assert cli.main([*route, "-c", cfg, "--out", str(out)]) == 0
+    assert list(out_dir.iterdir()) == [out] and out.read_text() != "older\n"
 
 
 def test_cli_verify_mathieu_prints_free_gaps_as_lines(tmp_path, capsys):
