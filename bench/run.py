@@ -135,7 +135,7 @@ def _first_and_warm(fn, repeat: int) -> tuple[float, float]:
 
 def _plan(q, lam, dps: int) -> list:
     # (order, steps) of the ladder at lam, on the oracle's double series
-    return list(ladder._mp_plan(floquet._key(q), lam, dps, floquet._taylor_table,
+    return list(ladder._mp_plan(q, lam, dps, floquet._taylor_table,
                                 floquet._taylor_series))
 
 

@@ -9,12 +9,13 @@ SUITE names one of the other kinds of harness.KINDS; the suite "weights"
 runs the kind "weights_check".
 
 Exit status: 0 on success, 1 when a check fails or a table row records a
-numerical error, 2 on config errors, an --out or config "out" that is a
-directory, or whose directory is missing or not writable, included, and
-141 (128 + SIGPIPE, as a shell reports a pipe's reader closing early) when
-stdout closes before the output is written, as in ``| head``.  An --out
-file is written through a temporary file and a rename, so a failed run
-leaves none.
+numerical error, 2 on config errors (among them an --out or config "out"
+that is a directory, or whose directory is missing or not writable, and a
+write to it that fails anyway, as on a full disk, with the OS error named),
+and 141 (128 + SIGPIPE, as a shell reports a pipe's reader closing early)
+when stdout closes before the output is written, as in ``| head``.  An
+--out file is written through a temporary file and a rename, so a failed
+run leaves none.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def main(argv=None) -> int:
 def _run_table(config: harness.ExperimentConfig, args, out: str | None) -> int:
     rows, failed = harness.run_table(config)
     if out:
-        harness.write_csv(rows, out)
+        _write(out, harness.rows_to_csv(rows))
     if args.json:
         print(json.dumps({"kind": config.kind, "failed": failed,
                           "rows": _jsonable(rows)}))
@@ -115,12 +116,21 @@ def _run_verify(config: harness.ExperimentConfig, args, out: str | None) -> int:
     report = harness.run_verify(config)
     text = json.dumps(_jsonable(report), indent=2)
     if out:
-        harness.write_text(out, text + "\n")
+        _write(out, text + "\n")
     if args.json:
         print(text)
     else:
         _print_summary(report)
     return 0 if report["pass"] else 1
+
+
+def _write(out: str, text: str) -> None:
+    # a write that fails although the path passed its check (a full disk,
+    # say) ends as that check does: one line, exit 2
+    try:
+        harness.write_text(out, text)
+    except OSError as exc:
+        raise harness.ConfigError(f"cannot write {out!r}: {exc}") from exc
 
 
 def _jsonable(obj):

@@ -20,17 +20,18 @@ Three integrator paths share the fixed-step, reproducible design:
 
 Both double paths build the 2x2 propagator of every step at once with numpy
 (each step is linear in the state) and multiply the propagators out pairwise.
+Both read q off one table builder cached on the potential object, RK4 its
+order-0 column at twice the steps (the step points and midpoints).
 
 A real potential (``FourierPotential.is_real``: q_-k equal to conj(q_k)
-bit for bit and a real mean) gets real coefficient tables on both Taylor
-paths, summed from the pairs 2 Re(q_k e^(2 pi i k x) (2 pi i k)^i / i!).
-At real lambda such a table keeps every imaginary part at zero: the double
-path returns entries with zero imaginary part, and the ladder runs its real
-loop, which gives the same integers as its complex one.  Any other
-potential or lambda runs the complex loop.  So the double critical point
-of a real potential is exactly real, the high-precision solve it seeds
-stays on the real loop, and the eigenvalue pairs come back with imaginary
-parts exactly 0.
+bit for bit and a real mean) gets real tables on every path, summed from
+the pairs 2 Re(q_k e^(2 pi i k x) (2 pi i k)^i / i!).  At real lambda such
+a table keeps every imaginary part at zero: both double kernels return
+entries with zero imaginary part, and the ladder runs its real loop, which
+gives the same integers as its complex one.  Any other potential or lambda
+runs the complex loop.  So the double critical point of a real potential
+is exactly real, the high-precision solve it seeds stays on the real loop,
+and the eigenvalue pairs come back with imaginary parts exactly 0.
 
 The ladder transports only the solutions a form reads.  A Sturm-Liouville
 form reads one, the solution from (-sin a, cos a); the trace of an exactly
@@ -250,31 +251,21 @@ def _taylor_kernel(C, lam, order=0):
     return _chain(np.stack((y, yp), 2))
 
 
-def _key(q: FourierPotential):
-    return (q.K, q.data.tobytes(), complex(q.mean))
+def _rk4_samples(q: FourierPotential, steps):
+    # q at the step points and midpoints, mean included: the order-0 column
+    # of the Taylor table at twice the steps, x = 1 closing the period
+    c = _taylor_table(q, 2 * steps, 0)[:, 0]
+    return np.append(c, c[0])
 
 
 @lru_cache(maxsize=32)
-def _rk4_samples(key, steps):
-    # potential sampled at the step points and midpoints, mean included
-    K, data_bytes, mean = key
-    coeffs = np.frombuffer(data_bytes, dtype=np.complex128)
-    x = np.arange(2 * steps + 1) * (0.5 / steps)
-    modes = np.arange(-K, K + 1)
-    qs = np.exp(2j * np.pi * np.outer(x, modes)) @ coeffs + mean
-    return np.ascontiguousarray(qs)
-
-
-@lru_cache(maxsize=32)
-def _taylor_table(key, steps, order):
+def _taylor_table(q: FourierPotential, steps, order):
     # C[j, i] = i-th Taylor coefficient of q at x = j/steps; a real q sums
     # the pairs k, -k as 2 Re(...) over k > 0 and gets a real table
-    K, data_bytes, mean = key
-    coeffs = np.frombuffer(data_bytes, dtype=np.complex128)
-    real = FourierPotential(K, coeffs, mean).is_real
+    K, mean, real = q.K, complex(q.mean), q.is_real
     modes = np.arange(1 if real else -K, K + 1)
     x = np.arange(steps) / steps
-    phases = np.exp(2j * np.pi * np.outer(x, modes)) * coeffs[K + modes]  # (steps, modes)
+    phases = np.exp(2j * np.pi * np.outer(x, modes)) * q.data[K + modes]  # (steps, modes)
     z = 2j * np.pi * modes
     powers = np.ones((order + 1, len(modes)), dtype=np.complex128)
     for i in range(1, order + 1):
@@ -486,14 +477,13 @@ def _disc(q: FourierPotential, method: str, dps: int | None, center: complex,
     # the path _path picks: the ladder when it pins a precision, else doubles;
     # form None serves the whole monodromy and its trace
     path, dps = _path(method, dps)
-    key = _key(q)
     if dps:
         # the one place this module loads the ladder, and with it mpmath
         from . import ladder
 
         plan = ((ladder._mp_order(dps), steps) if steps
-                else ladder._mp_plan(key, center, dps, _taylor_table, _taylor_series))
-        table = ladder._mp_table(key, plan[1], plan[0], dps)
+                else ladder._mp_plan(q, center, dps, _taylor_table, _taylor_series))
+        table = ladder._mp_table(q, plan[1], plan[0], dps)
         bits = ladder._fixed_bits(dps)
         # the ladder transports the one solution a form reads, where it reads
         # one: a boundary form's ``start``, and (1, 0) for the trace of a q
@@ -506,11 +496,11 @@ def _disc(q: FourierPotential, method: str, dps: int | None, center: complex,
     form = form or _trace
     if path == "taylor":
         plan = (_TAYLOR_ORDER, steps or _taylor_steps(center))
-        C = _taylor_table(key, plan[1], plan[0])
+        C = _taylor_table(q, plan[1], plan[0])
         return _JetDisc(lambda lam, order: _taylor_kernel(C, complex(lam), order),
                         _TAYLOR_NOISE, path, plan, form=form)
     plan = (4, steps or default_steps(center))
-    qs = _rk4_samples(key, plan[1])
+    qs = _rk4_samples(q, plan[1])
     # RK4 error is truncation bias, not roundoff
     return _JetDisc(lambda lam, order: _rk4_kernel(qs, complex(lam), order),
                     1e-9, path, plan, form=form)
@@ -536,7 +526,7 @@ def _newton_critical(disc, lam0, span: float, n: int, target: float, tol: float)
         if abs(step) > clip:
             step = step / abs(step) * clip
         lam = lam - step
-        if abs(lam - lam0) > 12.0 * scale:
+        if abs(lam - lam0) > blockdecomp.STRIP_HALF_WIDTH * scale:
             raise RootSearchError("critical point escaped the search strip")
         if abs(step) <= max(tol, disc.noise / abs(d2)):
             return lam, disc.derivs(lam, 0, target)[0], d2, it
@@ -649,7 +639,7 @@ def _solve_pair(q: FourierPotential, n: int, tol: float, method: str,
         r2, res2, it2 = _newton_root(disc, target, lam_star + gamma_model / 2, tol_lam, scale,
                                      deflate=r1)
         for r in (complex(r1), complex(r2)):
-            if abs(r - center) > 12.0 * scale + 1.0:
+            if abs(r - center) > blockdecomp.STRIP_HALF_WIDTH * scale + 1.0:
                 raise RootSearchError(f"gap root {r} escaped the strip around {center}")
         info["iters"] = its + it1 + it2
         info["resid"] = float(max(res1, res2 * abs(complex(r2) - complex(r1))))
@@ -741,7 +731,7 @@ def _sturm_liouville_root(q: FourierPotential, n: int, alpha: float, tol: float,
         with disc.precision():
             disc.cover(root, span)
             root, _, _ = _newton_root(disc, 0.0, root, tol_lam, scale)
-    if abs(complex(root) - center) > 12.0 * scale + 1.0:
+    if abs(complex(root) - center) > blockdecomp.STRIP_HALF_WIDTH * scale + 1.0:
         raise RootSearchError(f"boundary eigenvalue {complex(root)} escaped the strip")
     return root
 

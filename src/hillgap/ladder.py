@@ -56,7 +56,7 @@ def working(dps: int) -> SimpleNamespace:
 # plan: the Taylor order and step count at a working precision
 
 
-def _series_steps(key, order: int, eps: float) -> int:
+def _series_steps(q: FourierPotential, order: int, eps: float) -> int:
     """Fewest steps over which the potential's own Taylor series converges.
 
     At least two steps per period of the highest mode, and enough that the
@@ -64,12 +64,10 @@ def _series_steps(key, order: int, eps: float) -> int:
     at h = 1/steps, stays under eps: the solution's series inherits that
     remainder, whatever lam is.
     """
-    K, data_bytes, _ = key
-    coeffs = np.frombuffer(data_bytes, dtype=np.complex128)
-    k = np.flatnonzero(coeffs) - K
+    k = np.flatnonzero(q.data) - q.K
     if not len(k):
         return 0
-    logs = np.log(np.abs(coeffs[k + K])) + (order + 1) * np.log(2 * np.pi * np.abs(k))
+    logs = np.log(np.abs(q.data[k + q.K])) + (order + 1) * np.log(2 * np.pi * np.abs(k))
     top = float(logs.max())
     log_a = top + math.log(float(np.exp(logs - top).sum())) - math.lgamma(order + 2)
     return max(2 * int(np.abs(k).max()),
@@ -96,14 +94,14 @@ def _mp_noise(dps: int) -> float:
     return 10.0 ** (-(dps - 3))
 
 
-def _mp_steps(key, lam, dps: int) -> int:
+def _mp_steps(q: FourierPotential, lam, dps: int) -> int:
     factor = _mp_factor(dps)
     return max(16, int(math.ceil(factor * math.sqrt(abs(complex(lam))))) + 8,
-               _series_steps(key, _mp_order(dps), _mp_noise(dps)))
+               _series_steps(q, _mp_order(dps), _mp_noise(dps)))
 
 
 @lru_cache(maxsize=32)
-def _mp_plan(key, lam, dps: int, table, series) -> tuple[int, int]:
+def _mp_plan(q: FourierPotential, lam, dps: int, table, series) -> tuple[int, int]:
     """(order, steps) of the ladder at lam: the cheapest plan the series certifies.
 
     A plan costs (order + 2)^2 steps, one dot product per order per step.
@@ -118,11 +116,11 @@ def _mp_plan(key, lam, dps: int, table, series) -> tuple[int, int]:
     _FIXED_GUARD_BITS.  The fixed rule (_mp_order, _mp_steps) holds unless
     a higher order is strictly cheaper.
     """
-    order, steps = plan = _mp_order(dps), _mp_steps(key, lam, dps)
+    order, steps = plan = _mp_order(dps), _mp_steps(q, lam, dps)
     cost, top = (order + 2) ** 2 * steps, order + 48
     s = max(1.0, math.sqrt(abs(complex(lam))))
     z = complex(lam) / (s * s)
-    C = table(key, max(32, 8 * key[0]), top) / s ** np.arange(2.0, top + 3)
+    C = table(q, max(32, 8 * q.K), top) / s ** np.arange(2.0, top + 3)
     w = np.abs(series(C, z.real if z.imag == 0 else z)[:, 0])
     w *= np.arange(top + 3)[:, None, None]
     fewest = math.ceil(s / ((_FIXED_GUARD_BITS - 4) * math.log(2.0)))
@@ -144,7 +142,7 @@ def _fixed_bits(dps: int) -> int:
 
 
 @lru_cache(maxsize=8)
-def _mp_table(key, steps, order, dps):
+def _mp_table(q: FourierPotential, steps, order, dps):
     """Taylor coefficients of q at the step points, in fixed point.
 
     C[j][i] = sum_k E[j][k] P[k][i] with E[j][k] = q_k e^(2 pi i k j/steps)
@@ -162,9 +160,7 @@ def _mp_table(key, steps, order, dps):
     dot product).  A real q sums its pairs k, -k as 2 Re(E P) over k > 0,
     so its imaginary parts are zero by construction and ``real`` is set.
     """
-    K, data_bytes, mean = key
-    coeffs = np.frombuffer(data_bytes, dtype=np.complex128)
-    real = FourierPotential(K, coeffs, mean).is_real
+    K, coeffs, mean, real = q.K, q.data, complex(q.mean), q.is_real
     bits = _fixed_bits(dps)
     modes = [k for k in range(1 if real else -K, K + 1) if coeffs[K + k] != 0]
     top = max((abs(k) for k in modes), default=1)

@@ -13,9 +13,10 @@ q_{-n} = conj(q_n) bit for bit, and its mean is real.  ``is_real`` reads this
 off the coefficients, so a potential answers alike however it was made; one
 that is symmetric only to rounding is complex.
 
-All values are immutable in use.  Multiplication by a potential is exact: the
-product comes back on the input's window widened by 2K, so nothing is dropped
-at an edge.
+All values are immutable in use, and a potential's coefficients are a
+read-only copy, so the object fixes them; the oracle caches its tables on
+it, by identity.  Multiplication by a potential is exact: the product comes
+back on the input's window widened by 2K, so nothing is dropped at an edge.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ class FourierPotential:
     """1-periodic potential on modes e^{2 pi i n x}, |n| <= K, mean kept aside.
 
     ``data[K + n]`` holds q_n; the n = 0 slot stays zero and ``mean`` carries
-    q_0.
+    q_0.  ``data`` is a read-only copy of the array given.
     """
 
     K: int
@@ -47,6 +48,8 @@ class FourierPotential:
             raise ValueError("coefficient array must have length 2K+1")
         if abs(self.data[self.K]) != 0.0:
             raise ValueError("mode 0 belongs in the mean field")
+        object.__setattr__(self, "data", np.array(self.data))
+        self.data.flags.writeable = False
 
     @property
     def is_real(self) -> bool:

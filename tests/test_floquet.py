@@ -6,6 +6,7 @@ import random
 from operator import mul
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from hillgap import floquet, ladder
@@ -141,13 +142,13 @@ def test_batched_kernels_match_step_loops():
     g = make_gasymov([1.0, 0.5j])
     for lam in (40.0, 90.0 - 6.0j):
         steps = default_steps(lam)
-        qs = floquet._rk4_samples(floquet._key(g), steps)
+        qs = floquet._rk4_samples(g, steps)
         got = floquet._rk4_kernel(qs, lam)
         ref = _rk4_loop(qs, lam, steps)
         scale = max(abs(v) for v in ref)
         assert max(abs(a - b) for a, b in zip(got, ref)) <= 1e-12 * scale
         steps = floquet._taylor_steps(lam)
-        C = floquet._taylor_table(floquet._key(g), steps, floquet._TAYLOR_ORDER)
+        C = floquet._taylor_table(g, steps, floquet._TAYLOR_ORDER)
         got = floquet._taylor_kernel(C, lam)
         ref = _taylor_loop(C, lam, steps, floquet._TAYLOR_ORDER)
         scale = max(abs(v) for v in ref)
@@ -193,7 +194,7 @@ def test_fixed_point_ladder_matches_mpmath():
         order = ladder._mp_order(dps)
         with mp.workdps(dps):
             lam = mp.mpc(88 + mp.pi, 7 / mp.e)
-            steps = ladder._mp_steps(floquet._key(g), lam, dps)
+            steps = ladder._mp_steps(g, lam, dps)
             got = floquet._disc(g, "mp", dps, lam, steps).jet(lam, 0)
             ref = _mp_taylor_monodromy(g, lam, steps, order)
             assert max(abs(a - b) for a, b in zip(got, ref)) <= mp.mpf(10) ** -(dps - 3)
@@ -224,8 +225,8 @@ def test_integer_table_matches_mpmath_build():
         order, bits = ladder._mp_order(dps), ladder._fixed_bits(dps)
         with mp.workdps(dps):
             lam = mp.mpf(88) + mp.pi if q is WIDE else mp.mpc(88 + mp.pi, 7 / mp.e)
-            steps = ladder._mp_steps(floquet._key(q), lam, dps)
-            table = ladder._mp_table(floquet._key(q), steps, order, dps)
+            steps = ladder._mp_steps(q, lam, dps)
+            table = ladder._mp_table(q, steps, order, dps)
             assert table[0] == (q is WIDE)
             got = ladder._fixed_kernel(table, lam, bits)
             ref = ladder._fixed_kernel(_mp_table_reference(q, steps, order, dps), lam, bits)
@@ -234,12 +235,11 @@ def test_integer_table_matches_mpmath_build():
 
 def test_real_loop_matches_complex_loop_bitwise():
     for q in (make_mathieu(1.0), WIDE):
-        key = floquet._key(q)
         for dps in (30, 60):
             with mp.workdps(dps):
                 lam = mp.mpf(64) * mp.pi ** 2 + mp.mpf(1) / 3
-                steps = ladder._mp_steps(key, lam, dps)
-                real, rows = ladder._mp_table(key, steps, ladder._mp_order(dps), dps)
+                steps = ladder._mp_steps(q, lam, dps)
+                real, rows = ladder._mp_table(q, steps, ladder._mp_order(dps), dps)
                 assert real
                 bits = ladder._fixed_bits(dps)
                 # an order-1 jet: the plain transport and its lam-derivative
@@ -300,9 +300,8 @@ def test_jet_order_zero_is_the_plain_step():
     dps = 30
     bits, order = ladder._fixed_bits(dps), ladder._mp_order(dps)
     for q, lam in ((make_gasymov([1.0, 0.5j]), 88.5 + 2.25j), (WIDE, 4 * PI2 + 0.5)):
-        key = floquet._key(q)
-        steps = ladder._mp_steps(key, lam, dps)
-        real, rows = ladder._mp_table(key, steps, order, dps)
+        steps = ladder._mp_steps(q, lam, dps)
+        real, rows = ladder._mp_table(q, steps, order, dps)
         plain_rows = _mp_table_reference(q, steps, order, dps, scaled=False)[1]
         lr, li = (mp.libmp.to_fixed(mp.mpf(v)._mpf_, bits) for v in (lam.real, lam.imag))
         ref = ((1 << bits, 0, 0, 0), (0, 0, 1 << bits, 0))
@@ -364,9 +363,8 @@ def test_packed_lanes_match_the_lane_transcription_bitwise():
     bits = ladder._fixed_bits(dps)
     for q, lam in ((make_mathieu(1.0), mp.mpf(4 * PI2 + 0.5)),
                    (make_gasymov([1.0, 0.5j]), mp.mpc(4 * PI2 + 0.5, 2.25))):
-        key = floquet._key(q)
         with mp.workdps(dps):
-            table = ladder._mp_table(key, ladder._mp_steps(key, lam, dps),
+            table = ladder._mp_table(q, ladder._mp_steps(q, lam, dps),
                                      ladder._mp_order(dps), dps)
             got = ladder._fixed_kernel(table, lam, bits, 4)
             want = _lane_transcription(table, lam, bits, 4)
@@ -391,7 +389,7 @@ def test_lanes_widen_for_a_growing_solution(monkeypatch):
     dps = 30
     with mp.workdps(dps):
         lam = mp.mpc(0, 10 ** 4)
-        steps = ladder._mp_steps(floquet._key(g), lam, dps)
+        steps = ladder._mp_steps(g, lam, dps)
         got = floquet._disc(g, "mp", dps, lam).jet(lam, 0)
         ref = _mp_taylor_monodromy(g, lam, steps, ladder._mp_order(dps))
         big = max(abs(v) for v in ref)
@@ -434,7 +432,6 @@ def test_widest_lanes_match_a_higher_precision_transport(q, n):
     # the complex K = 16 draw at n = 15 (the complex loop); the order-3 jets
     # on the default plan against 60 digits on the fixed rule, with y1'
     # divided by s = sqrt|lam| and y2 multiplied by it
-    key = floquet._key(q)
     lam = n * n * PI2 + complex(q.mean)
     s = math.sqrt(abs(lam))
     with mp.workdps(30):
@@ -442,7 +439,7 @@ def test_widest_lanes_match_a_higher_precision_transport(q, n):
         got = disc.jet(lam, 3)
     assert disc.plan == {16: (72, 5), 18: (76, 5), 15: (28, 65)}[n]
     with mp.workdps(60):
-        ref = floquet._disc(q, "mp", 60, lam, ladder._mp_steps(key, lam, 60)).jet(lam, 3)
+        ref = floquet._disc(q, "mp", 60, lam, ladder._mp_steps(q, lam, 60)).jet(lam, 3)
         err = max(abs(a - b) * w for a, b, w in zip(got, ref, (1, 1 / s, s, 1) * 4))
     assert err <= ladder._mp_noise(30)
 
@@ -460,11 +457,10 @@ def test_one_column_is_that_column_of_the_two_column_kernel_bitwise():
     bits = ladder._fixed_bits(dps)
     for q, lam, real in ((make_mathieu(1.0), mp.mpf(9 * PI2 + 0.5), True),
                          (EVEN_COMPLEX, mp.mpc(9 * PI2 + 0.5, 2.25), False)):
-        key = floquet._key(q)
-        order, steps = ladder._mp_plan(key, lam, dps, floquet._taylor_table,
+        order, steps = ladder._mp_plan(q, lam, dps, floquet._taylor_table,
                                        floquet._taylor_series)
         with mp.workdps(dps):
-            table = ladder._mp_table(key, steps, order, dps)
+            table = ladder._mp_table(q, steps, order, dps)
             assert table[0] is real
             both = ladder._fixed_kernel(table, lam, bits, 3)
             for c, start in enumerate(((1, 0), (0, 1))):
@@ -480,7 +476,6 @@ def test_one_column_forms_match_a_higher_precision_transport(dps):
     alpha = 0.3
     forms = (floquet._trace, floquet._boundary_form(alpha))
     for q, n in ((make_mathieu(1.0), 3), (make_mathieu(1.0), 8), (EVEN_COMPLEX, 5)):
-        key = floquet._key(q)
         lam = n * n * PI2 + complex(q.mean)
         with mp.workdps(dps):
             discs = [floquet._disc(q, "mp", dps, lam, form=f) for f in forms]
@@ -489,7 +484,7 @@ def test_one_column_forms_match_a_higher_precision_transport(dps):
         assert [d.columns for d in discs] == [1, 1]
         with mp.workdps(dps + 30):
             ref = floquet._disc(q, "mp", dps + 30, lam,
-                                ladder._mp_steps(key, lam, dps + 30)).jet(lam, 3)
+                                ladder._mp_steps(q, lam, dps + 30)).jet(lam, 3)
             for f, jet in zip(forms, got):
                 want = [f(ref[4 * k:4 * k + 4]) for k in range(4)]
                 assert max(abs(a - b) for a, b in zip(jet, want)) <= ladder._mp_noise(dps)
@@ -537,10 +532,9 @@ def test_jet_matches_central_differences():
     # t_1 and t_2 of the 30-digit jet against central differences of
     # 60-digit transports; with h = 1e-12 the differences are good to 1e-27
     for q, lam in ((make_gasymov([1.0, 0.5j]), mp.mpc(88.5, 2.25)), (WIDE, mp.mpf(4 * PI2 + 0.5))):
-        key = floquet._key(q)
-        steps = ladder._mp_steps(key, 90.0, 60)
+        steps = ladder._mp_steps(q, 90.0, 60)
         with mp.workdps(30):
-            table = ladder._mp_table(key, steps, ladder._mp_order(30), 30)
+            table = ladder._mp_table(q, steps, ladder._mp_order(30), 30)
             jet = ladder._fixed_kernel(table, lam, ladder._fixed_bits(30), 2)
         with mp.workdps(60):
             h = mp.mpf(10) ** -12
@@ -558,7 +552,7 @@ def test_jet_polynomial_at_its_radius_edge():
                    (make_gasymov([1.0, 0.5j]), 30)):
         center = 25 * PI2
         disc = floquet._disc(q, "mp", dps, center)
-        steps = ladder._mp_steps(floquet._key(q), center, dps)
+        steps = ladder._mp_steps(q, center, dps)
         with mp.workdps(dps):
             disc.cover(mp.mpf(center) + mp.mpf(1) / 7, 1e-4)
             assert disc.transports == 1 and disc.radius >= 1e-4
@@ -577,11 +571,10 @@ def test_double_jets_match_the_fixed_point_jet():
     # disc's radius rule, against a direct RK4 transport at its radius edge,
     # where the dropped tail is about eps
     for q, lam in ((make_gasymov([1.0, 0.5j]), 88.5 + 2.25j), (make_mathieu(1.0), 4 * PI2 + 0.5)):
-        key = floquet._key(q)
-        C = floquet._taylor_table(key, floquet._taylor_steps(lam), floquet._TAYLOR_ORDER)
-        qs = floquet._rk4_samples(key, default_steps(lam))
+        C = floquet._taylor_table(q, floquet._taylor_steps(lam), floquet._TAYLOR_ORDER)
+        qs = floquet._rk4_samples(q, default_steps(lam))
         with mp.workdps(30):
-            table = ladder._mp_table(key, ladder._mp_steps(key, lam, 30), ladder._mp_order(30), 30)
+            table = ladder._mp_table(q, ladder._mp_steps(q, lam, 30), ladder._mp_order(30), 30)
             ref = [complex(v) for v in ladder._fixed_kernel(table, lam, ladder._fixed_bits(30), 2)]
         for jet, rel in ((floquet._taylor_kernel(C, lam, 2), 1e-12),
                          (floquet._rk4_kernel(qs, lam, 2), 1e-8)):
@@ -718,6 +711,32 @@ def test_real_potentials_give_exactly_real_pairs():
                 assert lm.real < lp.real
 
 
+def test_real_potentials_give_exactly_real_rk4_pairs():
+    # RK4 samples q off the real Taylor table, so its pairs are real as well
+    q = make_random(gevrey(0, 1, 0.5), seed=202, K=8)
+    for n in range(1, 5):
+        lm, lp, info = periodic_eigs_info(q, n, method="rk4")
+        assert info["method"] == "rk4"
+        assert lm.imag == lp.imag == info["gamma"].imag == 0
+        assert lm.real < lp.real
+
+
+def test_rk4_samples_match_a_direct_fourier_sum():
+    # the Taylor table's order-0 column against q summed mode by mode at the
+    # step points and midpoints: the monodromy moves only by roundoff
+    for q in (make_gasymov([1.0, 0.5j]), WIDEBAND):
+        for lam in (1.0, 40.0, 90.0 - 6.0j, 225 * PI2 + 0.3):
+            steps = default_steps(lam)
+            x = np.arange(2 * steps + 1) * (0.5 / steps)
+            modes = np.arange(-q.K, q.K + 1)
+            qs = np.exp(2j * np.pi * np.outer(x, modes)) @ q.data + q.mean
+            ref = floquet._rk4_kernel(qs, complex(lam))
+            m = monodromy(q, lam, method="rk4")
+            scale = max(abs(v) for v in ref)
+            assert max(abs(a - b) for a, b in zip((m.y1, m.dy1, m.y2, m.dy2), ref)) \
+                <= 1e-14 * scale
+
+
 def test_near_real_potential_takes_complex_loop(monkeypatch):
     # conjugate-symmetric only to rounding, so not real: the tables stay
     # complex and the real loop never runs
@@ -732,7 +751,7 @@ def test_near_real_potential_takes_complex_loop(monkeypatch):
 
     monkeypatch.setattr(ladder, "_lane_step_real", spy)
     lam = 4 * PI2 + 0.5
-    assert floquet._taylor_table(floquet._key(near), 16, floquet._TAYLOR_ORDER).dtype.kind == "c"
+    assert floquet._taylor_table(near, 16, floquet._TAYLOR_ORDER).dtype.kind == "c"
     m = monodromy(near, lam, dps=30)
     assert not calls and m.y1.imag != 0
     exact = monodromy(make_mathieu(1.0), lam, dps=30)
@@ -747,7 +766,7 @@ def test_mp_steps_resolve_the_top_mode():
     lam = 4 * PI2 + 0.5
     with mp.workdps(30):
         ref = floquet._disc(WIDE, "mp", 30, lam, 64).jet(lam, 0)
-        steps = ladder._mp_steps(floquet._key(WIDE), lam, 30)
+        steps = ladder._mp_steps(WIDE, lam, 30)
         got = floquet._disc(WIDE, "mp", 30, lam, steps).jet(lam, 0)
         assert abs((got[0] + got[3]) - (ref[0] + ref[3])) <= mp.mpf(10) ** -26
 
@@ -761,9 +780,8 @@ def test_default_plan_matches_a_higher_precision_transport():
              + [(make_mathieu(1.0), n * n * PI2, 60) for n in (3, 12)]
              + [(make_gasymov([1.0, 0.5j]), complex(25 * PI2, 3.0), 60)])
     for q, lam, dps in cases:
-        key = floquet._key(q)
         s = math.sqrt(abs(lam))
-        order, steps = ladder._mp_plan(key, lam, dps, floquet._taylor_table,
+        order, steps = ladder._mp_plan(q, lam, dps, floquet._taylor_table,
                                        floquet._taylor_series)
         assert order > ladder._mp_order(dps)
         # the series peaks near e^(h s), which the guard bits must absorb
@@ -772,7 +790,7 @@ def test_default_plan_matches_a_higher_precision_transport():
             got = floquet._disc(q, "mp", dps, lam).jet(lam, 0)
         with mp.workdps(dps + 30):
             ref = floquet._disc(q, "mp", dps + 30, lam,
-                                ladder._mp_steps(key, lam, dps + 30)).jet(lam, 0)
+                                ladder._mp_steps(q, lam, dps + 30)).jet(lam, 0)
             err = max(abs(g - r) * w for g, r, w in zip(got, ref, (1, 1 / s, s, 1)))
         assert err <= ladder._mp_noise(dps)
 
@@ -780,14 +798,13 @@ def test_default_plan_matches_a_higher_precision_transport():
 def test_ladder_plan_never_costs_more_than_the_fixed_rule():
     # cost is one dot product per order per step, (order + 2)^2 steps
     for q, ns in ((make_mathieu(1.0), range(1, 25)), (WIDE, range(1, 17)), (WIDEBAND, range(1, 17))):
-        key = floquet._key(q)
         for dps in (30, 60):
             fixed = (ladder._mp_order(dps) + 2) ** 2
             for n in ns:
                 lam = n * n * PI2 + complex(q.mean)
-                order, steps = ladder._mp_plan(key, lam, dps, floquet._taylor_table,
+                order, steps = ladder._mp_plan(q, lam, dps, floquet._taylor_table,
                                                floquet._taylor_series)
-                assert (order + 2) ** 2 * steps <= fixed * ladder._mp_steps(key, lam, dps)
+                assert (order + 2) ** 2 * steps <= fixed * ladder._mp_steps(q, lam, dps)
 
 
 def test_solve_ledger_reports_the_ladder_plan():
@@ -796,7 +813,7 @@ def test_solve_ledger_reports_the_ladder_plan():
     # the fixed rule's plan
     def fixed(q, n, dps):
         lam = n * n * PI2 + complex(q.mean)
-        return ladder._mp_order(dps), ladder._mp_steps(floquet._key(q), lam, dps)
+        return ladder._mp_order(dps), ladder._mp_steps(q, lam, dps)
 
     cosine = make_mathieu(1.0)
     _, _, info = periodic_eigs_info(cosine, 12)

@@ -397,13 +397,15 @@ def _cli_process(route, cfg):
 class _Run(NamedTuple):
     returncode: int
     stderr: str
+    stdout: str
 
 
 def _cli_run(route, cfg, capsys) -> _Run:
     # the CLI in this process: an exception that escapes main fails the test
     capsys.readouterr()
     code = cli.main([*route, "-c", cfg])
-    return _Run(code, capsys.readouterr().err)
+    out, err = capsys.readouterr()
+    return _Run(code, err, out)
 
 
 @pytest.mark.parametrize("route, raw", [
@@ -504,16 +506,17 @@ def test_cli_closed_stdout_exits_without_a_traceback(route, raw, on, tmp_path, c
     cfg = _write(tmp_path / "c.json", raw)
     monkeypatch.setattr(sys, "stdout", _ClosedStdout(on))
     proc = _cli_run(route, cfg, capsys)
-    assert proc == (141, "")
+    assert proc == (141, "", "")
 
 
 @pytest.mark.parametrize("route, raw", [
     (["gaps"], {"potential": MATHIEU_HALF, "n_range": [1, 2]}),
     (["verify", "weights"], {"weights": [{"kind": "polynomial", "r": 1.0}], "N": 8}),
 ], ids=["gaps", "weights"])
-def test_out_write_failing_midway_leaves_no_file(route, raw, tmp_path, monkeypatch):
+def test_out_write_failing_midway_leaves_no_file(route, raw, tmp_path, monkeypatch, capsys):
     # the disk fills halfway through the --out write: no partial file and no
-    # temporary file is left, and an older output stays as it was
+    # temporary file is left, an older output stays as it was, and the run
+    # exits 2 with one line naming the path and the OS error
     real_open = open
 
     class Full:
@@ -536,16 +539,77 @@ def test_out_write_failing_midway_leaves_no_file(route, raw, tmp_path, monkeypat
     out_dir.mkdir()
     monkeypatch.setattr(harness, "open", Full, raising=False)
     out = out_dir / "result"
-    with pytest.raises(OSError, match="No space left"):
-        cli.main([*route, "-c", cfg, "--out", str(out)])
+    full = (2, f"config error: cannot write {str(out)!r}: [Errno 28] No space left on device\n")
+    proc = _cli_run([*route, "--out", str(out)], cfg, capsys)
+    assert (proc.returncode, proc.stderr) == full
     assert list(out_dir.iterdir()) == []
     out.write_text("older\n")
-    with pytest.raises(OSError, match="No space left"):
-        cli.main([*route, "-c", cfg, "--out", str(out)])
+    proc = _cli_run([*route, "--out", str(out)], cfg, capsys)
+    assert (proc.returncode, proc.stderr) == full
     assert list(out_dir.iterdir()) == [out] and out.read_text() == "older\n"
     monkeypatch.undo()
     assert cli.main([*route, "-c", cfg, "--out", str(out)]) == 0
     assert list(out_dir.iterdir()) == [out] and out.read_text() != "older\n"
+
+
+def _fail_at(n_bad, solve, error):
+    # ``solve`` with its index-n_bad call raising ``error``
+    def failing(q, n, *args, **kwargs):
+        if n == n_bad:
+            raise error(f"stub failure at n = {n}")
+        return solve(q, n, *args, **kwargs)
+    return failing
+
+
+_MATHIEU_ONE_TO_3 = {"potential": {"type": "mathieu", "mu": 1.0}, "n_range": [1, 3]}
+_ERROR_CELLS = ",".join(["nan"] * 13) + ",0"
+
+
+def test_cli_oracle_row_failure_prints_an_error_row(tmp_path, capsys, monkeypatch):
+    # a failed solve at n = 2 becomes the row 2,oracle!,nan,... between the
+    # intact rows 1 and 3, and the table exits 1
+    from hillgap import floquet
+
+    cfg = _write(tmp_path / "c.json", _MATHIEU_ONE_TO_3)
+    intact = _cli_run(["oracle"], cfg, capsys)
+    monkeypatch.setattr(floquet, "periodic_eigs_info",
+                        _fail_at(2, floquet.periodic_eigs_info, floquet.RootSearchError))
+    proc = _cli_run(["oracle"], cfg, capsys)
+    assert intact.returncode == 0 and proc.returncode == 1 and proc.stderr == ""
+    rows, before = proc.stdout.splitlines(), intact.stdout.splitlines()
+    assert len(rows) == 4 and rows[2] == "2,oracle!," + _ERROR_CELLS
+    assert [rows[i] for i in (0, 1, 3)] == [before[i] for i in (0, 1, 3)]
+
+
+def test_cli_block_row_failure_prints_error_rows(tmp_path, capsys, monkeypatch):
+    # every block row whose solve fails prints as block!, next to its intact
+    # oracle row, and the table exits 1
+    def fail(q, n, *args, **kwargs):
+        raise blockdecomp.IterationError(f"stub failure at n = {n}")
+
+    monkeypatch.setattr(blockdecomp, "gap_block", fail)
+    cfg = _write(tmp_path / "c.json", {**_MATHIEU_ONE_TO_3, "n_range": [1, 4]})
+    proc = _cli_run(["gaps"], cfg, capsys)
+    rows = [row.split(",", 2) for row in proc.stdout.splitlines()[1:]]
+    assert proc.returncode == 1 and proc.stderr == ""
+    # block rows start at n >= 4 ||q|| = 2 sqrt(2)
+    assert [row[:2] for row in rows] == [["1", "oracle"], ["2", "oracle"], ["3", "oracle"],
+                                         ["3", "block!"], ["4", "oracle"], ["4", "block!"]]
+    assert all(row[2] == _ERROR_CELLS for row in rows if row[1] == "block!")
+
+
+def test_cli_verify_numerical_failure_is_one_line(tmp_path, capsys, monkeypatch):
+    # a suite that meets a failed solve exits 1 with one numerical failure
+    # line and no traceback
+    from hillgap import floquet
+
+    monkeypatch.setattr(floquet, "periodic_eigs_info",
+                        _fail_at(2, floquet.periodic_eigs_info, floquet.RootSearchError))
+    cfg = _write(tmp_path / "c.json", {"kind": "gasymov", "n_range": [1, 3],
+                                       "potential": {"type": "gasymov", "coeffs": [[1.0, 0.0]]}})
+    proc = _cli_run(["verify", "gasymov"], cfg, capsys)
+    assert proc.returncode == 1
+    assert proc.stderr == "numerical failure: stub failure at n = 2\n"
 
 
 def test_cli_verify_mathieu_prints_free_gaps_as_lines(tmp_path, capsys):

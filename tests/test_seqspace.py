@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hillgap.seqspace import (
+    FourierPotential,
     ParityVector,
     make_fourier,
     make_gasymov,
@@ -66,6 +67,19 @@ def test_is_real_is_exact_conjugate_symmetry_and_a_real_mean():
     assert truncate(make_fourier({1: 0.5, -1: 0.5, 2: 1j}), 1).is_real
     assert make_fourier({1: 0.5, -1: 0.5}, mean=1j).without_mean().is_real
     assert make_gasymov([]).is_real and not make_gasymov([1.0]).is_real
+
+
+def test_coefficients_are_a_read_only_copy():
+    # the object fixes its coefficients, as the oracle's tables are cached
+    # on it: q.data refuses writes, and the array given stays the caller's
+    data = np.array([0.5, 0.0, 0.5], dtype=np.complex128)
+    q = FourierPotential(1, data)
+    with pytest.raises(ValueError, match="read-only"):
+        q.data[0] = 1.0
+    data[0] = 1.0
+    assert q.coeff(-1) == 0.5 and data.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        make_mathieu(1.0).data[0] = 0.0
 
 
 def test_wnorm_examples():
