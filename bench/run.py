@@ -12,7 +12,7 @@ file records:
     first call (which builds the coefficient table) and the median of R
     warm calls, in ms, and for mp30 and mp60 the ladder's plan, its
     (order, steps); next to them, the order-3 mp30 trace jet at n = 10, the
-    jet an escalated solve builds (``mp30_jet3_n10``), the same jet on the
+    jet a ladder escalation builds (``mp30_jet3_n10``), the same jet on the
     cosine translated by theta = 0.1, which is not even and so keeps both
     columns (``mp30_jet3_n10_translated``), and the two-column order-6 mp30
     jet of the complex K = 16 Gevrey draw of the wideband_complex workload
@@ -22,7 +22,10 @@ file records:
     root (``mp60_dirichlet_n8``);
   * one ``periodic_eigs_info`` solve (method "auto") on that potential at
     n = 3 and 10 and on the complex K = 16 Gevrey draw of the
-    wideband_complex workload at n = 15: first and median warm wall time,
+    wideband_complex workload at n = 15, each at the default tol, where
+    checkouts with the det rung resolve the escalated gap in doubles, and
+    at tol = 1e-20 (``*_tol1e-20``), below that rung's floor, where the
+    escalation still runs the ladder: first and median warm wall time,
     with the path taken, its finishing precision ``dps`` (None for doubles;
     an escalation picks it from the tolerance), the Newton iterations, and
     the solve ledger
@@ -193,12 +196,16 @@ def monodromy_times(repeat: int) -> dict:
 def solve_times(repeat: int) -> dict:
     cosine = make_mathieu(1.0)
     out = {}
-    for name, q, n in (("cosine_n3", cosine, 3), ("cosine_n10", cosine, 10),
-                       ("wideband_n15", WIDEBAND, 15)):
+    for name, q, n, tol in (("cosine_n3", cosine, 3, 1e-12),
+                            ("cosine_n3_tol1e-20", cosine, 3, 1e-20),
+                            ("cosine_n10", cosine, 10, 1e-12),
+                            ("cosine_n10_tol1e-20", cosine, 10, 1e-20),
+                            ("wideband_n15", WIDEBAND, 15, 1e-12),
+                            ("wideband_n15_tol1e-20", WIDEBAND, 15, 1e-20)):
         result = []
 
         def solve():
-            result[:] = [floquet.periodic_eigs_info(q, n)[2]]
+            result[:] = [floquet.periodic_eigs_info(q, n, tol)[2]]
 
         first, warm = _first_and_warm(solve, repeat)
         info = result[0]

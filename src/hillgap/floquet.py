@@ -63,16 +63,28 @@ highest coefficients set, and builds a new jet only for a point outside it.
 Every solve first finds the critical point (or a Sturm-Liouville root) in
 doubles; a solve at a dps pinned under any method, or after an "auto"
 escalation decided there before any root is polished, continues from it.
-An escalation runs at the fewest digits whose noise floor meets what
-tol_lam = tol max(1, n^2) asks of the double numbers: when the double dip
-D is resolved, roots within tol_lam / 10, so noise <= tol_lam
-sqrt(2 |D Delta''|) / 100, as the root Newton stops at 10 noise on a slope
-near sqrt(2 |D Delta''|); when it is not, a gap of tol_lam must still read
-resolved, so noise <= |Delta''| tol_lam^2 / (8 margin), margin being the
-resolve factor; and never coarser than the double noise over that margin
-(19 digits).  Its jet covers the double result's error, plus half the
-model gap when the double dip is resolved, so one jet usually serves the
-whole solve.  A gap is reported collapsed when the model separation falls
+What tol_lam = tol max(1, n^2) asks of a critical point with dip D is a
+noise floor: when D is resolved, roots within tol_lam / 10, so noise <=
+tol_lam sqrt(2 |D Delta''|) / 100, as the root Newton stops at 10 noise on
+a slope near sqrt(2 |D Delta''|); when it is not, a gap of tol_lam must
+still read resolved, so noise <= |Delta''| tol_lam^2 / (8 margin), margin
+being the resolve factor; and never coarser than the double noise over
+that margin.  An escalation first tries the det rung, still in doubles:
+near a gap Delta - 2s = -s det(M - sI) with s = +-1, and det(M - sI) =
+(y1 - s)(y2' - s) - y2 y1' keeps the digits the trace cancels, since every
+factor is small and carries only absolute roundoff (Magnus & Winkler,
+Hill's Equation, 1966, ch. 2).  The rung reads that form off one jet of
+the same table and kernel, runs Newton to the ulp of the critical point,
+and takes as its floor the per-point model 1e-15 (|y1 - s| + |y2' - s| +
+|y2| sqrt|lam| + |y1'| / sqrt|lam|) plus |Delta''| err^2 / 2 for the
+critical point's own error.  When that floor meets what tol_lam asks of
+the det dip, the pair ends in doubles on that form; otherwise the solve
+runs on the ladder at the fewest digits whose noise meets what tol_lam
+asks of the double trace dip (19 digits or more).  gap_record skips the
+rung, since its delta needs tau at the gap's own scale.  A ladder jet
+covers the double result's error, plus half the model gap when the double
+dip is resolved, so one jet usually serves the whole solve.  A gap is
+reported collapsed when the model separation falls
 under the tolerance; when the dip D* drowns in integrator noise the pair
 is returned at the model positions and flagged unresolved in the
 diagnostics.
@@ -101,6 +113,7 @@ _TAYLOR_ORDER = 22          # double path: series truncation below roundoff
 _TAYLOR_NOISE = 1e-14       # double path: trace roundoff floor estimate
 _RESOLVE_MARGIN = 100.0     # dip must exceed noise by this factor to count
 _AUTO_DIP_FACTOR = 1e6      # auto keeps a double result only above this dip
+_ENTRY_NOISE = 1e-15        # det rung: roundoff of one double monodromy entry
 _DEFAULT_DPS = 45
 
 
@@ -343,9 +356,14 @@ _JET_MIN_ORDER = 3          # Delta'' and one coefficient past it for the radius
 _JET_MAX_ORDER = 20
 
 
-def _trace(e):
+# A form maps a jet, the entries of each order k (y1, y1', y2, y2' of the
+# lam^k coefficient, or (y, y') of the one column the ladder transported),
+# to the coefficients of its own polynomial in lam, order by order.
+
+
+def _trace(jet):
     # y1 + y2'; from the column (1, 0) alone, of an exactly even q, 2 y1
-    return e[0] + e[3] if len(e) == 4 else 2 * e[0]
+    return [e[0] + e[3] if len(e) == 4 else 2 * e[0] for e in jet]
 
 
 def _boundary_form(alpha: float):
@@ -354,13 +372,32 @@ def _boundary_form(alpha: float):
     # transports u alone; the double kernels give both columns to combine
     sa, ca = math.sin(alpha), math.cos(alpha)
 
-    def form(e):
-        if len(e) == 4:
-            y11, y12, y21, y22 = e
-            e = (-sa * y11 + ca * y21, -sa * y12 + ca * y22)
-        return e[0] * ca + e[1] * sa
+    def form(jet):
+        out = []
+        for e in jet:
+            if len(e) == 4:
+                y11, y12, y21, y22 = e
+                e = (-sa * y11 + ca * y21, -sa * y12 + ca * y22)
+            out.append(e[0] * ca + e[1] * sa)
+        return out
 
     form.start = (-sa, ca)
+    return form
+
+
+def _gap_form(s: float):
+    # Delta - 2s = -s det(M - sI) = -s ((y1 - s)(y2' - s) - y2 y1'), since
+    # det M = 1, as Cauchy products of the entry polynomials of both
+    # columns.  Near a small gap every factor is small and carries only
+    # absolute roundoff, so the product keeps digits the trace loses
+    # (Magnus & Winkler, Hill's Equation, 1966, ch. 2)
+    def form(jet):
+        y1, dy1, y2, dy2 = ([e[i] for e in jet] for i in range(4))
+        y1[0] -= s
+        dy2[0] -= s
+        return [-s * sum(y1[i] * dy2[k - i] - y2[i] * dy1[k - i] for i in range(k + 1))
+                for k in range(len(jet))]
+
     return form
 
 
@@ -400,11 +437,12 @@ class _JetDisc:
 
     ``jet(lam, order)`` transports ``columns`` solutions (2: the monodromy),
     (y, y') of each and their lam-derivatives, 2 columns (order + 1)
-    numbers order by order.  The disc holds
-    one jet of its form: the centre, the coefficients f_0..f_D of form(M) in
-    powers of lam - centre, and a radius.  Within the radius the value and
-    the first two derivatives come from the jet polynomial by Horner; a
-    point outside it gets a new jet centred there.  The radius is Jorba &
+    numbers order by order.  The disc holds one jet: the centre, the
+    ``entries`` of each order, the coefficients f_0..f_D that its form
+    reads off the whole jet, in powers of lam - centre, and a radius.
+    Within the radius the value and the first two derivatives come from
+    the jet polynomial by Horner; a point outside it gets a new jet
+    centred there.  The radius is Jorba &
     Zou's step rule (Experimental Math. 14 (2005)): rho = min over
     k = D-1, D of |f_k|^(-1/k), the minimum over the two highest
     coefficients guarding against a vanishing last one; at distance
@@ -440,7 +478,8 @@ class _JetDisc:
         flat = self.jet(lam, order)
         self.center = self.arith.number(lam)
         w = 2 * self.columns
-        self.coeffs = [self.form(flat[w * k:w * k + w]) for k in range(order + 1)]
+        self.entries = [flat[w * k:w * k + w] for k in range(order + 1)]
+        self.coeffs = self.form(self.entries)
         self.rho, self.radius = _jet_radius(self.coeffs, self.eps)
         self.transports += 1
         self.jet_order += order
@@ -564,14 +603,52 @@ def _newton_root(disc, const, seed, tol: float, scale: float, deflate=None):
     return best[1], float(best[0]), best[2]
 
 
+def _det_floor(disc, lam, s: float):
+    """(g, g'', floor) of a det disc (form _gap_form(s)) at lam.
+
+    The floor is the per-point roundoff model of the det form,
+    1e-15 (|y1 - s| + |y2' - s| + |y2| sqrt|lam| + |y1'| / sqrt|lam|), with
+    the entries read off the disc's jet at lam, plus |g''| err^2 / 2 for
+    the error err of lam as a critical point: the Newton step still left
+    there, |g' / g''|, and never less than the ulp of lam.  Without that
+    term a missed critical point reads the parabola's rise as a dip.
+    """
+    g, d1, d2 = disc.derivs(lam, 2)
+    e = lam - disc.center
+    y1, dy1, y2, dy2 = (sum(c[i] * e ** k for k, c in enumerate(disc.entries))
+                        for i in range(4))
+    root = math.sqrt(abs(lam))
+    err = max(math.ulp(abs(lam)), abs(d1 / d2))
+    floor = (_ENTRY_NOISE * (abs(y1 - s) + abs(dy2 - s) + abs(y2) * root + abs(dy1) / root)
+             + abs(d2) * err * err / 2)
+    return g, d2, float(floor)
+
+
+def _need(dip, d2, noise: float, tol_lam: float) -> float:
+    """The noise tol_lam asks of a critical point that reads dip and d2
+    against ``noise`` (module docstring): roots within tol_lam / 10 when
+    the dip is resolved, else a gap of tol_lam that still reads resolved,
+    and never coarser than the double noise over the resolve margin."""
+    if abs(dip) >= _RESOLVE_MARGIN * noise:
+        need = tol_lam * math.sqrt(2 * abs(dip * d2)) / 100
+    else:
+        need = abs(d2) * tol_lam ** 2 / (8 * _RESOLVE_MARGIN)
+    return min(need, _TAYLOR_NOISE / _RESOLVE_MARGIN)
+
+
 def _solve_pair(q: FourierPotential, n: int, tol: float, method: str,
-                dps: int | None, steps: int | None):
+                dps: int | None, steps: int | None, det: bool = True):
     """One gap: critical point, quadratic model, polished roots, diagnostics.
 
     The critical point is always found in doubles first, on _path's double
     path.  A pinned dps, or an "auto" run whose dip is too shallow to trust,
     continues from it at the working precision, with one jet sized to cover
     its error and half the model gap; ``info["dps"]`` is where it finished.
+    An "auto" escalation first tries the det rung: the same double table and
+    kernel, read through the det form, with its per-point floor
+    (_det_floor) standing as the noise of the cheapest precision.  ``det``
+    False skips the rung, for gap_record, whose delta needs tau at the
+    gap's own scale, which a double pair cannot give.
     """
     path, dps = _path(method, dps)
     if n < 1:
@@ -598,17 +675,29 @@ def _solve_pair(q: FourierPotential, n: int, tol: float, method: str,
         if split:
             span += math.sqrt(abs(2 * dip / d2))
         if escalated:
-            # the fewest digits tol_lam needs (module docstring): roots within
-            # tol_lam / 10 if the double dip splits, else a gap of tol_lam
-            from . import ladder
+            need = _need(dip, d2, disc.noise, tol_lam)
+            if det:
+                # the det rung: one jet at the double critical point, Newton
+                # to its ulp, and the per-point floor read there, which
+                # stands as the noise of the cheapest precision
+                rung = _JetDisc(disc.jet, need, "det", disc.plan, form=_gap_form(target / 2))
+                lam_d, _, _, its_d = _newton_critical(rung, lam_star, span, n, 0.0,
+                                                      math.ulp(abs(lam_star)))
+                dip_d, d2_d, noise = _det_floor(rung, lam_d, target / 2)
+                kernels.update(rung.kernels())
+                if noise <= _need(dip_d, d2_d, noise, tol_lam):
+                    # the roots solve Delta - 2s = 0 on the det form
+                    rung.noise, target = noise, 0.0
+                    disc, lam_star, dip, d2, its = rung, lam_d, dip_d, d2_d, its_d
+        if disc.name != "det":
+            if escalated:
+                from . import ladder
 
-            need = (tol_lam * math.sqrt(2 * abs(dip * d2)) / 100 if split
-                    else abs(d2) * tol_lam ** 2 / (8 * _RESOLVE_MARGIN))
-            need = min(need, _TAYLOR_NOISE / _RESOLVE_MARGIN)
-            dps = next(d for d in itertools.count(1) if ladder._mp_noise(d) <= need)
-        disc = _disc(q, path, dps, center, steps if not escalated else None, _trace)
-        with disc.precision():
-            lam_star, dip, d2, its = _newton_critical(disc, lam_star, span, n, target, tol_lam)
+                dps = next(d for d in itertools.count(1) if ladder._mp_noise(d) <= need)
+            disc = _disc(q, path, dps, center, steps if not escalated else None, _trace)
+            with disc.precision():
+                lam_star, dip, d2, its = _newton_critical(disc, lam_star, span, n, target,
+                                                          tol_lam)
     with disc.precision():
         resolved = abs(dip) >= _RESOLVE_MARGIN * disc.noise
         gamma_model = 2 * disc.sqrt(-2 * dip / d2)
@@ -665,10 +754,11 @@ def periodic_eigs(q: FourierPotential, n: int, tol: float = 1e-12,
     pins the precision the solve finishes at, for every method, and "mp"
     without it pins 45 digits.  Otherwise the solve ends in doubles, unless
     "auto" escalates because the dip is too close to the double roundoff
-    floor to trust the split; it then runs at the fewest digits that resolve
-    the roots, or a gap, to tol * max(1, n^2), by the rule the module
-    docstring states (19 digits or more).  Other methods raise ValueError,
-    and so does a tol that is not positive.
+    floor to trust the split.  It then solves on the det form in doubles
+    when that form's floor resolves the roots, or a gap, to
+    tol * max(1, n^2), and otherwise at the fewest digits that do, by the
+    rule the module docstring states (19 digits or more).  Other methods
+    raise ValueError, and so does a tol that is not positive.
     Every arbitrary-precision solve starts from the double critical point.
     """
     lm, lp, _ = periodic_eigs_info(q, n, tol, method=method, dps=dps, steps=steps)
@@ -681,15 +771,18 @@ def periodic_eigs_info(q: FourierPotential, n: int, tol: float = 1e-12,
     """periodic_eigs with its diagnostics.
 
     Besides the critical point (with ``critical_err``, its error estimate:
-    the path's noise floor over |Delta''|), dip, curvature, noise floors,
-    Newton iterations and residual, the info dict records ``kernels``: per path
-    ("taylor", "rk4", "mp30", ...) the lam-jets it transported, their summed
-    order, the path's ``order`` and ``steps``, and the ``columns`` (solutions)
-    it carried, 1 or 2; the double critical search
-    that seeds every arbitrary-precision solve included; ``dps``: the pair's
-    finishing precision, None for doubles, chosen by the escalation rule
-    when "auto" escalates; and ``escalated``: why "auto" left the
-    double path, or None (also when ``dps`` or "mp" pinned the precision).
+    the path's noise floor over |Delta''|; on the det form, its per-point
+    floor), dip, curvature, noise floors, Newton iterations and residual,
+    the info dict records ``method``: the path the pair finished on
+    ("taylor", "rk4", "det", "mp30", ...); ``kernels``: per path the
+    lam-jets it transported, their summed order, the path's ``order`` and
+    ``steps``, and the ``columns`` (solutions) it carried, 1 or 2; the
+    double critical search that seeds every other path included, and the
+    det rung also when its floor fell short and the ladder finished;
+    ``dps``: the pair's finishing precision, None for doubles, chosen by
+    the escalation rule when "auto" escalates to the ladder; and
+    ``escalated``: why "auto" left the trace form in doubles, or None (also
+    when ``dps`` or "mp" pinned the precision).
     """
     lm, lp, info = _solve_pair(q, n, tol, method, dps, steps)
     return complex(lm), complex(lp), info
@@ -747,7 +840,7 @@ def gap_record(q: FourierPotential, n: int, *, tol: float = 1e-12,
     sigma follows the pair: its double path, then a Newton run at the
     precision the pair finished at, if any (escalated, pinned or "mp").
     """
-    lm, lp, info = _solve_pair(q, n, tol, method, dps, None)
+    lm, lp, info = _solve_pair(q, n, tol, method, dps, None, det=False)
     sigma = _sturm_liouville_root(q, n, 0.0, tol, method, info["dps"])
     # a pair that left doubles is mpmath numbers, which carry their context
     with lm.context.workdps(dps or _DEFAULT_DPS) if info["dps"] else contextlib.nullcontext():

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+from functools import lru_cache
 from operator import mul
 
 import mpmath as mp
@@ -31,6 +32,14 @@ WIDE = make_random(gevrey(0, 1, 0.5), seed=202, K=16)
 # the complex K = 16 draw of the wideband_complex benchmark, whose rows 15
 # and 16 escalate
 WIDEBAND = make_random(gevrey(0, 1, 0.5), seed=11, K=16, real=False)
+COSINE = make_mathieu(1.0)
+
+
+@lru_cache(maxsize=None)
+def _pair60(q, n):
+    # the 60-digit pair and info of a reference solve, at a tol that
+    # resolves every gap it is asked for here
+    return periodic_eigs_info(q, n, tol=1e-26, dps=60)
 
 
 def _free_entries(lam):
@@ -479,14 +488,14 @@ def test_one_column_forms_match_a_higher_precision_transport(dps):
         lam = n * n * PI2 + complex(q.mean)
         with mp.workdps(dps):
             discs = [floquet._disc(q, "mp", dps, lam, form=f) for f in forms]
-            got = [[d.form(d.jet(lam, 3)[2 * k:2 * k + 2]) for k in range(4)] for d in discs]
+            got = [d.form([d.jet(lam, 3)[2 * k:2 * k + 2] for k in range(4)]) for d in discs]
             root = floquet._sturm_liouville_root(q, n, alpha, 1e-12, "mp", dps)
         assert [d.columns for d in discs] == [1, 1]
         with mp.workdps(dps + 30):
             ref = floquet._disc(q, "mp", dps + 30, lam,
                                 ladder._mp_steps(q, lam, dps + 30)).jet(lam, 3)
             for f, jet in zip(forms, got):
-                want = [f(ref[4 * k:4 * k + 4]) for k in range(4)]
+                want = f([ref[4 * k:4 * k + 4] for k in range(4)])
                 assert max(abs(a - b) for a, b in zip(jet, want)) <= ladder._mp_noise(dps)
             finer = floquet._sturm_liouville_root(q, n, alpha, 1e-12, "mp", dps + 30)
             assert abs(root - finer) <= ladder._mp_noise(dps)
@@ -617,20 +626,23 @@ def test_jet_radius_guards_a_vanishing_last_coefficient():
 
 
 def test_solve_ledger_counts_transports():
-    # a collapsed cosine gap escalates and is served by one jet at the
-    # precision the escalation picks; the complex K = 16 draw at n = 15
-    # needs one jet covering both roots
-    _, _, info = periodic_eigs_info(make_mathieu(1.0), 10)
-    assert info["method"] == f"mp{info['dps']}"
-    assert info["kernels"]["taylor"]["transports"] > 0
-    assert info["kernels"][info["method"]]["transports"] == 1
-    assert info["escalated"].startswith("dip ")
-    assert info["escalated"].endswith(" < auto threshold 1e-08")
-    _, _, info = periodic_eigs_info(WIDEBAND, 15)
-    mp = info["kernels"][info["method"]]
-    assert info["resolved"]
-    assert mp["transports"] <= 2
-    assert mp["transports"] + mp["jet_order"] <= 12
+    # a collapsed cosine gap escalates and is served by one det jet at the
+    # default tol, and below the det floor by one jet at the precision the
+    # escalation picks; the complex K = 16 draw at n = 15 needs one jet
+    # covering both roots on either rung
+    for tol, rung in ((1e-12, "det"), (1e-20, "mp")):
+        _, _, info = periodic_eigs_info(make_mathieu(1.0), 10, tol)
+        assert info["method"] == (rung if rung == "det" else f"mp{info['dps']}")
+        assert info["kernels"]["taylor"]["transports"] > 0
+        assert info["kernels"]["det"]["transports"] == 1
+        assert info["kernels"][info["method"]]["transports"] == 1
+        assert info["escalated"].startswith("dip ")
+        assert info["escalated"].endswith(" < auto threshold 1e-08")
+        _, _, info = periodic_eigs_info(WIDEBAND, 15, tol)
+        last = info["kernels"][info["method"]]
+        assert info["resolved"] and info["method"].startswith(rung)
+        assert last["transports"] <= 2
+        assert last["transports"] + last["jet_order"] <= 12
     _, _, info = periodic_eigs_info(make_mathieu(1.0), 1)
     assert info["escalated"] is None and list(info["kernels"]) == ["taylor"]
 
@@ -808,20 +820,20 @@ def test_ladder_plan_never_costs_more_than_the_fixed_rule():
 
 
 def test_solve_ledger_reports_the_ladder_plan():
-    # the cosine's escalated n = 12 solve runs a higher order on fewer steps
-    # than the fixed rule at its precision; the complex K = 16 draw keeps
-    # the fixed rule's plan
+    # at a tol below the det floor, the cosine's escalated n = 12 solve runs
+    # a higher order on fewer steps than the fixed rule at its precision;
+    # the complex K = 16 draw keeps the fixed rule's plan
     def fixed(q, n, dps):
         lam = n * n * PI2 + complex(q.mean)
         return ladder._mp_order(dps), ladder._mp_steps(q, lam, dps)
 
     cosine = make_mathieu(1.0)
-    _, _, info = periodic_eigs_info(cosine, 12)
+    _, _, info = periodic_eigs_info(cosine, 12, tol=1e-20)
     mp = info["kernels"][info["method"]]
     order, steps = fixed(cosine, 12, info["dps"])
     assert mp["order"] > order and mp["steps"] < steps
     assert info["kernels"]["taylor"]["order"] == floquet._TAYLOR_ORDER
-    _, _, info = periodic_eigs_info(WIDEBAND, 15)
+    _, _, info = periodic_eigs_info(WIDEBAND, 15, tol=1e-20)
     mp = info["kernels"][info["method"]]
     assert (mp["order"], mp["steps"]) == fixed(WIDEBAND, 15, info["dps"])
 
@@ -909,25 +921,71 @@ def test_collapse_below_tolerance():
 
 
 def test_auto_escalation_policy():
+    # n = 1 stays on the trace form; n = 3 escalates, and resolves in
+    # doubles on the det form unless tol n^2 lies below that form's floor
     q = make_mathieu(1.0)
     _, _, info1 = periodic_eigs_info(q, 1)
     assert info1["method"] == "taylor" and info1["resolved"]
     _, _, info3 = periodic_eigs_info(q, 3)
+    assert info3["escalated"] and info3["dps"] is None
+    assert info3["method"] == "det" and info3["resolved"]
+    _, _, info3 = periodic_eigs_info(q, 3, tol=1e-20)
     assert info3["dps"] and info3["method"] == f"mp{info3['dps']}" and info3["resolved"]
 
 
-@pytest.mark.parametrize("q, n", [(WIDEBAND, 15), (WIDEBAND, 16), (make_mathieu(1.0), 3),
-                                  (make_mathieu(1.0), 4), (make_mathieu(1.0), 5)],
+@pytest.mark.parametrize("q, n", [(WIDEBAND, 15), (WIDEBAND, 16), (COSINE, 3), (COSINE, 4),
+                                  (COSINE, 5)],
                          ids=["wideband-15", "wideband-16", "cosine-3", "cosine-4", "cosine-5"])
 def test_escalation_precision_meets_tol(q, n):
-    # an escalated row runs at the fewest digits that put its edges within
-    # tol n^2 / 10 of a 60-digit solve; the wideband rows need fewer than 30
+    # an escalated row puts its edges within tol n^2 / 10 of a 60-digit
+    # solve: on the det form at the default tol, and at tol = 1e-20, below
+    # that form's floor, on the ladder at the fewest digits that put its gap
+    # within tol n^2 of the 60-digit one; the wideband rows need fewer than 30
     lm, lp, info = periodic_eigs_info(q, n)
-    ref_lm, ref_lp, _ = periodic_eigs_info(q, n, dps=60)
-    assert info["escalated"] and info["method"] == f"mp{info['dps']}"
+    ref_lm, ref_lp, ref = _pair60(q, n)
+    assert info["escalated"] and info["method"] == "det"
     assert max(abs(lm - ref_lm), abs(lp - ref_lp)) <= 1e-12 * n * n / 10
+    _, _, info = periodic_eigs_info(q, n, tol=1e-20)
+    assert info["escalated"] and info["method"] == f"mp{info['dps']}"
+    assert abs(info["gamma"] - ref["gamma"]) <= 1e-20 * n * n
     if q is WIDEBAND:
         assert info["dps"] < 30
+
+
+@pytest.mark.parametrize("q, n", [(COSINE, n) for n in range(3, 25)]
+                         + [(WIDEBAND, 15), (WIDEBAND, 16)],
+                         ids=[f"cosine-{n}" for n in range(3, 25)] + ["wideband-15", "wideband-16"])
+def test_det_rung_resolves_escalated_rows_in_doubles(q, n):
+    # every row that auto escalates at the default tol ends on the det form:
+    # edges within tol n^2 / 10 and gamma within tol n^2 of a 60-digit
+    # solve, with no ladder transport
+    lm, lp, info = periodic_eigs_info(q, n)
+    ref_lm, ref_lp, ref = _pair60(q, n)
+    tol_lam = 1e-12 * n * n
+    assert info["escalated"] and info["method"] == "det" and info["dps"] is None
+    assert set(info["kernels"]) == {"taylor", "det"}
+    assert max(abs(lm - ref_lm), abs(lp - ref_lp)) <= tol_lam / 10
+    assert abs(info["gamma"] - ref["gamma"]) <= tol_lam
+
+
+def test_det_floor_counts_the_critical_points_own_error():
+    # gamma_22 is about 1e-60.  Read 1e-7 off the critical point, the det
+    # form's rise |g''| (1e-7)^2 / 2 looks like a dip some 1e5 times its
+    # roundoff model; the floor's |g''| err^2 / 2 term must keep it
+    # unresolved, while at the critical point the floor meets what tol n^2
+    # asks of it
+    n, s = 22, 1.0
+    lam = periodic_eigs_info(COSINE, n)[2]["critical"]
+    trace = floquet._disc(COSINE, "taylor", None, n * n * PI2)
+    rung = floquet._JetDisc(trace.jet, 1e-30, "det", trace.plan, form=floquet._gap_form(s))
+    rung.cover(lam, 1e-7)
+    dip, d2, floor = floquet._det_floor(rung, lam, s)
+    assert abs(dip) < floquet._RESOLVE_MARGIN * floor
+    assert floor <= floquet._need(dip, d2, floor, 1e-12 * n * n)
+    dip, d2, floor = floquet._det_floor(rung, lam + 1e-7, s)
+    assert abs(dip) >= abs(d2) * 1e-14 / 4
+    assert abs(dip) < floquet._RESOLVE_MARGIN * floor
+    assert rung.transports == 1
 
 
 def test_escalation_precision_honours_a_small_tol():

@@ -134,12 +134,15 @@ def test_csv_deterministic_across_threads():
 
 
 def test_escalating_csv_ignores_thread_setting():
-    # n = 3..5 escalate to the fixed-point ladder, whose mpmath precision is
-    # process-wide state; a thread pool over these solves once changed the
-    # digits of the n = 3, 4 rows from run to run.  The sweep is serial; the
-    # short switch interval would expose such a race if threads came back.
+    # at a tol below the det form's floor, n = 3..5 escalate to the
+    # fixed-point ladder, whose mpmath precision is process-wide state; a
+    # thread pool over these solves once changed the digits of the n = 3, 4
+    # rows from run to run.  The sweep is serial; the short switch interval
+    # would expose such a race if threads came back.
     raw = {"kind": "oracle", "potential": {"type": "mathieu", "mu": 1.0},
-           "n_range": [3, 5]}
+           "n_range": [3, 5], "tol": 1e-20}
+    for n in range(3, 6):
+        assert hillgap.periodic_eigs_info(hillgap.make_mathieu(1.0), n, 1e-20)[2]["dps"]
     rows, failed = run_table(parse_config(raw))
     assert not failed and all(row["method"] == "oracle" for row in rows)
     first = rows_to_csv(rows)
@@ -813,24 +816,29 @@ _LOADED = ("import json, sys\n"
            "code = cli.main(sys.argv[1:])\n"
            "layers = ('hillgap.floquet', 'hillgap.ladder', 'mpmath')\n"
            "print(json.dumps([code, [m for m in layers if m in sys.modules]]))")
-_ADAPTED_WIDE = str(Path(__file__).resolve().parents[1] / "perfbench" / "configs" / "adapted_wide.json")
+_CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
+_ADAPTED_WIDE = str(_CONFIGS / "adapted_wide.json")
 _ORACLE_MATHIEU = {"potential": {"type": "mathieu", "mu": 1.0}, "n_range": [1, 2]}
 
 
 @pytest.mark.parametrize("route, raw, loaded", [
-    (["gaps"], None, []),
+    (["gaps"], _ADAPTED_WIDE, []),
+    (["gaps"], str(_CONFIGS / "cosine_escalated.json"), ["hillgap.floquet"]),
+    (["gaps"], str(_CONFIGS / "wideband_complex.json"), ["hillgap.floquet"]),
     (["verify", "weights"], {"weights": [{"kind": "gevrey", "a": 1.0, "sigma": 0.5}], "N": 20}, []),
     (["oracle"], _ORACLE_MATHIEU, ["hillgap.floquet"]),
     (["oracle"], {**_ORACLE_MATHIEU, "oracle": {"method": "mp", "dps": 30}},
      ["hillgap.floquet", "hillgap.ladder", "mpmath"]),
     (["verify", "theorem4"], {"kind": "theorem4", **_ORACLE_MATHIEU}, ["hillgap.floquet"]),
-], ids=["adapted_wide", "weights", "oracle", "oracle_mp", "theorem4"])
+], ids=["adapted_wide", "cosine_escalated", "wideband_complex", "weights", "oracle", "oracle_mp",
+        "theorem4"])
 def test_each_route_loads_only_the_layers_it_reaches(route, raw, loaded, tmp_path):
     # the block reduction and the weights never load the Floquet oracle; an
     # oracle solve that stays in doubles, gap_record's tau and delta
-    # included, loads it without the ladder and mpmath, and one at a set
-    # precision loads all three
-    cfg = _ADAPTED_WIDE if raw is None else _write(tmp_path / "c.json", raw)
+    # included, loads it without the ladder and mpmath, as do the gaps that
+    # auto escalates and the det form resolves at the default tol; one at a
+    # set precision loads all three
+    cfg = raw if isinstance(raw, str) else _write(tmp_path / "c.json", raw)
     proc = _python("-c", _LOADED, *route, "-c", cfg, "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == [0, loaded]
