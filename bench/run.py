@@ -11,13 +11,16 @@ file records:
     Mathieu potential cos(2 pi x) at lam = n^2 pi^2, n = 3 and 10: the
     first call (which builds the coefficient table) and the median of R
     warm calls, in ms, and for mp30 and mp60 the ladder's plan, its
-    (order, steps); next to them, the order-3 mp30 trace jet at n = 10, the
-    jet a ladder escalation builds (``mp30_jet3_n10``), the same jet on the
-    cosine translated by theta = 0.1, which is not even and so keeps both
-    columns (``mp30_jet3_n10_translated``), and the two-column order-6 mp30
-    jet of the complex K = 16 Gevrey draw of the wideband_complex workload
-    at n = 15 (``wideband_mp30_jet6_n15``), each with its plan, the columns
-    it transported and the widest lane ``width`` (bits) the ladder packed,
+    (order, steps), with ``plan_ms``, the time of a cold plan call (its
+    cache and the double tables cleared); next to them, the order-3 mp30
+    trace jet at n = 10, the jet a ladder escalation builds
+    (``mp30_jet3_n10``), the same jet on the cosine translated by
+    theta = 0.1, which is not even and so keeps both columns
+    (``mp30_jet3_n10_translated``), and the two-column order-6 mp30 jet of
+    the complex K = 16 Gevrey draw of the wideband_complex workload at
+    n = 15 (``wideband_mp30_jet6_n15``), each with its plan and
+    ``plan_ms``, the columns it transported and the widest lane ``width``
+    (bits) the ladder packed,
     and the 60-digit Dirichlet eigenvalue at n = 8, seeded by its double
     root (``mp60_dirichlet_n8``);
   * one ``periodic_eigs_info`` solve (method "auto") on that potential at
@@ -136,10 +139,14 @@ def _first_and_warm(fn, repeat: int) -> tuple[float, float]:
     return first, statistics.median(_timed(fn) for _ in range(repeat))
 
 
-def _plan(q, lam, dps: int) -> list:
-    # (order, steps) of the ladder at lam, on the oracle's double series
-    return list(ladder._mp_plan(q, lam, dps, floquet._taylor_table,
-                                floquet._taylor_series))
+def _plan(q, lam, dps: int) -> dict:
+    """The ladder's (order, steps) at lam, on the oracle's double series, and
+    the time of a cold call, its own cache and the double tables cleared."""
+    ladder._mp_plan.cache_clear()
+    floquet._taylor_table.cache_clear()
+    start = time.perf_counter()
+    plan = ladder._mp_plan(q, lam, dps, floquet._taylor_table, floquet._taylor_series)
+    return {"plan": list(plan), "plan_ms": 1e3 * (time.perf_counter() - start)}
 
 
 def _lane_width(fn) -> int:
@@ -169,7 +176,7 @@ def monodromy_times(repeat: int) -> dict:
             first, warm = _first_and_warm(lambda: floquet.monodromy(q, lam, **kw), repeat)
             out[f"{name}_n{n}"] = {"first_ms": 1e3 * first, "warm_ms": 1e3 * warm}
             if "dps" in kw:
-                out[f"{name}_n{n}"]["plan"] = _plan(q, lam, kw["dps"])
+                out[f"{name}_n{n}"].update(_plan(q, lam, kw["dps"]))
     turn = cmath.exp(0.2j * math.pi)
     translated = make_fourier({1: 0.5 * turn, -1: 0.5 * turn.conjugate()})
     for name, potential, n, order in (("mp30_jet3_n10", q, 10, 3),
@@ -186,7 +193,7 @@ def monodromy_times(repeat: int) -> dict:
 
         first, warm = _first_and_warm(jet, repeat)
         out[name] = {"first_ms": 1e3 * first, "warm_ms": 1e3 * warm,
-                     "plan": list(disc.plan), "columns": getattr(disc, "columns", 2),
+                     **_plan(potential, lam, 30), "columns": getattr(disc, "columns", 2),
                      "width": _lane_width(jet)}
     first, warm = _first_and_warm(lambda: floquet.sturm_liouville_eig(q, 8, dps=60), repeat)
     out["mp60_dirichlet_n8"] = {"first_ms": 1e3 * first, "warm_ms": 1e3 * warm}

@@ -319,18 +319,18 @@ def monodromy(q: FourierPotential, lam: complex, steps: int | None = None,
     Args:
         q: potential; the mean participates in the integration.
         lam: spectral parameter, complex allowed.
-        steps: fixed step count, by default chosen per path; RK4 steps must
-            respect the 64-per-pi minimum.
+        steps: fixed step count, at least 1, by default chosen per path;
+            RK4 steps must respect the 64-per-pi minimum, and pinned ladder
+            steps run the lowest Taylor order the ladder's series
+            certificate accepts at them (the top order if none is).
         method, dps: read as in periodic_eigs.  "rk4" (default) is classical
             4th order, "taylor" and "auto" the series integrator at the
             double roundoff floor; ``dps`` or "mp" runs the series in mpmath.
     """
-    path, dps = _path(method, dps)
-    if (path == "rk4" and not dps and steps is not None
-            and steps < default_steps(lam, MIN_STEP_FACTOR)):
+    disc = _disc(q, method, dps, lam, steps)
+    if disc.name == "rk4" and steps is not None and steps < default_steps(lam, MIN_STEP_FACTOR):
         raise ValueError(f"steps = {steps} under-resolves the oscillation "
                          f"at |lam| = {abs(lam):.3g}")
-    disc = _disc(q, method, dps, lam, steps)
     with disc.precision():
         return MonodromyMatrix(*map(complex, disc.jet(lam, 0)))
 
@@ -516,12 +516,13 @@ def _disc(q: FourierPotential, method: str, dps: int | None, center: complex,
     # the path _path picks: the ladder when it pins a precision, else doubles;
     # form None serves the whole monodromy and its trace
     path, dps = _path(method, dps)
+    if steps is not None and steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps!r}")
     if dps:
         # the one place this module loads the ladder, and with it mpmath
         from . import ladder
 
-        plan = ((ladder._mp_order(dps), steps) if steps
-                else ladder._mp_plan(q, center, dps, _taylor_table, _taylor_series))
+        plan = ladder._mp_plan(q, center, dps, _taylor_table, _taylor_series, steps)
         table = ladder._mp_table(q, plan[1], plan[0], dps)
         bits = ladder._fixed_bits(dps)
         # the ladder transports the one solution a form reads, where it reads
@@ -843,7 +844,7 @@ def gap_record(q: FourierPotential, n: int, *, tol: float = 1e-12,
     lm, lp, info = _solve_pair(q, n, tol, method, dps, None, det=False)
     sigma = _sturm_liouville_root(q, n, 0.0, tol, method, info["dps"])
     # a pair that left doubles is mpmath numbers, which carry their context
-    with lm.context.workdps(dps or _DEFAULT_DPS) if info["dps"] else contextlib.nullcontext():
+    with lm.context.workdps(info["dps"]) if info["dps"] else contextlib.nullcontext():
         tau = (lm + lp) / 2
         delta = complex(sigma - tau)
     gamma = info["gamma"]

@@ -20,11 +20,12 @@ real table, summed from the pairs 2 Re(q_k e^(2 pi i k x) (2 pi i k)^i / i!),
 and at real lambda the kernel runs a real loop, one integer product sum
 per order where the complex loop needs three, giving the same integers.
 
-Its plan, the Taylor order and step count, is double arithmetic: the
-cheaper of a fixed rule covering lambda and the bandwidth of q, and a
-higher order whose computed series certifies fewer, longer steps
-(_mp_plan).  The series is floquet's double Taylor series, which the
-caller passes in, so this module imports nothing of floquet.
+Its plan, the Taylor order and step count, is double arithmetic, one
+rule at every precision: the cheapest plan whose computed series
+certifies that the terms the kernel drops stay under the noise floor
+(_mp_plan); pinned steps take the lowest order it certifies at them.  The
+series is floquet's double Taylor series, which the caller passes in, so
+this module imports nothing of floquet.
 
 ``working(dps)`` is the arithmetic a floquet jet disc runs in at dps
 digits: its precision context, sqrt and the number type of its centre.
@@ -56,80 +57,59 @@ def working(dps: int) -> SimpleNamespace:
 # plan: the Taylor order and step count at a working precision
 
 
-def _series_steps(q: FourierPotential, order: int, eps: float) -> int:
-    """Fewest steps over which the potential's own Taylor series converges.
-
-    At least two steps per period of the highest mode, and enough that the
-    first term past ``order``, sum_k |q_k| (2 pi |k| h)^(order+1)/(order+1)!
-    at h = 1/steps, stays under eps: the solution's series inherits that
-    remainder, whatever lam is.
-    """
-    k = np.flatnonzero(q.data) - q.K
-    if not len(k):
-        return 0
-    logs = np.log(np.abs(q.data[k + q.K])) + (order + 1) * np.log(2 * np.pi * np.abs(k))
-    top = float(logs.max())
-    log_a = top + math.log(float(np.exp(logs - top).sum())) - math.lgamma(order + 2)
-    return max(2 * int(np.abs(k).max()),
-               math.ceil(math.exp((log_a - math.log(eps)) / (order + 1))))
-
-
-def _mp_order(dps: int) -> int:
-    # with steps ~ 4 sqrt(lam) the per-step series argument stays under 1/4,
-    # so this order pushes truncation beyond the working precision
-    return max(28, int(0.55 * dps) + 8)
-
-
-def _mp_factor(dps: int) -> float:
-    # pick h sqrt(lam) = c per step so that c^(order+1)/(order+1)! stays two
-    # orders of magnitude under the precision's noise floor
-    order = _mp_order(dps)
-    log_c = (math.lgamma(order + 2) - (dps - 1) * math.log(10.0)
-             - math.log(64.0)) / (order + 1)
-    return min(4.0, max(0.5, math.exp(-log_c)))
-
-
 def _mp_noise(dps: int) -> float:
     # trace noise floor the solvers assume at dps digits
     return 10.0 ** (-(dps - 3))
 
 
-def _mp_steps(q: FourierPotential, lam, dps: int) -> int:
-    factor = _mp_factor(dps)
-    return max(16, int(math.ceil(factor * math.sqrt(abs(complex(lam))))) + 8,
-               _series_steps(q, _mp_order(dps), _mp_noise(dps)))
-
-
 @lru_cache(maxsize=32)
-def _mp_plan(q: FourierPotential, lam, dps: int, table, series) -> tuple[int, int]:
+def _mp_plan(q: FourierPotential, lam, dps: int, table, series,
+             steps: int | None = None) -> tuple[int, int]:
     """(order, steps) of the ladder at lam: the cheapest plan the series certifies.
 
     A plan costs (order + 2)^2 steps, one dot product per order per step.
-    Each order p = 4, 8, ..., 48 above _mp_order takes the fewest steps S
-    whose tail, the last two terms the kernel keeps (Jorba & Zou, Experimental
-    Math. 14 (2005)), is under a hundredth of the noise floor: S times the
-    grid mean of max over columns of sum_(m=p+1,p+2) m |a[m]| (s/S)^m, a[m]
-    being the double series of both unit-state solutions at max(32, 8K)
-    points in units of s = sqrt|lam|: ``series`` run on the Taylor
-    ``table`` of q, floquet's _taylor_series and _taylor_table.  S also
-    keeps the series' peak, near e^(s/S), 4 bits inside the
-    _FIXED_GUARD_BITS.  The fixed rule (_mp_order, _mp_steps) holds unless
-    a higher order is strictly cheaper.
+    Order p on S steps is certified when its tail, the last two terms the
+    kernel keeps (Jorba & Zou, Experimental Math. 14 (2005)), is under a
+    hundredth of the noise floor: S times the grid mean of max over columns
+    of sum_(m=p+1,p+2) m |a[m]| (s/S)^m, a[m] being the double series of
+    both unit-state solutions at max(32, 8K) points in units of
+    s = sqrt|lam|: ``series`` run on the Taylor ``table`` of q, floquet's
+    _taylor_series and _taylor_table.  The tail falls as S grows.  The
+    orders are p = 8, 12, ..., up to about 0.55 dps + 56.  Pinned ``steps``
+    take the lowest order they certify, or the top one.  Otherwise each
+    order, from the top down, bisects for its fewest certified steps under
+    the cheapest cost so far, and never takes fewer steps than keep the
+    series' peak, near e^(s/S), 4 bits inside the _FIXED_GUARD_BITS.  The
+    top order's search starts from a step count certified a priori: for
+    S >= s the tail is at most A s (s/S)^p, A the largest m |a[m]| summed
+    over both terms.
     """
-    order, steps = plan = _mp_order(dps), _mp_steps(q, lam, dps)
-    cost, top = (order + 2) ** 2 * steps, order + 48
+    orders = range(8, max(28, int(0.55 * dps) + 8) + 49, 4)
+    top = orders[-1]
     s = max(1.0, math.sqrt(abs(complex(lam))))
     z = complex(lam) / (s * s)
     C = table(q, max(32, 8 * q.K), top) / s ** np.arange(2.0, top + 3)
     w = np.abs(series(C, z.real if z.imag == 0 else z)[:, 0])
     w *= np.arange(top + 3)[:, None, None]
+    eps = _mp_noise(dps) / 100
+
+    def fits(p, S):
+        return S * (w[p + 1] * (s / S) ** (p + 1)
+                    + w[p + 2] * (s / S) ** (p + 2)).max(0).mean() <= eps
+
+    if steps:
+        return next((p for p in orders if fits(p, steps)), top), steps
     fewest = math.ceil(s / ((_FIXED_GUARD_BITS - 4) * math.log(2.0)))
-    for p in range(order + 4, top + 1, 4):
-        S = np.arange(fewest, (cost - 1) // (p + 2) ** 2 + 1)[:, None, None]
-        tail = (S * (w[p + 1] * (s / S) ** (p + 1) + w[p + 2] * (s / S) ** (p + 2))).max(1).mean(1)
-        fits = S.ravel()[tail <= _mp_noise(dps) / 100]
-        if len(fits):
-            cost, plan = (p + 2) ** 2 * int(fits[0]), (p, int(fits[0]))
+    bound = max(1.0, float((w[top + 1] + w[top + 2]).max()) * s / eps) ** (1 / top)
+    plan = (top, max(fewest, math.ceil(s * bound)))
+    for p in reversed(orders):
+        lo, hi = fewest, (plan[0] + 2) ** 2 * plan[1] // (p + 2) ** 2
+        if hi < lo or not fits(p, hi):
+            continue
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if fits(p, mid) else (mid + 1, hi)
+        plan = (p, hi)
     return plan
 
 

@@ -42,6 +42,11 @@ def _pair60(q, n):
     return periodic_eigs_info(q, n, tol=1e-26, dps=60)
 
 
+def _plan(q, lam, dps):
+    # the ladder's default (order, steps) at lam, on the oracle's double series
+    return ladder._mp_plan(q, lam, dps, floquet._taylor_table, floquet._taylor_series)
+
+
 def _free_entries(lam):
     # y1 = cos(s x), y2 = sin(s x)/s with s = sqrt(lam); branch-independent
     s = cmath.sqrt(lam)
@@ -200,12 +205,11 @@ def test_fixed_point_ladder_matches_mpmath():
     # eigenvalue solvers assume, 10^-(dps - 3)
     g = make_gasymov([1.0, 0.5j])
     for dps in (30, 60):
-        order = ladder._mp_order(dps)
         with mp.workdps(dps):
             lam = mp.mpc(88 + mp.pi, 7 / mp.e)
-            steps = ladder._mp_steps(g, lam, dps)
-            got = floquet._disc(g, "mp", dps, lam, steps).jet(lam, 0)
-            ref = _mp_taylor_monodromy(g, lam, steps, order)
+            disc = floquet._disc(g, "mp", dps, lam)
+            got = disc.jet(lam, 0)
+            ref = _mp_taylor_monodromy(g, lam, disc.plan[1], disc.plan[0])
             assert max(abs(a - b) for a, b in zip(got, ref)) <= mp.mpf(10) ** -(dps - 3)
 
 
@@ -231,10 +235,10 @@ def test_integer_table_matches_mpmath_build():
     # real draw at real lam runs the real loop on the integer table
     cases = [(make_gasymov([1.0, 0.5j]), 30), (make_gasymov([1.0, 0.5j]), 60), (WIDE, 30)]
     for q, dps in cases:
-        order, bits = ladder._mp_order(dps), ladder._fixed_bits(dps)
+        bits = ladder._fixed_bits(dps)
         with mp.workdps(dps):
             lam = mp.mpf(88) + mp.pi if q is WIDE else mp.mpc(88 + mp.pi, 7 / mp.e)
-            steps = ladder._mp_steps(q, lam, dps)
+            order, steps = _plan(q, lam, dps)
             table = ladder._mp_table(q, steps, order, dps)
             assert table[0] == (q is WIDE)
             got = ladder._fixed_kernel(table, lam, bits)
@@ -247,8 +251,8 @@ def test_real_loop_matches_complex_loop_bitwise():
         for dps in (30, 60):
             with mp.workdps(dps):
                 lam = mp.mpf(64) * mp.pi ** 2 + mp.mpf(1) / 3
-                steps = ladder._mp_steps(q, lam, dps)
-                real, rows = ladder._mp_table(q, steps, ladder._mp_order(dps), dps)
+                order, steps = _plan(q, lam, dps)
+                real, rows = ladder._mp_table(q, steps, order, dps)
                 assert real
                 bits = ladder._fixed_bits(dps)
                 # an order-1 jet: the plain transport and its lam-derivative
@@ -307,9 +311,9 @@ def test_jet_order_zero_is_the_plain_step():
     # unscaled recurrence on the unscaled table, to the noise floor; and the
     # order-0 part of a higher jet is the plain transport, bit for bit
     dps = 30
-    bits, order = ladder._fixed_bits(dps), ladder._mp_order(dps)
+    bits = ladder._fixed_bits(dps)
     for q, lam in ((make_gasymov([1.0, 0.5j]), 88.5 + 2.25j), (WIDE, 4 * PI2 + 0.5)):
-        steps = ladder._mp_steps(q, lam, dps)
+        order, steps = _plan(q, lam, dps)
         real, rows = ladder._mp_table(q, steps, order, dps)
         plain_rows = _mp_table_reference(q, steps, order, dps, scaled=False)[1]
         lr, li = (mp.libmp.to_fixed(mp.mpf(v)._mpf_, bits) for v in (lam.real, lam.imag))
@@ -373,8 +377,8 @@ def test_packed_lanes_match_the_lane_transcription_bitwise():
     for q, lam in ((make_mathieu(1.0), mp.mpf(4 * PI2 + 0.5)),
                    (make_gasymov([1.0, 0.5j]), mp.mpc(4 * PI2 + 0.5, 2.25))):
         with mp.workdps(dps):
-            table = ladder._mp_table(q, ladder._mp_steps(q, lam, dps),
-                                     ladder._mp_order(dps), dps)
+            order, steps = _plan(q, lam, dps)
+            table = ladder._mp_table(q, steps, order, dps)
             got = ladder._fixed_kernel(table, lam, bits, 4)
             want = _lane_transcription(table, lam, bits, 4)
             assert got == want
@@ -398,9 +402,9 @@ def test_lanes_widen_for_a_growing_solution(monkeypatch):
     dps = 30
     with mp.workdps(dps):
         lam = mp.mpc(0, 10 ** 4)
-        steps = ladder._mp_steps(g, lam, dps)
-        got = floquet._disc(g, "mp", dps, lam).jet(lam, 0)
-        ref = _mp_taylor_monodromy(g, lam, steps, ladder._mp_order(dps))
+        disc = floquet._disc(g, "mp", dps, lam)
+        got = disc.jet(lam, 0)
+        ref = _mp_taylor_monodromy(g, lam, disc.plan[1], disc.plan[0])
         big = max(abs(v) for v in ref)
         assert big > 2 ** 100
         assert max(abs(a - b) for a, b in zip(got, ref)) <= mp.mpf(10) ** -(dps - 3) * big
@@ -435,20 +439,21 @@ def test_lane_division_matches_lanewise_floor_division():
                                   (WIDEBAND, 15)],
                          ids=["cosine-16", "cosine-18", "wideband-15"])
 def test_widest_lanes_match_a_higher_precision_transport(q, n):
-    # the largest per-step A the perfbench sweeps pick at 30 digits: the
-    # cosine on plans (72, 5) and (76, 5), h sqrt(lam) ~ 10 and 11, whose
-    # numerators stand 19 and 23 bits above the state (the real loop), and
-    # the complex K = 16 draw at n = 15 (the complex loop); the order-3 jets
-    # on the default plan against 60 digits on the fixed rule, with y1'
-    # divided by s = sqrt|lam| and y2 multiplied by it
+    # the largest per-step A of the 30-digit plans on the perfbench
+    # potentials: the cosine on plans (72, 5) and (76, 5), h sqrt(lam) ~ 10
+    # and 11, whose numerators stand 19 and 23 bits above the state (the
+    # real loop), and the complex K = 16 draw at n = 15 on (44, 38) (the
+    # complex loop); the order-3 jets on the default plan against 60 digits
+    # on its own default plan, with y1' divided by s = sqrt|lam| and y2
+    # multiplied by it
     lam = n * n * PI2 + complex(q.mean)
     s = math.sqrt(abs(lam))
     with mp.workdps(30):
         disc = floquet._disc(q, "mp", 30, lam)
         got = disc.jet(lam, 3)
-    assert disc.plan == {16: (72, 5), 18: (76, 5), 15: (28, 65)}[n]
+    assert disc.plan == {16: (72, 5), 18: (76, 5), 15: (44, 38)}[n]
     with mp.workdps(60):
-        ref = floquet._disc(q, "mp", 60, lam, ladder._mp_steps(q, lam, 60)).jet(lam, 3)
+        ref = floquet._disc(q, "mp", 60, lam).jet(lam, 3)
         err = max(abs(a - b) * w for a, b, w in zip(got, ref, (1, 1 / s, s, 1) * 4))
     assert err <= ladder._mp_noise(30)
 
@@ -466,8 +471,7 @@ def test_one_column_is_that_column_of_the_two_column_kernel_bitwise():
     bits = ladder._fixed_bits(dps)
     for q, lam, real in ((make_mathieu(1.0), mp.mpf(9 * PI2 + 0.5), True),
                          (EVEN_COMPLEX, mp.mpc(9 * PI2 + 0.5, 2.25), False)):
-        order, steps = ladder._mp_plan(q, lam, dps, floquet._taylor_table,
-                                       floquet._taylor_series)
+        order, steps = _plan(q, lam, dps)
         with mp.workdps(dps):
             table = ladder._mp_table(q, steps, order, dps)
             assert table[0] is real
@@ -480,8 +484,8 @@ def test_one_column_is_that_column_of_the_two_column_kernel_bitwise():
 @pytest.mark.parametrize("dps", [30, 60])
 def test_one_column_forms_match_a_higher_precision_transport(dps):
     # the even trace 2 y1 and the boundary form at alpha = 0.3, each from
-    # one transported solution, against both columns 30 digits finer on the
-    # fixed rule: the order-3 jets and the boundary root, to the noise floor
+    # one transported solution, against both columns 30 digits finer: the
+    # order-3 jets and the boundary root, to the noise floor
     alpha = 0.3
     forms = (floquet._trace, floquet._boundary_form(alpha))
     for q, n in ((make_mathieu(1.0), 3), (make_mathieu(1.0), 8), (EVEN_COMPLEX, 5)):
@@ -492,8 +496,7 @@ def test_one_column_forms_match_a_higher_precision_transport(dps):
             root = floquet._sturm_liouville_root(q, n, alpha, 1e-12, "mp", dps)
         assert [d.columns for d in discs] == [1, 1]
         with mp.workdps(dps + 30):
-            ref = floquet._disc(q, "mp", dps + 30, lam,
-                                ladder._mp_steps(q, lam, dps + 30)).jet(lam, 3)
+            ref = floquet._disc(q, "mp", dps + 30, lam).jet(lam, 3)
             for f, jet in zip(forms, got):
                 want = f([ref[4 * k:4 * k + 4] for k in range(4)])
                 assert max(abs(a - b) for a, b in zip(jet, want)) <= ladder._mp_noise(dps)
@@ -541,10 +544,9 @@ def test_jet_matches_central_differences():
     # t_1 and t_2 of the 30-digit jet against central differences of
     # 60-digit transports; with h = 1e-12 the differences are good to 1e-27
     for q, lam in ((make_gasymov([1.0, 0.5j]), mp.mpc(88.5, 2.25)), (WIDE, mp.mpf(4 * PI2 + 0.5))):
-        steps = ladder._mp_steps(q, 90.0, 60)
+        steps = _plan(q, 90.0, 60)[1]
         with mp.workdps(30):
-            table = ladder._mp_table(q, steps, ladder._mp_order(30), 30)
-            jet = ladder._fixed_kernel(table, lam, ladder._fixed_bits(30), 2)
+            jet = floquet._disc(q, "mp", 30, lam, steps).jet(lam, 2)
         with mp.workdps(60):
             h = mp.mpf(10) ** -12
             transport = floquet._disc(q, "mp", 60, lam, steps).jet
@@ -561,7 +563,7 @@ def test_jet_polynomial_at_its_radius_edge():
                    (make_gasymov([1.0, 0.5j]), 30)):
         center = 25 * PI2
         disc = floquet._disc(q, "mp", dps, center)
-        steps = ladder._mp_steps(q, center, dps)
+        steps = disc.plan[1]
         with mp.workdps(dps):
             disc.cover(mp.mpf(center) + mp.mpf(1) / 7, 1e-4)
             assert disc.transports == 1 and disc.radius >= 1e-4
@@ -583,8 +585,7 @@ def test_double_jets_match_the_fixed_point_jet():
         C = floquet._taylor_table(q, floquet._taylor_steps(lam), floquet._TAYLOR_ORDER)
         qs = floquet._rk4_samples(q, default_steps(lam))
         with mp.workdps(30):
-            table = ladder._mp_table(q, ladder._mp_steps(q, lam, 30), ladder._mp_order(30), 30)
-            ref = [complex(v) for v in ladder._fixed_kernel(table, lam, ladder._fixed_bits(30), 2)]
+            ref = [complex(v) for v in floquet._disc(q, "mp", 30, lam).jet(lam, 2)]
         for jet, rel in ((floquet._taylor_kernel(C, lam, 2), 1e-12),
                          (floquet._rk4_kernel(qs, lam, 2), 1e-8)):
             for k in (1, 2):
@@ -772,20 +773,20 @@ def test_near_real_potential_takes_complex_loop(monkeypatch):
 
 
 def test_mp_steps_resolve_the_top_mode():
-    # at lam = 4 pi^2 + 0.5 the lam rule alone asks for 16 steps, under which
-    # mode 16 turns a full period per step; the bandwidth term must lift the
-    # default to the 64-step value at the working precision
+    # at lam = 4 pi^2 + 0.5 a step count read off lam alone is 16, under
+    # which mode 16 turns a full period per step; the series certificate
+    # must resolve it, both on its default plan and on 16 pinned steps,
+    # against a 64-step transport at the working precision
     lam = 4 * PI2 + 0.5
     with mp.workdps(30):
         ref = floquet._disc(WIDE, "mp", 30, lam, 64).jet(lam, 0)
-        steps = ladder._mp_steps(WIDE, lam, 30)
-        got = floquet._disc(WIDE, "mp", 30, lam, steps).jet(lam, 0)
-        assert abs((got[0] + got[3]) - (ref[0] + ref[3])) <= mp.mpf(10) ** -26
+        for steps in (None, 16):
+            got = floquet._disc(WIDE, "mp", 30, lam, steps).jet(lam, 0)
+            assert abs((got[0] + got[3]) - (ref[0] + ref[3])) <= mp.mpf(10) ** -26
 
 
 def test_default_plan_matches_a_higher_precision_transport():
-    # the ladder's default plan, a higher order than the fixed rule in every
-    # case, against a transport 30 digits finer on the fixed rule; with
+    # the ladder's default plan against a transport 30 digits finer; with
     # s = sqrt|lam|, y1' (about s) is divided by s and y2 (about 1/s)
     # multiplied by it
     cases = ([(make_mathieu(1.0), n * n * PI2, 30) for n in (1, 3, 12, 24)]
@@ -793,49 +794,61 @@ def test_default_plan_matches_a_higher_precision_transport():
              + [(make_gasymov([1.0, 0.5j]), complex(25 * PI2, 3.0), 60)])
     for q, lam, dps in cases:
         s = math.sqrt(abs(lam))
-        order, steps = ladder._mp_plan(q, lam, dps, floquet._taylor_table,
-                                       floquet._taylor_series)
-        assert order > ladder._mp_order(dps)
+        order, steps = _plan(q, lam, dps)
         # the series peaks near e^(h s), which the guard bits must absorb
         assert s / steps * math.log2(math.e) < ladder._FIXED_GUARD_BITS
         with mp.workdps(dps):
             got = floquet._disc(q, "mp", dps, lam).jet(lam, 0)
         with mp.workdps(dps + 30):
-            ref = floquet._disc(q, "mp", dps + 30, lam,
-                                ladder._mp_steps(q, lam, dps + 30)).jet(lam, 0)
+            ref = floquet._disc(q, "mp", dps + 30, lam).jet(lam, 0)
             err = max(abs(g - r) * w for g, r, w in zip(got, ref, (1, 1 / s, s, 1)))
         assert err <= ladder._mp_noise(dps)
 
 
-def test_ladder_plan_never_costs_more_than_the_fixed_rule():
-    # cost is one dot product per order per step, (order + 2)^2 steps
-    for q, ns in ((make_mathieu(1.0), range(1, 25)), (WIDE, range(1, 17)), (WIDEBAND, range(1, 17))):
-        for dps in (30, 60):
-            fixed = (ladder._mp_order(dps) + 2) ** 2
-            for n in ns:
-                lam = n * n * PI2 + complex(q.mean)
-                order, steps = ladder._mp_plan(q, lam, dps, floquet._taylor_table,
-                                               floquet._taylor_series)
-                assert (order + 2) ** 2 * steps <= fixed * ladder._mp_steps(q, lam, dps)
+# the two-mode even potential cos 2 pi x + 0.2 cos 4 pi x and a complex
+# even variant, whose plans once stopped short of the truncation floor
+TWO_MODE = make_fourier({1: 0.5, -1: 0.5, 2: 0.1, -2: 0.1})
+TWO_MODE_COMPLEX = make_fourier({1: 0.5 + 0.25j, -1: 0.5 + 0.25j, 2: 0.1 - 0.05j, -2: 0.1 - 0.05j})
+
+
+@pytest.mark.parametrize("q, lam, dps, steps", [
+    (WIDE, 16 * PI2 + 0.3, 60, None),
+    (WIDEBAND, 16 * PI2 + 0.3, 60, None),
+    (TWO_MODE, 9 * PI2, 60, None),
+    (TWO_MODE_COMPLEX, 9 * PI2, 60, None),
+    (make_gasymov([1.0, 0.5j]), None, 60, None),
+    (WIDEBAND, 225 * PI2 + 0.3, 21, None),
+    (WIDEBAND, 225 * PI2 + 0.3, 29, None),
+    (make_mathieu(1.0), 64 * PI2, 30, 16),
+    (make_gasymov([1.0, 0.5j]), None, 60, 20),
+], ids=["wide-60", "wideband-60", "two-mode-60", "two-mode-complex-60", "gasymov-60",
+        "wideband-21", "wideband-29", "cosine-30-steps16", "gasymov-60-steps20"])
+def test_ladder_plans_meet_the_floor_against_a_finer_transport(q, lam, dps, steps):
+    # the order-0 transport on the default plan, or on pinned steps at the
+    # order the certificate picks for them, against one 40 digits finer,
+    # relative to its largest entry; None stands for the complex lam
+    # 88 + pi + 7i/e, taken at the working precision
+    with mp.workdps(dps):
+        if lam is None:
+            lam = mp.mpc(88 + mp.pi, 7 / mp.e)
+        got = floquet._disc(q, "mp", dps, lam, steps).jet(lam, 0)
+    with mp.workdps(dps + 40):
+        ref = floquet._disc(q, "mp", dps + 40, lam).jet(lam, 0)
+        err = max(abs(g - r) for g, r in zip(got, ref)) / max(abs(r) for r in ref)
+    assert err <= ladder._mp_noise(dps)
 
 
 def test_solve_ledger_reports_the_ladder_plan():
-    # at a tol below the det floor, the cosine's escalated n = 12 solve runs
-    # a higher order on fewer steps than the fixed rule at its precision;
-    # the complex K = 16 draw keeps the fixed rule's plan
-    def fixed(q, n, dps):
+    # at a tol below the det floor, the escalated solves of the cosine at
+    # n = 12 and of the complex K = 16 draw at n = 15 report the plan the
+    # series certificate picks at their precision, beside the double
+    # critical search's fixed Taylor order
+    for q, n in ((make_mathieu(1.0), 12), (WIDEBAND, 15)):
+        _, _, info = periodic_eigs_info(q, n, tol=1e-20)
+        mp = info["kernels"][info["method"]]
         lam = n * n * PI2 + complex(q.mean)
-        return ladder._mp_order(dps), ladder._mp_steps(q, lam, dps)
-
-    cosine = make_mathieu(1.0)
-    _, _, info = periodic_eigs_info(cosine, 12, tol=1e-20)
-    mp = info["kernels"][info["method"]]
-    order, steps = fixed(cosine, 12, info["dps"])
-    assert mp["order"] > order and mp["steps"] < steps
-    assert info["kernels"]["taylor"]["order"] == floquet._TAYLOR_ORDER
-    _, _, info = periodic_eigs_info(WIDEBAND, 15, tol=1e-20)
-    mp = info["kernels"][info["method"]]
-    assert (mp["order"], mp["steps"]) == fixed(WIDEBAND, 15, info["dps"])
+        assert (mp["order"], mp["steps"]) == _plan(q, lam, info["dps"])
+        assert info["kernels"]["taylor"]["order"] == floquet._TAYLOR_ORDER
 
 
 def test_monodromy_validation():
@@ -846,6 +859,18 @@ def test_monodromy_validation():
         # 16 steps under-resolve the oscillation at lam = 400
         monodromy(FREE, 400.0, 16, method="rk4")
     assert default_steps(400.0) == 320 * 7
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_steps_below_one_raise_on_every_path(steps):
+    # one ValueError on the double paths, the ladder and "auto", where 0
+    # once meant the default step count and -3 failed with a ZeroDivisionError
+    for method, dps in (("rk4", None), ("taylor", None), ("auto", None), ("taylor", 30),
+                        ("mp", None)):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            monodromy(COSINE, 10.0, steps, method=method, dps=dps)
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            periodic_eigs(COSINE, 3, steps=steps, method=method, dps=dps)
 
 
 def test_free_eigenvalues_both_integrators():
@@ -1085,3 +1110,15 @@ def test_gap_record_takes_sigma_and_tau_at_the_pinned_precision():
     q = make_mathieu(1.0)
     ref = gap_record(q, 6, tol=1e-26, method="mp", dps=60)
     assert gap_record(q, 6, tol=1e-26, method="taylor", dps=60).delta == ref.delta
+
+
+def test_auto_gap_record_forms_delta_at_the_pair_precision():
+    # at tol = 1e-48 the n = 12 pair escalates past the 45 digits a pinned
+    # "mp" run defaults to; tau, and with it delta = sigma - tau, must be
+    # formed at the digits the pair finished at, as a record pinned there is
+    q = make_mathieu(1.0)
+    dps = floquet._solve_pair(q, 12, 1e-48, "auto", None, None, det=False)[2]["dps"]
+    assert dps > floquet._DEFAULT_DPS
+    rec = gap_record(q, 12, tol=1e-48)
+    ref = gap_record(q, 12, tol=1e-48, dps=dps)
+    assert rec.delta == pytest.approx(ref.delta, rel=1e-12, abs=0)
