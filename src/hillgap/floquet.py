@@ -115,6 +115,7 @@ _RESOLVE_MARGIN = 100.0     # dip must exceed noise by this factor to count
 _AUTO_DIP_FACTOR = 1e6      # auto keeps a double result only above this dip
 _ENTRY_NOISE = 1e-15        # det rung: roundoff of one double monodromy entry
 _DEFAULT_DPS = 45
+_MAX_DPS = 300              # the ladder's noise floor, 1e-(dps-3), stays a normal double
 
 
 class RootSearchError(blockdecomp.IterationError):
@@ -307,6 +308,8 @@ def _path(method: str, dps: int | None):
     """
     if method not in ("auto", "taylor", "rk4", "mp"):
         raise ValueError(f"unknown oracle method {method!r}")
+    if dps and dps > _MAX_DPS:
+        raise ValueError(f"dps = {dps} exceeds the limit of {_MAX_DPS} digits")
     if method == "mp" and not dps:
         dps = _DEFAULT_DPS
     return ("rk4" if method == "rk4" else "taylor"), dps

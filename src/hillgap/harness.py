@@ -23,9 +23,10 @@ Where the spectral oracle cannot resolve a gap against its integrator noise,
 the verifiers charge the inequality with the noise ceiling instead of the
 returned value and say so in the report notes.
 
-The Floquet oracle is imported where a runner first calls it (_oracle_gap,
-verify_theorem4) or a config names an oracle method to check, so the
-adapted map and the weights suite run without it.
+Every table row and verifier that reads gamma_n solves it through _gap, into
+one record, Gap, from the Floquet oracle or the block reduction.  The oracle
+loads where _gap or verify_theorem4 first calls it, or a config names an
+oracle method or dps to check, so the adapted map and weights run without it.
 """
 
 from __future__ import annotations
@@ -281,14 +282,14 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
     if "oracle" in fields:
         given = _fields(fields["oracle"], "oracle", (), KINDS[kind].optional["oracle"])
         method = given["method"]
-        if method != _ORACLE["method"]:
-            # floquet, the one home of the method list, loads only to check a named one
+        dps = None if given["dps"] is None else _integer(given["dps"], "oracle.dps", least=10)
+        if method != _ORACLE["method"] or dps:
+            # floquet, home of the method list and the dps limit, loads only to check them
             from . import floquet
             try:
-                floquet._path(method, None)
+                floquet._path(method, dps)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
-        dps = None if given["dps"] is None else _integer(given["dps"], "oracle.dps", least=10)
         oracle = {"method": method, "dps": dps}
 
     # kind-specific keys, in fields when declared: each a config field and an echo entry
@@ -297,6 +298,12 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
         adapted = ("m", "M_thresh", "K_out")
         given = (None if fields[k] is None else _integer(fields[k], k) for k in adapted)
         extras.update(zip(adapted, blockdecomp.adapted_defaults(potential, *given)))
+        # the output window holds the modes the map keeps, those below M_thresh
+        kept = max((abs(k) for k, _ in potential.modes() if abs(k) < extras["M_thresh"]),
+                   default=0)
+        if extras["K_out"] < kept:
+            raise ConfigError(f"K_out = {extras['K_out']} cannot hold mode {kept} of the "
+                              f"potential, below M_thresh = {extras['M_thresh']}")
     if "N_values" in fields:
         N_values = fields["N_values"]
         N_values = [extras["M_thresh"] + i for i in range(3)] if N_values is None else N_values
@@ -320,19 +327,44 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
 # shared machinery
 
 
-def _oracle_gap(q: FourierPotential, n: int, config: ExperimentConfig):
-    """Gap pair with a noise ceiling: |gamma| when resolved, else the
-    integrator's resolution floor."""
+@dataclass(frozen=True)
+class Gap:
+    """The n-th gap from ``source``, "oracle" or "block", as rows and verifiers
+    read it; ``alpha`` is the oracle's critical point or the block's alpha_n.
+    ``ceiling`` is |gamma| if ``resolved``, else max(|gamma|, gamma_floor).  A
+    block gap is resolved at |gamma| (no verifier reads either field of it
+    yet) and carries p_+-n (``pp``, ``pm``) and a_n(alpha_n) (``a_n``)."""
+
+    n: int
+    source: str
+    lm: complex
+    lp: complex
+    gamma: complex
+    ceiling: float
+    resolved: bool
+    alpha: complex
+    resid: float
+    iters: int
+    pp: complex | None = None
+    pm: complex | None = None
+    a_n: complex | None = None
+
+
+def _gap(q: FourierPotential, n: int, config: ExperimentConfig, source: str = "oracle") -> Gap:
+    """The one call that solves a gap; both solvers are looked up when called."""
+    if source == "block":
+        b = blockdecomp.gap_block(q, n, config.tol)
+        return Gap(n, source, b.xi_minus, b.xi_plus, b.gamma_n, abs(b.gamma_n), True,
+                   b.alpha_n, b.diagnostics.resid, b.diagnostics.solver_iters,
+                   b.p_plus, b.p_minus, b.a_n_at_alpha)
     from . import floquet
 
     lm, lp, info = floquet.periodic_eigs_info(
         q, n, config.tol, method=config.oracle_method, dps=config.oracle_dps)
-    gamma = info["gamma"]
-    if info["resolved"]:
-        ceiling = abs(gamma)
-    else:
-        ceiling = max(abs(gamma), info["gamma_floor"])
-    return lm, lp, gamma, ceiling, info
+    gamma, resolved = info["gamma"], info["resolved"]
+    ceiling = abs(gamma) if resolved else max(abs(gamma), info["gamma_floor"])
+    return Gap(n, source, lm, lp, gamma, ceiling, resolved, info["critical"],
+               info["resid"], info["iters"])
 
 
 def _finite_wnorm(q: FourierPotential, w: Weight, label: str) -> float:
@@ -354,9 +386,8 @@ def _wnorm_diff(q1: FourierPotential, q2: FourierPotential, w: Weight) -> float:
 
 
 def _preconditions(q: FourierPotential, w: Weight, nw: float) -> dict:
-    q0 = q.without_mean()
     return {"norm_q_w": nw, "four_norm_q_w": 4.0 * nw,
-            "norm_q_l2": q.l2(), "block_floor": 2.0 * q0.l2()}
+            "norm_q_l2": q.l2(), "block_floor": 2.0 * q.without_mean().l2()}
 
 
 # ---------------------------------------------------------------------------
@@ -379,23 +410,14 @@ def _error_row(n: int, method: str) -> dict:
                 **{col[3:]: nan for col in CSV_COLUMNS if col.startswith("re_")})
 
 
-def _oracle_row(q: FourierPotential, n: int, config: ExperimentConfig) -> dict:
+def _gap_row(q: FourierPotential, n: int, config: ExperimentConfig, source: str) -> dict:
     try:
-        lm, lp, gamma, _, info = _oracle_gap(q, n, config)
+        g = _gap(q, n, config, source)
     except FAILURES:
-        return _error_row(n, "oracle")
-    return _row(n, "oracle", info["resid"], info["iters"],
-                lm=lm, lp=lp, gamma=gamma, alpha=info["critical"])
-
-
-def _block_row(q: FourierPotential, n: int, config: ExperimentConfig) -> dict:
-    try:
-        b = blockdecomp.gap_block(q, n, config.tol)
-    except FAILURES:
-        return _error_row(n, "block")
-    return _row(n, "block", b.diagnostics.resid, b.diagnostics.solver_iters,
-                lm=b.xi_minus, lp=b.xi_plus, gamma=b.gamma_n, alpha=b.alpha_n,
-                pp=b.p_plus, pm=b.p_minus)
+        return _error_row(n, source)
+    block = {} if g.pp is None else {"pp": g.pp, "pm": g.pm}
+    return _row(n, source, g.resid, g.iters, lm=g.lm, lp=g.lp, gamma=g.gamma,
+                alpha=g.alpha, **block)
 
 
 def run_gaps(config: ExperimentConfig):
@@ -408,11 +430,8 @@ def run_gaps(config: ExperimentConfig):
     lo, hi = config.n_range
     floor = 4.0 * q.without_mean().l2() if config.kind == "gaps" else math.inf
 
-    rows = []
-    for n in range(lo, hi + 1):
-        rows.append(_oracle_row(q, n, config))
-        if n >= floor:
-            rows.append(_block_row(q, n, config))
+    rows = [_gap_row(q, n, config, source) for n in range(lo, hi + 1)
+            for source in ("oracle", "block") if source == "oracle" or n >= floor]
     return rows, any(row["method"].endswith("!") for row in rows)
 
 
@@ -494,16 +513,11 @@ def _report(config: ExperimentConfig, ok: bool, preconditions: dict,
 
 
 def _gap_sweep(q, lo, hi, config):
-    """Gap ceilings over an index range, in order, and the report notes that
-    name the unresolved indices."""
-    ceilings, unresolved = {}, []
-    for n in range(lo, hi + 1):
-        _, _, _, ceilings[n], info = _oracle_gap(q, n, config)
-        if not info["resolved"]:
-            unresolved.append(n)
-    if unresolved:
-        return ceilings, [f"gaps charged at the noise ceiling: n = {unresolved}"]
-    return ceilings, []
+    """The oracle gaps over an index range, by index in order, and the report
+    notes that name the unresolved ones."""
+    gaps = {n: _gap(q, n, config) for n in range(lo, hi + 1)}
+    unresolved = [n for n, g in gaps.items() if not g.resolved]
+    return gaps, [f"gaps charged at the noise ceiling: n = {unresolved}"] if unresolved else []
 
 
 def verify_theorem1(config: ExperimentConfig) -> dict:
@@ -514,14 +528,12 @@ def verify_theorem1(config: ExperimentConfig) -> dict:
     lo, hi = config.n_range
     nw = _finite_wnorm(q, w, "potential")
     n_min = max(lo, math.ceil(4.0 * nw))
-    notes = []
-    skipped = list(range(lo, n_min))
-    if skipped:
-        notes.append(f"N < 4||q||_w skipped: {skipped}")
+    notes = [f"N < 4||q||_w skipped: {list(range(lo, n_min))}"] if n_min > lo else []
     if n_min > hi:
         return _report(config, False, _preconditions(q, w, nw), [],
                        notes + ["no admissible N in range"])
-    ceilings, sweep_notes = _gap_sweep(q, n_min, hi, config)
+    gaps, sweep_notes = _gap_sweep(q, n_min, hi, config)
+    ceilings = {n: g.ceiling for n, g in gaps.items()}
     items = []
     ok = True
     for N, lhs, rhs, tail_norm in _tail_sums(q, w, nw, ceilings, THEOREM1_FACTORS):
@@ -555,11 +567,8 @@ def verify_theorem4(config: ExperimentConfig) -> dict:
     lo, hi = config.n_range
     nw = _finite_wnorm(q, w, "potential")
 
-    deltas = {}
-    for n in range(lo, hi + 1):
-        rec = floquet.gap_record(q, n, tol=config.tol, method=config.oracle_method,
-                                 dps=config.oracle_dps)
-        deltas[n] = abs(rec.delta)
+    deltas = {n: abs(floquet.gap_record(q, n, tol=config.tol, method=config.oracle_method,
+                                        dps=config.oracle_dps).delta) for n in range(lo, hi + 1)}
     items = []
     onset = None
     ok_from_onset = True
@@ -599,16 +608,16 @@ def verify_theorem5(config: ExperimentConfig) -> dict:
     if n_min > hi:
         return _report(config, False, _preconditions(q, w, nw), [],
                        ["no admissible n in range"])
-    ceilings, notes = _gap_sweep(q, n_min, hi, config)
+    gaps, notes = _gap_sweep(q, n_min, hi, config)
     items = []
     ok = True
-    for n in range(n_min, hi + 1):
+    for n, g in gaps.items():
         ntilde = n / (4.0 * nw)
         psi_val = weights.psi(w, ntilde)
         bound = 2.0 * n * math.exp(-n * psi_val)
-        holds = ceilings[n] <= bound
+        holds = g.ceiling <= bound
         item = {"n": n, "ntilde": ntilde, "psi": psi_val, "bound": bound,
-                "gamma_ceiling": ceilings[n], "holds": holds}
+                "gamma_ceiling": g.ceiling, "holds": holds}
         if w.kind == "superexp":
             psi_c = weights.psi_continuous(w.sigma, ntilde)
             item["psi_continuous"] = psi_c
@@ -616,7 +625,7 @@ def verify_theorem5(config: ExperimentConfig) -> dict:
             ok = ok and item["psi_slack_ok"]
         individual_ok = True
         if n >= 4.0 * nw_exp:
-            individual_ok = w_exp(n) * ceilings[n] <= INDIVIDUAL_GAMMA_FACTOR * nw_exp
+            individual_ok = w_exp(n) * g.ceiling <= INDIVIDUAL_GAMMA_FACTOR * nw_exp
             item["individual_ok"] = individual_ok
         items.append(item)
         ok = ok and holds and individual_ok
@@ -639,34 +648,31 @@ def verify_mathieu(config: ExperimentConfig) -> dict:
     """Oracle gaps against the classical two-mode asymptotics
     8 pi^2 (mu / 8 pi^2)^n / ((n-1)!)^2: the ratio must sit in the band
     1 -+ c/n^2, and within [0.85, 1.15] for n >= 3 at mu <= 1."""
-    q = config.potential
+    q, w = config.potential, config.weight
     lo, hi = config.n_range
     mu = float(config.echo["potential"]["mu"])
-    w = config.weight
     nw = wnorm(q, w)
     items = []
     notes = []
     ok = True
+    gaps, _ = _gap_sweep(q, lo, hi, config)
     if mu == 0.0:
         notes.append("mu = 0: spectrum is free, all gaps collapsed")
-        ceilings, _ = _gap_sweep(q, lo, hi, config)
-        for n in range(lo, hi + 1):
-            items.append({"n": n, "gamma_ceiling": ceilings[n]})
-            ok = ok and ceilings[n] <= COLLAPSED_GAP_TOL
+        items = [{"n": n, "gamma_ceiling": g.ceiling} for n, g in gaps.items()]
+        ok = all(g.ceiling <= COLLAPSED_GAP_TOL for g in gaps.values())
         return _report(config, ok, _preconditions(q, w, nw), items, notes)
     eight = 8.0 * math.pi ** 2
-    results = [_oracle_gap(q, n, config) for n in range(lo, hi + 1)]
-    for n, (lm, lp, gamma, ceiling, info) in zip(range(lo, hi + 1), results):
+    for n, g in gaps.items():
         formula = eight * (mu / eight) ** n / math.factorial(n - 1) ** 2
-        ratio = abs(gamma) / formula
+        ratio = abs(g.gamma) / formula
         band = config.c / (n * n)
         holds = abs(ratio - 1.0) <= band
         if n >= 3 and mu <= 1.0:
             holds = holds and 0.85 <= ratio <= 1.15
-        if not info["resolved"]:
+        if not g.resolved:
             holds = False
             notes.append(f"n = {n}: gap below the oracle resolution floor")
-        items.append({"n": n, "gamma": abs(gamma), "formula": formula,
+        items.append({"n": n, "gamma": abs(g.gamma), "formula": formula,
                       "ratio": ratio, "band": band, "holds": holds})
         ok = ok and holds
     return _report(config, ok, _preconditions(q, w, nw), items, notes)
@@ -679,20 +685,18 @@ def verify_gasymov(config: ExperimentConfig) -> dict:
     q, w = config.potential, config.weight
     lo, hi = config.n_range
     nw = wnorm(q, w)
-    ceilings, notes = _gap_sweep(q, lo, hi, config)
+    gaps, notes = _gap_sweep(q, lo, hi, config)
     block_floor = 2.0 * q.without_mean().l2()
     items = []
     ok = True
-    for n in range(lo, hi + 1):
-        item = {"n": n, "gamma_ceiling": ceilings[n],
-                "collapsed": ceilings[n] <= COLLAPSED_GAP_TOL}
+    for n, g in gaps.items():
+        item = {"n": n, "gamma_ceiling": g.ceiling, "collapsed": g.ceiling <= COLLAPSED_GAP_TOL}
         ok = ok and item["collapsed"]
         if n > block_floor:
             # the roots collapse onto alpha_n, so the block costs one alpha loop
-            b = blockdecomp.gap_block(q, n, config.tol)
-            item["a_n"] = b.a_n_at_alpha
-            item["c_n"] = b.p_minus
-            item["exact_zero"] = (b.a_n_at_alpha == 0 and b.p_minus == 0)
+            b = _gap(q, n, config, "block")
+            item["a_n"], item["c_n"] = b.a_n, b.pm
+            item["exact_zero"] = (b.a_n == 0 and b.pm == 0)
             ok = ok and item["exact_zero"]
         items.append(item)
     return _report(config, ok, _preconditions(q, w, nw), items, notes)
@@ -709,25 +713,21 @@ def verify_dense(config: ExperimentConfig) -> dict:
     items = []
     distances = []
     ok = True
-    notes = []
     for N in sorted(config.N_values):
         q_n = blockdecomp.n_gap_approximant(q, N, config.m, config.M_thresh,
                                             config.tol, K_out=config.K_out)
         dist = _wnorm_diff(q_n, q, w)
         bound = 2.0 * wnorm(tail(p, N + 1), w)
-        collapsed = []
-        for n in range(N + 1, N + config.span + 1):
-            _, _, _, ceiling, _ = _oracle_gap(q_n, n, config)
-            collapsed.append({"n": n, "gamma_ceiling": ceiling,
-                              "collapsed": ceiling <= COLLAPSED_GAP_TOL})
+        gaps, _ = _gap_sweep(q_n, N + 1, N + config.span, config)
+        collapsed = [{"n": n, "gamma_ceiling": g.ceiling,
+                      "collapsed": g.ceiling <= COLLAPSED_GAP_TOL} for n, g in gaps.items()]
         item_ok = dist <= bound + 1e-12 and all(c["collapsed"] for c in collapsed)
         items.append({"N": N, "distance": dist, "lipschitz_bound": bound,
                       "collapsed": collapsed, "holds": item_ok})
         distances.append(dist)
         ok = ok and item_ok
     monotone = all(b <= a + 1e-15 for a, b in zip(distances, distances[1:]))
-    if not monotone:
-        notes.append("distances are not monotone in N")
+    notes = [] if monotone else ["distances are not monotone in N"]
     ok = ok and monotone
     return _report(config, ok, _preconditions(q, w, nw), items, notes)
 

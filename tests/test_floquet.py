@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import sys
 from functools import lru_cache
 from operator import mul
 
@@ -871,6 +872,22 @@ def test_steps_below_one_raise_on_every_path(steps):
             monodromy(COSINE, 10.0, steps, method=method, dps=dps)
         with pytest.raises(ValueError, match="steps must be >= 1"):
             periodic_eigs(COSINE, 3, steps=steps, method=method, dps=dps)
+
+
+def test_a_precision_past_the_limit_raises_on_every_path():
+    # one ValueError wherever a precision is set, where 400 digits once ended
+    # in a ZeroDivisionError: the floor 1e-(dps - 3) underflows near 327
+    # digits, and the limit keeps it, and the plan's hundredth of it, normal
+    assert ladder._mp_noise(floquet._MAX_DPS) / 100 >= sys.float_info.min
+    floquet._path("mp", floquet._MAX_DPS)
+    dps = floquet._MAX_DPS + 1
+    for method in ("rk4", "taylor", "auto", "mp"):
+        with pytest.raises(ValueError, match=f"dps = {dps} exceeds the limit"):
+            monodromy(COSINE, 10.0, method=method, dps=dps)
+        with pytest.raises(ValueError, match=f"dps = {dps} exceeds the limit"):
+            periodic_eigs(COSINE, 3, method=method, dps=dps)
+        with pytest.raises(ValueError, match=f"dps = {dps} exceeds the limit"):
+            sturm_liouville_eig(COSINE, 3, method=method, dps=dps)
 
 
 def test_free_eigenvalues_both_integrators():

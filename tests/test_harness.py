@@ -729,6 +729,22 @@ def _refusals():
     short = {"kind": "table", "values": [[n, 1.0 + n] for n in range(7)]}
     yield "table-short-of-window", weights, {"weights": [short], "N": 4}, \
         "table weight has no entry at n = 7; the submultiplicativity check reads n = 0..8"
+    # the adapted map keeps the modes below M_thresh, so K_out must hold them
+    mathieu = {"type": "mathieu", "mu": 1.0}
+    for K_out in (0, -2):
+        named = f"K_out = {K_out} cannot hold mode 1 of the potential, below M_thresh = 8"
+        yield f"adapted-K_out-{K_out}", ["gaps"], {
+            "kind": "adapted", "potential": mathieu, "n_range": [1, 3], "K_out": K_out}, named
+        yield f"dense-K_out-{K_out}", ["verify", "dense"], {
+            "kind": "dense", "potential": mathieu, "K_out": K_out}, named
+    draw = {"type": "random", "seed": 202, "K": 16,
+            "decay": {"kind": "gevrey", "a": 1.0, "sigma": 0.5}}
+    yield "adapted-K_out-under-draw", ["gaps"], {
+        "kind": "adapted", "potential": draw, "n_range": [1, 3], "K_out": 3}, \
+        "K_out = 3 cannot hold mode 7 of the potential"
+    # the ladder's floor stays a normal double only up to the precision limit
+    yield "oracle-dps-past-limit", ["oracle"], _gaps(kind="oracle", oracle={
+        "method": "mp", "dps": 400}), "dps = 400 exceeds the limit of 300 digits"
     # sigma this near 1 puts psi's minimum beyond 2^16 terms
     yield "psi-uncertified", ["verify", "theorem5"], {
         "kind": "theorem5", "potential": {"type": "mathieu", "mu": 0.1}, "n_range": [1, 2],
@@ -790,6 +806,76 @@ def test_cli_verify_weights_on_a_table_as_short_as_its_window(tmp_path, capsys):
     item = json.loads(capsys.readouterr().out)["items"][0]
     assert item["base_ok"] and item["growth_class"] == "undetermined"
     assert all(t["ok"] for t in item["tempered"])
+
+
+_MATHIEU_ONE = {"type": "mathieu", "mu": 1.0}
+# (config, the (n, source) pairs its run solves, in any order)
+_SOLVED = {
+    "gaps": ({"kind": "gaps", "potential": _MATHIEU_ONE, "n_range": [1, 4]},
+             [(1, "oracle"), (2, "oracle"), (3, "oracle"), (3, "block"), (4, "oracle"),
+              (4, "block")]),
+    # admissible from 4 ||q||_w = 2.83
+    "theorem1": ({"kind": "theorem1", "potential": _MATHIEU_ONE, "n_range": [1, 5]},
+                 [(n, "oracle") for n in (3, 4, 5)]),
+    # admissible from 4 ||q||_w = 7.69
+    "theorem5": ({"kind": "theorem5", "potential": _MATHIEU_ONE, "n_range": [1, 9],
+                  "weight": {"kind": "superexp", "sigma": 2.0}}, [(8, "oracle"), (9, "oracle")]),
+    "mathieu-0": ({"kind": "mathieu", "potential": {"type": "mathieu", "mu": 0.0},
+                   "n_range": [1, 3]}, [(n, "oracle") for n in (1, 2, 3)]),
+    "mathieu-1": ({"kind": "mathieu", "potential": _MATHIEU_ONE, "n_range": [1, 5]},
+                  [(n, "oracle") for n in range(1, 6)]),
+    # the block entries past 2 ||q|| = 2.24
+    "gasymov": ({"kind": "gasymov", "potential": {"type": "gasymov", "coeffs": [[1, 0], [0, 0.5]]},
+                 "n_range": [1, 6]},
+                [(n, "oracle") for n in range(1, 7)] + [(n, "block") for n in range(3, 7)]),
+    # the gaps of q_N for N = 8, 9, 10, each a potential of its own
+    "dense": ({"kind": "dense", "potential": MATHIEU_HALF},
+              [(n, "oracle") for N in (8, 9, 10) for n in range(N + 1, N + 5)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_SOLVED))
+def test_each_gap_is_solved_once_and_only_through_gap(name, monkeypatch):
+    # a table and every verifier that reads gamma ask _gap for each
+    # (potential, n, source) once, and nothing else calls either solver
+    from hillgap import floquet
+
+    calls, callers, held = [], set(), []
+
+    def spy(source, solve):
+        def solved(q, n, *args, **kwargs):
+            held.append(q)  # so no potential's id is reused within the run
+            calls.append((id(q), n, source))
+            callers.add(sys._getframe(1).f_code.co_name)
+            return solve(q, n, *args, **kwargs)
+        return solved
+
+    monkeypatch.setattr(floquet, "periodic_eigs_info", spy("oracle", floquet.periodic_eigs_info))
+    monkeypatch.setattr(blockdecomp, "gap_block", spy("block", blockdecomp.gap_block))
+    raw, solved = _SOLVED[name]
+    config = parse_config(raw)
+    (run_table if config.kind in TABLE_KINDS else run_verify)(config)
+    assert len(set(calls)) == len(calls)
+    assert sorted((n, source) for _, n, source in calls) == sorted(solved)
+    assert callers == {"_gap"}
+
+
+def test_gap_records_charge_an_unresolved_oracle_gap_at_its_floor():
+    # the free potential's gaps sit below the oracle's resolution floor,
+    # which the record charges; a block record is resolved at |gamma|
+    from hillgap import floquet
+
+    config = parse_config({"kind": "gaps", "potential": {"type": "mathieu", "mu": 0.0},
+                           "n_range": [1, 3]})
+    for n in (1, 2, 3):
+        gap = harness._gap(config.potential, n, config)
+        lm, lp, info = floquet.periodic_eigs_info(config.potential, n, config.tol)
+        assert (gap.n, gap.source, gap.resolved, gap.lm, gap.lp) == (n, "oracle", False, lm, lp)
+        assert gap.ceiling == max(abs(gap.gamma), info["gamma_floor"]) > abs(gap.gamma)
+    mathieu = parse_config({"kind": "gaps", "potential": _MATHIEU_ONE, "n_range": [3, 3]})
+    block = harness._gap(mathieu.potential, 3, mathieu, "block")
+    assert (block.source, block.resolved) == ("block", True)
+    assert block.ceiling == abs(block.gamma) > 0
 
 
 def test_unread_config_attributes_hold_none():
