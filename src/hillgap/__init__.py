@@ -19,6 +19,20 @@ only where a solve first leaves doubles.  The block reduction and the
 adapted map run without either.
 """
 
+# harness first: where no bytecode is cached it is the package's largest
+# compile, and done before numpy loads, the memory it frees is reused by
+# numpy and the solves; after numpy it kept a CLI run's peak RSS about
+# 1 MB higher
+from .harness import (
+    ConfigError,
+    ExperimentConfig,
+    build_potential,
+    build_weight,
+    parse_config,
+    rows_to_csv,
+    run_table,
+    run_verify,
+)
 from .weights import (
     Weight,
     check_submultiplicative,
@@ -62,17 +76,6 @@ from .blockdecomp import (
     invert_adapted_map,
     n_gap_approximant,
     resolve_hat_Tn,
-)
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    build_potential,
-    build_weight,
-    parse_config,
-    rows_to_csv,
-    run_table,
-    run_verify,
-    write_csv,
 )
 
 __version__ = "0.1.0"

@@ -91,6 +91,7 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
@@ -301,18 +302,29 @@ def _taylor_steps(lam: complex) -> int:
 # public integrator surface
 
 
+def _integer(value, name: str, error=ValueError) -> int:
+    """value by operator.index: a float, even 16.0, is refused; a numpy integer passes."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 def _path(method: str, dps: int | None, steps: int | None = None):
     """(double path, finishing dps or None) by the rule periodic_eigs states,
     None meaning doubles: the one check of an oracle call's method, its dps
-    (in _DPS) and its steps (>= 1), which _disc checks against RK4's minimum."""
+    (an integer in _DPS, else PrecisionError) and its steps (an integer >= 1,
+    else ValueError), which _disc checks against RK4's minimum."""
     if method not in ("auto", "taylor", "rk4", "mp"):
         raise ValueError(f"unknown oracle method {method!r}")
     dps = _DEFAULT_DPS if method == "mp" and dps is None else dps
-    if dps is not None and dps > _MAX_DPS:
-        raise PrecisionError(f"dps = {dps} exceeds the limit of {_MAX_DPS} digits")
-    if dps is not None and dps < _DPS[0]:
-        raise PrecisionError(f"dps = {dps} is under the floor of {_DPS[0]} digits")
-    if steps is not None and steps < 1:
+    if dps is not None:
+        dps = _integer(dps, "dps", PrecisionError)
+        if dps > _MAX_DPS:
+            raise PrecisionError(f"dps = {dps} exceeds the limit of {_MAX_DPS} digits")
+        if dps < _DPS[0]:
+            raise PrecisionError(f"dps = {dps} is under the floor of {_DPS[0]} digits")
+    if steps is not None and _integer(steps, "steps") < 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
     return ("rk4" if method == "rk4" else "taylor"), dps
 
@@ -636,7 +648,9 @@ def _need(dip, d2, noise: float, tol_lam: float) -> float:
 
 
 def _index(q: FourierPotential, n: int, tol: float):
-    """(centre, tol_lam, Newton scale, strip check of roots) of index n at tol."""
+    """(centre, tol_lam, Newton scale, strip check of roots) of index n, an
+    integer >= 1, at tol."""
+    n = _integer(n, "index n")
     if n < 1:
         raise ValueError(f"index n must be >= 1, got {n!r}")
     if not tol > 0:
@@ -766,9 +780,11 @@ def periodic_eigs(q: FourierPotential, n: int, tol: float = 1e-12,
     rule the module docstring states.  Precision runs 19..300 digits: a dps
     outside it, or a tol that needs more, raises PrecisionError.  ``steps``
     is at least 1, and on RK4 in doubles at least the 64-per-pi minimum.
-    Other methods, an n under 1 and a tol that is not positive raise
-    ValueError.  Every arbitrary-precision solve starts from the double
-    critical point.
+    ``n``, ``steps`` and ``dps`` are integers (numpy's pass): a float, even
+    a whole one, is refused, as ValueError for n and steps and as
+    PrecisionError for dps.  Other methods, an n under 1 and a tol that is
+    not positive raise ValueError.  Every arbitrary-precision solve starts
+    from the double critical point.
     """
     return periodic_eigs_info(q, n, tol, method=method, dps=dps, steps=steps)[:2]
 

@@ -1,12 +1,14 @@
 """Experiment runner: JSON configs in, CSV tables and verification reports out.
 
 A config names one experiment kind.  Each kind is declared once, in KINDS,
-with its runner and the config keys that runner reads, the optional ones
-with their defaults; each potential type and weight kind likewise.  Table
-kinds (TABLE_KINDS: "gaps", "adapted", "oracle") sweep gap indices and emit
-one CSV row per index per method; the verification kinds evaluate an
-inequality or asymptotic family and return a report dict with per-item
-margins.
+with its runner, the summary line of a report item, and the config keys
+that runner reads, the optional ones with their defaults; each potential
+type and weight kind likewise.  Table kinds (TABLE_KINDS: "gaps",
+"adapted", "oracle") sweep gap indices and emit one CSV row per index per
+method; the verification kinds evaluate an inequality or asymptotic family
+and return a report dict with per-item margins.  run takes a parsed config
+to its outputs: it checks the out path, runs the kind, and renders and
+writes every output, for the CLI to print and exit with.
 
 Three rules keep runs reproducible and auditable:
 
@@ -53,6 +55,7 @@ from .seqspace import (
     make_mathieu,
     make_random,
     tail,
+    truncate,
     wnorm,
 )
 from .weights import Weight
@@ -485,26 +488,6 @@ def rows_to_csv(rows) -> str:
     return buf.getvalue()
 
 
-def write_text(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a temporary file beside it and
-    os.replace, so a write that fails or is interrupted leaves no partial
-    file (and an older ``path`` as it was)."""
-    head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
-
-
-def write_csv(rows, path: str) -> None:
-    write_text(path, rows_to_csv(rows))
-
-
 # ---------------------------------------------------------------------------
 # verification experiments
 
@@ -712,8 +695,8 @@ def verify_dense(config: ExperimentConfig) -> dict:
     distances = []
     ok = True
     for N in sorted(config.N_values):
-        q_n = blockdecomp.n_gap_approximant(q, N, config.m, config.M_thresh,
-                                            config.tol, K_out=config.K_out)
+        q_n = blockdecomp.invert_adapted_map(truncate(p, N), config.m, config.M_thresh,
+                                             config.tol).q
         dist = _wnorm_diff(q_n, q, w)
         bound = 2.0 * wnorm(tail(p, N + 1), w)
         gaps, _ = _gap_sweep(q_n, N + 1, N + config.span, config)
@@ -790,8 +773,46 @@ _SPECTRAL = {"out": None, "weight": {"kind": "trivial"}, "tol": 1e-12, "oracle":
 _WINDOW = {"m": None, "M_thresh": None, "K_out": None}  # None: adapted_defaults
 
 
+def _sum_line(item: dict, config: ExperimentConfig) -> str:
+    return (f"N = {item['N']}: lhs = {item['lhs']:.6g}, "
+            f"rhs = {item['rhs']:.6g}, margin = {item['margin']:.6g}")
+
+
+def _theorem5_line(item: dict, config: ExperimentConfig) -> str:
+    return (f"n = {item['n']}: |gamma| <= {item['gamma_ceiling']:.6g}, "
+            f"bound = {item['bound']:.6g}, {'ok' if item['holds'] else 'violated'}")
+
+
+def _ceiling_line(item: dict, config: ExperimentConfig) -> str:
+    # only the items past the block floor read the reduced entries
+    tail = (f", reduced entries exactly zero: {item['exact_zero']}"
+            if "exact_zero" in item else "")
+    return f"n = {item['n']}: |gamma| <= {item['gamma_ceiling']:.6g}" + tail
+
+
+def _mathieu_line(item: dict, config: ExperimentConfig) -> str:
+    if float(config.echo["potential"]["mu"]) == 0.0:  # free: no ratio to read
+        return _ceiling_line(item, config)
+    return (f"n = {item['n']}: ratio = {item['ratio']:.9g} (band {item['band']:.3g}), "
+            f"{'ok' if item['holds'] else 'violated'}")
+
+
+def _dense_line(item: dict, config: ExperimentConfig) -> str:
+    return (f"N = {item['N']}: distance = {item['distance']:.6g}, "
+            f"bound = {item['lipschitz_bound']:.6g}, {'ok' if item['holds'] else 'violated'}")
+
+
+def _weights_line(item: dict, config: ExperimentConfig) -> str:
+    tempered = ", ".join(f"eps = {t['eps']:g}: {'ok' if t['ok'] else 'violated'}"
+                         f" (crossover {t['crossover']})" for t in item["tempered"])
+    head = (f"{item['weight']['kind']}: class {item['growth_class']}, "
+            f"submultiplicative {item['base_ok']}")
+    return head + ("; tempered " + tempered if tempered else "")
+
+
 class Kind(NamedTuple):
     runner: Callable[[ExperimentConfig], Any]
+    line: Callable[[dict, ExperimentConfig], str] | None = None  # a report item as text
     required: tuple[str, ...] = ("potential", "n_range")
     optional: dict[str, Any] = _SPECTRAL  # config key -> default; "kind" aside
 
@@ -800,15 +821,97 @@ KINDS = {
     "gaps": Kind(run_gaps, optional=_GAPS),
     "adapted": Kind(run_adapted, optional={"out": None, "tol": 1e-12, **_WINDOW}),
     "oracle": Kind(run_gaps, optional=_GAPS),
-    "theorem1": Kind(verify_theorem1),
-    "theorem4": Kind(verify_theorem4),
-    "theorem5": Kind(verify_theorem5, optional={**_SPECTRAL, "a": 1.0}),
-    "mathieu": Kind(verify_mathieu, optional={**_SPECTRAL, "c": 0.5}),
-    "gasymov": Kind(verify_gasymov),
-    "dense": Kind(verify_dense, ("potential",),
+    "theorem1": Kind(verify_theorem1, _sum_line),
+    "theorem4": Kind(verify_theorem4, _sum_line),
+    "theorem5": Kind(verify_theorem5, _theorem5_line, optional={**_SPECTRAL, "a": 1.0}),
+    "mathieu": Kind(verify_mathieu, _mathieu_line, optional={**_SPECTRAL, "c": 0.5}),
+    "gasymov": Kind(verify_gasymov, _ceiling_line),
+    "dense": Kind(verify_dense, _dense_line, ("potential",),
                   {**_SPECTRAL, **_WINDOW, "N_values": None, "span": 4}),
-    "weights_check": Kind(verify_weights, ("weights",),
+    "weights_check": Kind(verify_weights, _weights_line, ("weights",),
                           {"out": None, "N": 200, "eps_list": [0.2, 0.1, 0.05]}),
 }
 # kinds whose runner returns (rows, failed) for a CSV table; the rest return a report
 TABLE_KINDS = ("gaps", "adapted", "oracle")
+
+
+# ---------------------------------------------------------------------------
+# the run path: a config's outputs, rendered and written
+
+
+def run(config: ExperimentConfig, out: str | None = None, as_json: bool = False):
+    """(stdout text, text written to the out path or None, exit status 0 or 1)
+    of a run.  ``out``, or else the config's "out", is checked before any
+    solve and gets a table's CSV or a report as indented JSON; stdout gets,
+    with ``as_json``, the compact table JSON or the report, else the CSV
+    when there is no out path, or the report's summary lines."""
+    import json  # here, so a library import of hillgap loads no JSON codec
+
+    out = out or config.out
+    write = _writer(out) if out else None
+    if config.kind in TABLE_KINDS:
+        rows, failed = run_table(config)
+        text, code = rows_to_csv(rows), 1 if failed else 0
+        table = {"kind": config.kind, "failed": failed, "rows": rows}
+        shown = json.dumps(_jsonable(table)) + "\n" if as_json else "" if out else text
+    else:
+        report = run_verify(config)
+        text, code = json.dumps(_jsonable(report), indent=2) + "\n", 0 if report["pass"] else 1
+        shown = text if as_json else _summary(report, config)
+    if write:
+        write(text)
+    return shown, text if write else None, code
+
+
+def _writer(path: str) -> Callable[[str], None]:
+    """write(text) to ``path``, checked here, before any solve.  A FIFO or a
+    device is written in place, with no old contents for a rename to
+    protect, and needs only to be writable itself.  Any other path must sit
+    in a writable directory and not be one; it is written through a
+    temporary file and os.replace, so a failed write leaves no partial file
+    and an older one as it was.  A refused path or failed write is a ConfigError."""
+    in_place = os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path))
+    parent = os.path.dirname(path) or "."
+    writable = (os.access(path, os.W_OK) if in_place else not os.path.isdir(path)
+                and os.path.isdir(parent) and os.access(parent, os.W_OK))
+    if not writable:
+        raise ConfigError(f"cannot write {path!r}: not a file in a writable directory")
+    tmp = None if in_place else os.path.join(parent,
+                                             f".{os.path.basename(path)}.{os.getpid()}.tmp")
+
+    def write(text: str) -> None:
+        try:
+            with open(tmp or path, "w", newline="") as fh:
+                fh.write(text)
+            if tmp:
+                os.replace(tmp, path)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+        finally:
+            if tmp:  # left only by a failed or interrupted write
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(tmp)
+    return write
+
+
+def _jsonable(obj):
+    if isinstance(obj, complex):
+        return _jsonable([obj.real, obj.imag])
+    if isinstance(obj, float) and not -sys.float_info.max <= obj <= sys.float_info.max:
+        return None  # strict JSON has no NaN or Infinity; the CSV keeps nan
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    return obj
+
+
+def _summary(report: dict, config: ExperimentConfig) -> str:
+    """The verdict, preconditions, notes and one line per item, as the kind declares."""
+    lines = [f"{report['kind']}: {'PASS' if report['pass'] else 'FAIL'}"]
+    pre = report["preconditions"]
+    if pre:
+        lines.append("  " + ", ".join(f"{k} = {v:.6g}" for k, v in pre.items()))
+    lines += [f"  note: {note}" for note in report["notes"]]
+    lines += ["  " + KINDS[config.kind].line(item, config) for item in report["items"]]
+    return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Monodromy integrators, discriminant roots, and the oracle gap records."""
 
 import cmath
+import inspect
 import math
 import random
 import sys
@@ -900,6 +901,33 @@ def test_a_precision_under_the_floor_raises(dps):
     with pytest.raises(ValueError, match="under the floor"):
         periodic_eigs_info(COSINE, 2, dps=10)
     assert abs(monodromy(COSINE, 10.0, dps=19).trace() - monodromy(COSINE, 10.0).trace()) < 1e-8
+
+
+# each entry point by the integer arguments it takes, at n = 2 and lam = 4 pi^2
+_INTEGER_ARGUMENTS = {
+    "periodic_eigs": lambda n=2, steps=None, dps=None: periodic_eigs(
+        COSINE, n, method="taylor", steps=steps, dps=dps),
+    "sturm_liouville_eig": lambda n=2, dps=None: sturm_liouville_eig(COSINE, n, dps=dps),
+    "gap_record": lambda n=2, dps=None: gap_record(COSINE, n, dps=dps),
+    "monodromy": lambda steps=None, dps=None: monodromy(COSINE, 4 * PI2, steps,
+                                                        method="taylor", dps=dps),
+}
+
+
+@pytest.mark.parametrize("name", list(_INTEGER_ARGUMENTS))
+def test_n_steps_and_dps_are_read_as_integers(name):
+    # a float is refused, not rounded or run as given, where n = 2.5 once
+    # returned the n = 3 pair, 16.5 steps a lambda_2^- between those of 16
+    # and 17, and dps = 30.5 a solve reported as "mp30.5"; numpy integers pass
+    solve = _INTEGER_ARGUMENTS[name]
+    args = inspect.signature(solve).parameters
+    for arg in args:
+        error = floquet.PrecisionError if arg == "dps" else ValueError
+        for value in (2.5, 30.0, "30"):
+            with pytest.raises(error, match=f"{arg} must be an integer, got {value!r}"):
+                solve(**{arg: value})
+        given = {"n": 2, "steps": 17, "dps": 30}[arg]
+        assert solve(**{arg: np.int64(given)}) == solve(**{arg: given})
 
 
 def test_the_precision_range_starts_where_an_escalation_can_ask():

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -314,6 +315,41 @@ _KIND_CONFIGS = {
 }
 
 
+def _ok(holds):
+    return "ok" if holds else "violated"
+
+
+# the summary line of a report item, per verification kind, as the CLI
+# prints it without --json
+_ITEM_LINES = {
+    "theorem1": lambda i: (f"N = {i['N']}: lhs = {i['lhs']:.6g}, rhs = {i['rhs']:.6g}, "
+                           f"margin = {i['margin']:.6g}"),
+    "theorem5": lambda i: (f"n = {i['n']}: |gamma| <= {i['gamma_ceiling']:.6g}, "
+                           f"bound = {i['bound']:.6g}, {_ok(i['holds'])}"),
+    "mathieu": lambda i: (f"n = {i['n']}: ratio = {i['ratio']:.9g} (band {i['band']:.3g}), "
+                          f"{_ok(i['holds'])}"),
+    # only the indices past the block floor, 2 ||q|| = 2 here, carry the reduced entries
+    "gasymov": lambda i: (f"n = {i['n']}: |gamma| <= {i['gamma_ceiling']:.6g}"
+                          + (f", reduced entries exactly zero: {i['exact_zero']}"
+                             if i["n"] > 2 else "")),
+    "dense": lambda i: (f"N = {i['N']}: distance = {i['distance']:.6g}, "
+                        f"bound = {i['lipschitz_bound']:.6g}, {_ok(i['holds'])}"),
+    "weights_check": lambda i: (
+        f"{i['weight']['kind']}: class {i['growth_class']}, submultiplicative {i['base_ok']}; "
+        "tempered " + ", ".join(f"eps = {t['eps']:g}: {_ok(t['ok'])} (crossover {t['crossover']})"
+                                for t in i["tempered"])),
+}
+_ITEM_LINES["theorem4"] = _ITEM_LINES["theorem1"]
+
+
+def _summary_lines(report):
+    lines = [f"{report['kind']}: {'PASS' if report['pass'] else 'FAIL'}"]
+    if report["preconditions"]:
+        lines.append("  " + ", ".join(f"{k} = {v:.6g}" for k, v in report["preconditions"].items()))
+    lines += [f"  note: {note}" for note in report["notes"]]
+    return lines + ["  " + _ITEM_LINES[report["kind"]](item) for item in report["items"]]
+
+
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_cli_route_of_every_kind(kind, tmp_path, capsys):
     raw = _KIND_CONFIGS[kind]
@@ -331,6 +367,10 @@ def test_cli_route_of_every_kind(kind, tmp_path, capsys):
     else:
         # the report echoes the parsed config, key order included
         assert json.dumps(payload["config"]) == json.dumps(parse_config(raw).echo)
+        # without --json the route prints the report's summary, one line per item
+        assert payload["items"]
+        assert cli.main([*route, "-c", cfg]) == 0
+        assert capsys.readouterr().out.splitlines() == _summary_lines(payload)
     # table routes and verify routes refuse each other's kinds, and the
     # oracle route takes its own kind only
     refused = [["verify", "dense"]] if table else [["gaps"], ["oracle"]]
@@ -557,6 +597,43 @@ def test_out_write_failing_midway_leaves_no_file(route, raw, tmp_path, monkeypat
     monkeypatch.undo()
     assert cli.main([*route, "-c", cfg, "--out", str(out)]) == 0
     assert list(out_dir.iterdir()) == [out] and out.read_text() != "older\n"
+
+
+def test_out_to_a_fifo_is_written_in_place(tmp_path, capsys):
+    # a FIFO, like a device, holds no old contents for a rename to protect:
+    # the CSV goes through it and it stays a FIFO, where a rename once put a
+    # regular file in its place; the read end is open, and non-blocking, so
+    # the write neither waits for a reader nor can hang the test
+    cfg = _write(tmp_path / "c.json", {"potential": MATHIEU_HALF, "n_range": [1, 2]})
+    table = _cli_run(["oracle"], cfg, capsys).stdout
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        proc = _cli_run(["oracle", "--out", str(fifo)], cfg, capsys)
+        received = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert proc == (0, "", "")
+    assert received == table and table.startswith(",".join(CSV_COLUMNS))
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "fifo"]
+
+
+def test_dense_maps_its_potential_once(monkeypatch):
+    # Phi(q) serves the Lipschitz bound and every approximant q_N, where each
+    # N once mapped q again
+    mapped = []
+
+    def spy(q, *args, **kwargs):
+        mapped.append(q)
+        return adapted_map(q, *args, **kwargs)
+
+    adapted_map = blockdecomp.adapted_map
+    monkeypatch.setattr(blockdecomp, "adapted_map", spy)
+    config = parse_config({"kind": "dense", "potential": MATHIEU_HALF})
+    assert run_verify(config)["pass"] and len(config.N_values) == 3
+    assert sum(q is config.potential for q in mapped) == 1
 
 
 def _fail_at(n_bad, solve, error):
