@@ -10,19 +10,17 @@ Six layers, importable separately or through this namespace:
     the one module that imports mpmath;
   * blockdecomp: the 2x2 block reduction, adapted coefficients and N-gap
     approximants;
-  * harness / cli: config-driven experiments and verification suites.
+  * harness / verify / cli: config runs, the verification claims, the CLI.
 
 Each layer loads where a route first reaches it.  The floquet names below
 resolve on first access (module __getattr__), so importing the package or
-the CLI loads no oracle; floquet loads the ladder, and with it mpmath,
-only where a solve first leaves doubles.  The block reduction and the
-adapted map run without either.
+the CLI loads no oracle; floquet loads the ladder, and with it mpmath, only
+where a solve first leaves doubles; a table run loads no verify.  The block
+reduction and the adapted map run without floquet.
 """
 
-# harness first: where no bytecode is cached it is the package's largest
-# compile, and done before numpy loads, the memory it frees is reused by
-# numpy and the solves; after numpy it kept a CLI run's peak RSS about
-# 1 MB higher
+# harness first, the largest compile of an import where no bytecode is cached:
+# before numpy loads, its parse memory is reused (after, peak RSS read ~1 MB higher)
 from .harness import (
     ConfigError,
     ExperimentConfig,

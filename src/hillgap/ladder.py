@@ -75,33 +75,40 @@ def _mp_plan(q: FourierPotential, lam, dps: int, table, series,
     both unit-state solutions at max(32, 8K) points in units of
     s = sqrt|lam|: ``series`` run on the Taylor ``table`` of q, floquet's
     _taylor_series and _taylor_table.  The tail falls as S grows.  The
-    orders are p = 8, 12, ..., up to about 0.55 dps + 56.  Pinned ``steps``
-    take the lowest order they certify, or the top one.  Otherwise each
-    order, from the top down, bisects for its fewest certified steps under
-    the cheapest cost so far, and never takes fewer steps than keep the
-    series' peak, near e^(s/S), 4 bits inside the _FIXED_GUARD_BITS.  The
-    top order's search starts from a step count certified a priori: for
-    S >= s the tail is at most A s (s/S)^p, A the largest m |a[m]| summed
-    over both terms.
+    series runs in units of the longest step a plan may take, 1/u, and
+    each term b[m] (u/S)^m, b[m] = a[m] (s/u)^m, is the m-th power of its
+    m-th root: no factor leaves the double range, where a[m], near 1/m!,
+    underflows past order 170 (from about 210 digits) and (s/S)^m
+    overflows.  The orders are p = 8, 12, ..., up to about 0.55 dps + 56.
+    Pinned ``steps`` take the lowest order they certify, or the top one.
+    Otherwise each order, from the top down, bisects for its fewest
+    certified steps under the cheapest cost so far, and never takes fewer
+    steps than keep the series' peak, near e^(s/S), 4 bits inside the
+    _FIXED_GUARD_BITS; those fewest steps, or fewer pinned ones, are u.
+    The top order's search starts from a step count certified a priori:
+    for S >= u the tail is at most A u (u/S)^p, A the largest m |b[m]|
+    summed over both terms.
     """
     orders = range(8, max(28, int(0.55 * dps) + 8) + 49, 4)
     top = orders[-1]
     s = max(1.0, math.sqrt(abs(complex(lam))))
-    z = complex(lam) / (s * s)
-    C = table(q, max(32, 8 * q.K), top) / s ** np.arange(2.0, top + 3)
+    fewest = math.ceil(s / ((_FIXED_GUARD_BITS - 4) * math.log(2.0)))
+    unit = min(fewest, steps or fewest)
+    z = complex(lam) / (unit * unit)
+    C = table(q, max(32, 8 * q.K), top) * (1.0 / unit) ** np.arange(2.0, top + 3)
     w = np.abs(series(C, z.real if z.imag == 0 else z)[:, 0])
     w *= np.arange(top + 3)[:, None, None]
+    w[:, 1] *= s / unit  # the second solution of units of s, whose y' starts at s
     eps = _mp_noise(dps) / 100
 
     def fits(p, S):
-        return S * (w[p + 1] * (s / S) ** (p + 1)
-                    + w[p + 2] * (s / S) ** (p + 2)).max(0).mean() <= eps
+        return S * sum((w[m] ** (1 / m) * (unit / S)) ** m
+                       for m in (p + 1, p + 2)).max(0).mean() <= eps
 
     if steps:
         return next((p for p in orders if fits(p, steps)), top), steps
-    fewest = math.ceil(s / ((_FIXED_GUARD_BITS - 4) * math.log(2.0)))
-    bound = max(1.0, float((w[top + 1] + w[top + 2]).max()) * s / eps) ** (1 / top)
-    plan = (top, max(fewest, math.ceil(s * bound)))
+    A = float((w[top + 1] + w[top + 2]).max())
+    plan = (top, math.ceil(unit * max(1.0, A ** (1 / top) * (unit / eps) ** (1 / top))))
     for p in reversed(orders):
         lo, hi = fewest, (plan[0] + 2) ** 2 * plan[1] // (p + 2) ** 2
         if hi < lo or not fits(p, hi):

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from hillgap import blockdecomp, floquet, harness, seqspace, weights
-from hillgap.harness import (
+from hillgap.verify import (
     COLLAPSED_GAP_TOL,
     INDIVIDUAL_DELTA_FACTOR,
     INDIVIDUAL_GAMMA_FACTOR,
@@ -158,7 +158,7 @@ def test_one_sided_gaps_collapse(verdict):
             "potential": {"type": "gasymov", "coeffs": coeffs},
             "n_range": [3, 6],
         })
-        rep = harness.verify_gasymov(cfg)
+        rep = harness.run_verify(cfg)
         ok = ok and rep["pass"]
         for item in rep["items"]:
             worst = max(worst, item["gamma_ceiling"])
@@ -290,7 +290,7 @@ def test_finite_gap_density(verdict):
         # Lipschitz bound or the distance check saturates at the solver floor
         "tol": 1e-14,
     })
-    rep = harness.verify_dense(cfg)
+    rep = harness.run_verify(cfg)
     distances = [item["distance"] for item in rep["items"]]
     ceilings = [c["gamma_ceiling"] for item in rep["items"]
                 for c in item["collapsed"]]
@@ -308,7 +308,7 @@ def test_tempered_submultiplicative(verdict):
         "N": 200,
         "eps_list": [0.2, 0.1, 0.05],
     })
-    rep = harness.verify_weights(cfg)
+    rep = harness.run_verify(cfg)
     tempered = [t for item in rep["items"] for t in item["tempered"]]
     ok = rep["pass"] and len(tempered) == 6 \
         and all(t["ok"] and t["violation"] is None for t in tempered)
@@ -324,7 +324,7 @@ def test_superexponential_decay(verdict):
         "n_range": [4, 12],
         "a": 1.0,
     })
-    rep = harness.verify_theorem5(cfg)
+    rep = harness.run_verify(cfg)
     headroom = min(item["bound"] / item["gamma_ceiling"]
                    for item in rep["items"])
     ok = rep["pass"] \

@@ -5,6 +5,7 @@ import inspect
 import math
 import random
 import sys
+import warnings
 from functools import lru_cache
 from operator import mul
 
@@ -823,21 +824,41 @@ TWO_MODE_COMPLEX = make_fourier({1: 0.5 + 0.25j, -1: 0.5 + 0.25j, 2: 0.1 - 0.05j
     (WIDEBAND, 225 * PI2 + 0.3, 29, None),
     (make_mathieu(1.0), 64 * PI2, 30, 16),
     (make_gasymov([1.0, 0.5j]), None, 60, 20),
+    (make_mathieu(1.0), 441 * PI2, 250, None),
+    (make_mathieu(1.0), 441 * PI2, 300, None),
 ], ids=["wide-60", "wideband-60", "two-mode-60", "two-mode-complex-60", "gasymov-60",
-        "wideband-21", "wideband-29", "cosine-30-steps16", "gasymov-60-steps20"])
+        "wideband-21", "wideband-29", "cosine-30-steps16", "gasymov-60-steps20",
+        "cosine-250", "cosine-300"])
 def test_ladder_plans_meet_the_floor_against_a_finer_transport(q, lam, dps, steps):
     # the order-0 transport on the default plan, or on pinned steps at the
     # order the certificate picks for them, against one 40 digits finer,
     # relative to its largest entry; None stands for the complex lam
-    # 88 + pi + 7i/e, taken at the working precision
+    # 88 + pi + 7i/e, taken at the working precision.  Past 200 digits the
+    # plans reach orders past 170, where a finer reference on its own plan
+    # would share a fault of the plan rule; there the reference takes twice
+    # the plan's steps, and at the limit of 300 digits the same precision.
     with mp.workdps(dps):
         if lam is None:
             lam = mp.mpc(88 + mp.pi, 7 / mp.e)
-        got = floquet._disc(q, "mp", dps, lam, steps).jet(lam, 0)
-    with mp.workdps(dps + 40):
-        ref = floquet._disc(q, "mp", dps + 40, lam).jet(lam, 0)
+        disc = floquet._disc(q, "mp", dps, lam, steps)
+        got = disc.jet(lam, 0)
+    fine = min(dps + 40, floquet._MAX_DPS)
+    with mp.workdps(fine):
+        ref = floquet._disc(q, "mp", fine, lam, 2 * disc.plan[1] if dps > 200 else None)
+        ref = ref.jet(lam, 0)
         err = max(abs(g - r) for g, r in zip(got, ref)) / max(abs(r) for r in ref)
     assert err <= ladder._mp_noise(dps)
+
+
+@pytest.mark.parametrize("dps", [19, 60, 150, 230, 250, 300])
+def test_ladder_plans_stay_in_the_double_range(dps):
+    # the plan's series and its table scale stay inside the doubles: at
+    # large lam and high precision, powers of sqrt|lam| would overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (8, 20, 30, 55):
+            order, steps = _plan(COSINE, n * n * PI2, dps)
+            assert 8 <= order and steps >= 1
 
 
 def test_solve_ledger_reports_the_ladder_plan():

@@ -718,7 +718,8 @@ def test_cli_verify_numerical_failure_is_one_line(tmp_path, capsys, monkeypatch)
 
 def test_cli_verify_mathieu_prints_free_gaps_as_lines(tmp_path, capsys):
     # mu = 0 items carry only gamma_ceiling; they print as summary lines,
-    # not as raw JSON
+    # not as raw JSON, and the free gaps, below the oracle's resolution
+    # floor, are named as charged at their ceiling
     cfg = _write(tmp_path / "m.json", {"kind": "mathieu", "n_range": [1, 2],
                                        "potential": {"type": "mathieu", "mu": 0.0}})
     out = tmp_path / "report.json"
@@ -729,6 +730,7 @@ def test_cli_verify_mathieu_prints_free_gaps_as_lines(tmp_path, capsys):
         "mathieu: PASS",
         "  norm_q_w = 0, four_norm_q_w = 0, norm_q_l2 = 0, block_floor = 0",
         "  note: mu = 0: spectrum is free, all gaps collapsed",
+        "  note: gaps charged at the noise ceiling: n = [1, 2]",
         f"  n = 1: |gamma| <= {items[0]['gamma_ceiling']:.6g}",
         f"  n = 2: |gamma| <= {items[1]['gamma_ceiling']:.6g}",
     ]
@@ -988,6 +990,52 @@ def test_each_gap_is_solved_once_and_only_through_gap(name, monkeypatch):
     assert callers == {"_gap"}
 
 
+@pytest.mark.parametrize("kind", [kind for kind in KINDS if kind not in TABLE_KINDS])
+def test_gap_is_the_only_solver_call(kind, monkeypatch):
+    # every verification kind, theorem4's Dirichlet records included, solves
+    # its gaps through harness._gap: each solver fails when called without it
+    # on the stack
+    from hillgap import floquet
+
+    calls = []
+
+    def guarded(solve):
+        def solved(*args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code is not harness._gap.__code__:
+                frame = frame.f_back
+            assert frame is not None, f"{solve.__name__} called outside harness._gap"
+            calls.append(solve.__name__)
+            return solve(*args, **kwargs)
+        return solved
+
+    for module, name in ((floquet, "periodic_eigs_info"), (floquet, "gap_record"),
+                         (blockdecomp, "gap_block")):
+        monkeypatch.setattr(module, name, guarded(getattr(module, name)))
+    assert run_verify(parse_config(_KIND_CONFIGS[kind]))["pass"]
+    assert bool(calls) == (kind != "weights_check")
+
+
+@pytest.mark.parametrize("raw, passes, note", [
+    ({"kind": "mathieu", "potential": {"type": "mathieu", "mu": 0.0}, "n_range": [1, 3]}, True,
+     "gaps charged at the noise ceiling: n = [1, 2, 3]"),
+    ({"kind": "dense", "potential": MATHIEU_HALF, "N_values": [8, 9], "span": 2}, True,
+     "gaps charged at the noise ceiling: N = 8: n = [9, 10]; N = 9: n = [10, 11]"),
+    ({"kind": "gasymov", "potential": _GASYMOV, "n_range": [2, 3]}, True,
+     "gaps charged at the noise ceiling: n = [2, 3]"),
+    ({"kind": "mathieu", "potential": _MATHIEU_ONE, "n_range": [4, 7]}, False,
+     "gaps below the oracle resolution floor, failed: n = [6, 7]"),
+], ids=["mathieu-0", "dense", "gasymov", "mathieu-1"])
+def test_every_report_names_its_unresolved_gaps(raw, passes, note):
+    # one note, the last, names the indices the oracle did not resolve: the
+    # one-sided claims read the noise ceiling there, and the Mathieu ratio,
+    # two-sided, fails those items
+    report = run_verify(parse_config(raw))
+    assert report["pass"] == passes and report["notes"][-1] == note
+    if not passes:
+        assert [item["n"] for item in report["items"] if not item["holds"]] == [6, 7]
+
+
 def test_gap_records_charge_an_unresolved_oracle_gap_at_its_floor():
     # the free potential's gaps sit below the oracle's resolution floor,
     # which the record charges; a block record is resolved at |gamma|
@@ -1028,7 +1076,7 @@ def test_unread_config_attributes_hold_none():
 _LOADED = ("import json, sys\n"
            "from hillgap import cli\n"
            "code = cli.main(sys.argv[1:])\n"
-           "layers = ('hillgap.floquet', 'hillgap.ladder', 'mpmath')\n"
+           "layers = ('hillgap.floquet', 'hillgap.ladder', 'mpmath', 'hillgap.verify')\n"
            "print(json.dumps([code, [m for m in layers if m in sys.modules]]))")
 _CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 _ADAPTED_WIDE = str(_CONFIGS / "adapted_wide.json")
@@ -1039,11 +1087,13 @@ _ORACLE_MATHIEU = {"potential": {"type": "mathieu", "mu": 1.0}, "n_range": [1, 2
     (["gaps"], _ADAPTED_WIDE, []),
     (["gaps"], str(_CONFIGS / "cosine_escalated.json"), ["hillgap.floquet"]),
     (["gaps"], str(_CONFIGS / "wideband_complex.json"), ["hillgap.floquet"]),
-    (["verify", "weights"], {"weights": [{"kind": "gevrey", "a": 1.0, "sigma": 0.5}], "N": 20}, []),
+    (["verify", "weights"], {"weights": [{"kind": "gevrey", "a": 1.0, "sigma": 0.5}], "N": 20},
+     ["hillgap.verify"]),
     (["oracle"], _ORACLE_MATHIEU, ["hillgap.floquet"]),
     (["oracle"], {**_ORACLE_MATHIEU, "oracle": {"method": "mp", "dps": 30}},
      ["hillgap.floquet", "hillgap.ladder", "mpmath"]),
-    (["verify", "theorem4"], {"kind": "theorem4", **_ORACLE_MATHIEU}, ["hillgap.floquet"]),
+    (["verify", "theorem4"], {"kind": "theorem4", **_ORACLE_MATHIEU},
+     ["hillgap.floquet", "hillgap.verify"]),
 ], ids=["adapted_wide", "cosine_escalated", "wideband_complex", "weights", "oracle", "oracle_mp",
         "theorem4"])
 def test_each_route_loads_only_the_layers_it_reaches(route, raw, loaded, tmp_path):
@@ -1051,7 +1101,7 @@ def test_each_route_loads_only_the_layers_it_reaches(route, raw, loaded, tmp_pat
     # oracle solve that stays in doubles, gap_record's tau and delta
     # included, loads it without the ladder and mpmath, as do the gaps that
     # auto escalates and the det form resolves at the default tol; one at a
-    # set precision loads all three
+    # set precision loads all three; only a verification run loads the claims
     cfg = raw if isinstance(raw, str) else _write(tmp_path / "c.json", raw)
     proc = _python("-c", _LOADED, *route, "-c", cfg, "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
