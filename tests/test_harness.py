@@ -283,6 +283,16 @@ def test_cli_config_errors_exit_2(tmp_path):
     assert cli.main(["verify", "mathieu", "-c", mismatched]) == 2
 
 
+def test_cli_config_that_is_not_utf8_is_a_config_error(tmp_path):
+    # a UTF-16 byte order mark: the config read refuses it with one line
+    cfg = tmp_path / "utf16.json"
+    cfg.write_bytes(b"\xff\xfe" + '{"n_range": [1, 2]}'.encode("utf-16-le"))
+    proc = _cli_process(["gaps"], str(cfg))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+
+
 def test_cli_numerical_failure_exit_1(tmp_path, monkeypatch):
     # an adapted map that fails to converge; the adapted table reports the error
     def fail(*args, **kwargs):
@@ -634,6 +644,19 @@ def test_dense_maps_its_potential_once(monkeypatch):
     config = parse_config({"kind": "dense", "potential": MATHIEU_HALF})
     assert run_verify(config)["pass"] and len(config.N_values) == 3
     assert sum(q is config.potential for q in mapped) == 1
+
+
+def test_dense_defaults_move_a_potential_that_truncation_changes():
+    # the real K = 16 draw has modes above M_thresh, so each q_N differs from
+    # q and the Lipschitz bound is tested at a positive distance; on Mathieu
+    # mu = 0.5 every distance and bound read 0
+    config = parse_config({"kind": "dense", "potential": {
+        "type": "random", "seed": 202, "K": 16,
+        "decay": {"kind": "gevrey", "a": 1.0, "sigma": 0.5}}})
+    report = run_verify(config)
+    assert report["pass"] and [item["N"] for item in report["items"]] == [8, 9, 10]
+    for item in report["items"]:
+        assert 0 < item["distance"] <= item["lipschitz_bound"]
 
 
 def _fail_at(n_bad, solve, error):
