@@ -9,26 +9,29 @@ named by its short hash; the change's name ends in "-dirty" when its ``src``
 differs from HEAD's.  ``--base HEAD`` on a clean tree runs a revision against
 itself, so its ratios show the noise of the method.  R defaults to 10.
 
-Each tree gets one worker process, ``python3 -c`` with that tree's ``src`` as
-its PYTHONPATH, which loads this script by path, imports only its own
-hillgap, reports ``hillgap.__file__`` and then times the rows below, this
-script's, on request.  Row by row, both workers make a first call, then R
-pairs of warm samples whose first side alternates, then report the row's
-details once, untimed.  A warm sample repeats the call back to back until
-10 ms have passed and reports the mean per call, so a sample of a
-sub-millisecond row is not a single timer reading; a slower row's sample is
-one call.  A worker looks up the public functions the rows call
-when it starts and every private name when a row runs.  The file records:
+The run is R pairs.  Each pair starts a fresh worker process per tree,
+``python3 -c`` with that tree's ``src`` as its PYTHONPATH, which loads this
+script by path, imports only its own hillgap, reports ``hillgap.__file__``
+and then times the rows below, this script's, on request; the tree whose
+worker starts first alternates from pair to pair, so no row leans one way
+for the life of one process.  Row by row, each worker makes a first call,
+then each takes one warm sample, both in the order the workers started;
+the last pair also reports each row's details, untimed.  A warm sample
+repeats the call back to back until 10 ms have passed and reports the mean
+per call, so a sample of a sub-millisecond row is not a single timer
+reading; a slower row's sample is one call.  A worker looks up the public
+functions the rows call when it starts and every private name when a row
+runs.  The file records:
 
   * the two revisions (``revs``), the hillgap each side imported, relative
     to its tree, R, the date and the machine facts: CPU count, platform,
     Python, numpy and mpmath versions, mpmath's arithmetic backend, and
     whether numba and gmpy2 import;
-  * for each row and side, the first call and the median warm sample with
-    its quartiles, in ms (``first_ms``, ``warm_ms``, ``warm_q_ms``), and the
-    row's details; a row that one side cannot run, such as one that reads a
-    private name an older tree lacks, records that side's ``error``, and the
-    run goes on;
+  * for each row and side, the median over pairs of the first call and of
+    the warm sample, with the warm quartiles, in ms (``first_ms``,
+    ``warm_ms``, ``warm_q_ms``), and the row's details; a row that one side
+    cannot run, such as one that reads a private name an older tree lacks,
+    records that side's ``error``, and the run goes on;
   * for each row that both sides ran, the median over pairs of the ratio
     change / base with its quartiles (``ratio``, ``ratio_q``) and the pairs
     the change won (``wins`` of ``pairs``; a tie counts for neither side).
@@ -82,6 +85,7 @@ The CLI end to end is timed by perfbench/run.py, not here.
 
 import argparse
 import cmath
+import contextlib
 import importlib.util
 import json
 import math
@@ -110,14 +114,14 @@ def machine() -> dict:
 
 
 def _plan(q, lam, dps: int) -> dict:
-    """The ladder's (order, steps) at lam, on the oracle's double series, and
-    the time of a cold call, its own cache and the double tables cleared."""
+    """The ladder's (order, steps) at lam and the time of a cold call, its
+    own cache and the oracle's double tables cleared."""
     from hillgap import floquet, ladder
 
     ladder._mp_plan.cache_clear()
     floquet._taylor_table.cache_clear()
     start = time.perf_counter()
-    plan = ladder._mp_plan(q, lam, dps, floquet._taylor_table, floquet._taylor_series)
+    plan = ladder._mp_plan(q, lam, dps)
     return {"plan": list(plan), "plan_ms": 1e3 * (time.perf_counter() - start)}
 
 
@@ -286,42 +290,57 @@ def _ask(worker: subprocess.Popen, step: str, name: str) -> dict:
     return json.loads(worker.stdout.readline())
 
 
-def _row(workers: dict, name: str, repeat: int) -> dict:
-    """One row on both workers: a first call each, repeat pairs of warm
-    calls whose first side alternates, then each side's details."""
-    times, row = {side: [] for side in workers}, {side: {} for side in workers}
-    for i in range(1 + repeat):
-        for side in sorted(workers, reverse=i % 2 == 1):
-            if "error" not in row[side]:
-                reply = _ask(workers[side], "warm" if i else "first", name)
-                times[side] += [reply.pop("s")] if "s" in reply else []
-                row[side].update(reply)
-    for side, worker in workers.items():
-        if times[side][1:]:
-            warm, quartiles = _spread([1e3 * s for s in times[side][1:]])
-            row[side].update(first_ms=1e3 * times[side][0], warm_ms=warm, warm_q_ms=quartiles)
-        if "error" not in row[side]:
-            row[side].update(_ask(worker, "details", name))
-    if times["base"][1:] and times["change"][1:]:
-        row.update(pair_stats(times["base"][1:], times["change"][1:]))
-    return row
+def _worker(tree: str) -> subprocess.Popen:
+    """A fresh worker on tree's ``src``; it answers once it has imported its hillgap."""
+    return subprocess.Popen([sys.executable, "-c", _WORKER, os.path.abspath(__file__)],
+                            env={**os.environ, "PYTHONPATH": os.path.join(tree, "src")},
+                            cwd=tree, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+
+def _pair(trees: dict, order: list, names, rows: dict, samples: dict, last: bool) -> dict:
+    """One pair on a fresh worker per tree, started in ``order``.  Row by
+    row, a first call on each side, then a warm sample on each, both in
+    that order, go into samples[row][side]; a side's error, and on the
+    ``last`` pair its details, into rows[row][side].  Returns each side's
+    greeting."""
+    with contextlib.ExitStack() as stack:
+        workers = {side: stack.enter_context(_worker(trees[side])) for side in order}
+        hello = {side: json.loads(worker.stdout.readline()) for side, worker in workers.items()}
+        for name in names or hello["change"]["rows"]:
+            row = rows.setdefault(name, {side: {} for side in trees})
+            times = samples.setdefault(name, {side: {"first": [], "warm": []} for side in trees})
+            for step in ("first", "warm"):
+                for side, worker in workers.items():
+                    if "error" not in row[side]:
+                        reply = _ask(worker, step, name)
+                        times[side][step] += [1e3 * reply.pop("s")] if "s" in reply else []
+                        row[side].update(reply)
+            for side, worker in workers.items() if last else ():
+                if "error" not in row[side]:
+                    row[side].update(_ask(worker, "details", name))
+    return hello
 
 
 def compare(trees: dict, repeat: int, names=None) -> dict:
-    """The rows (all, or those named) on trees {"base": dir, "change": dir}."""
-    def worker(tree):
-        return subprocess.Popen([sys.executable, "-c", _WORKER, os.path.abspath(__file__)],
-                                env={**os.environ, "PYTHONPATH": os.path.join(tree, "src")},
-                                cwd=tree, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-
-    with worker(trees["base"]) as base, worker(trees["change"]) as change:
-        workers = {"base": base, "change": change}
-        hello = {side: json.loads(w.stdout.readline()) for side, w in workers.items()}
-        report = {side: {"hillgap": os.path.relpath(hello[side]["hillgap"], trees[side])}
-                  for side in workers}
-        report["rows"] = {name: _row(workers, name, repeat)
-                          for name in names or hello["change"]["rows"]}
-    return report
+    """The rows (all, or those named) on trees {"base": dir, "change": dir}:
+    ``repeat`` pairs, each on a fresh worker per tree, the tree whose
+    worker starts first alternating from pair to pair."""
+    rows, samples = {}, {}
+    for i in range(repeat):
+        order = sorted(trees, reverse=i % 2 == 1)
+        hello = _pair(trees, order, names, rows, samples, i == repeat - 1)
+    report = {side: {"hillgap": os.path.relpath(hello[side]["hillgap"], trees[side])}
+              for side in sorted(trees)}
+    for name, row in rows.items():
+        times = samples[name]
+        for side in trees:
+            if times[side]["warm"]:
+                warm, quartiles = _spread(times[side]["warm"])
+                row[side] = {"first_ms": statistics.median(times[side]["first"]), "warm_ms": warm,
+                             "warm_q_ms": quartiles, **row[side]}
+        if times["base"]["warm"] and times["change"]["warm"]:
+            row.update(pair_stats(times["base"]["warm"], times["change"]["warm"]))
+    return {**report, "rows": rows}
 
 
 def _git(*args: str) -> str:
@@ -332,7 +351,8 @@ def _git(*args: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="the revision to compare this checkout with")
-    parser.add_argument("--repeat", type=int, default=10, help="pairs of warm calls per row")
+    parser.add_argument("--repeat", type=int, default=10,
+                        help="pairs, each on a fresh worker per tree")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")

@@ -37,13 +37,15 @@ which also yields potentials with collapsed gaps beyond a prescribed index
 (N-gap approximants).
 
 All operators act on zero-mean potentials; the public entry points strip the
-mean and add it back to every returned spectral quantity.
+mean and add it back to every returned spectral quantity.  An index that is
+not an integer (_integer) or a tol not > 0 raises DomainError.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +77,24 @@ class ContractionError(RuntimeError):
 
 class IterationError(RuntimeError):
     """An iteration failed to converge or left its certified region."""
+
+
+def _integer(value, name: str, error=ValueError, least: int | None = None) -> int:
+    """Every integer argument, floquet's and the config's too, by operator.index: a numpy
+    integer passes; a float, even 16.0, a bool or one under ``least`` raises ``error``."""
+    try:
+        n = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or (least is not None and n < least):
+        bound = "" if least is None else f" >= {least}"
+        raise error(f"{name} must be an integer{bound}, got {value!r}")
+    return n
+
+
+def _tolerance(tol: float) -> None:
+    if not tol > 0:  # a NaN too
+        raise DomainError(f"tol must be > 0, got {tol!r}")
 
 
 @dataclass(frozen=True)
@@ -145,13 +165,13 @@ class MapResult:
 
 def _require_admissible(q: FourierPotential, n: int, lam: complex,
                         parity: int) -> None:
-    """Domain of T_n: zero-mean q, n >= 1, lam in the strip, parity n mod 2,
-    and lam off every denominator lam - m^2 pi^2 but the resonant pair."""
+    """Domain of T_n: zero-mean q, an integer n >= 1, lam in the strip,
+    parity n mod 2, and lam off every denominator lam - m^2 pi^2 but the
+    resonant pair."""
+    _integer(n, "gap index n", DomainError, least=1)
     if q.mean != 0:
         raise DomainError("operator requires a zero-mean potential; "
                           "use q.without_mean() and shift eigenvalues")
-    if n < 1:
-        raise DomainError("gap index n must be >= 1")
     if abs(lam.real - n * n * PI2) > STRIP_HALF_WIDTH * n:
         raise DomainError(f"lam = {lam} outside the admissible strip at n = {n}")
     if parity != n % 2:
@@ -190,7 +210,7 @@ def apply_Tn(q: FourierPotential, n: int, lam: complex,
     Requires mean(q) = 0, lam in the admissible strip, and parity(f) = n mod 2.
     """
     _require_admissible(q, n, lam, f.parity)
-    return multiply_by_potential(q, ParityVector(f.parity, f.mcut, _quotient(n, lam, f.data)))
+    return multiply_by_potential(q, ParityVector(_quotient(n, lam, f.data)))
 
 
 def resolve_hat_Tn(q: FourierPotential, n: int, lam: complex, rhs: ParityVector,
@@ -207,8 +227,9 @@ def resolve_hat_Tn(q: FourierPotential, n: int, lam: complex, rhs: ParityVector,
     The iteration runs on a window that grows with the iterate: it starts at
     the support of rhs, and each application of T_n widens it by 2K, exactly.
     The result comes back on the last iterate's window, which holds every
-    mode the solve reached.
+    mode the solve reached.  A tol that is not > 0 is refused.
     """
+    _tolerance(tol)
     _require_admissible(q, n, lam, rhs.parity)
     nq = q.l2()
     if 2.0 * nq >= n:
@@ -223,12 +244,12 @@ def resolve_hat_Tn(q: FourierPotential, n: int, lam: complex, rhs: ParityVector,
     # one application of T_n per pass; the pass after the converging round
     # checks the residual instead of making a new iterate
     for it in range(NU_CAP + 1):
-        f = ParityVector(rhs.parity, len(g) - 1, _quotient(n, lam, g))
+        f = ParityVector(_quotient(n, lam, g))
         tg = multiply_by_potential(q, f).data
         wide, padded = _pad(g, q.K), _pad(padded, q.K)
         if d <= tol * rhs_norm:
             resid = float(np.linalg.norm(wide - tg - padded))
-            return ParityVector(rhs.parity, len(g) - 1, g), SolveInfo(it, resid, rate)
+            return ParityVector(g), SolveInfo(it, resid, rate)
         if it == NU_CAP:
             raise IterationError(f"resolvent at n = {n} not converged after "
                                  f"{NU_CAP} rounds; last ratio {rate:.3g}")
@@ -273,6 +294,7 @@ def _reduced_entries(q: FourierPotential, n: int, lam: complex, tol: float,
     built.  Otherwise ``both`` False skips the e_{-n} solve and returns None
     for c_-.
     """
+    _require_admissible(q, n, lam, n % 2)  # n is read before _column takes it
     h, tally = resolve_hat_Tn(q, n, lam, _column(q, n), tol)
     a_n, c_plus = h.coeff(n), h.coeff(-n)
     if q.is_real and lam.imag == 0:
@@ -427,8 +449,9 @@ def adapted_map(q: FourierPotential, m: int | None = None,
     of q, so the adapted band is present even for trigonometric polynomials.
     All three default and are checked as adapted_defaults says.  Pass
     ``diagnostics`` a dict to collect per-index solver tallies and the fixed
-    points alpha_n.
+    points alpha_n.  A tol that is not > 0 is refused.
     """
+    _tolerance(tol)
     q0 = q.without_mean()
     m, M_thresh, K_out = adapted_defaults(q, m, M_thresh, K_out)
     coeffs: dict[int, complex] = {}
@@ -472,7 +495,7 @@ def invert_adapted_map(p: FourierPotential, m: int | None = None,
                 raise IterationError(f"inverse iteration diverging: rate {rate:.3g}")
         if resid <= tol:
             return MapResult(q, resid, it, rate)
-        q = FourierPotential(q.K, q.data - diff, complex(q.mean) - diff_mean)
+        q = FourierPotential(q.data - diff, complex(q.mean) - diff_mean)
         prev = resid
     raise IterationError(f"inverse iteration not converged in {_INVERSE_ROUNDS} rounds")
 
@@ -487,8 +510,7 @@ def n_gap_approximant(q: FourierPotential, N: int, m: int | None = None,
     modes and truncating there would not close any gap.
     """
     m, M_thresh, K_out = adapted_defaults(q, m, M_thresh, K_out)
-    if N < M_thresh:
-        raise DomainError(f"N = {N} below the adapted threshold {M_thresh}")
+    N = _integer(N, "N", DomainError, least=M_thresh)
     p = adapted_map(q, m, M_thresh, tol, K_out=K_out)
     return invert_adapted_map(truncate(p, N), m, M_thresh, tol).q
 
@@ -502,8 +524,7 @@ def c_series_terms(q: FourierPotential, n: int, lam: complex,
     contraction factor.  Every term is exact: each product widens the window.
     """
     _require_admissible(q, n, lam, n % 2)
-    if nu_max < 0:
-        raise DomainError("nu_max must be >= 0")
+    _integer(nu_max, "nu_max", DomainError, least=0)
     f = multiply_by_potential(q, unit_vector(n, n))
     terms = [f.coeff(-n)]
     for _ in range(nu_max):

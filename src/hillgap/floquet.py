@@ -91,7 +91,6 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
@@ -302,14 +301,6 @@ def _taylor_steps(lam: complex) -> int:
 # public integrator surface
 
 
-def _integer(value, name: str, error=ValueError) -> int:
-    """value by operator.index: a float, even 16.0, is refused; a numpy integer passes."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
-
-
 def _path(method: str, dps: int | None, steps: int | None = None):
     """(double path, finishing dps or None) by the rule periodic_eigs states,
     None meaning doubles: the one check of an oracle call's method, its dps
@@ -319,12 +310,12 @@ def _path(method: str, dps: int | None, steps: int | None = None):
         raise ValueError(f"unknown oracle method {method!r}")
     dps = _DEFAULT_DPS if method == "mp" and dps is None else dps
     if dps is not None:
-        dps = _integer(dps, "dps", PrecisionError)
+        dps = blockdecomp._integer(dps, "dps", PrecisionError)
         if dps > _MAX_DPS:
             raise PrecisionError(f"dps = {dps} exceeds the limit of {_MAX_DPS} digits")
         if dps < _DPS[0]:
             raise PrecisionError(f"dps = {dps} is under the floor of {_DPS[0]} digits")
-    if steps is not None and _integer(steps, "steps") < 1:
+    if steps is not None and blockdecomp._integer(steps, "steps") < 1:
         raise ValueError(f"steps must be >= 1, got {steps!r}")
     return ("rk4" if method == "rk4" else "taylor"), dps
 
@@ -530,15 +521,14 @@ def _disc(q: FourierPotential, method: str, dps: int | None, center: complex,
         # the one place this module loads the ladder, and with it mpmath
         from . import ladder
 
-        plan = ladder._mp_plan(q, center, dps, _taylor_table, _taylor_series, steps)
+        plan = ladder._mp_plan(q, center, dps, steps)
         table = ladder._mp_table(q, plan[1], plan[0], dps)
-        bits = ladder._fixed_bits(dps)
         # the ladder transports the one solution a form reads, where it reads
         # one: a boundary form's ``start``, and (1, 0) for the trace of a q
         # whose q_-k equal q_k exactly (bitwise, as is_real checks symmetry)
         one = form is not None and (form is not _trace or np.array_equal(q.data, q.data[::-1]))
         starts = (getattr(form, "start", (1, 0)),) if one else ((1, 0), (0, 1))
-        return _JetDisc(lambda lam, order: ladder._fixed_kernel(table, lam, bits, order, starts),
+        return _JetDisc(lambda lam, order: ladder._fixed_kernel(table, lam, order, starts),
                         ladder._mp_noise(dps), f"mp{dps}", plan, ladder.working(dps),
                         form or _trace, len(starts))
     form = form or _trace
@@ -650,7 +640,7 @@ def _need(dip, d2, noise: float, tol_lam: float) -> float:
 def _index(q: FourierPotential, n: int, tol: float):
     """(centre, tol_lam, Newton scale, strip check of roots) of index n, an
     integer >= 1, at tol."""
-    n = _integer(n, "index n")
+    n = blockdecomp._integer(n, "index n")
     if n < 1:
         raise ValueError(f"index n must be >= 1, got {n!r}")
     if not tol > 0:
@@ -684,7 +674,7 @@ def _solve_pair(q: FourierPotential, n: int, tol: float, method: str,
     target = 2.0 if n % 2 == 0 else -2.0
     disc = _disc(q, path, None, center, None if dps else steps)
     lam_star, dip, d2, its = _newton_critical(disc, center, 0.0, scale, target, tol_lam)
-    kernels = disc.kernels()
+    discs = [disc]
     # a dip barely above the resolve margin still costs relative accuracy
     # in the split; auto keeps the double result only when it is comfortable
     floor = _AUTO_DIP_FACTOR * _TAYLOR_NOISE
@@ -707,7 +697,7 @@ def _solve_pair(q: FourierPotential, n: int, tol: float, method: str,
                 lam_d, _, _, its_d = _newton_critical(rung, lam_star, span, scale, 0.0,
                                                       math.ulp(abs(lam_star)))
                 dip_d, d2_d, noise = _det_floor(rung, lam_d, target / 2)
-                kernels.update(rung.kernels())
+                discs.append(rung)
                 if noise <= _need(dip_d, d2_d, noise, tol_lam):
                     # the roots solve Delta - 2s = 0 on the det form
                     rung.noise, target = noise, 0.0
@@ -720,6 +710,7 @@ def _solve_pair(q: FourierPotential, n: int, tol: float, method: str,
                 if dps is None:
                     raise PrecisionError(f"tol = {tol!r} needs more than {_MAX_DPS} digits")
             disc = _disc(q, path, dps, center, steps if not escalated else None, _trace)
+            discs.append(disc)
             with disc.precision():
                 lam_star, dip, d2, its = _newton_critical(disc, lam_star, span, scale, target,
                                                           tol_lam)
@@ -755,7 +746,7 @@ def _solve_pair(q: FourierPotential, n: int, tol: float, method: str,
             # order and subtract at the working precision, then round
             lm, lp = blockdecomp._lex_order(r1, r2)
         info["gamma"] = complex(lp - lm)
-        info["kernels"] = {**kernels, **disc.kernels()}
+        info["kernels"] = {name: k for d in discs for name, k in d.kernels().items()}
         return lm, lp, info
 
 
@@ -781,7 +772,7 @@ def periodic_eigs(q: FourierPotential, n: int, tol: float = 1e-12,
     outside it, or a tol that needs more, raises PrecisionError.  ``steps``
     is at least 1, and on RK4 in doubles at least the 64-per-pi minimum.
     ``n``, ``steps`` and ``dps`` are integers (numpy's pass): a float, even
-    a whole one, is refused, as ValueError for n and steps and as
+    a whole one, or a bool is refused, as ValueError for n and steps and as
     PrecisionError for dps.  Other methods, an n under 1 and a tol that is
     not positive raise ValueError.  Every arbitrary-precision solve starts
     from the double critical point.

@@ -147,11 +147,7 @@ def _number(value, where: str, positive: bool = False) -> float:
 
 
 def _integer(value, where: str, least: int | None = None) -> int:
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or (least is not None and value < least)):
-        bound = "" if least is None else f" >= {least}"
-        raise ConfigError(f"{where} must be an integer{bound}, got {value!r}")
-    return value
+    return blockdecomp._integer(value, where, ConfigError, least)
 
 
 def _list(value, where: str, read, nonempty: bool = False, key=None) -> list:
@@ -515,7 +511,7 @@ def run(config: ExperimentConfig, out: str | None = None, as_json: bool = False)
 
         report = run_verify(config)
         text, code = json.dumps(_jsonable(report), indent=2) + "\n", 0 if report["pass"] else 1
-        shown = text if as_json else verify.summary(report, config)
+        shown = text if as_json else verify.summary(report)
     if write:
         write(text)
     return shown, text if write else None, code

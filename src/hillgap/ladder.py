@@ -24,8 +24,8 @@ Its plan, the Taylor order and step count, is double arithmetic, one
 rule at every precision: the cheapest plan whose computed series
 certifies that the terms the kernel drops stay under the noise floor
 (_mp_plan); pinned steps take the lowest order it certifies at them.  The
-series is floquet's double Taylor series, which the caller passes in, so
-this module imports nothing of floquet.
+series is floquet's double Taylor series, imported from floquet, which
+loads this module only inside its functions.
 
 ``working(dps)`` is the arithmetic a floquet jet disc runs in at dps
 digits: its precision context, sqrt and the number type of its centre.
@@ -42,6 +42,7 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import from_float, to_fixed
 
+from .floquet import _taylor_series, _taylor_table
 from .seqspace import FourierPotential
 
 _FIXED_GUARD_BITS = 24      # fixed-point bits beyond the working precision
@@ -63,8 +64,7 @@ def _mp_noise(dps: int) -> float:
 
 
 @lru_cache(maxsize=32)
-def _mp_plan(q: FourierPotential, lam, dps: int, table, series,
-             steps: int | None = None) -> tuple[int, int]:
+def _mp_plan(q: FourierPotential, lam, dps: int, steps: int | None = None) -> tuple[int, int]:
     """(order, steps) of the ladder at lam: the cheapest plan the series certifies.
 
     A plan costs (order + 2)^2 steps, one dot product per order per step.
@@ -73,13 +73,12 @@ def _mp_plan(q: FourierPotential, lam, dps: int, table, series,
     hundredth of the noise floor: S times the grid mean of max over columns
     of sum_(m=p+1,p+2) m |a[m]| (s/S)^m, a[m] being the double series of
     both unit-state solutions at max(32, 8K) points in units of
-    s = sqrt|lam|: ``series`` run on the Taylor ``table`` of q, floquet's
-    _taylor_series and _taylor_table.  The tail falls as S grows.  The
-    series runs in units of the longest step a plan may take, 1/u, and
-    each term b[m] (u/S)^m, b[m] = a[m] (s/u)^m, is the m-th power of its
-    m-th root: no factor leaves the double range, where a[m], near 1/m!,
-    underflows past order 170 (from about 210 digits) and (s/S)^m
-    overflows.  The orders are p = 8, 12, ..., up to about 0.55 dps + 56.
+    s = sqrt|lam|: floquet's _taylor_series on its _taylor_table of q.  The
+    tail falls as S grows.  The series runs in units of the longest step a
+    plan may take, 1/u, and each term b[m] (u/S)^m, b[m] = a[m] (s/u)^m, is
+    the m-th power of its m-th root: no factor leaves the double range,
+    where a[m], near 1/m!, underflows past order 170 (from about 210 digits)
+    and (s/S)^m overflows.  The orders are p = 8, 12, ..., up to about 0.55 dps + 56.
     Pinned ``steps`` take the lowest order they certify, or the top one.
     Otherwise each order, from the top down, bisects for its fewest
     certified steps under the cheapest cost so far, and never takes fewer
@@ -95,8 +94,8 @@ def _mp_plan(q: FourierPotential, lam, dps: int, table, series,
     fewest = math.ceil(s / ((_FIXED_GUARD_BITS - 4) * math.log(2.0)))
     unit = min(fewest, steps or fewest)
     z = complex(lam) / (unit * unit)
-    C = table(q, max(32, 8 * q.K), top) * (1.0 / unit) ** np.arange(2.0, top + 3)
-    w = np.abs(series(C, z.real if z.imag == 0 else z)[:, 0])
+    C = _taylor_table(q, max(32, 8 * q.K), top) * (1.0 / unit) ** np.arange(2.0, top + 3)
+    w = np.abs(_taylor_series(C, z.real if z.imag == 0 else z)[:, 0])
     w *= np.arange(top + 3)[:, None, None]
     w[:, 1] *= s / unit  # the second solution of units of s, whose y' starts at s
     eps = _mp_noise(dps) / 100
@@ -138,14 +137,15 @@ def _mp_table(q: FourierPotential, steps, order, dps):
     to max |p| and the mode count, so every entry is an integer dot product
     exact to about one unit of 2^-_fixed_bits(dps).
 
-    Returns (real, rows).  Row j holds the step-scaled C[j][i] h^(i+2),
-    h = 1/steps, that _fixed_kernel's recurrence on a[m] h^m runs on; the
-    scaling divides the sums before they are rounded, so the high orders,
-    small after scaling, keep a unit of 2^-_fixed_bits(dps).  Each row
-    holds three int lists scaled by 2^_fixed_bits(dps): the real parts, the
-    imaginary parts and their sums (the last feed the three-product complex
-    dot product).  A real q sums its pairs k, -k as 2 Re(E P) over k > 0,
-    so its imaginary parts are zero by construction and ``real`` is set.
+    Returns (real, rows, bits), bits = _fixed_bits(dps).  Row j holds the
+    step-scaled C[j][i] h^(i+2), h = 1/steps, that _fixed_kernel's
+    recurrence on a[m] h^m runs on; the scaling divides the sums before they
+    are rounded, so the high orders, small after scaling, keep a unit of
+    2^-bits.  Each row holds three int lists scaled by 2^bits, the scale
+    _fixed_kernel reads off the table: the real parts, the imaginary parts
+    and their sums (the last feed the three-product complex dot product).
+    A real q sums its pairs k, -k as 2 Re(E P) over k > 0, so its imaginary
+    parts are zero by construction and ``real`` is set.
     """
     K, coeffs, mean, real = q.K, q.data, complex(q.mean), q.is_real
     bits = _fixed_bits(dps)
@@ -195,7 +195,7 @@ def _mp_table(q: FourierPotential, steps, order, dps):
         re[0] += m_re
         im[0] += m_im
         rows.append((re, im, [a + b for a, b in zip(re, im)]))
-    return real, rows
+    return real, rows, bits
 
 
 def _lane_growth(rows, lam_h2, h2, bits) -> tuple[int, int]:
@@ -297,7 +297,7 @@ def _lane_step(row, lam_h2, state, h2, recips, lanes):
     return sum(br), sum(bi), sum(map(mul, ms, br)), sum(map(mul, ms, bi))
 
 
-def _fixed_kernel(table, lam, bits, order=0, starts=((1, 0), (0, 1))):
+def _fixed_kernel(table, lam, order=0, starts=((1, 0), (0, 1))):
     """Solutions from the states (y, y')(0) in ``starts``, with their lam-jet.
 
     Returns 2 len(starts) (order + 1) mpmath numbers, order by order: t_k of
@@ -306,8 +306,8 @@ def _fixed_kernel(table, lam, bits, order=0, starts=((1, 0), (0, 1))):
     holds the working precision; lam enters and the entries leave at it, so
     mpmath Newton iterates keep their digits.
 
-    On the step-scaled table (_mp_table) the recurrence runs on
-    b[m] = a[m] h^m,
+    On the step-scaled table (_mp_table), at its scale 2^bits, the
+    recurrence runs on b[m] = a[m] h^m,
 
         b_k[m+2] = (sum_i C_i h^(i+2) b_k[m-i] - lam h^2 b_k[m] - h^2 b_(k-1)[m])
                    / ((m+1)(m+2)),
@@ -328,7 +328,7 @@ def _fixed_kernel(table, lam, bits, order=0, starts=((1, 0), (0, 1))):
     real lam keeps every imaginary part at zero, so it runs the real loop,
     which gives the same integers as the complex one.
     """
-    real, rows = table
+    real, rows, bits = table
     steps, terms = len(rows), len(rows[0][0])
     lam = mp.mpc(lam)
     real = real and lam.imag == 0

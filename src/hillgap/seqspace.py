@@ -13,10 +13,11 @@ q_{-n} = conj(q_n) bit for bit, and its mean is real.  ``is_real`` reads this
 off the coefficients, so a potential answers alike however it was made; one
 that is symmetric only to rounding is complex.
 
-All values are immutable in use, and a potential's coefficients are a
-read-only copy, so the object fixes them; the oracle caches its tables on
-it, by identity.  Multiplication by a potential is exact: the product comes
-back on the input's window widened by 2K, so nothing is dropped at an edge.
+Each value reads its window off the length of its array.  All values are
+immutable in use, and a potential's coefficients are a read-only copy, so
+the object fixes them; the oracle caches its tables on it, by identity.
+Multiplication by a potential is exact: the product comes back on the
+input's window widened by 2K, so nothing is dropped at an edge.
 """
 
 from __future__ import annotations
@@ -33,23 +34,25 @@ from .weights import Weight
 class FourierPotential:
     """1-periodic potential on modes e^{2 pi i n x}, |n| <= K, mean kept aside.
 
-    ``data[K + n]`` holds q_n; the n = 0 slot stays zero and ``mean`` carries
-    q_0.  ``data`` is a read-only copy of the array given.
+    ``data[K + n]`` holds q_n, 2K + 1 entries; the n = 0 slot stays zero and
+    ``mean`` carries q_0.  ``data`` is a read-only copy of the array given.
     """
 
-    K: int
     data: np.ndarray
     mean: complex = 0j
 
     def __post_init__(self) -> None:
-        if self.K < 0:
-            raise ValueError("window size K must be >= 0")
-        if self.data.shape != (2 * self.K + 1,):
-            raise ValueError("coefficient array must have length 2K+1")
+        if self.data.ndim != 1 or len(self.data) % 2 == 0:
+            raise ValueError("coefficient array must be a row of odd length 2K + 1")
         if abs(self.data[self.K]) != 0.0:
             raise ValueError("mode 0 belongs in the mean field")
         object.__setattr__(self, "data", np.array(self.data))
         self.data.flags.writeable = False
+
+    @property
+    def K(self) -> int:
+        """The window |n| <= K that ``data`` holds."""
+        return len(self.data) // 2
 
     @property
     def is_real(self) -> bool:
@@ -74,7 +77,7 @@ class FourierPotential:
     def without_mean(self) -> "FourierPotential":
         if self.mean == 0:
             return self
-        return FourierPotential(self.K, self.data, 0j)
+        return FourierPotential(self.data)
 
     def l2(self) -> float:
         """Plain l2 norm including the mean term."""
@@ -100,7 +103,7 @@ def make_fourier(coeffs: dict[int, complex], mean: complex = 0j,
     data = np.zeros(2 * K + 1, dtype=np.complex128)
     for n, z in coeffs.items():
         data[K + n] = complex(z)
-    return FourierPotential(K, data, mean)
+    return FourierPotential(data, mean)
 
 
 def make_mathieu(mu: float) -> FourierPotential:
@@ -160,7 +163,7 @@ def tail(q: FourierPotential, N: int) -> FourierPotential:
     lo = max(0, q.K - (N - 1))
     hi = min(2 * q.K + 1, q.K + N)
     data[lo:hi] = 0
-    return FourierPotential(q.K, data)
+    return FourierPotential(data)
 
 
 def truncate(q: FourierPotential, N: int) -> FourierPotential:
@@ -170,28 +173,30 @@ def truncate(q: FourierPotential, N: int) -> FourierPotential:
     data = q.data.copy()
     data[:max(0, q.K - N)] = 0
     data[q.K + N + 1:] = 0
-    return FourierPotential(q.K, data, q.mean)
+    return FourierPotential(data, q.mean)
 
 
 @dataclass(frozen=True, eq=False)
 class ParityVector:
     """Coefficients f_m on e_m = e^{i pi m x} for m of one parity, |m| <= mcut.
 
-    ``data[j]`` holds the mode m = -mcut + 2j, so the array has mcut + 1
-    entries; ``mcut`` always matches the parity.
+    ``data[j]`` holds the mode m = -mcut + 2j, so a row of L entries sets the
+    window mcut = L - 1 and the parity, that of mcut.
     """
 
-    parity: int
-    mcut: int
     data: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.parity not in (0, 1):
-            raise ValueError("parity must be 0 or 1")
-        if self.mcut < 0 or self.mcut % 2 != self.parity:
-            raise ValueError("mcut must be >= 0 and match the parity")
-        if self.data.shape != (self.mcut + 1,):
-            raise ValueError("coefficient array must have length mcut + 1")
+        if self.data.ndim != 1 or len(self.data) == 0:
+            raise ValueError("coefficient array must be a nonempty row")
+
+    @property
+    def mcut(self) -> int:
+        return len(self.data) - 1
+
+    @property
+    def parity(self) -> int:
+        return (len(self.data) - 1) % 2
 
     def index(self, m: int) -> int:
         if abs(m) % 2 != self.parity:
@@ -217,31 +222,24 @@ class ParityVector:
 
         Widening pads zeros at both ends; narrowing drops the edge modes.
         """
-        mcut = _fit_parity(self.parity, mcut)
+        mcut -= (mcut - self.parity) % 2
         if mcut == self.mcut:
             return self
         if mcut > self.mcut:
             pad = (mcut - self.mcut) // 2
             data = np.zeros(mcut + 1, dtype=self.data.dtype)
             data[pad:pad + self.mcut + 1] = self.data
-            return ParityVector(self.parity, mcut, data)
+            return ParityVector(data)
         cut = (self.mcut - mcut) // 2
-        return ParityVector(self.parity, mcut, self.data[cut:cut + mcut + 1].copy())
+        return ParityVector(self.data[cut:cut + mcut + 1].copy())
 
 
 def unit_vector(m: int, mcut: int) -> ParityVector:
     """The basis vector e_m inside a window of cap mcut."""
-    parity = abs(m) % 2
-    mcut = _fit_parity(parity, mcut)
+    mcut -= (mcut - m) % 2
     data = np.zeros(mcut + 1, dtype=np.complex128)
     data[(m + mcut) // 2] = 1.0
-    return ParityVector(parity, mcut, data)
-
-
-def _fit_parity(parity: int, mcut: int) -> int:
-    if parity not in (0, 1):
-        raise ValueError("parity must be 0 or 1")
-    return mcut if mcut % 2 == parity else mcut - 1
+    return ParityVector(data)
 
 
 def multiply_by_potential(q: FourierPotential, f: ParityVector) -> ParityVector:
@@ -254,4 +252,4 @@ def multiply_by_potential(q: FourierPotential, f: ParityVector) -> ParityVector:
     if q.mean != 0:
         kernel = kernel.copy()
         kernel[q.K] = q.mean
-    return ParityVector(f.parity, f.mcut + 2 * q.K, np.convolve(kernel, f.data))
+    return ParityVector(np.convolve(kernel, f.data))

@@ -14,8 +14,6 @@ indices.  harness loads this module for a verification run only.
 from __future__ import annotations
 
 import math
-import re
-import string
 from operator import attrgetter
 from types import SimpleNamespace
 from typing import Any, Callable, NamedTuple
@@ -41,14 +39,14 @@ class Claim(NamedTuple):
     """What a verification kind asserts.  ``item(n, value, ctx)`` is the
     report item at index n (for a tail, value is (lhs, rhs, ||tail||_w) at
     N), ``verdict(items)`` is (pass, notes, extra report fields), and
-    ``line`` the pieces of an item's summary line (_line).  ``quantity(gap)``
+    ``line(item)`` the item's summary line.  ``quantity(gap)``
     is (value, resolved); a claim over weights reads none.  ``subjects(ctx)``
     sweeps several potentials, (head, q, indices) each, which ``group(head,
     entries)`` makes one item each; else the sweep is ``config.n_range``."""
 
     item: Callable[[int, Any, SimpleNamespace], dict]
     verdict: Callable[[list], tuple[bool, list, dict]]
-    line: tuple
+    line: Callable[[dict], str]
     quantity: Callable | None = attrgetter("ceiling", "resolved")
     charge: str = CEILING
     tail: tuple[float, float] | None = None  # (f0, f1) of a weighted tail bound
@@ -61,7 +59,7 @@ class Claim(NamedTuple):
 
 def evaluate(config: ExperimentConfig) -> dict:
     """The report of a verification kind: its claim checked over its sweep."""
-    claim = _claim(config)
+    claim = _claim(config.kind, config.echo)
     ctx = SimpleNamespace(config=config, **(claim.setup(config) if claim.setup else {}))
     if claim.quantity is None:  # a claim over weights: no potential, no gap
         items = [claim.item(spec, None, ctx) for spec in config.weight_specs]
@@ -97,10 +95,10 @@ def evaluate(config: ExperimentConfig) -> dict:
     return _report(config, claim.verdict(items), ctx.pre, items, notes, charged)
 
 
-def _claim(config: ExperimentConfig) -> Claim:
+def _claim(kind: str, echo: dict) -> Claim:
     # Mathieu at mu = 0 is the free potential: its claim is that every gap closes
-    free = config.kind == "mathieu" and float(config.echo["potential"]["mu"]) == 0.0
-    return _FREE if free else CLAIMS[config.kind]
+    free = kind == "mathieu" and float(echo["potential"]["mu"]) == 0.0
+    return _FREE if free else CLAIMS[kind]
 
 
 def _report(config: ExperimentConfig, verdict: tuple, preconditions: dict, items: list,
@@ -135,36 +133,19 @@ def _every(holds: Callable[[dict], bool]):
     return lambda items: (all(map(holds, items)), [], {})
 
 
-class _Format(string.Formatter):
-    """str.format, where the conversion !v writes a verdict as ok or violated."""
-
-    def convert_field(self, value, conversion):
-        verdict = "ok" if value else "violated"
-        return verdict if conversion == "v" else super().convert_field(value, conversion)
+def _ok(holds: bool) -> str:
+    return "ok" if holds else "violated"
 
 
-def _line(pieces: tuple, item: dict, fmt=_Format()) -> str:
-    """An item's summary line: each piece formatted from the item, or left
-    out where it names a field the item lacks.  A piece (key, head, each)
-    writes head and, formatted by each, the entries of the list item[key], if any."""
-    text = ""
-    for piece in pieces:
-        if isinstance(piece, tuple):
-            key, head, each = piece
-            text += head + ", ".join(fmt.format(each, **e) for e in item[key]) if item[key] else ""
-        elif all(name in item for name in re.findall(r"\{(\w+)", piece)):
-            text += fmt.format(piece, **item)
-    return text
-
-
-def summary(report: dict, config: ExperimentConfig) -> str:
-    """The verdict, preconditions, notes and one line per item, as the claim writes it."""
+def summary(report: dict) -> str:
+    """The verdict, preconditions, notes and one line per item, as the report's claim writes it."""
     lines = [f"{report['kind']}: {'PASS' if report['pass'] else 'FAIL'}"]
     pre = report["preconditions"]
     if pre:
         lines.append("  " + ", ".join(f"{k} = {v:.6g}" for k, v in pre.items()))
     lines += [f"  note: {note}" for note in report["notes"]]
-    lines += ["  " + _line(_claim(config).line, item) for item in report["items"]]
+    claim = _claim(report["kind"], report["config"])  # the kind and config it echoes
+    lines += ["  " + claim.line(item) for item in report["items"]]
     return "\n".join(lines) + "\n"
 
 
@@ -301,47 +282,60 @@ def _weights_item(spec: dict, _, ctx) -> dict:
     return item
 
 
-_SUM_LINE = ("N = {N}: lhs = {lhs:.6g}, rhs = {rhs:.6g}, margin = {margin:.6g}",)
-_CEILING_LINE = ("n = {n}: |gamma| <= {gamma_ceiling:.6g}",
-                 ", reduced entries exactly zero: {exact_zero}")
+def _sum_line(i: dict) -> str:
+    return f"N = {i['N']}: lhs = {i['lhs']:.6g}, rhs = {i['rhs']:.6g}, margin = {i['margin']:.6g}"
+
+
+def _ceiling_line(i: dict) -> str:
+    zero = f", reduced entries exactly zero: {i['exact_zero']}" if "exact_zero" in i else ""
+    return f"n = {i['n']}: |gamma| <= {i['gamma_ceiling']:.6g}" + zero
+
+
+def _weights_line(i: dict) -> str:
+    tempered = ", ".join(f"eps = {t['eps']:g}: {_ok(t['ok'])} (crossover {t['crossover']})"
+                         for t in i["tempered"])
+    return (f"{i['weight']['kind']}: class {i['growth_class']}, submultiplicative {i['base_ok']}"
+            + (f"; tempered {tempered}" if tempered else ""))
+
 
 CLAIMS = {
     # sum of w(n)^2 |gamma_n|^2 over N <= n <= n_hi, for every admissible N,
     # stays under 9 ||tail||_w^2 + (576/N) ||q||_w^4
     "theorem1": Claim(lambda N, t, ctx: {"N": N, "lhs": t[0], "rhs": t[1], "margin": t[1] - t[0],
                                          "tail_norm": t[2]},
-                      _every(lambda item: item["margin"] >= 0.0), _SUM_LINE,
+                      _every(lambda item: item["margin"] >= 0.0), _sum_line,
                       tail=THEOREM1_FACTORS, admissible=True),
     # the same for delta_n = sigma_n - tau_n with factors 4 and 256/N; delta
     # is read as returned, for gap_record flags no unresolved delta
     "theorem4": Claim(lambda N, t, ctx: {"N": N, "lhs": t[0], "rhs": t[1], "margin": t[1] - t[0],
                                          "holds": t[1] - t[0] >= 0.0},
-                      _onset, _SUM_LINE, lambda g: (abs(g.delta), True),
+                      _onset, _sum_line, lambda g: (abs(g.delta), True),
                       tail=THEOREM4_FACTORS, source="dirichlet"),
     "theorem5": Claim(_theorem5_item,
                       _every(lambda item: item["holds"] and item.get("psi_slack_ok", True)
                              and item.get("individual_ok", True)),
-                      ("n = {n}: |gamma| <= {gamma_ceiling:.6g}, bound = {bound:.6g}, {holds!v}",),
+                      lambda i: (f"n = {i['n']}: |gamma| <= {i['gamma_ceiling']:.6g}, "
+                                 f"bound = {i['bound']:.6g}, {_ok(i['holds'])}"),
                       admissible=True, setup=_theorem5_setup),
     "mathieu": Claim(_mathieu_item, _every(lambda item: item["holds"]),
-                     ("n = {n}: ratio = {ratio:.9g} (band {band:.3g}), {holds!v}",),
+                     lambda i: (f"n = {i['n']}: ratio = {i['ratio']:.9g} (band {i['band']:.3g}), "
+                                f"{_ok(i['holds'])}"),
                      lambda g: (abs(g.gamma), g.resolved), FAIL),
     "gasymov": Claim(_gasymov_item,
                      _every(lambda item: item["collapsed"] and item.get("exact_zero", True)),
-                     _CEILING_LINE),
+                     _ceiling_line),
     # each approximant within its bound, its gaps N < n <= N + span collapsed
     "dense": Claim(_collapsed, _monotone,
-                   ("N = {N}: distance = {distance:.6g}, bound = {lipschitz_bound:.6g}, "
-                    "{holds!v}",), subjects=_approximants, group=_dense_item),
+                   lambda i: (f"N = {i['N']}: distance = {i['distance']:.6g}, "
+                              f"bound = {i['lipschitz_bound']:.6g}, {_ok(i['holds'])}"),
+                   subjects=_approximants, group=_dense_item),
     # the tempered weights pass where eps_list names any, else the weight itself
     "weights_check": Claim(_weights_item,
                            _every(lambda item: all(t["ok"] for t in item["tempered"])
                                   if item["tempered"] else item["base_ok"]),
-                           ("{weight[kind]}: class {growth_class}, submultiplicative {base_ok}",
-                            ("tempered", "; tempered ",
-                             "eps = {eps:g}: {ok!v} (crossover {crossover})")), None),
+                           _weights_line, None),
 }
 _FREE = Claim(lambda n, ceiling, ctx: {"n": n, "gamma_ceiling": ceiling},
               lambda items: (all(item["gamma_ceiling"] <= COLLAPSED_GAP_TOL for item in items),
                              ["mu = 0: spectrum is free, all gaps collapsed"], {}),
-              _CEILING_LINE)
+              _ceiling_line)

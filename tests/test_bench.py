@@ -29,9 +29,23 @@ def test_pair_stats_count_ties_for_neither_side(bench):
         "ratio": 1.0, "ratio_q": [1.0, 1.0], "wins": 0, "pairs": 1}
 
 
-def test_one_row_answers_on_both_sides(bench):
-    tree = str(ROOT)
-    report = bench.compare({"base": tree, "change": tree}, 2, [ROW])
+def test_one_row_answers_on_both_sides(bench, tmp_path, monkeypatch):
+    # the base side on a copy of this checkout's hillgap; two pairs run in
+    # four worker processes, the base tree's started first, then second
+    shutil.copytree(ROOT / "src" / "hillgap", tmp_path / "src" / "hillgap",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    trees, started, worker = {"base": str(tmp_path), "change": str(ROOT)}, [], bench._worker
+
+    def spy(tree):
+        started.append((tree, worker(tree)))
+        return started[-1][1]
+
+    monkeypatch.setattr(bench, "_worker", spy)
+    report = bench.compare(trees, 2, [ROW])
+    assert [tree for tree, _ in started] == [trees["base"], trees["change"], trees["change"],
+                                             trees["base"]]
+    assert len({process.pid for _, process in started}) == 4
+    assert all(process.returncode == 0 for _, process in started)
     for side in ("base", "change"):
         assert report[side] == {"hillgap": str(Path("src", "hillgap", "__init__.py"))}
         times = report["rows"][ROW][side]

@@ -1,6 +1,7 @@
 """Reduced 2x2 block: resolvent solves, adapted coefficients, the map Phi."""
 
 import cmath
+import inspect
 import math
 import tracemalloc
 
@@ -25,6 +26,7 @@ from hillgap.blockdecomp import (
     resolve_hat_Tn,
     _support_cut,
 )
+from hillgap import floquet
 from hillgap.floquet import periodic_eigs
 from hillgap.seqspace import (
     FourierPotential,
@@ -76,18 +78,18 @@ def test_apply_Tn_divides_mode_by_mode(mcut):
     q = make_random(polynomial(2.0), seed=3, K=3, real=False)
     n, lam = 5, 25 * PI2 + 0.4 - 0.2j
     rng = np.random.default_rng(7)
-    f = ParityVector(1, mcut, rng.standard_normal(mcut + 1) + 1j * rng.standard_normal(mcut + 1))
+    f = ParityVector(rng.standard_normal(mcut + 1) + 1j * rng.standard_normal(mcut + 1))
     quotient = [0j if abs(m) == n else z / (lam - int(m) ** 2 * PI2)
                 for m, z in zip(f.modes(), f.data)]
     out = apply_Tn(q, n, lam, f)
-    ref = multiply_by_potential(q, ParityVector(1, mcut, np.array(quotient)))
+    ref = multiply_by_potential(q, ParityVector(np.array(quotient)))
     assert out.mcut == ref.mcut == mcut + 2 * q.K
     np.testing.assert_allclose(out.data, ref.data, rtol=1e-14, atol=1e-17)
     # whatever f holds at +-n leaves no trace
     g = f.data.copy()
     if n <= mcut:
         g[[f.index(n), f.index(-n)]] = 1e6
-    assert np.array_equal(apply_Tn(q, n, lam, ParityVector(1, mcut, g)).data, out.data)
+    assert np.array_equal(apply_Tn(q, n, lam, ParityVector(g)).data, out.data)
 
 
 def test_apply_Tn_singular_guard(monkeypatch):
@@ -148,16 +150,64 @@ def test_resolve_refuses_without_margin():
         resolve_hat_Tn(q, 5, 25 * PI2, rhs)
 
 
+COSINE = make_mathieu(1.0)
+# every public solver entry point by the arguments it reads as an integer or
+# as a tolerance, on the cosine at n = 3 (the adapted side at N = 8)
+_SOLVERS = {
+    "gap_block": lambda n=3, tol=1e-12: gap_block(COSINE, n, tol),
+    "alpha_fixed_point": lambda n=3, tol=1e-12: alpha_fixed_point(COSINE, n, tol),
+    "coeff_an_cn": lambda n=3, tol=1e-12: coeff_an_cn(COSINE, n, 9 * PI2, tol),
+    "resolve_hat_Tn": lambda n=3, tol=1e-12: resolve_hat_Tn(
+        COSINE.without_mean(), n, 9 * PI2, unit_vector(3, 3), tol),
+    "apply_Tn": lambda n=3: apply_Tn(COSINE, n, 9 * PI2, unit_vector(3, 3)),
+    "c_series_terms": lambda n=3: c_series_terms(COSINE, n, 9 * PI2, 2),
+    "adapted_map": lambda tol=1e-12: adapted_map(COSINE, tol=tol),
+    "invert_adapted_map": lambda tol=1e-12: invert_adapted_map(COSINE, tol=tol),
+    "n_gap_approximant": lambda N=8, tol=1e-12: n_gap_approximant(COSINE, N, tol=tol),
+    "periodic_eigs": lambda n=3, steps=None, dps=None: floquet.periodic_eigs(
+        COSINE, n, method="taylor", steps=steps, dps=dps),
+    "periodic_eigs_info": lambda n=3: floquet.periodic_eigs_info(COSINE, n),
+    "sturm_liouville_eig": lambda n=3, dps=None: floquet.sturm_liouville_eig(COSINE, n, dps=dps),
+    "gap_record": lambda n=3, dps=None: floquet.gap_record(COSINE, n, dps=dps),
+    "monodromy": lambda steps=None, dps=None: floquet.monodromy(
+        COSINE, 10.0, steps, method="taylor", dps=dps),
+    "discriminant": lambda steps=None, dps=None: floquet.discriminant(
+        COSINE, 10.0, steps, method="taylor", dps=dps),
+}
+_MALFORMED = {"n": (3.0, True), "N": (8.0, True), "steps": (True,), "dps": (True,),
+              "tol": (-1.0, 0.0, math.nan)}
+
+
+@pytest.mark.parametrize("name", list(_SOLVERS))
+def test_a_malformed_solver_argument_is_a_value_error_naming_it(name):
+    # a float index, a bool and a tol that is not > 0 are refused on both
+    # solvers with one ValueError naming the argument (DomainError on the
+    # block side), where the block side once failed inside numpy (n = 3.0),
+    # in a ZeroDivisionError (tol = -1 or NaN) or returned a gap (tol = 0),
+    # and a bool ran as 1 (n = True solved n = 1, steps = True took one step)
+    solve = _SOLVERS[name]
+    for arg in inspect.signature(solve).parameters:
+        for value in _MALFORMED[arg]:
+            with pytest.raises(ValueError, match=rf"\b{arg} must be "):
+                solve(**{arg: value})
+
+
+def test_block_indices_pass_as_numpy_integers():
+    assert gap_block(COSINE, np.int64(3)) == gap_block(COSINE, 3)
+    assert c_series_terms(COSINE, np.int64(3), 9 * PI2, np.int64(2)) == \
+        c_series_terms(COSINE, 3, 9 * PI2, 2)
+
+
 def test_resolve_guards_precede_the_zero_shortcut():
     # a zero rhs returns at once, but only inside the domain of T_n: outside
     # the strip or at the wrong parity it is refused like any other rhs
     q = make_mathieu(1.0).without_mean()
     outside = 16 * PI2 + 500.0
-    zero = ParityVector(0, 40, np.zeros(41, dtype=complex))
+    zero = ParityVector(np.zeros(41, dtype=complex))
     for rhs in (zero, unit_vector(4, 40)):
         with pytest.raises(DomainError):
             resolve_hat_Tn(q, 4, outside, rhs)
-    for rhs in (ParityVector(1, 41, np.zeros(42, dtype=complex)), unit_vector(3, 41)):
+    for rhs in (ParityVector(np.zeros(42, dtype=complex)), unit_vector(3, 41)):
         with pytest.raises(DomainError):
             resolve_hat_Tn(q, 4, 16 * PI2, rhs)
     g, info = resolve_hat_Tn(q, 4, 16 * PI2 + 0.1, zero)
@@ -414,7 +464,7 @@ def _full_window_resolve(q, n, lam, rhs, tol=1e-12):
     g = rhs
     for it in range(1, 129):
         tg = _cropped(apply_Tn(q, n, lam, g), rhs.mcut)
-        g_new = ParityVector(g.parity, g.mcut, rhs.data + tg.data)
+        g_new = ParityVector(rhs.data + tg.data)
         d = float(np.linalg.norm(g_new.data - g.data))
         g = g_new
         if d <= tol * rhs_norm:

@@ -46,8 +46,8 @@ def _pair60(q, n):
 
 
 def _plan(q, lam, dps):
-    # the ladder's default (order, steps) at lam, on the oracle's double series
-    return ladder._mp_plan(q, lam, dps, floquet._taylor_table, floquet._taylor_series)
+    # the ladder's default (order, steps) at lam
+    return ladder._mp_plan(q, lam, dps)
 
 
 def _free_entries(lam):
@@ -219,7 +219,7 @@ def test_fixed_point_ladder_matches_mpmath():
 def _mp_table_reference(q, steps, order, dps, scaled=True):
     # the coefficient table from per-step mpmath series, in the row layout
     # of ladder._mp_table, step-scaled (C_i h^(i+2)) unless asked for the
-    # plain C_i, and flagged complex
+    # plain C_i, flagged complex, with its scale
     bits = ladder._fixed_bits(dps)
     rows = []
     with mp.workdps(dps):
@@ -230,7 +230,7 @@ def _mp_table_reference(q, steps, order, dps, scaled=True):
             re = [mp.libmp.to_fixed(v.real._mpf_, bits) for v in c]
             im = [mp.libmp.to_fixed(v.imag._mpf_, bits) for v in c]
             rows.append((re, im, [a + b for a, b in zip(re, im)]))
-    return False, rows
+    return False, rows, bits
 
 
 def test_integer_table_matches_mpmath_build():
@@ -238,14 +238,13 @@ def test_integer_table_matches_mpmath_build():
     # real draw at real lam runs the real loop on the integer table
     cases = [(make_gasymov([1.0, 0.5j]), 30), (make_gasymov([1.0, 0.5j]), 60), (WIDE, 30)]
     for q, dps in cases:
-        bits = ladder._fixed_bits(dps)
         with mp.workdps(dps):
             lam = mp.mpf(88) + mp.pi if q is WIDE else mp.mpc(88 + mp.pi, 7 / mp.e)
             order, steps = _plan(q, lam, dps)
             table = ladder._mp_table(q, steps, order, dps)
             assert table[0] == (q is WIDE)
-            got = ladder._fixed_kernel(table, lam, bits)
-            ref = ladder._fixed_kernel(_mp_table_reference(q, steps, order, dps), lam, bits)
+            got = ladder._fixed_kernel(table, lam)
+            ref = ladder._fixed_kernel(_mp_table_reference(q, steps, order, dps), lam)
             assert max(abs(a - b) for a, b in zip(got, ref)) <= mp.mpf(10) ** -(dps - 3)
 
 
@@ -255,12 +254,11 @@ def test_real_loop_matches_complex_loop_bitwise():
             with mp.workdps(dps):
                 lam = mp.mpf(64) * mp.pi ** 2 + mp.mpf(1) / 3
                 order, steps = _plan(q, lam, dps)
-                real, rows = ladder._mp_table(q, steps, order, dps)
+                real, rows, bits = ladder._mp_table(q, steps, order, dps)
                 assert real
-                bits = ladder._fixed_bits(dps)
                 # an order-1 jet: the plain transport and its lam-derivative
-                fast = ladder._fixed_kernel((True, rows), lam, bits, 1)
-                assert fast == ladder._fixed_kernel((False, rows), lam, bits, 1)
+                fast = ladder._fixed_kernel((True, rows, bits), lam, 1)
+                assert fast == ladder._fixed_kernel((False, rows, bits), lam, 1)
                 assert all(v.imag == 0 for v in fast)
 
 
@@ -317,7 +315,7 @@ def test_jet_order_zero_is_the_plain_step():
     bits = ladder._fixed_bits(dps)
     for q, lam in ((make_gasymov([1.0, 0.5j]), 88.5 + 2.25j), (WIDE, 4 * PI2 + 0.5)):
         order, steps = _plan(q, lam, dps)
-        real, rows = ladder._mp_table(q, steps, order, dps)
+        real, rows, _ = ladder._mp_table(q, steps, order, dps)
         plain_rows = _mp_table_reference(q, steps, order, dps, scaled=False)[1]
         lr, li = (mp.libmp.to_fixed(mp.mpf(v)._mpf_, bits) for v in (lam.real, lam.imag))
         ref = ((1 << bits, 0, 0, 0), (0, 0, 1 << bits, 0))
@@ -330,26 +328,27 @@ def test_jet_order_zero_is_the_plain_step():
                 ref = tuple(_plain_step_real(row[0], lr, c, steps, bits) for c in ref)
             refs.append(tuple((y, 0, dy, 0) for y, dy in ref))
         with mp.workdps(dps):
-            plain = ladder._fixed_kernel((real, rows), lam, bits)
+            plain = ladder._fixed_kernel((real, rows, bits), lam)
             for ref in refs:
                 want = [mp.mpc(mp.mpf((re, -bits)), mp.mpf((im, -bits)))
                         for c in ref for re, im in (c[:2], c[2:])]
                 assert max(abs(a - b) for a, b in zip(plain, want)) <= mp.mpf(10) ** -(dps - 3)
-            assert ladder._fixed_kernel((real, rows), lam, bits, 3)[:4] == plain
+            assert ladder._fixed_kernel((real, rows, bits), lam, 3)[:4] == plain
 
 
-def _lane_transcription(table, lam, bits, order):
+def _lane_transcription(table, lam, order):
     # _fixed_kernel's step-scaled arithmetic one lane at a time, in the
     # direct complex form, without packing: lane l = 2k + c is jet order k
     # of column c, and lane l - 2 feeds it through the order coupling
-    steps, terms = len(table[1]), len(table[1][0][0])
+    _, rows, bits = table
+    steps, terms = len(rows), len(rows[0][0])
     lam = mp.mpc(lam)
     lr, li = (mp.libmp.to_fixed(v._mpf_, bits) // steps ** 2 for v in (lam.real, lam.imag))
     h2 = (1 << bits) // steps ** 2
     g = bits + (terms * (terms + 1)).bit_length()
     one = 1 << bits
     state = [(one, 0, 0, 0), (0, 0, one // steps, 0)] + [(0, 0, 0, 0)] * (2 * order)
-    for cr, ci, _ in table[1]:
+    for cr, ci, _ in rows:
         series = []
         for lane, (yr, yi, pr, pi) in enumerate(state):
             br, bi = [yr, pr], [yi, pi]
@@ -376,14 +375,13 @@ def test_packed_lanes_match_the_lane_transcription_bitwise():
     # an order-4 jet: ten lanes in one int, on the real loop (real table at
     # real lam) and on the complex one
     dps = 30
-    bits = ladder._fixed_bits(dps)
     for q, lam in ((make_mathieu(1.0), mp.mpf(4 * PI2 + 0.5)),
                    (make_gasymov([1.0, 0.5j]), mp.mpc(4 * PI2 + 0.5, 2.25))):
         with mp.workdps(dps):
             order, steps = _plan(q, lam, dps)
             table = ladder._mp_table(q, steps, order, dps)
-            got = ladder._fixed_kernel(table, lam, bits, 4)
-            want = _lane_transcription(table, lam, bits, 4)
+            got = ladder._fixed_kernel(table, lam, 4)
+            want = _lane_transcription(table, lam, 4)
             assert got == want
 
 
@@ -471,16 +469,15 @@ def test_one_column_is_that_column_of_the_two_column_kernel_bitwise():
     # the real loop (the cosine at real lam) and the complex one (an even
     # complex q at complex lam)
     dps = 30
-    bits = ladder._fixed_bits(dps)
     for q, lam, real in ((make_mathieu(1.0), mp.mpf(9 * PI2 + 0.5), True),
                          (EVEN_COMPLEX, mp.mpc(9 * PI2 + 0.5, 2.25), False)):
         order, steps = _plan(q, lam, dps)
         with mp.workdps(dps):
             table = ladder._mp_table(q, steps, order, dps)
             assert table[0] is real
-            both = ladder._fixed_kernel(table, lam, bits, 3)
+            both = ladder._fixed_kernel(table, lam, 3)
             for c, start in enumerate(((1, 0), (0, 1))):
-                one = ladder._fixed_kernel(table, lam, bits, 3, (start,))
+                one = ladder._fixed_kernel(table, lam, 3, (start,))
                 assert one == tuple(v for k in range(4) for v in both[4 * k + 2 * c:4 * k + 2 * c + 2])
 
 

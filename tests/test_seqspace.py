@@ -73,7 +73,7 @@ def test_coefficients_are_a_read_only_copy():
     # the object fixes its coefficients, as the oracle's tables are cached
     # on it: q.data refuses writes, and the array given stays the caller's
     data = np.array([0.5, 0.0, 0.5], dtype=np.complex128)
-    q = FourierPotential(1, data)
+    q = FourierPotential(data)
     with pytest.raises(ValueError, match="read-only"):
         q.data[0] = 1.0
     data[0] = 1.0
@@ -141,11 +141,11 @@ def test_parity_vector_layout():
     assert f.coeff(3) == 1.0
     assert f.coeff(5) == 0.0
     assert list(f.modes()) == list(range(-9, 10, 2))
-    assert ParityVector(0, 8, np.zeros(9, dtype=complex)).l2() == 0.0
+    assert ParityVector(np.zeros(9, dtype=complex)).l2() == 0.0
 
 
 def test_resized_pads_and_crops():
-    f = ParityVector(1, 3, np.array([1.0, 2.0, 3.0, 4.0], dtype=complex))
+    f = ParityVector(np.array([1.0, 2.0, 3.0, 4.0], dtype=complex))
     wide = f.resized(8)              # fitted to the odd cap 7
     assert wide.mcut == 7
     assert [wide.coeff(m) for m in (-7, -5, -3, -1, 1, 3, 5, 7)] == [0, 0, 1, 2, 3, 4, 0, 0]
@@ -184,7 +184,7 @@ def test_multiply_matches_brute_force():
     q = make_random(polynomial(2), 11, 4, real=False)
     rng = np.random.default_rng(5)
     data = rng.standard_normal(13) + 1j * rng.standard_normal(13)
-    f = ParityVector(0, 12, data)
+    f = ParityVector(data)
     g = multiply_by_potential(q, f)
     brute = _brute_convolution(q, f)
     # the whole product, edge modes included, on the window widened by 2K
@@ -218,7 +218,7 @@ def _shift(f, i):
     data = np.zeros(mcut + 1, dtype=complex)
     for m, c in zip(f.modes(), f.data):
         data[(m + i + mcut) // 2] = c
-    return ParityVector((f.parity + i) % 2, mcut, data)
+    return ParityVector(data)
 
 
 def test_multiplication_commutes_with_shift():
@@ -226,7 +226,7 @@ def test_multiplication_commutes_with_shift():
     q = make_random(polynomial(2), 17, 3, real=False)
     rng = np.random.default_rng(8)
     data = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    f = ParityVector(1, 7, data)
+    f = ParityVector(data)
     for i in (1, 2, -3):
         lhs = multiply_by_potential(q, _shift(f, i))
         rhs = _shift(multiply_by_potential(q, f), i)
@@ -246,12 +246,31 @@ def test_real_potential_preserves_conjugate_symmetry():
         data[(m + mcut) // 2] = c
         data[(-m + mcut) // 2] = c.conjugate()
     data[mcut // 2] = 1.0
-    f = ParityVector(0, mcut, data)
+    f = ParityVector(data)
     g = multiply_by_potential(q, f)
     for m in g.modes():
         assert g.coeff(-m) == pytest.approx(g.coeff(m).conjugate(), abs=1e-13)
 
 
+def test_each_array_reads_its_window():
+    # K, mcut and the parity are read off the array's length, so the one
+    # check left is what can still be wrong: an even length or a nonzero
+    # centre of a potential, an empty row of a vector
+    for K in (0, 1, 4):
+        assert FourierPotential(np.zeros(2 * K + 1, dtype=complex)).K == K
+    for bad, message in ((np.zeros(4, dtype=complex), "odd length"),
+                         (np.array([0.5, 1.0, 0.5], dtype=complex), "mode 0")):
+        with pytest.raises(ValueError, match=message):
+            FourierPotential(bad)
+    for length in (1, 2, 7, 10):
+        f = ParityVector(np.zeros(length, dtype=complex))
+        assert (f.mcut, f.parity) == (length - 1, (length - 1) % 2)
+    with pytest.raises(ValueError, match="nonempty row"):
+        ParityVector(np.zeros(0, dtype=complex))
+
+
 def test_parity_mismatch_layout_guard():
-    with pytest.raises(ValueError):
-        ParityVector(0, 9, np.zeros(10, dtype=complex))
+    # a row's length sets its window and parity, so no vector can disagree
+    # with its layout; the one malformed row left is an empty one
+    with pytest.raises(ValueError, match="nonempty row"):
+        ParityVector(np.zeros(0, dtype=complex))
