@@ -12,12 +12,16 @@ Six layers, importable separately or through this namespace:
     approximants;
   * harness / verify / cli: config runs, the verification claims, the CLI.
 
-Each layer loads where a route first reaches it.  The floquet names below
-resolve on first access (module __getattr__), so importing the package or
-the CLI loads no oracle; floquet loads the ladder, and with it mpmath, only
-where a solve first leaves doubles; a table run loads no verify.  The block
-reduction and the adapted map run without floquet.
+Each layer loads where a route first reaches it.  The floquet and weights
+names in _LAZY resolve on first access (module __getattr__), so importing
+the package or the CLI loads neither the oracle nor the weights; floquet
+loads the ladder, and with it mpmath, only where a solve first leaves
+doubles; harness loads weights where a config names a weight or a decay,
+and verify loads them for every claim; a table run loads no verify.  The
+block reduction and the adapted map run without floquet or weights.
 """
+
+import importlib
 
 # harness first, the largest compile of an import where no bytecode is cached:
 # before numpy loads, its parse memory is reused (after, peak RSS read ~1 MB higher)
@@ -30,21 +34,6 @@ from .harness import (
     rows_to_csv,
     run_table,
     run_verify,
-)
-from .weights import (
-    Weight,
-    check_submultiplicative,
-    classify_growth,
-    exponential,
-    gevrey,
-    log_tempered,
-    polynomial,
-    psi,
-    psi_continuous,
-    superexp,
-    table_weight,
-    temper,
-    trivial,
 )
 from .seqspace import (
     FourierPotential,
@@ -78,18 +67,25 @@ from .blockdecomp import (
 
 __version__ = "0.1.0"
 
-_FLOQUET = ("GapRecord", "MonodromyMatrix", "RootSearchError", "discriminant", "gap_record",
-            "monodromy", "periodic_eigs", "periodic_eigs_info", "sturm_liouville_eig")
+_LAZY = {
+    "floquet": ("GapRecord", "MonodromyMatrix", "RootSearchError", "discriminant",
+                "gap_record", "monodromy", "periodic_eigs", "periodic_eigs_info",
+                "sturm_liouville_eig"),
+    "weights": ("Weight", "check_submultiplicative", "classify_growth", "exponential",
+                "gevrey", "log_tempered", "polynomial", "psi", "psi_continuous", "superexp",
+                "table_weight", "temper", "trivial"),
+}
 
 
 def __getattr__(name):
-    # the oracle loads on first access to it or to one of its names; a
-    # relative "from . import floquet" would ask this hook for floquet again
-    if name == "floquet" or name in _FLOQUET:
-        import hillgap.floquet as floquet
-        return floquet if name == "floquet" else getattr(floquet, name)
+    # a lazy layer loads on first access to it or to one of its names; a
+    # relative "from . import floquet" would ask this hook for the layer again
+    for layer, names in _LAZY.items():
+        if name == layer or name in names:
+            module = importlib.import_module(f"{__name__}.{layer}")
+            return module if name == layer else getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), "floquet", *_FLOQUET})
+    return sorted({*globals(), *_LAZY, *(name for names in _LAZY.values() for name in names)})

@@ -38,7 +38,9 @@ which also yields potentials with collapsed gaps beyond a prescribed index
 
 All operators act on zero-mean potentials; the public entry points strip the
 mean and add it back to every returned spectral quantity.  An index that is
-not an integer (_integer) or a tol not > 0 raises DomainError.
+not an integer (_integer) or a tol not > 0 raises DomainError.  The records
+returned (SolveInfo, AdaptedInfo, BlockDiagnostics, BlockData, MapResult)
+are NamedTuples: immutable, equal by value, and made without generated code.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,8 +99,7 @@ def _tolerance(tol: float) -> None:
         raise DomainError(f"tol must be > 0, got {tol!r}")
 
 
-@dataclass(frozen=True)
-class SolveInfo:
+class SolveInfo(NamedTuple):
     """Diagnostics of one resolvent solve: iterations, final residual, last
     observed contraction ratio."""
 
@@ -112,15 +113,17 @@ class SolveInfo:
                          max(self.rate, other.rate))
 
 
-@dataclass(frozen=True)
-class AdaptedInfo(SolveInfo):
-    """Tallies of one adapted index, with its fixed point alpha_n (mean added)."""
+class AdaptedInfo(NamedTuple):
+    """Tallies of one adapted index, as SolveInfo's, with its fixed point
+    alpha_n (mean added)."""
 
+    iters: int
+    resid: float
+    rate: float
     alpha: complex
 
 
-@dataclass(frozen=True)
-class BlockDiagnostics:
+class BlockDiagnostics(NamedTuple):
     """Tallies of one gap block: resolvent rounds over every solve, the
     iterations of the two root loops (``newton_iters``; the loops are
     fixed-point iterations, the name is kept for existing readers), the
@@ -133,8 +136,7 @@ class BlockDiagnostics:
     collapsed: bool
 
 
-@dataclass(frozen=True)
-class BlockData:
+class BlockData(NamedTuple):
     """Reduced 2x2 data of one gap: fixed point, adapted coefficients, roots.
 
     xi_minus precedes xi_plus lexicographically (real part, then imaginary
@@ -153,8 +155,7 @@ class BlockData:
     diagnostics: BlockDiagnostics
 
 
-@dataclass(frozen=True)
-class MapResult:
+class MapResult(NamedTuple):
     """Outcome of inverting the adapted-coefficient map."""
 
     q: FourierPotential
@@ -454,20 +455,14 @@ def adapted_map(q: FourierPotential, m: int | None = None,
     _tolerance(tol)
     q0 = q.without_mean()
     m, M_thresh, K_out = adapted_defaults(q, m, M_thresh, K_out)
-    coeffs: dict[int, complex] = {}
-    for nn in range(1, M_thresh):
-        for s in (nn, -nn):
-            z = q0.coeff(s)
-            if z != 0:
-                coeffs[s] = z
+    coeffs = {k: z for k, z in q0.modes() if abs(k) < M_thresh}
     for nn in range(M_thresh, K_out + 1):
         alpha, _, c_plus, c_minus, info = _at_alpha(q0, nn, tol)
         # same ladder fact as in gap_block: the e_{-n} solve leads with q_{+n}
         coeffs[nn] = c_minus
         coeffs[-nn] = c_plus
         if diagnostics is not None:
-            diagnostics[nn] = AdaptedInfo(info.iters, info.resid, info.rate,
-                                          alpha + complex(q.mean))
+            diagnostics[nn] = AdaptedInfo(*info, alpha + complex(q.mean))
     return make_fourier(coeffs, mean=q.mean, K=K_out)
 
 
@@ -481,9 +476,7 @@ def invert_adapted_map(p: FourierPotential, m: int | None = None,
     match the forward map; by default adapted_defaults takes them from ||p||.
     """
     m, M_thresh, _ = adapted_defaults(p, m, M_thresh)
-    q = p
-    prev = None
-    rate = 0.0
+    q, prev, rate = p, None, 0.0
     for it in range(_INVERSE_ROUNDS):
         phi = adapted_map(q, m, M_thresh, tol, K_out=p.K)
         diff = phi.data - p.data

@@ -25,7 +25,7 @@ import json
 import os
 import sys
 
-from . import harness, weights
+from . import harness
 
 _WEIGHTS_SUITE, _WEIGHTS_KIND = "weights", "weights_check"
 _SUITES = [_WEIGHTS_SUITE if kind == _WEIGHTS_KIND else kind
@@ -78,14 +78,19 @@ def main(argv=None) -> int:
             stdout = sys.stdout.fileno()
             os.dup2(os.open(os.devnull, os.O_WRONLY), stdout)
         return 141
-    except (harness.ConfigError, weights.TableDomainError, weights.CertificateError) as exc:
-        # a table weight queried off its grid and a psi search that cannot
-        # certify its minimum are faults of the config too
+    except (harness.ConfigError, *_weight_faults()) as exc:
         print(f"config error: {exc.args[0]}", file=sys.stderr)
         return 2
     except harness.FAILURES as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+
+
+def _weight_faults() -> tuple:
+    # a table weight queried off its grid and a psi search that cannot certify its minimum
+    # are config faults too, raised only once weights has loaded, so a run without one loads none
+    weights = sys.modules.get("hillgap.weights")
+    return (weights.TableDomainError, weights.CertificateError) if weights else ()
 
 
 if __name__ == "__main__":

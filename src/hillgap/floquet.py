@@ -91,9 +91,9 @@ from __future__ import annotations
 import cmath
 import contextlib
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,8 +124,7 @@ class PrecisionError(ValueError):
     """A dps outside the precision range _DPS, or a tol that needs one."""
 
 
-@dataclass(frozen=True)
-class MonodromyMatrix:
+class MonodromyMatrix(NamedTuple):
     """Fundamental matrix at x = 1; columns start as (1, 0) and (0, 1)."""
 
     y1: complex
@@ -140,8 +139,7 @@ class MonodromyMatrix:
         return self.y1 * self.dy2 - self.y2 * self.dy1
 
 
-@dataclass(frozen=True)
-class GapRecord:
+class GapRecord(NamedTuple):
     """Oracle-level spectral data at one index n.
 
     gamma = lam_plus - lam_minus, taken at the working precision before the
@@ -457,9 +455,7 @@ class _JetDisc:
 
     def __init__(self, jet, noise: float, name: str, plan, arith=_DOUBLES, form=_trace,
                  columns: int = 2):
-        self.jet = jet
-        self.noise = noise
-        self.eps = noise / 1000.0
+        self.jet, self.noise, self.eps = jet, noise, noise / 1000.0
         self.name, self.plan = name, plan
         self.arith, self.dps = arith, arith.dps
         self.form, self.columns = form, columns
@@ -580,17 +576,13 @@ def _newton_root(disc, const, seed, tol: float, scale: float, deflate=None):
     With ``deflate`` set, iterates on (form - const)/(lam - deflate) so the
     second root of a nearly-double pair does not slide back into the first.
     """
-    lam = seed
-    best = None
-    floor = 10.0 * disc.noise
+    lam, best, floor = seed, None, 10.0 * disc.noise
     for it in range(1, 31):
         f, d = disc.derivs(lam, 1, const, deflate)
         af = abs(f)
         if best is None or af < best[0]:
             best = (af, lam, it)
-        if af <= floor:
-            break
-        if d == 0:
+        if af <= floor or d == 0:
             break
         step = f / d
         if abs(step) > scale:

@@ -16,8 +16,8 @@ order and 17 significant digits, so identical configs give identical files.
 Every gap a table row or a claim reads is solved by _gap, into one record,
 Gap: from the Floquet oracle, its Dirichlet record, or the block reduction.
 The oracle loads where _gap first calls it, or where a config names an
-oracle method or dps to check, so the adapted map and weights run without
-it.  The config reader checks those with floquet._path and the adapted
+oracle method or dps to check; weights where _weight reads a weight or decay.
+The config reader checks those with floquet._path and the adapted
 window with blockdecomp.adapted_defaults, keeping no rule of its own; their
 refusals, and a tol the oracle needs over 300 digits for, are ConfigErrors.
 """
@@ -31,11 +31,10 @@ import io
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-from . import blockdecomp, weights
+from . import blockdecomp
 from .seqspace import (
     FourierPotential,
     make_fourier,
@@ -43,7 +42,9 @@ from .seqspace import (
     make_mathieu,
     make_random,
 )
-from .weights import Weight
+
+if TYPE_CHECKING:
+    from .weights import Weight
 
 CSV_COLUMNS = ("n", "method", "re_lm", "im_lm", "re_lp", "im_lp",
                "re_gamma", "im_gamma", "re_alpha", "im_alpha",
@@ -59,11 +60,10 @@ class ConfigError(ValueError):
     """Config rejected: unknown key, missing field, or bad value."""
 
 
-@dataclass
-class ExperimentConfig:
-    """A validated config.  Each kind sets the fields it reads, defaults
-    resolved as KINDS declares them; the others hold None.  ``echo`` is the
-    config as reports show it."""
+class ExperimentConfig(NamedTuple):
+    """A validated config, immutable.  Each kind sets the fields it reads,
+    defaults resolved as KINDS declares them; the others hold None.  ``echo``
+    is the config as reports show it."""
 
     kind: str
     out: str | None
@@ -191,6 +191,8 @@ def build_weight(spec) -> Weight:
 
 
 def _weight(spec, where: str) -> Weight:
+    from . import weights  # here, so a run that names no weight or decay loads none
+
     kind, fields = _declared(spec, where, "kind", _WEIGHTS)
     try:
         if kind == "tempered":
@@ -304,8 +306,7 @@ def parse_config(raw: dict, default_kind: str | None = None) -> ExperimentConfig
 # the gap record
 
 
-@dataclass(frozen=True)
-class Gap:
+class Gap(NamedTuple):
     """The n-th gap from ``source`` as table rows and claims read it: "oracle",
     floquet's pair, ``alpha`` its critical point, ``ceiling`` |gamma| if
     ``resolved``, else max(|gamma|, gamma_floor); "block", ``alpha`` = alpha_n,

@@ -13,9 +13,10 @@ q_{-n} = conj(q_n) bit for bit, and its mean is real.  ``is_real`` reads this
 off the coefficients, so a potential answers alike however it was made; one
 that is symmetric only to rounding is complex.
 
-Each value reads its window off the length of its array.  All values are
-immutable in use, and a potential's coefficients are a read-only copy, so
-the object fixes them; the oracle caches its tables on it, by identity.
+Each value reads its window off the length of its array.  Both types are
+slotted and refuse assignment, and a potential's coefficients are a
+read-only copy, so the object fixes them; the oracle caches its tables on
+it, by identity.
 Multiplication by a potential is exact: the product comes back on the
 input's window widened by 2K, so nothing is dropped at an edge.
 """
@@ -23,30 +24,44 @@ input's window widened by 2K, so nothing is dropped at an edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .weights import Weight
+if TYPE_CHECKING:
+    from .weights import Weight
 
 
-@dataclass(frozen=True, eq=False)
-class FourierPotential:
+class _Frozen:
+    """Fields, the __slots__, set once by __init__; equal and hashed by identity."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class FourierPotential(_Frozen):
     """1-periodic potential on modes e^{2 pi i n x}, |n| <= K, mean kept aside.
 
     ``data[K + n]`` holds q_n, 2K + 1 entries; the n = 0 slot stays zero and
     ``mean`` carries q_0.  ``data`` is a read-only copy of the array given.
     """
 
-    data: np.ndarray
-    mean: complex = 0j
+    __slots__ = ("data", "mean")
 
-    def __post_init__(self) -> None:
-        if self.data.ndim != 1 or len(self.data) % 2 == 0:
+    def __init__(self, data: np.ndarray, mean: complex = 0j) -> None:
+        if data.ndim != 1 or len(data) % 2 == 0:
             raise ValueError("coefficient array must be a row of odd length 2K + 1")
-        if abs(self.data[self.K]) != 0.0:
+        if abs(data[len(data) // 2]) != 0.0:
             raise ValueError("mode 0 belongs in the mean field")
-        object.__setattr__(self, "data", np.array(self.data))
+        object.__setattr__(self, "data", np.array(data))
+        object.__setattr__(self, "mean", mean)
         self.data.flags.writeable = False
 
     @property
@@ -75,9 +90,7 @@ class FourierPotential:
                 yield j - self.K, complex(z)
 
     def without_mean(self) -> "FourierPotential":
-        if self.mean == 0:
-            return self
-        return FourierPotential(self.data)
+        return self if self.mean == 0 else FourierPotential(self.data)
 
     def l2(self) -> float:
         """Plain l2 norm including the mean term."""
@@ -176,19 +189,19 @@ def truncate(q: FourierPotential, N: int) -> FourierPotential:
     return FourierPotential(data, q.mean)
 
 
-@dataclass(frozen=True, eq=False)
-class ParityVector:
+class ParityVector(_Frozen):
     """Coefficients f_m on e_m = e^{i pi m x} for m of one parity, |m| <= mcut.
 
     ``data[j]`` holds the mode m = -mcut + 2j, so a row of L entries sets the
     window mcut = L - 1 and the parity, that of mcut.
     """
 
-    data: np.ndarray
+    __slots__ = ("data",)
 
-    def __post_init__(self) -> None:
-        if self.data.ndim != 1 or len(self.data) == 0:
+    def __init__(self, data: np.ndarray) -> None:
+        if data.ndim != 1 or len(data) == 0:
             raise ValueError("coefficient array must be a nonempty row")
+        object.__setattr__(self, "data", data)
 
     @property
     def mcut(self) -> int:

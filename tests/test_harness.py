@@ -1099,11 +1099,13 @@ def test_unread_config_attributes_hold_none():
 _LOADED = ("import json, sys\n"
            "from hillgap import cli\n"
            "code = cli.main(sys.argv[1:])\n"
-           "layers = ('hillgap.floquet', 'hillgap.ladder', 'mpmath', 'hillgap.verify')\n"
+           "layers = ('hillgap.floquet', 'hillgap.ladder', 'mpmath', 'hillgap.verify',\n"
+           "          'hillgap.weights', 'dataclasses')\n"
            "print(json.dumps([code, [m for m in layers if m in sys.modules]]))")
 _CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 _ADAPTED_WIDE = str(_CONFIGS / "adapted_wide.json")
 _ORACLE_MATHIEU = {"potential": {"type": "mathieu", "mu": 1.0}, "n_range": [1, 2]}
+_WEIGHT_LAYERS = ["hillgap.weights", "dataclasses"]
 
 
 @pytest.mark.parametrize("route, raw, loaded", [
@@ -1111,20 +1113,26 @@ _ORACLE_MATHIEU = {"potential": {"type": "mathieu", "mu": 1.0}, "n_range": [1, 2
     (["gaps"], str(_CONFIGS / "cosine_escalated.json"), ["hillgap.floquet"]),
     (["gaps"], str(_CONFIGS / "wideband_complex.json"), ["hillgap.floquet"]),
     (["verify", "weights"], {"weights": [{"kind": "gevrey", "a": 1.0, "sigma": 0.5}], "N": 20},
-     ["hillgap.verify"]),
+     ["hillgap.verify", *_WEIGHT_LAYERS]),
     (["oracle"], _ORACLE_MATHIEU, ["hillgap.floquet"]),
     (["oracle"], {**_ORACLE_MATHIEU, "oracle": {"method": "mp", "dps": 30}},
      ["hillgap.floquet", "hillgap.ladder", "mpmath"]),
+    (["oracle"], {"potential": _RANDOM, "n_range": [1, 2]}, ["hillgap.floquet", *_WEIGHT_LAYERS]),
     (["verify", "theorem4"], {"kind": "theorem4", **_ORACLE_MATHIEU},
-     ["hillgap.floquet", "hillgap.verify"]),
+     ["hillgap.floquet", "hillgap.verify", *_WEIGHT_LAYERS]),
+    (["verify", "mathieu"], {"kind": "mathieu", **_ORACLE_MATHIEU},
+     ["hillgap.floquet", "hillgap.verify", *_WEIGHT_LAYERS]),
 ], ids=["adapted_wide", "cosine_escalated", "wideband_complex", "weights", "oracle", "oracle_mp",
-        "theorem4"])
+        "oracle_random", "theorem4", "mathieu"])
 def test_each_route_loads_only_the_layers_it_reaches(route, raw, loaded, tmp_path):
     # the block reduction and the weights never load the Floquet oracle; an
     # oracle solve that stays in doubles, gap_record's tau and delta
     # included, loads it without the ladder and mpmath, as do the gaps that
     # auto escalates and the det form resolves at the default tol; one at a
-    # set precision loads all three; only a verification run loads the claims
+    # set precision loads all three; only a verification run loads the
+    # claims; the weights layer, and dataclasses for its Weight, load for a
+    # random potential's decay and for every verification, and for no table
+    # whose config names no weight
     cfg = raw if isinstance(raw, str) else _write(tmp_path / "c.json", raw)
     proc = _python("-c", _LOADED, *route, "-c", cfg, "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr
@@ -1132,17 +1140,74 @@ def test_each_route_loads_only_the_layers_it_reaches(route, raw, loaded, tmp_pat
 
 
 def test_every_public_name_resolves_and_is_listed():
-    # the floquet names resolve on first access; each is the oracle's own
+    # the floquet and weights names resolve on first access; each is its layer's own
     names = dir(hillgap)
-    assert "floquet" in names and hillgap.floquet is sys.modules["hillgap.floquet"]
-    for name in ("GapRecord", "MonodromyMatrix", "RootSearchError", "discriminant",
-                 "gap_record", "monodromy", "periodic_eigs", "periodic_eigs_info",
-                 "sturm_liouville_eig"):
-        assert name in names and getattr(hillgap, name) is getattr(hillgap.floquet, name)
+    for layer, layer_names in {
+        "floquet": ("GapRecord", "MonodromyMatrix", "RootSearchError", "discriminant",
+                    "gap_record", "monodromy", "periodic_eigs", "periodic_eigs_info",
+                    "sturm_liouville_eig"),
+        "weights": ("Weight", "check_submultiplicative", "classify_growth", "exponential",
+                    "gevrey", "log_tempered", "polynomial", "psi", "psi_continuous",
+                    "superexp", "table_weight", "temper", "trivial"),
+    }.items():
+        module = getattr(hillgap, layer)
+        assert layer in names and module is sys.modules[f"hillgap.{layer}"]
+        for name in layer_names:
+            assert name in names and getattr(hillgap, name) is getattr(module, name)
     for name in names:
         getattr(hillgap, name)
     with pytest.raises(AttributeError):
         hillgap.no_such_name
+
+
+def test_records_are_immutable_and_the_arrays_keep_identity():
+    # every record is a NamedTuple: a field cannot be set, and SolveInfo's
+    # tallies add (iterations summed, residual and ratio maxed) rather than
+    # concatenate; the two array types refuse assignment and deletion and
+    # hash by identity, so an equal copy is another lru_cache key
+    import copy
+    from functools import lru_cache
+
+    import numpy as np
+
+    from hillgap import floquet
+    from hillgap.seqspace import FourierPotential, ParityVector
+
+    config = parse_config({"kind": "gaps", "potential": MATHIEU_HALF, "n_range": [3, 3]})
+    q = config.potential
+    block = blockdecomp.gap_block(q, 3)
+    records = [config, harness._gap(q, 3, config, "block"), block, block.diagnostics,
+               blockdecomp.SolveInfo(1, 0.0, 0.0), blockdecomp.AdaptedInfo(1, 0.0, 0.0, 0j),
+               blockdecomp.MapResult(q, 0.0, 0, 0.0), floquet.monodromy(q, 10.0),
+               floquet.gap_record(q, 1)]
+    for record in records:
+        assert isinstance(record, tuple)
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+    tally = blockdecomp.SolveInfo(2, 1e-13, 0.1) + blockdecomp.SolveInfo(3, 1e-14, 0.2)
+    assert tally == blockdecomp.SolveInfo(5, 1e-13, 0.2)
+
+    vector = ParityVector(np.ones(3, dtype=complex))
+    for value in (q, vector):
+        with pytest.raises(AttributeError, match="immutable"):
+            value.data = value.data
+        with pytest.raises(AttributeError, match="immutable"):
+            del value.data
+        with pytest.raises(AttributeError):
+            value.extra = 1
+    twin = FourierPotential(q.data, q.mean)
+    copied = copy.copy(q)
+    assert np.array_equal(twin.data, q.data) and np.array_equal(copied.data, q.data)
+    assert twin != q and copied != q and copied.mean == q.mean
+
+    seen = []
+
+    @lru_cache(maxsize=None)
+    def keyed(potential):
+        seen.append(potential)
+        return len(seen)
+
+    assert (keyed(q), keyed(q), keyed(twin)) == (1, 1, 2)
 
 
 def test_failures_catch_a_root_search_error_and_the_default_method_is_valid():
