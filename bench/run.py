@@ -41,9 +41,8 @@ The rows, their details in parentheses:
   * ``startup/import_cli``: ``import hillgap.cli`` after numpy in a fresh
     interpreter, timed by that interpreter (``loads``: for each perfbench
     config, the layers that load only where a route reaches them, the
-    Floquet oracle, its fixed-point ladder, mpmath, the weights and
-    dataclasses, which only the weights use, that a fresh process running
-    ``hillgap gaps`` on it has loaded by its exit);
+    Floquet oracle, its fixed-point ladder, mpmath and the weights, that a
+    fresh process running ``hillgap gaps`` on it has loaded by its exit);
   * ``monodromy/*``: one monodromy evaluation per backend (taylor, rk4,
     mp30, mp60) on the Mathieu potential cos(2 pi x) at lam = n^2 pi^2,
     n = 3 and 10 (for mp30 and mp60 the ladder's ``plan``, its (order,
@@ -160,8 +159,7 @@ def _fresh(code: str, *args: str) -> str:
 _IMPORT_CLI = ("import time, numpy; start = time.perf_counter(); import hillgap.cli; "
                "print(time.perf_counter() - start)")
 _LOADS = ("import json, sys; from hillgap import cli; cli.main(sys.argv[1:]); "
-          "layers = ('hillgap.floquet', 'hillgap.ladder', 'mpmath', 'hillgap.weights', "
-          "'dataclasses'); "
+          "layers = ('hillgap.floquet', 'hillgap.ladder', 'mpmath', 'hillgap.weights'); "
           "print(json.dumps([m for m in layers if m in sys.modules]))")
 
 

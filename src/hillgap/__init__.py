@@ -2,7 +2,8 @@
 
 Six layers, importable separately or through this namespace:
 
-  * weights: submultiplicative weight families and their growth calculus;
+  * weights: submultiplicative weight families, each built whole by its
+    factory with its log-weight and growth class, and the psi calculus;
   * seqspace: Fourier-side potentials and half-integer coefficient vectors;
   * floquet: the monodromy/discriminant oracle for periodic, antiperiodic
     and Sturm-Liouville eigenvalues;

@@ -65,7 +65,6 @@ PI2 = math.pi ** 2
 STRIP_HALF_WIDTH = 12.0   # |Re lam - n^2 pi^2| <= 12 n admits lam
 NU_CAP = 128              # Neumann round cap; also bounds the window (+2K a round)
 COLLAPSE_PRODUCT = 1e-24  # |c_+ c_-| below this counts as a collapsed gap
-_SINGULAR_TOL = 1e-12
 _INVERSE_ROUNDS = 48      # invert_adapted_map gives up after this many rounds
 
 
@@ -166,9 +165,10 @@ class MapResult(NamedTuple):
 
 def _require_admissible(q: FourierPotential, n: int, lam: complex,
                         parity: int) -> None:
-    """Domain of T_n: zero-mean q, an integer n >= 1, lam in the strip,
-    parity n mod 2, and lam off every denominator lam - m^2 pi^2 but the
-    resonant pair."""
+    """Domain of T_n: zero-mean q, an integer n >= 1, lam in the strip, and
+    parity n mod 2.  The strip keeps lam off every denominator lam - m^2 pi^2
+    but the resonant pair: |lam - m^2 pi^2| > 15 at the nearest other modes
+    m = n + 2 and m = n - 2 >= 0."""
     _integer(n, "gap index n", DomainError, least=1)
     if q.mean != 0:
         raise DomainError("operator requires a zero-mean potential; "
@@ -177,10 +177,6 @@ def _require_admissible(q: FourierPotential, n: int, lam: complex,
         raise DomainError(f"lam = {lam} outside the admissible strip at n = {n}")
     if parity != n % 2:
         raise DomainError(f"parity {parity} vector at gap index {n}")
-    # cannot trip in the strip, narrower than the gap to the nearest
-    # off-resonant modes |n - 2| and n + 2 (n + 2 alone at n = 1), but guard anyway
-    if any(abs(lam - m * m * PI2) < _SINGULAR_TOL for m in {abs(n - 2), n + 2} - {n}):
-        raise DomainError(f"lam = {lam} is near-singular off +-n")
 
 
 def _quotient(n: int, lam: complex, f: np.ndarray) -> np.ndarray:

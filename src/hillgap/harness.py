@@ -2,11 +2,12 @@
 
 A config names one experiment kind, declared once in KINDS with the config
 keys it reads, the optional ones with their defaults; each potential type
-and weight kind likewise.  The table kinds (TABLE_KINDS: "gaps", "adapted",
-"oracle") emit one CSV row per index per method.  Every other kind is a
-claim of hillgap.verify, which loads for it alone and returns a report.
-run takes a parsed config to its outputs: it checks the out path, runs the
-kind, and renders and writes every output, for the CLI to print and exit with.
+likewise, and each weight kind in weights.KINDS.  The table kinds
+(TABLE_KINDS: "gaps", "adapted", "oracle") emit one CSV row per index per
+method.  Every other kind is a claim of hillgap.verify, which loads for it
+alone and returns a report.  run takes a parsed config to its outputs: it
+checks the out path, runs the kind, and renders and writes every output,
+for the CLI to print and exit with.
 
 Configs are read strictly (an undeclared or missing field, a non-finite
 number, a negative seed or a repeated entry is an error) and echoed into
@@ -98,20 +99,6 @@ _POTENTIALS = {
     "random": (("decay", "seed", "K"), {"real": True}),
 }
 
-_WEIGHTS = {
-    # kind -> (required fields, optional fields with defaults); the fields of
-    # the parametric kinds are the parameters of their weights factory
-    "trivial": ((), {}),
-    "polynomial": (("r",), {}),
-    "exponential": (("a",), {"r": 0.0}),
-    "gevrey": (("a", "sigma"), {"r": 0.0}),
-    "log_tempered": (("a", "alpha"), {"r": 0.0}),
-    "superexp": (("sigma",), {}),
-    "tempered": (("eps", "inner"), {}),
-    "table": (("values",), {}),
-}
-
-
 def _fields(obj, where: str, required: tuple, optional: dict) -> dict:
     """obj's fields: each required one, each optional one or its default, no other."""
     if not isinstance(obj, dict):
@@ -193,7 +180,7 @@ def build_weight(spec) -> Weight:
 def _weight(spec, where: str) -> Weight:
     from . import weights  # here, so a run that names no weight or decay loads none
 
-    kind, fields = _declared(spec, where, "kind", _WEIGHTS)
+    kind, fields = _declared(spec, where, "kind", weights.KINDS)
     try:
         if kind == "tempered":
             eps = _number(fields["eps"], f"{where}.eps")

@@ -73,7 +73,7 @@ def evaluate(config: ExperimentConfig) -> dict:
         lo, hi = config.n_range
         first = max(lo, math.ceil(4.0 * ctx.nw)) if claim.admissible else lo
         if claim.tail and first > lo:  # no tail from these N is claimed
-            notes.append(f"N < 4||q||_w skipped: {list(range(lo, first))}")
+            notes.append(f"N < 4||q||_w skipped: {list(range(lo, min(first, hi + 1)))}")
         if first > hi:
             nothing = f"no admissible {'N' if claim.tail else 'n'} in range"
             return _report(config, (False, [nothing], {}), ctx.pre, [], notes)

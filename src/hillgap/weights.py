@@ -21,18 +21,22 @@ Evaluation is done in the log domain throughout; plain evaluation returns +inf
 once the log value passes an overflow threshold (superexponential weights leave
 double range around |n| = 27 already for sigma = 2).
 
+Each factory checks its own parameters and builds its weight whole: a
+Weight carries its log-weight and its growth class, so nothing switches on
+the kind to evaluate, validate or classify it.  The kinds and their config
+fields are declared once, in KINDS.
+
 The finite searches take their windows from their inputs: psi doubles its
 window from 64 terms until its own tail bound certifies the minimum (at most
-2^16 terms), and classify_growth samples a table on the run n = 1..N it
-stores, N <= 64.  The submultiplicativity check reads n = 0..2N for the N its
-caller names.
+2^16 terms), and a table's growth class is sampled once, when the table is
+built, on the run n = 1..N it stores, N <= 64.  The submultiplicativity check
+reads n = 0..2N for the N its caller names.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,11 +48,6 @@ UNDETERMINED = "undetermined"
 # Plain evaluation beyond this log value reports +inf instead of overflowing.
 OVERFLOW_LOG = 700.0
 
-_KINDS = frozenset(
-    {"trivial", "polynomial", "exponential", "gevrey", "log_tempered",
-     "superexp", "tempered", "table"}
-)
-
 
 class TableDomainError(KeyError):
     """A table weight was queried outside its stored grid."""
@@ -58,69 +57,25 @@ class CertificateError(ValueError):
     """The finite search could not certify a global minimum."""
 
 
-@dataclass(frozen=True)
-class Weight:
-    """Immutable weight value; evaluate with w(n) or log_value(n).
+class Weight(NamedTuple):
+    """A weight as its factory built it; evaluate with w(n) or log_value(n).
 
-    Only the parameters relevant to ``kind`` are meaningful; use the factory
-    functions below rather than the raw constructor.  ``values`` stores table
-    data as (2n, w(n)) pairs keyed by the doubled index so half-integers stay
-    exact.
+    ``log`` maps |n| to log w(n), raising KeyError off a table's grid;
+    ``growth`` is the class classify_growth returns, and ``sigma`` the
+    exponent of a superexp weight (0 for every other kind).
     """
 
     kind: str
-    r: float = 0.0
-    a: float = 0.0
+    log: Callable[[float], float]
+    growth: str
     sigma: float = 0.0
-    alpha: float = 0.0
-    eps: float = 0.0
-    inner: "Weight | None" = None
-    values: tuple[tuple[int, float], ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        for name in ("r", "a", "alpha", "eps"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.kind == "gevrey" and not 0 < self.sigma < 1:
-            raise ValueError("gevrey requires 0 < sigma < 1")
-        if self.kind == "superexp" and not self.sigma > 1:
-            raise ValueError("superexp requires sigma > 1")
-        if self.kind == "tempered":
-            if self.inner is None or self.eps <= 0:
-                raise ValueError("tempered requires eps > 0 and an inner weight")
-        if self.kind == "table":
-            if not self.values:
-                raise ValueError("table requires stored values")
-            if any(v < 1.0 for _, v in self.values):
-                raise ValueError("weights are normalized: all values must be >= 1")
 
     def log_value(self, n: float) -> float:
         """log w(n) for half-integer n; exact in the log domain, never overflows."""
-        x = abs(_half_integer(n))
-        b = 1.0 + x
-        kind = self.kind
-        if kind == "trivial":
-            return 0.0
-        if kind == "polynomial":
-            return self.r * math.log(b)
-        if kind == "exponential":
-            return self.r * math.log(b) + self.a * x
-        if kind == "gevrey":
-            return self.r * math.log(b) + self.a * x ** self.sigma
-        if kind == "log_tempered":
-            return self.r * math.log(b) + self.a * x / (1.0 + math.log(b) ** self.alpha)
-        if kind == "superexp":
-            return x ** self.sigma
-        if kind == "tempered":
-            return min(self.eps * x, self.inner.log_value(n))
-        # table: grid keyed by doubled index, symmetric in n
-        key = round(2 * x)
-        for k, v in self.values:
-            if abs(k) == key:
-                return math.log(v)
-        raise TableDomainError(f"table weight has no entry at n = {n}")
+        try:
+            return self.log(abs(_half_integer(n)))
+        except KeyError:  # only a table stores a finite grid
+            raise TableDomainError(f"table weight has no entry at n = {n}") from None
 
     def __call__(self, n: float) -> float:
         """w(n) >= 1, or +inf once log w(n) exceeds OVERFLOW_LOG."""
@@ -135,35 +90,68 @@ def _half_integer(n: float) -> float:
     return float(n)
 
 
+def _nonnegative(**params: float) -> None:
+    for name, value in params.items():
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative")
+
+
 def trivial() -> Weight:
-    return Weight("trivial")
+    return Weight("trivial", lambda x: 0.0, STRICTLY_SUBEXPONENTIAL)
 
 
 def polynomial(r: float) -> Weight:
-    return Weight("polynomial", r=r)
+    _nonnegative(r=r)
+    return Weight("polynomial", lambda x: r * math.log(1.0 + x), STRICTLY_SUBEXPONENTIAL)
 
 
 def exponential(r: float, a: float) -> Weight:
-    return Weight("exponential", r=r, a=a)
+    _nonnegative(r=r, a=a)
+    return Weight("exponential", lambda x: r * math.log(1.0 + x) + a * x,
+                  EXPONENTIAL if a > 0 else STRICTLY_SUBEXPONENTIAL)
 
 
 def gevrey(r: float, a: float, sigma: float) -> Weight:
-    return Weight("gevrey", r=r, a=a, sigma=sigma)
+    _nonnegative(r=r, a=a)
+    if not 0 < sigma < 1:
+        raise ValueError("gevrey requires 0 < sigma < 1")
+    return Weight("gevrey", lambda x: r * math.log(1.0 + x) + a * x ** sigma,
+                  STRICTLY_SUBEXPONENTIAL)
 
 
 def log_tempered(r: float, a: float, alpha: float) -> Weight:
-    return Weight("log_tempered", r=r, a=a, alpha=alpha)
+    _nonnegative(r=r, a=a, alpha=alpha)
+
+    def log(x: float) -> float:
+        logb = math.log(1.0 + x)
+        return r * logb + a * x / (1.0 + logb ** alpha)
+    return Weight("log_tempered", log, STRICTLY_SUBEXPONENTIAL)
 
 
 def superexp(sigma: float) -> Weight:
-    return Weight("superexp", sigma=sigma)
+    if not sigma > 1:
+        raise ValueError("superexp requires sigma > 1")
+    return Weight("superexp", lambda x: x ** sigma, SUPEREXPONENTIAL, sigma)
 
 
 def table_weight(values: dict[float, float]) -> Weight:
-    """Weight from explicit samples {n: w(n)}; symmetric, half-integer keys."""
-    stored = tuple(sorted((round(2 * abs(_half_integer(n))), float(v))
-                          for n, v in values.items()))
-    return Weight("table", values=stored)
+    """Weight from explicit samples {n: w(n)}; symmetric, half-integer keys.
+
+    Its growth class is sampled here, once, from the run n = 1..N it stores
+    (see classify_growth).  Two samples at one |n| are refused.
+    """
+    stored = {}  # w(n) by the doubled index 2|n|, so half-integers stay exact
+    for n, v in values.items():
+        key = round(2 * abs(_half_integer(n)))
+        if key in stored:
+            raise ValueError(f"table weight has two samples at |n| = {abs(n)}")
+        stored[key] = float(v)
+    if not stored:
+        raise ValueError("table requires stored values")
+    if any(v < 1.0 for v in stored.values()):
+        raise ValueError("weights are normalized: all values must be >= 1")
+    logs = {key: math.log(v) for key, v in stored.items()}
+    return Weight("table", lambda x: logs[round(2 * x)], _sampled_growth(logs))
 
 
 def temper(w: Weight, eps: float) -> Weight:
@@ -171,9 +159,29 @@ def temper(w: Weight, eps: float) -> Weight:
 
     For strictly subexponential w this is again submultiplicative (verify with
     check_submultiplicative); for exponential w with rate >= eps it coincides
-    with e^{eps|n|} everywhere.
+    with e^{eps|n|} everywhere.  The min with e^{eps|n|} caps any faster
+    growth at exactly rate eps.
     """
-    return Weight("tempered", eps=float(eps), inner=w)
+    eps = float(eps)
+    _nonnegative(eps=eps)
+    if w is None or eps <= 0:
+        raise ValueError("tempered requires eps > 0 and an inner weight")
+    return Weight("tempered", lambda x: min(eps * x, w.log(x)),
+                  EXPONENTIAL if w.growth == SUPEREXPONENTIAL else w.growth)
+
+
+KINDS = {
+    # kind -> (required fields, optional fields with defaults) of its config
+    # object; the fields of the parametric kinds are their factory's parameters
+    "trivial": ((), {}),
+    "polynomial": (("r",), {}),
+    "exponential": (("a",), {"r": 0.0}),
+    "gevrey": (("a", "sigma"), {"r": 0.0}),
+    "log_tempered": (("a", "alpha"), {"r": 0.0}),
+    "superexp": (("sigma",), {}),
+    "tempered": (("eps", "inner"), {}),
+    "table": (("values",), {}),
+}
 
 
 class SubmultCheck(NamedTuple):
@@ -211,33 +219,24 @@ _FLOOR = 1e-12
 def classify_growth(w: Weight) -> str:
     """Growth class of w from log w(n)/n: decay to 0, positive limit, or blow-up.
 
-    Parametric kinds are classified in closed form; table weights fall back to
-    a finite-window test on t_n = log w(n)/n for 1 <= n <= N, the longest run
-    of integers from 1 the table stores, cut at 64.  The verdict is heuristic,
-    and a run shorter than 16 is ``undetermined``.  An alternative, purely
-    operational route for the subexponential/not question is temper-then-check:
-    temper(w, eps) followed by check_submultiplicative.
+    Each factory sets the class: in closed form for the parametric kinds, and
+    for a table by _sampled_growth when the table is built.  An alternative,
+    purely operational route for the subexponential/not question is
+    temper-then-check: temper(w, eps) followed by check_submultiplicative.
     """
-    kind = w.kind
-    if kind in ("trivial", "polynomial"):
-        return STRICTLY_SUBEXPONENTIAL
-    if kind == "exponential":
-        return EXPONENTIAL if w.a > 0 else STRICTLY_SUBEXPONENTIAL
-    if kind in ("gevrey", "log_tempered"):
-        return STRICTLY_SUBEXPONENTIAL
-    if kind == "superexp":
-        return SUPEREXPONENTIAL
-    if kind == "tempered":
-        # min with e^{eps|n|} caps any faster growth at exactly rate eps
-        inner_class = classify_growth(w.inner)
-        return EXPONENTIAL if inner_class == SUPEREXPONENTIAL else inner_class
-    stored = {k for k, _ in w.values}  # doubled indices
+    return w.growth
+
+
+def _sampled_growth(logs: dict[int, float]) -> str:
+    """A finite-window test on t_n = log w(n)/n for 1 <= n <= N, the longest
+    run of integers from 1 in ``logs`` (keyed by 2n), cut at 64.  The verdict
+    is heuristic, and a run shorter than 16 is ``undetermined``."""
     N = 0
-    while N < 64 and 2 * (N + 1) in stored:
+    while N < 64 and 2 * (N + 1) in logs:
         N += 1
     if N < 16:
         return UNDETERMINED
-    t = np.array([w.log_value(k) / k for k in range(1, N + 1)])
+    t = np.array([logs[2 * k] / k for k in range(1, N + 1)])
     mid = N // 2 - 1
     tail = t[mid:]
     if np.all(np.diff(tail) <= _FLOOR):

@@ -92,17 +92,19 @@ def test_apply_Tn_divides_mode_by_mode(mcut):
     assert np.array_equal(apply_Tn(q, n, lam, ParityVector(g)).data, out.data)
 
 
-def test_apply_Tn_singular_guard(monkeypatch):
-    # the nearest off-resonant modes |n - 2| and n + 2 lie outside the strip,
-    # so the guard only trips once the strip is widened past them; at n = 1
-    # mode |n - 2| = 1 is resonant and exact resonance passes
+def test_apply_Tn_singular_guard():
+    # the strip is the guard: the nearest off-resonant modes |n - 2| and
+    # n + 2 lie more than 15 outside it, so lam at any of their denominators
+    # is refused as outside the strip; at n = 1 mode |n - 2| = 1 is resonant
+    # and exact resonance passes
     q = make_mathieu(1.0)
     apply_Tn(q, 1, PI2, unit_vector(1, 5))
-    monkeypatch.setattr(blockdecomp, "STRIP_HALF_WIDTH", 1e3)
-    apply_Tn(q, 1, PI2, unit_vector(1, 5))
     for n, m in ((1, 3), (2, 0), (2, 4), (5, 3), (5, 7)):
-        with pytest.raises(DomainError, match="near-singular"):
+        with pytest.raises(DomainError, match="outside the admissible strip"):
             apply_Tn(q, n, m * m * PI2, unit_vector(n, n + 4))
+    for n in range(1, 1000):
+        for m in {abs(n - 2), n + 2} - {n}:
+            assert abs(m * m - n * n) * PI2 - blockdecomp.STRIP_HALF_WIDTH * n > 15
 
 
 def test_apply_Tn_guards():

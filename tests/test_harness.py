@@ -222,6 +222,20 @@ def test_verify_theorem1_random_potential():
         assert item["margin"] > 0.0
 
 
+def test_cli_theorem1_skips_only_the_indices_in_range(tmp_path, capsys):
+    # 4 ||q||_w = 11.3 lies past n_range [1, 3]: the note names 1..3, no more
+    cfg = _write(tmp_path / "t1.json", {"kind": "theorem1", "n_range": [1, 3],
+                                        "potential": {"type": "mathieu", "mu": 4.0}})
+    proc = _cli_run(["verify", "theorem1"], cfg, capsys)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == (
+        "theorem1: FAIL\n"
+        "  norm_q_w = 2.82843, four_norm_q_w = 11.3137, norm_q_l2 = 2.82843, "
+        "block_floor = 5.65685\n"
+        "  note: N < 4||q||_w skipped: [1, 2, 3]\n"
+        "  note: no admissible N in range\n")
+
+
 def _write(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
@@ -501,8 +515,8 @@ def test_cli_table_weight_off_its_grid_is_a_config_error(route, raw, tmp_path, c
 ], ids=["theorem1", "gaps", "weights"])
 def test_cli_weight_the_factory_refuses_is_a_config_error(route, raw, message, tmp_path,
                                                          capsys):
-    # the factories' own checks (Weight.__post_init__) raise ValueError;
-    # the CLI must print one config error line and exit 2
+    # the factories' own checks raise ValueError; the CLI must print one
+    # config error line and exit 2
     proc = _cli_run(route, _write(tmp_path / "c.json", raw), capsys)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
@@ -903,6 +917,16 @@ def _refusals():
         "kind": "theorem5", "potential": {"type": "mathieu", "mu": 0.1}, "n_range": [1, 2],
         "weight": {"kind": "superexp", "sigma": 1.00001}}, \
         "psi minimum not certified within 65536 terms"
+    # psi, which theorem5 reads, is defined for superexponential weights only
+    yield "theorem5-gevrey", ["verify", "theorem5"], {
+        "kind": "theorem5", "potential": {"type": "mathieu", "mu": 1.0}, "n_range": [1, 3],
+        "weight": {"kind": "gevrey", "a": 1.0, "sigma": 0.5}}, \
+        "this verification needs a superexponential weight"
+    # e^{n^2} leaves double range past |n| = 26, under the K = 30 modes of the draw
+    yield "theorem1-infinite-norm", ["verify", "theorem1"], {
+        "kind": "theorem1", "potential": {**_RANDOM, "K": 30}, "n_range": [1, 3],
+        "weight": {"kind": "superexp", "sigma": 2.0}}, \
+        "potential has infinite weighted norm under this weight"
 
 
 _REFUSALS = list(_refusals())
@@ -913,7 +937,7 @@ def test_refusal_table_covers_every_declared_object():
     for name in (*(p["type"] for p in (MATHIEU_HALF, _FOURIER, _GASYMOV, _RANDOM)),
                  *(w["kind"] for w in _WEIGHTS), "config", "oracle", "tempered-inner"):
         assert f"{name}-undeclared" in ids
-    assert sorted(w["kind"] for w in _WEIGHTS) == sorted(harness._WEIGHTS)
+    assert sorted(w["kind"] for w in _WEIGHTS) == sorted(hillgap.weights.KINDS)
     assert {"mathieu", "fourier", "gasymov", "random"} == set(harness._POTENTIALS)
 
 
@@ -1105,7 +1129,7 @@ _LOADED = ("import json, sys\n"
 _CONFIGS = Path(__file__).resolve().parents[1] / "perfbench" / "configs"
 _ADAPTED_WIDE = str(_CONFIGS / "adapted_wide.json")
 _ORACLE_MATHIEU = {"potential": {"type": "mathieu", "mu": 1.0}, "n_range": [1, 2]}
-_WEIGHT_LAYERS = ["hillgap.weights", "dataclasses"]
+_WEIGHT_LAYERS = ["hillgap.weights"]
 
 
 @pytest.mark.parametrize("route, raw, loaded", [
@@ -1130,9 +1154,9 @@ def test_each_route_loads_only_the_layers_it_reaches(route, raw, loaded, tmp_pat
     # included, loads it without the ladder and mpmath, as do the gaps that
     # auto escalates and the det form resolves at the default tol; one at a
     # set precision loads all three; only a verification run loads the
-    # claims; the weights layer, and dataclasses for its Weight, load for a
-    # random potential's decay and for every verification, and for no table
-    # whose config names no weight
+    # claims; the weights layer loads for a random potential's decay and for
+    # every verification, and for no table whose config names no weight; no
+    # route loads dataclasses
     cfg = raw if isinstance(raw, str) else _write(tmp_path / "c.json", raw)
     proc = _python("-c", _LOADED, *route, "-c", cfg, "--out", str(tmp_path / "out"))
     assert proc.returncode == 0, proc.stderr

@@ -83,6 +83,13 @@ def test_table_weight_lookup():
         table_weight({0: 0.5})
 
 
+def test_table_weight_refuses_two_samples_at_one_abs_n():
+    # w is even, so n and -n name one sample: a second is refused, not dropped
+    for values in ({0: 1.0, 1: 2.0, -1: 3.0}, {0: 1.0, -1: 3.0, 1: 2.0}):
+        with pytest.raises(ValueError, match=r"two samples at \|n\| = 1$"):
+            table_weight(values)
+
+
 def test_submultiplicative_families():
     for w in (trivial(), polynomial(2), polynomial(5), exponential(1, 1),
               gevrey(0, 1, 0.5), gevrey(2, 1.5, 0.8), log_tempered(0, 1, 1)):
